@@ -19,7 +19,7 @@ from .spectral import (
     Grid,
     MultiplierSymbol,
     SpectralField,
-    dealias,
+    dealias_mask,
     fractional_dispersion_symbol,
     inverse_transform,
     transform,
@@ -61,6 +61,30 @@ class EquationSpec:
             vals = self.linear_symbol.on_grid(grid)
             self._linear_cache[key] = vals
         return vals
+
+    def linear_exponentials(self, grid: Grid, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """exp(dt*L) and exp(dt*L/2) on the grid, cached for the most recent
+        dt only: dt is constant inside a solver segment but varies freely
+        across segments."""
+        key = ("exponentials", grid.key())
+        entry = self._linear_cache.get(key)
+        if entry is None or entry[0] != dt:
+            lin = self.linear_values(grid)
+            entry = (dt, np.exp(dt * lin), np.exp(0.5 * dt * lin))
+            self._linear_cache[key] = entry
+        return entry[1], entry[2]
+
+    def nonlinear_multipliers(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        """Input dealias mask and output multiplier c*i*xi*mask/(p+1) of the
+        nonlinearity (cached per grid)."""
+        key = ("nonlinear", grid.key())
+        pair = self._linear_cache.get(key)
+        if pair is None:
+            mask = dealias_mask(grid, self.dealias_degree)
+            scale = self.nonlinearity_coefficient / (self.nonlinearity_degree + 1)
+            pair = (mask, scale * 1j * grid.wavenumbers * mask)
+            self._linear_cache[key] = pair
+        return pair
 
     def params(self) -> dict:
         out = {}
@@ -171,17 +195,14 @@ def nonlinearity(eq: EquationSpec, u_hat: SpectralField) -> SpectralField:
 
     The dealias mask for degree p+1 is applied to the input before the
     pointwise power and to the output after differentiation, so retained
-    modes carry the exact truncated convolution.
+    modes carry the exact truncated convolution.  The output mask,
+    derivative, coefficient and 1/(p+1) form one cached multiplier.
     """
     c = eq.nonlinearity_coefficient
     grid = u_hat.grid
     if c == 0.0:
         return SpectralField(grid, np.zeros(grid.n_points, dtype=complex))
-    degree = eq.dealias_degree
-    p = eq.nonlinearity_degree
-    v_hat = dealias(u_hat, degree)
-    v = inverse_transform(v_hat)
-    w_hat = transform(grid, v ** (p + 1) / (p + 1))
-    out = (1j * grid.wavenumbers) * w_hat.coeffs
-    out[0] = 0.0
-    return dealias(SpectralField(grid, c * out), degree)
+    mask, multiplier = eq.nonlinear_multipliers(grid)
+    v = inverse_transform(SpectralField(grid, u_hat.coeffs * mask))
+    power = v * v if eq.nonlinearity_degree == 1 else v * v * v
+    return SpectralField(grid, multiplier * transform(grid, power).coeffs)

@@ -41,6 +41,7 @@ from .equations import EquationSpec, make_equation
 from .errors import ConfigurationError, InsufficientDataError
 from .integrator import SolverConfig, geometric_snapshots, run_simulation
 from .spectral import (
+    BOUNDARY_MASS_THRESHOLD,
     Grid,
     SpectralField,
     apply_multiplier,
@@ -231,7 +232,7 @@ def measure_smallness(u0: SpectralField, cfg: ExperimentConfig) -> dict:
     z = norm_z(u0, cfg.z_weight)
     return {"sobolev": h_n, "h11": h11, "z": z, "epsilon0": h_n + h11 + z,
             "boundary_mass_fraction": frac,
-            "h11_reliable": bool(frac <= 1e-6)}
+            "h11_reliable": bool(frac <= BOUNDARY_MASS_THRESHOLD)}
 
 
 def _check_small(smallness: dict, cfg: ExperimentConfig) -> None:
@@ -650,7 +651,7 @@ def run_norm_growth_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentRepo
         series_n.add(state.t, norm_sobolev(state.u_hat, cfg.sobolev_order))
         f_hat = compute_profile(state.u_hat, state.t, eq).f_hat
         frac = boundary_mass_fraction(f_hat)
-        if frac > 1e-6:
+        if frac > BOUNDARY_MASS_THRESHOLD:
             warned[0] += 1
         series_11.add(state.t, norm_h11(f_hat, warn=False))
 

@@ -40,7 +40,6 @@ class SolverConfig:
     cfl_coefficient: float = 0.5
     t_end: float = 1.0
     snapshot_times: tuple = ()
-    dealias_degree: int | None = None   # informational; set by the equation
 
     def __post_init__(self):
         if self.dt_max <= 0:
@@ -109,9 +108,7 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
     if dt == 0.0:
         return state
     grid = state.u_hat.grid
-    lin = eq.linear_values(grid)
-    e_full = np.exp(dt * lin)
-    e_half = np.exp(0.5 * dt * lin)
+    e_full, e_half = eq.linear_exponentials(grid, dt)
 
     v = state.u_hat
     k1 = nonlinearity(eq, v).coeffs

@@ -106,24 +106,47 @@ class SpectralField:
 
 
 def transform(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Physical samples -> spectral coefficients (ascending wavenumber order)."""
+    """Physical samples -> spectral coefficients (ascending wavenumber order).
+
+    Real samples go through a real FFT; the negative half is the conjugate
+    mirror of the non-negative one, so the result is exactly Hermitian.
+    """
     samples = np.asarray(samples)
-    if samples.shape != (grid.n_points,):
+    n = grid.n_points
+    if samples.shape != (n,):
         raise ShapeError(
             f"sample array of shape {samples.shape} does not match grid "
-            f"with {grid.n_points} points")
-    coeffs = np.fft.fftshift(np.fft.fft(samples)) * (grid.dx / _SQRT_2PI)
+            f"with {n} points")
+    scale = grid.dx / _SQRT_2PI
+    if np.iscomplexobj(samples):
+        return SpectralField(grid, np.fft.fftshift(np.fft.fft(samples)) * scale)
+    half = np.fft.rfft(samples)                   # k = 0 ... n/2
+    coeffs = np.empty(n, dtype=complex)
+    np.multiply(half[:-1], scale, out=coeffs[n // 2:])
+    coeffs[0] = half[-1] * scale                  # Nyquist
+    np.conjugate(coeffs[:n // 2:-1], out=coeffs[1:n // 2])
     return SpectralField(grid, coeffs)
 
 
 def inverse_transform(fld: SpectralField, real: bool = True) -> np.ndarray:
     """Spectral coefficients -> physical samples.
 
-    With ``real=True`` the (tiny) imaginary residue of a Hermitian field is
-    dropped; pass ``real=False`` for genuinely complex synthesis.
+    With ``real=True`` the result is the real part of the synthesis, computed
+    by a real inverse FFT of the Hermitian part (c(xi) + conj c(-xi))/2 of
+    the coefficients; for a Hermitian field that drops only the imaginary
+    round-off.  Pass ``real=False`` for genuinely complex synthesis.
     """
-    u = np.fft.ifft(np.fft.ifftshift(fld.coeffs)) * (_SQRT_2PI / fld.grid.dx)
-    return u.real if real else u
+    c = fld.coeffs
+    scale = _SQRT_2PI / fld.grid.dx
+    if not real:
+        return np.fft.ifft(np.fft.ifftshift(c)) * scale
+    n = fld.grid.n_points
+    half = np.empty(n // 2 + 1, dtype=complex)   # k = 0 ... n/2
+    half[0] = c[n // 2].real * scale
+    np.add(c[n // 2 + 1:], np.conjugate(c[n // 2 - 1:0:-1]), out=half[1:n // 2])
+    half[1:n // 2] *= 0.5 * scale
+    half[n // 2] = c[0].real * scale              # Nyquist
+    return np.fft.irfft(half, n)
 
 
 def hermitian_defect(fld: SpectralField) -> float:

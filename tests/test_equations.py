@@ -11,6 +11,7 @@ from fkdvlab.equations import (
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.spectral import (
     SpectralField,
+    dealias,
     dealias_keep,
     hermitize,
     inverse_transform,
@@ -20,6 +21,34 @@ from fkdvlab.spectral import (
 )
 
 TWO_PI = 2.0 * np.pi
+SQRT_2PI = np.sqrt(TWO_PI)
+
+REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5}, "fkdv": {"alpha": -0.5},
+                   "rescaled_modified_whitham": {"epsilon": 0.1},
+                   "mkdv": {"epsilon": 0.1}}
+
+
+def reference_nonlinearity(eq, u_hat):
+    """The kernel written out step by step with complex FFTs: dealias,
+    inverse transform, pow, transform, i*xi, dealias."""
+    grid = u_hat.grid
+    degree, p = eq.dealias_degree, eq.nonlinearity_degree
+    v_hat = dealias(u_hat, degree).coeffs
+    v = (np.fft.ifft(np.fft.ifftshift(v_hat)) * (SQRT_2PI / grid.dx)).real
+    w_hat = np.fft.fftshift(np.fft.fft(v ** (p + 1) / (p + 1))) * (grid.dx / SQRT_2PI)
+    out = (1j * grid.wavenumbers) * w_hat
+    out[0] = 0.0
+    return dealias(SpectralField(grid, eq.nonlinearity_coefficient * out), degree).coeffs
+
+
+def random_band_limited(grid, band, rng, amplitude=0.5):
+    """Hermitian field with random coefficients on 0 < |k| <= band."""
+    n = grid.n_points
+    c = np.zeros(n, complex)
+    k = np.arange(1, band + 1)
+    c[n // 2 + k] = rng.normal(size=band) + 1j * rng.normal(size=band)
+    c[n // 2 - k] = np.conj(c[n // 2 + k])
+    return SpectralField(grid, amplitude * c / np.sqrt(band))
 
 
 class TestRegistry:
@@ -81,6 +110,19 @@ class TestRegistry:
 
 
 class TestNonlinearity:
+    @pytest.mark.parametrize("n", [16, 512, 8192])
+    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    def test_matches_reference_kernel(self, kind, n):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(n, 16.0 * np.pi)
+        rng = np.random.default_rng(n + len(kind))
+        # one band inside every dealias mask, one past both edges
+        for band in (n // 4 - 1, 3 * n // 8):
+            u_hat = random_band_limited(g, band, rng)
+            ref = reference_nonlinearity(eq, u_hat)
+            out = nonlinearity(eq, u_hat).coeffs
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_constant_field_gives_zero(self):
         g = make_grid(32, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
@@ -146,7 +188,6 @@ class TestNonlinearity:
             c[n // 2 + k] = rng.normal() + 1j * rng.normal()
         u_hat = hermitize(SpectralField(g, 0.5 * c))
         out = nonlinearity(eq, u_hat)
-        from fkdvlab.spectral import dealias
         masked = dealias(u_hat, eq.dealias_degree)
         pairing = np.sum(out.coeffs * np.conj(masked.coeffs)).real * g.dxi
         scale = np.sum(np.abs(masked.coeffs) ** 2) * g.dxi

@@ -121,6 +121,51 @@ class TestStep:
         assert np.log2(errs[0] / errs[1]) >= 3.9
 
 
+class TestExponentialCache:
+    @staticmethod
+    def cached_exponentials(eq):
+        return [k for k in eq._linear_cache if k[0] == "exponentials"]
+
+    def test_steps_match_fresh_exponentials(self):
+        # alternating dt and two grids on one equation must give exactly the
+        # steps of an equation that evaluates exp(dt*L) afresh every time
+        eq = make_equation("modified_fkdv", alpha=-0.5)
+        fields = [gaussian_field(make_grid(n, 16.0 * np.pi), amplitude=0.5)
+                  for n in (64, 128)]
+        for dt in (0.05, 0.02, 0.05):
+            for u0 in fields:
+                state = SolverState(0.0, u0)
+                cached = step_ifrk4(state, dt, eq)
+                fresh_eq = make_equation("modified_fkdv", alpha=-0.5)
+                fresh = step_ifrk4(state, dt, fresh_eq)
+                assert np.array_equal(cached.u_hat.coeffs, fresh.u_hat.coeffs)
+                lin = eq.linear_values(u0.grid)
+                e_full, e_half = eq.linear_exponentials(u0.grid, dt)
+                assert np.array_equal(e_full, np.exp(dt * lin))
+                assert np.array_equal(e_half, np.exp(0.5 * dt * lin))
+
+    def test_linearized_has_own_cache(self):
+        eq = make_equation("modified_fkdv", alpha=-0.5)
+        u0 = gaussian_field(make_grid(64, 16.0 * np.pi))
+        step_ifrk4(SolverState(0.0, u0), 0.05, eq)
+        lin_eq = linearized(eq)
+        assert lin_eq._linear_cache is not eq._linear_cache
+        before = dict(eq._linear_cache)
+        step_ifrk4(SolverState(0.0, u0), 0.03, lin_eq)
+        assert eq._linear_cache.keys() == before.keys()
+        assert all(eq._linear_cache[k] is v for k, v in before.items())
+
+    def test_at_most_one_pair_per_grid(self):
+        eq = make_equation("modified_burgers")
+        grids = [make_grid(n, TWO_PI) for n in (32, 64)]
+        for dt in np.linspace(1e-3, 2e-3, 100):
+            for g in grids:
+                step_ifrk4(SolverState(0.0, transform(g, 0.01 * np.sin(g.x))), dt, eq)
+        keys = self.cached_exponentials(eq)
+        assert len(keys) == len(grids)
+        assert all(eq._linear_cache[k][0] == dt for k in keys)
+
+
 class TestRunSimulation:
     def test_zero_t_end_calls_observer_once(self):
         g = make_grid(32, TWO_PI)

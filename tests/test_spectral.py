@@ -99,6 +99,33 @@ class TestTransform:
         with pytest.raises(ShapeError):
             transform(g, np.zeros(8))
 
+    @pytest.mark.parametrize("n", [8, 16, 512, 8192])
+    def test_matches_complex_fft_formulas(self, n):
+        # real samples take the real-FFT path; the result must equal the
+        # complex-FFT formula, and the real synthesis of any coefficients
+        # (Hermitian or not) must equal Re ifft
+        rng = np.random.default_rng(n)
+        g = make_grid(n, 7.3)
+        scale = g.dx / np.sqrt(TWO_PI)
+        u = rng.normal(size=n)
+        ref = np.fft.fftshift(np.fft.fft(u)) * scale
+        out = transform(g, u).coeffs
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert hermitian_defect(transform(g, u)) == 0.0
+
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        synth = np.fft.ifft(np.fft.ifftshift(c)) / scale
+        back = inverse_transform(SpectralField(g, c))
+        assert back.dtype == np.float64
+        assert np.max(np.abs(back - synth.real)) <= 1e-13 * np.max(np.abs(synth.real))
+        back = inverse_transform(SpectralField(g, c), real=False)
+        assert np.max(np.abs(back - synth)) <= 1e-13 * np.max(np.abs(synth))
+
+        z = u + 1j * rng.normal(size=n)
+        ref = np.fft.fftshift(np.fft.fft(z)) * scale
+        out = transform(g, z).coeffs
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestMultipliers:
     def test_derivative_on_sine(self):
