@@ -40,7 +40,7 @@ import numpy as np
 
 from .equations import EQUATION_KINDS
 from .errors import ConfigurationError
-from .experiments import STUDIES, ExperimentConfig, default_config
+from .experiments import STUDIES, ExperimentConfig, default_config, validate_config
 
 _FLOAT_KEYS_STUDY = {
     "fit_t_min", "fit_t_max", "r2_min", "slope_max", "sample_dt",
@@ -172,41 +172,3 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
 
     validate_config(cfg)
     return cfg, run_options
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Cross-field validation shared by file parsing and direct construction."""
-    n = cfg.n_points
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"[grid] n_points: must be a power of two >= 8, got {n}")
-    if cfg.box_length <= 0:
-        raise ConfigurationError(f"[grid] box_length: must be positive, got {cfg.box_length}")
-    if cfg.equation in ("modified_fkdv", "fkdv"):
-        if cfg.alpha is None:
-            raise ConfigurationError(f"[equation] alpha: required for {cfg.equation}")
-        if not (-1.0 < cfg.alpha < 0.0):
-            raise ConfigurationError(
-                f"[equation] alpha: must lie in (-1, 0), got {cfg.alpha}")
-    if cfg.equation in ("rescaled_modified_whitham", "mkdv"):
-        if cfg.epsilon is None and cfg.study != "longwave":
-            raise ConfigurationError(f"[equation] epsilon: required for {cfg.equation}")
-        if cfg.epsilon is not None and cfg.epsilon <= 0:
-            raise ConfigurationError(
-                f"[equation] epsilon: must be positive, got {cfg.epsilon}")
-    if cfg.t_end < 0:
-        raise ConfigurationError(f"[solver] t_end: must be nonnegative, got {cfg.t_end}")
-    if not (0 < cfg.cfl_coefficient <= 1):
-        raise ConfigurationError(
-            f"[solver] cfl_coefficient: must lie in (0, 1], got {cfg.cfl_coefficient}")
-    if cfg.dt_max <= 0:
-        raise ConfigurationError(f"[solver] dt_max: must be positive, got {cfg.dt_max}")
-    if cfg.fit_t_min >= cfg.fit_t_max:
-        raise ConfigurationError(
-            f"[study] fit window: t_min {cfg.fit_t_min} must precede t_max {cfg.fit_t_max}")
-    if cfg.amplitude < 0:
-        raise ConfigurationError(f"[initial] amplitude: must be nonnegative")
-    if cfg.width <= 0:
-        raise ConfigurationError(f"[initial] width: must be positive")
-    band = cfg.exponent_band
-    if len(band) != 2 or band[0] >= band[1]:
-        raise ConfigurationError(f"[study] exponent_band: need lo < hi, got {band}")

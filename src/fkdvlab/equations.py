@@ -18,11 +18,11 @@ from .errors import ConfigurationError
 from .spectral import (
     Grid,
     MultiplierSymbol,
-    SpectralField,
     dealias_mask,
     fractional_dispersion_symbol,
-    inverse_transform,
-    transform,
+    half_inverse_transform,
+    half_table,
+    half_transform,
     whitham_scalar_symbol,
 )
 
@@ -63,26 +63,28 @@ class EquationSpec:
         return vals
 
     def linear_exponentials(self, grid: Grid, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """exp(dt*L) and exp(dt*L/2) on the grid, cached for the most recent
-        dt only: dt is constant inside a solver segment but varies freely
-        across segments."""
+        """exp(dt*L) and exp(dt*L/2) on the half spectrum, 0 in the Nyquist
+        slot so that a step keeps the Nyquist mode zero.  Cached for the most
+        recent dt only: dt is constant inside a solver segment but varies
+        freely across segments."""
         key = ("exponentials", grid.key())
         entry = self._linear_cache.get(key)
         if entry is None or entry[0] != dt:
-            lin = self.linear_values(grid)
+            lin = half_table(grid, self.linear_values(grid))
             entry = (dt, np.exp(dt * lin), np.exp(0.5 * dt * lin))
+            entry[1][-1] = entry[2][-1] = 0.0
             self._linear_cache[key] = entry
         return entry[1], entry[2]
 
     def nonlinear_multipliers(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         """Input dealias mask and output multiplier c*i*xi*mask/(p+1) of the
-        nonlinearity (cached per grid)."""
+        nonlinearity on the half spectrum (cached per grid)."""
         key = ("nonlinear", grid.key())
         pair = self._linear_cache.get(key)
         if pair is None:
-            mask = dealias_mask(grid, self.dealias_degree)
+            mask = half_table(grid, dealias_mask(grid, self.dealias_degree))
             scale = self.nonlinearity_coefficient / (self.nonlinearity_degree + 1)
-            pair = (mask, scale * 1j * grid.wavenumbers * mask)
+            pair = (mask, scale * 1j * half_table(grid, grid.wavenumbers) * mask)
             self._linear_cache[key] = pair
         return pair
 
@@ -190,19 +192,19 @@ def linearized(eq: EquationSpec) -> EquationSpec:
     return replace(eq, nonlinearity_coefficient=0.0, _linear_cache={})
 
 
-def nonlinearity(eq: EquationSpec, u_hat: SpectralField) -> SpectralField:
-    """Spectral right-hand side c * d/dx(u^{p+1}/(p+1)), alias-free.
+def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Spectral right-hand side c * d/dx(u^{p+1}/(p+1)), alias-free, of a
+    field given by its half spectrum (``spectral.half_spectrum``); the
+    result is a half spectrum too.
 
     The dealias mask for degree p+1 is applied to the input before the
     pointwise power and to the output after differentiation, so retained
     modes carry the exact truncated convolution.  The output mask,
     derivative, coefficient and 1/(p+1) form one cached multiplier.
     """
-    c = eq.nonlinearity_coefficient
-    grid = u_hat.grid
-    if c == 0.0:
-        return SpectralField(grid, np.zeros(grid.n_points, dtype=complex))
+    if eq.nonlinearity_coefficient == 0.0:
+        return np.zeros(grid.n_points // 2 + 1, dtype=complex)
     mask, multiplier = eq.nonlinear_multipliers(grid)
-    v = inverse_transform(SpectralField(grid, u_hat.coeffs * mask))
+    v = half_inverse_transform(grid, half * mask)
     power = v * v if eq.nonlinearity_degree == 1 else v * v * v
-    return SpectralField(grid, multiplier * transform(grid, power).coeffs)
+    return multiplier * half_transform(grid, power)

@@ -13,14 +13,16 @@ preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .equations import EquationSpec, nonlinearity
 from .errors import ConfigurationError
-from .spectral import SpectralField, hermitian_defect, hermitize, inverse_transform
+from .spectral import (Grid, SpectralField, full_spectrum, half_inverse_transform,
+                       half_spectrum, hermitize)
 
 #: Guard against division by zero in the CFL rule for the zero field.
 CFL_FLOOR = 1e-12
@@ -57,11 +59,29 @@ class SolverConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-@dataclass
 class SolverState:
-    t: float
-    u_hat: SpectralField
-    hermitian_defect_max: float = 0.0
+    """Time and field of the solver.
+
+    The field is kept as its half spectrum (``spectral.half_spectrum``), so
+    it is Hermitian by construction; built from a ``SpectralField``, the
+    state holds that field's Hermitian part.  ``u_hat``, the ascending full
+    spectrum, is built on first access.
+    """
+
+    def __init__(self, t: float, u_hat: SpectralField):
+        self.t = t
+        self.grid = u_hat.grid
+        self.half = half_spectrum(u_hat)
+
+    @classmethod
+    def from_half(cls, t: float, grid: Grid, half: np.ndarray) -> "SolverState":
+        state = cls.__new__(cls)
+        state.t, state.grid, state.half = t, grid, half
+        return state
+
+    @cached_property
+    def u_hat(self) -> SpectralField:
+        return full_spectrum(self.grid, self.half)
 
 
 @dataclass(frozen=True)
@@ -93,9 +113,9 @@ def cfl_dt(state: SolverState, eq: EquationSpec, config: SolverConfig) -> float:
     The exactly-propagated linear part contributes no restriction; only the
     nonlinear transport speed |u|^p does.
     """
-    u = inverse_transform(state.u_hat)
+    u = half_inverse_transform(state.grid, state.half)
     speed = float(np.max(np.abs(u))) ** eq.nonlinearity_degree
-    dx = state.u_hat.grid.dx
+    dx = state.grid.dx
     return min(config.dt_max, config.cfl_coefficient * dx / max(CFL_FLOOR, speed))
 
 
@@ -104,33 +124,34 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
 
     Stage values live in the original (unconjugated) spectral variable; the
     conjugation enters only through the exact exponentials exp(theta*dt*L).
+    Every stage is a half spectrum; the exponentials' zero Nyquist slot
+    keeps the Nyquist mode zero.
     """
     if dt == 0.0:
         return state
-    grid = state.u_hat.grid
+    grid = state.grid
     e_full, e_half = eq.linear_exponentials(grid, dt)
 
-    v = state.u_hat
-    k1 = nonlinearity(eq, v).coeffs
-    k2 = nonlinearity(eq, SpectralField(grid, e_half * (v.coeffs + 0.5 * dt * k1))).coeffs
-    k3 = nonlinearity(eq, SpectralField(grid, e_half * v.coeffs + 0.5 * dt * k2)).coeffs
-    k4 = nonlinearity(eq, SpectralField(grid, e_full * v.coeffs + dt * e_half * k3)).coeffs
+    v = state.half
+    k1 = nonlinearity(eq, grid, v)
+    k2 = nonlinearity(eq, grid, e_half * (v + 0.5 * dt * k1))
+    k3 = nonlinearity(eq, grid, e_half * v + 0.5 * dt * k2)
+    k4 = nonlinearity(eq, grid, e_full * v + dt * e_half * k3)
 
-    new_coeffs = e_full * v.coeffs + (dt / 6.0) * (
+    new_half = e_full * v + (dt / 6.0) * (
         e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    raw = SpectralField(grid, new_coeffs)
-    defect = hermitian_defect(raw)
-    return SolverState(state.t + dt, hermitize(raw),
-                       max(state.hermitian_defect_max, defect))
+    return SolverState.from_half(state.t + dt, grid, new_half)
 
 
 def _state_bad(state: SolverState) -> str | None:
-    c = state.u_hat.coeffs
-    if np.any(np.isnan(c)):
-        return "nan"
-    if np.any(np.isinf(c)) or np.max(np.abs(c)) > BLOWUP_AMPLITUDE:
-        return "blowup"
-    return None
+    """Halt reason of a state: "nan", "blowup" or None when it is usable."""
+    c = state.half
+    m = np.max(np.abs(c))
+    if np.isfinite(m) and m <= BLOWUP_AMPLITUDE:
+        return None
+    # |inf + nan*j| is inf, so a non-finite maximum alone cannot tell the
+    # two reasons apart
+    return "nan" if np.any(np.isnan(c)) else "blowup"
 
 
 def run_simulation(u0: SpectralField, eq: EquationSpec, config: SolverConfig,

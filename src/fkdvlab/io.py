@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .spectral import SpectralField
+from .spectral import CUTOFFS, SpectralField
 
 
 def _fmt(x) -> str:
@@ -102,7 +102,6 @@ class RunManifest:
     halt: dict | None
     started_at: float
     finished_at: float
-    cutoff_profile: str = "exp(-1/x)-mollified step, transition on 1<|xi|<2"
 
     @classmethod
     def create(cls, config: dict, smallness: dict, halt,
@@ -120,7 +119,7 @@ class RunManifest:
         return {"tool_version": self.tool_version, "config": self.config,
                 "smallness": self.smallness, "halt": self.halt,
                 "started_at": self.started_at, "finished_at": self.finished_at,
-                "cutoff_profile": self.cutoff_profile}
+                "cutoff_profile": CUTOFFS.description}
 
 
 def write_manifest(manifest: RunManifest, path: str) -> None:

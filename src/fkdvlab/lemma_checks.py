@@ -309,10 +309,8 @@ def check_phase_expansion(alpha: float, xi: float,
     if xi == 0.0:
         raise DomainError("xi must be nonzero")
     deltas = np.asarray(sorted(delta_range, reverse=True), dtype=float) * abs(xi)
-    if np.max(deltas) * 2.0 > abs(xi) / 32.0 * 2.0 + 1e-15:
-        # accept offsets up to |xi|/32 in each slot
-        if np.max(deltas) > abs(xi) / 32.0:
-            raise DomainError("offsets exceed |xi|/32; expansion domain violated")
+    if np.max(deltas) > abs(xi) / 32.0:
+        raise DomainError("offsets exceed |xi|/32; expansion domain violated")
     remainders = []
     quad_coeff = alpha * (alpha + 1.0) * abs(xi) ** (alpha - 1.0)
     for d in deltas:

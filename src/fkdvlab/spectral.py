@@ -11,6 +11,12 @@ k = -n/2 ... n/2 - 1.  With this choice the spectral sum
 (Parseval), and the analytic Fourier formulas for multipliers, profiles
 and phase corrections transcribe with no hidden constants.
 
+A real field is also held as its half spectrum: modes k = 0 ... n/2 in
+real-FFT order, Nyquist last, same normalization.  ``half_transform`` and
+``half_inverse_transform`` are the transform pair on that layout; the
+solver steps it directly, and ``transform``/``inverse_transform`` are the
+full ascending view built on top of it.
+
 All functions here are pure; grids and fields are immutable value objects.
 """
 
@@ -105,11 +111,61 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
 
+def half_transform(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Real samples -> half spectrum: coefficients of modes k = 0 ... n/2 in
+    real-FFT order, the Nyquist mode last, continuous normalization.
+
+    A real field is Hermitian, so these n/2 + 1 coefficients determine it;
+    ``full_spectrum`` mirrors them into the ascending layout.
+    """
+    return np.fft.rfft(samples) * (grid.dx / _SQRT_2PI)
+
+
+def half_inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Half spectrum -> real samples.  The imaginary parts of the zero and
+    Nyquist modes are ignored, as the real inverse FFT does."""
+    return np.fft.irfft(half * (_SQRT_2PI / grid.dx), grid.n_points)
+
+
+def half_spectrum(fld: SpectralField) -> np.ndarray:
+    """Half spectrum of the Hermitian part (c(xi) + conj c(-xi))/2 of the
+    coefficients, with the real parts of the zero and Nyquist modes: the
+    real field that ``inverse_transform`` synthesises.  For a Hermitian
+    field it is the non-negative half exactly."""
+    c = fld.coeffs
+    n = fld.grid.n_points
+    half = np.empty(n // 2 + 1, dtype=complex)
+    half[0] = c[n // 2].real
+    np.add(c[n // 2 + 1:], np.conjugate(c[n // 2 - 1:0:-1]), out=half[1:n // 2])
+    half[1:n // 2] *= 0.5
+    half[n // 2] = c[0].real                     # Nyquist
+    return half
+
+
+def full_spectrum(grid: Grid, half: np.ndarray) -> SpectralField:
+    """Ascending full spectrum of a half spectrum: the negative modes are the
+    conjugate mirror of the positive ones, the Nyquist mode sits at the left
+    end."""
+    n = grid.n_points
+    coeffs = np.empty(n, dtype=complex)
+    coeffs[n // 2:] = half[:-1]
+    coeffs[0] = half[-1]
+    np.conjugate(coeffs[:n // 2:-1], out=coeffs[1:n // 2])
+    return SpectralField(grid, coeffs)
+
+
+def half_table(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Entries k = 0 ... n/2 - 1 of an ascending full-grid table in the half
+    spectrum layout, with 0 in the Nyquist slot."""
+    return np.append(values[grid.n_points // 2:], 0.0)
+
+
 def transform(grid: Grid, samples: np.ndarray) -> SpectralField:
     """Physical samples -> spectral coefficients (ascending wavenumber order).
 
-    Real samples go through a real FFT; the negative half is the conjugate
-    mirror of the non-negative one, so the result is exactly Hermitian.
+    Real samples go through ``half_transform``; the negative half is the
+    conjugate mirror of the non-negative one, so the result is exactly
+    Hermitian.
     """
     samples = np.asarray(samples)
     n = grid.n_points
@@ -117,36 +173,23 @@ def transform(grid: Grid, samples: np.ndarray) -> SpectralField:
         raise ShapeError(
             f"sample array of shape {samples.shape} does not match grid "
             f"with {n} points")
-    scale = grid.dx / _SQRT_2PI
     if np.iscomplexobj(samples):
-        return SpectralField(grid, np.fft.fftshift(np.fft.fft(samples)) * scale)
-    half = np.fft.rfft(samples)                   # k = 0 ... n/2
-    coeffs = np.empty(n, dtype=complex)
-    np.multiply(half[:-1], scale, out=coeffs[n // 2:])
-    coeffs[0] = half[-1] * scale                  # Nyquist
-    np.conjugate(coeffs[:n // 2:-1], out=coeffs[1:n // 2])
-    return SpectralField(grid, coeffs)
+        return SpectralField(
+            grid, np.fft.fftshift(np.fft.fft(samples)) * (grid.dx / _SQRT_2PI))
+    return full_spectrum(grid, half_transform(grid, samples))
 
 
 def inverse_transform(fld: SpectralField, real: bool = True) -> np.ndarray:
     """Spectral coefficients -> physical samples.
 
     With ``real=True`` the result is the real part of the synthesis, computed
-    by a real inverse FFT of the Hermitian part (c(xi) + conj c(-xi))/2 of
-    the coefficients; for a Hermitian field that drops only the imaginary
+    by ``half_inverse_transform`` of the Hermitian part (``half_spectrum``)
+    of the coefficients; for a Hermitian field that drops only the imaginary
     round-off.  Pass ``real=False`` for genuinely complex synthesis.
     """
-    c = fld.coeffs
-    scale = _SQRT_2PI / fld.grid.dx
     if not real:
-        return np.fft.ifft(np.fft.ifftshift(c)) * scale
-    n = fld.grid.n_points
-    half = np.empty(n // 2 + 1, dtype=complex)   # k = 0 ... n/2
-    half[0] = c[n // 2].real * scale
-    np.add(c[n // 2 + 1:], np.conjugate(c[n // 2 - 1:0:-1]), out=half[1:n // 2])
-    half[1:n // 2] *= 0.5 * scale
-    half[n // 2] = c[0].real * scale              # Nyquist
-    return np.fft.irfft(half, n)
+        return np.fft.ifft(np.fft.ifftshift(fld.coeffs)) * (_SQRT_2PI / fld.grid.dx)
+    return half_inverse_transform(fld.grid, half_spectrum(fld))
 
 
 def hermitian_defect(fld: SpectralField) -> float:

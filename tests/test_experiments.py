@@ -1,9 +1,11 @@
+import json
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fkdvlab import experiments
 from fkdvlab.errors import ConfigurationError, InsufficientDataError
 from fkdvlab.experiments import (
     ExperimentConfig,
@@ -17,7 +19,8 @@ from fkdvlab.experiments import (
     run_shock_study,
     run_study,
 )
-from fkdvlab.spectral import inverse_transform, make_grid, norm_h11, norm_sobolev, norm_z
+from fkdvlab.spectral import (CUTOFFS, inverse_transform, make_grid, norm_h11,
+                              norm_sobolev, norm_z)
 
 TWO_PI = 2.0 * np.pi
 
@@ -62,6 +65,18 @@ class TestConfigAndData:
     def test_unknown_study(self):
         with pytest.raises(ConfigurationError):
             default_config("hydro")
+
+    def test_bad_override_rejected_before_any_step(self, tmp_path, monkeypatch):
+        # a fit window that starts after it ends is a cross-field error
+        with pytest.raises(ConfigurationError):
+            default_config("decay", fit_t_min=200.0)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(experiments, "run_simulation", no_simulation)
+        with pytest.raises(ConfigurationError):
+            run_study(replace(default_config("decay"), fit_t_min=200.0), str(tmp_path))
 
     def test_initial_kinds(self):
         cfg = default_config("decay")
@@ -115,7 +130,8 @@ class TestStudySmoke:
         assert -0.8 < report.measured["exponent_u"] < -0.2
         assert os.path.exists(os.path.join(str(tmp_path), report.series_paths[0]))
         assert os.path.exists(os.path.join(str(tmp_path), "decay_report.json"))
-        assert os.path.exists(os.path.join(str(tmp_path), "decay_manifest.json"))
+        with open(os.path.join(str(tmp_path), "decay_manifest.json")) as fh:
+            assert json.load(fh)["cutoff_profile"] == CUTOFFS.description
         for v in report.verdicts:
             assert v.series == "decay_series.csv"
 

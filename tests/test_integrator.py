@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from fkdvlab.equations import linearized, make_equation
+from fkdvlab.equations import REGISTRY_KINDS, linearized, make_equation
 from fkdvlab.integrator import (
+    BLOWUP_AMPLITUDE,
+    CFL_FLOOR,
     HaltReason,
     SolverConfig,
     SolverState,
+    _state_bad,
     cfl_dt,
     geometric_snapshots,
     run_simulation,
@@ -13,6 +16,8 @@ from fkdvlab.integrator import (
 )
 from fkdvlab.spectral import (
     SpectralField,
+    dealias_mask,
+    hermitian_defect,
     hermitize,
     inverse_transform,
     make_grid,
@@ -24,10 +29,89 @@ from fkdvlab.spectral import (
 
 TWO_PI = 2.0 * np.pi
 
+REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5}, "fkdv": {"alpha": -0.5},
+                   "rescaled_modified_whitham": {"epsilon": 0.1},
+                   "mkdv": {"epsilon": 0.1}}
+
 
 def gaussian_field(grid, amplitude=0.1, width=1.0):
     return hermitize(transform(
         grid, amplitude * np.exp(-((grid.x - grid.x_center) / width) ** 2)))
+
+
+def reference_nonlinearity(eq, u_hat):
+    """The nonlinearity on the full ascending spectrum: mask, real
+    synthesis, power, transform, multiplier."""
+    grid = u_hat.grid
+    if eq.nonlinearity_coefficient == 0.0:
+        return np.zeros(grid.n_points, dtype=complex)
+    mask = dealias_mask(grid, eq.dealias_degree)
+    scale = eq.nonlinearity_coefficient / (eq.nonlinearity_degree + 1)
+    multiplier = scale * 1j * grid.wavenumbers * mask
+    v = inverse_transform(SpectralField(grid, u_hat.coeffs * mask))
+    power = v * v if eq.nonlinearity_degree == 1 else v * v * v
+    return multiplier * transform(grid, power).coeffs
+
+
+def reference_step(u_hat, dt, eq):
+    """IF-RK4 on the full spectrum, measuring the Hermitian defect of the
+    raw result and repairing it with hermitize.  Returns (field, defect)."""
+    grid = u_hat.grid
+    lin = eq.linear_values(grid)
+    e_full, e_half = np.exp(dt * lin), np.exp(0.5 * dt * lin)
+    v = u_hat.coeffs
+
+    def N(coeffs):
+        return reference_nonlinearity(eq, SpectralField(grid, coeffs))
+
+    k1 = N(v)
+    k2 = N(e_half * (v + 0.5 * dt * k1))
+    k3 = N(e_half * v + 0.5 * dt * k2)
+    k4 = N(e_full * v + dt * e_half * k3)
+    raw = SpectralField(grid, e_full * v + (dt / 6.0) * (
+        e_full * k1 + 2.0 * e_half * (k2 + k3) + k4))
+    return hermitize(raw), hermitian_defect(raw)
+
+
+def reference_run(u0, eq, config):
+    """run_simulation's segment loop over reference_step, with CFL read from
+    the full spectrum and a three-pass halt check.  Returns (field, halt
+    kind, halt time, largest Hermitian defect)."""
+    def dt_allowed(fld):
+        speed = float(np.max(np.abs(inverse_transform(fld)))) ** eq.nonlinearity_degree
+        return min(config.dt_max,
+                   config.cfl_coefficient * fld.grid.dx / max(CFL_FLOOR, speed))
+
+    def bad(c):
+        if np.any(np.isnan(c)):
+            return "nan"
+        if np.any(np.isinf(c)) or np.max(np.abs(c)) > BLOWUP_AMPLITUDE:
+            return "blowup"
+        return None
+
+    fld, t, defect_max = hermitize(u0), 0.0, 0.0
+    for target in sorted(set(config.snapshot_times) | {config.t_end}):
+        if target <= 1e-14:
+            continue
+        seg_start, seg_len, done = t, target - t, 0
+        n_steps = max(1, int(np.ceil(seg_len / dt_allowed(fld) - 1e-12)))
+        dt = seg_len / n_steps
+        while done < n_steps:
+            allowed = dt_allowed(fld)
+            if dt > allowed * (1.0 + 1e-9):
+                remaining = seg_len - done * dt
+                extra = max(1, int(np.ceil(remaining / allowed - 1e-12)))
+                seg_start, seg_len, done, n_steps = t, remaining, 0, extra
+                dt = seg_len / n_steps
+            new, defect = reference_step(fld, dt, eq)
+            done += 1
+            t_new = seg_start + done * dt
+            reason = bad(new.coeffs)
+            if reason is not None:
+                return fld, reason, t_new, defect_max
+            fld, t, defect_max = new, t_new, max(defect_max, defect)
+        t = target
+    return fld, "completed", t, defect_max
 
 
 class TestCfl:
@@ -139,10 +223,13 @@ class TestExponentialCache:
                 fresh_eq = make_equation("modified_fkdv", alpha=-0.5)
                 fresh = step_ifrk4(state, dt, fresh_eq)
                 assert np.array_equal(cached.u_hat.coeffs, fresh.u_hat.coeffs)
-                lin = eq.linear_values(u0.grid)
+                # half-length tables, 0 in the Nyquist slot
+                n = u0.grid.n_points
+                lin = eq.linear_values(u0.grid)[n // 2:]
                 e_full, e_half = eq.linear_exponentials(u0.grid, dt)
-                assert np.array_equal(e_full, np.exp(dt * lin))
-                assert np.array_equal(e_half, np.exp(0.5 * dt * lin))
+                assert e_full.shape == e_half.shape == (n // 2 + 1,)
+                assert np.array_equal(e_full, np.append(np.exp(dt * lin), 0.0))
+                assert np.array_equal(e_half, np.append(np.exp(0.5 * dt * lin), 0.0))
 
     def test_linearized_has_own_cache(self):
         eq = make_equation("modified_fkdv", alpha=-0.5)
@@ -205,7 +292,7 @@ class TestRunSimulation:
         assert halt.completed
         assert abs(norm_l2(final.u_hat) - norm_l2(u0)) <= 1e-8 * norm_l2(u0)
         assert mean_integral(final.u_hat) == mean_integral(u0)
-        assert final.hermitian_defect_max <= 1e-12
+        assert hermitian_defect(final.u_hat) == 0.0
 
     def test_time_reversibility(self):
         g = make_grid(256, 32.0 * np.pi)
@@ -251,6 +338,56 @@ class TestRunSimulation:
             SolverConfig(t_end=1.0, snapshot_times=(2.0,))
         with pytest.raises(Exception):
             SolverConfig(t_end=1.0, cfl_coefficient=1.5)
+
+
+class TestFullSpectrumReference:
+    """The half-spectrum solver against the full-spectrum step it replaced:
+    equal bits, equal halt reasons, and a reference that never finds a
+    Hermitian defect to repair."""
+
+    @pytest.mark.parametrize("n", [16, 512, 8192])
+    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    def test_runs_bit_identical(self, kind, n):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(n, 16.0 * np.pi)
+        u0 = transform(g, 0.8 * np.exp(-((g.x - g.x_center) / 2.0) ** 2)
+                       + 0.1 * np.sin(6.0 * TWO_PI * g.x / g.box_length))
+        cfg = SolverConfig(dt_max=0.05, t_end=0.2,
+                           snapshot_times=(0.05, 0.1, 0.15, 0.2))
+        final, halt = run_simulation(u0, eq, cfg)
+        ref, kind_ref, t_ref, defect_max = reference_run(u0, eq, cfg)
+        assert (halt.kind, halt.t) == (kind_ref, t_ref) == ("completed", 0.2)
+        assert np.array_equal(final.u_hat.coeffs, ref.coeffs)
+        assert defect_max == 0.0
+
+    def test_blowup_halt_matches(self):
+        g = make_grid(64, TWO_PI)
+        eq = make_equation("modified_burgers")
+        u0 = transform(g, 3e12 * np.sin(g.x))
+        cfg = SolverConfig(dt_max=0.05, cfl_coefficient=1.0, t_end=5.0,
+                           snapshot_times=(5.0,))
+        final, halt = run_simulation(u0, eq, cfg)
+        ref, kind_ref, t_ref, _ = reference_run(u0, eq, cfg)
+        assert (halt.kind, halt.t) == (kind_ref, t_ref)
+        assert np.array_equal(final.u_hat.coeffs, ref.coeffs)
+
+
+class TestHaltClassification:
+    @staticmethod
+    def state_with(value):
+        half = np.full(9, 0.5 + 0.25j)
+        half[3] = value
+        return SolverState.from_half(1.0, make_grid(16, TWO_PI), half)
+
+    @pytest.mark.parametrize("value, reason", [
+        (0.1 - 0.2j, None),
+        (complex(np.nan, 0.0), "nan"),
+        (complex(np.inf, np.nan), "nan"),
+        (complex(np.inf, 0.0), "blowup"),
+        (2e12, "blowup"),
+    ])
+    def test_reason(self, value, reason):
+        assert _state_bad(self.state_with(value)) == reason
 
 
 class TestSnapshots:

@@ -76,6 +76,12 @@ class TestPhaseExpansion:
         with pytest.raises(DomainError):
             check_phase_expansion(-0.5, 1.0, delta_range=(0.25,))
 
+    @pytest.mark.parametrize("xi", [1.0, -2.0, 0.3])
+    def test_offsets_at_domain_edge_accepted(self, xi):
+        # the largest offset may equal |xi|/32 exactly
+        result = check_phase_expansion(-0.5, xi, delta_range=(1.0 / 32.0, 1.0 / 64.0))
+        assert max(result["deltas"]) == abs(xi) / 32.0
+
 
 class TestInterpolation:
     def test_chain_constants_and_dilation(self):
