@@ -26,12 +26,15 @@ from .experiments import (
 )
 from .integrator import geometric_snapshots, run_simulation
 from .lemma_checks import (
+    CUTOFF_RATE_MAX,
+    GAUSSIAN_CLOSED_FORM_ATOL,
     check_dispersive_estimate,
     check_interpolation_inequality,
     check_oscillatory_gaussian,
     check_phase_expansion,
     check_pseudo_product,
     check_trilinear_identity,
+    cutoff_check_bound,
 )
 from .spectral import mean_integral, norm_l2, norm_linf, norm_sobolev
 
@@ -164,10 +167,18 @@ def run_lemma_checks(only: str | None = None, out_dir: str = "runs",
               f"in [{min(ratios):.2f}, {max(ratios):.2f}] (need [6.5, 9.5])")
         status |= 0 if ok else 1
     if "oscillatory" in results:
-        worst = max(g["abs_error"] for g in results["oscillatory"]["gaussian"])
-        ok = worst <= 1e-8
+        res = results["oscillatory"]
+        worst = max(g["abs_error"] for g in res["gaussian"])
+        check = res["cutoff_check"]
+        bound = cutoff_check_bound(check["fit_prediction"])
+        ok = (worst <= GAUSSIAN_CLOSED_FORM_ATOL
+              and res["cutoff_rate"] <= CUTOFF_RATE_MAX
+              and check["error"] <= bound)
         print(f"  [{'PASS' if ok else 'FAIL'}] oscillatory gaussian: "
-              f"max closed-form error {worst:.3e} (<= 1e-8)")
+              f"max closed-form error {worst:.3e} "
+              f"(<= {GAUSSIAN_CLOSED_FORM_ATOL:g}), cutoff rate "
+              f"{res['cutoff_rate']:.4f} (<= {CUTOFF_RATE_MAX:g}), cutoff "
+              f"error at N={check['N']:g} {check['error']:.3e} (<= {bound:.3e})")
         status |= 0 if ok else 1
     if "interpolation" in results:
         res = results["interpolation"]

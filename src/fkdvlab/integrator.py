@@ -83,6 +83,11 @@ class SolverState:
     def u_hat(self) -> SpectralField:
         return full_spectrum(self.grid, self.half)
 
+    @cached_property
+    def max_abs_u(self) -> float:
+        """max|u| over the grid samples of the full (undealiased) field."""
+        return float(np.max(np.abs(half_inverse_transform(self.grid, self.half))))
+
 
 @dataclass(frozen=True)
 class HaltReason:
@@ -111,10 +116,10 @@ def cfl_dt(state: SolverState, eq: EquationSpec, config: SolverConfig) -> float:
     """dt = min(dt_max, cfl * dx / max(floor, max|u|^p)).
 
     The exactly-propagated linear part contributes no restriction; only the
-    nonlinear transport speed |u|^p does.
+    nonlinear transport speed |u|^p does.  max|u| is cached on the state, so
+    planning a segment and taking its first step share one transform.
     """
-    u = half_inverse_transform(state.grid, state.half)
-    speed = float(np.max(np.abs(u))) ** eq.nonlinearity_degree
+    speed = state.max_abs_u ** eq.nonlinearity_degree
     dx = state.grid.dx
     return min(config.dt_max, config.cfl_coefficient * dx / max(CFL_FLOOR, speed))
 

@@ -10,6 +10,7 @@ All checks are deterministic given their seed and pure per parameter tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,6 @@ from .spectral import (
     make_grid,
     transform,
 )
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def _dispersion(alpha: float, xi):
@@ -424,8 +423,9 @@ def _kernel_l1_by_quadrature(inner_width: float = 1.0) -> float:
     integral_x | integral_eta exp(-eta^2) cos(x eta) d eta | dx, evaluated
     by adaptive quadrature.
     """
+    # quad passes plain floats, so the integrands use math, not numpy
     def inner(x):
-        val, _ = integrate.quad(lambda e: np.exp(-e * e) * np.cos(x * e),
+        val, _ = integrate.quad(lambda e: math.exp(-e * e) * math.cos(x * e),
                                 -8.0, 8.0, limit=200)
         return abs(val)
     outer, _ = integrate.quad(inner, -40.0, 40.0, limit=400)
@@ -516,6 +516,23 @@ def check_pseudo_product(kernel_choice: str = "gaussian", seed: int = 0,
 # Oscillatory gaussian and cutoff double integrals
 # ---------------------------------------------------------------------------
 
+#: Pass thresholds of ``check_oscillatory_gaussian``: the gaussian
+#: quadrature must match its closed form to GAUSSIAN_CLOSED_FORM_ATOL; the
+#: fitted decay rate of the cutoff integral's error must be at most
+#: CUTOFF_RATE_MAX (the inverse square root upper bound); the error at
+#: ``cutoff_N_check`` must stay within ``cutoff_check_bound`` of the fit.
+GAUSSIAN_CLOSED_FORM_ATOL = 1e-8
+CUTOFF_RATE_MAX = -0.5
+CUTOFF_CHECK_FACTOR = 2.0
+CUTOFF_CHECK_FLOOR = 1e-9
+
+
+def cutoff_check_bound(fit_prediction: float) -> float:
+    """Largest passing cutoff error at ``cutoff_N_check``: the fitted
+    prediction times CUTOFF_CHECK_FACTOR, floored at CUTOFF_CHECK_FLOOR."""
+    return CUTOFF_CHECK_FACTOR * max(fit_prediction, CUTOFF_CHECK_FLOOR)
+
+
 def oscillatory_gaussian_closed_form(N: float) -> float:
     return 2.0 * np.pi * N / np.sqrt(4.0 / N ** 2 + N ** 2)
 
@@ -523,13 +540,13 @@ def oscillatory_gaussian_closed_form(N: float) -> float:
 def _gaussian_double_integral(N: float) -> float:
     def inner(y):
         # oscillatory-weight quadrature of exp(-(x/N)^2) cos(x y)
-        val, _ = integrate.quad(lambda x: np.exp(-(x / N) ** 2),
+        val, _ = integrate.quad(lambda x: math.exp(-(x / N) ** 2),
                                 -8.0 * N, 8.0 * N, weight="cos", wvar=y,
                                 limit=400)
         return val
 
     cap = min(8.0 * N, 80.0 / N)
-    val, _ = integrate.quad(lambda y: inner(y) * np.exp(-(y / N) ** 2),
+    val, _ = integrate.quad(lambda y: inner(y) * math.exp(-(y / N) ** 2),
                             -cap, cap, limit=400)
     return val
 
@@ -538,16 +555,33 @@ _PHI_V_NODES = np.linspace(0.0, 2.0, 2 ** 13 + 1)
 _PHI_V_VALUES = CUTOFFS.phi(_PHI_V_NODES)
 
 
-def _cutoff_profile_transform(z: np.ndarray) -> np.ndarray:
-    """Bare cosine transform 2 * int_0^2 phi(v) cos(v z) dv, vectorized in z."""
-    dv = _PHI_V_NODES[1] - _PHI_V_NODES[0]
-    out = np.empty_like(z, dtype=float)
-    for lo in range(0, len(z), 512):
-        block = z[lo: lo + 512]
-        c = np.cos(np.outer(block, _PHI_V_NODES)) * _PHI_V_VALUES
-        # trapezoid in v (phi(0)=1, phi(2)=0 at the endpoints)
-        out[lo: lo + 512] = 2.0 * (np.sum(c, axis=1) - 0.5 * c[:, 0] - 0.5 * c[:, -1]) * dv
-    return out
+#: z points per block of the factored cosine transform (about sqrt(4001)).
+_Z_BLOCK = 64
+
+#: Number of points of the uniform z grid of the cutoff double integral.
+_Z_POINTS = 4001
+
+
+def _cutoff_profile_transform(z_lo: float, z_hi: float, count: int) -> np.ndarray:
+    """Bare cosine transform 2 * int_0^2 phi(v) cos(v z) dv on the uniform
+    grid z = linspace(z_lo, z_hi, count), by the trapezoid rule in v.
+
+    Each z_k is split into a block base plus an in-block offset,
+    z_k = z_b + r_m with r_m = m * dz, and angle addition
+    cos(z_b v + r_m v) = cos(z_b v) cos(r_m v) - sin(z_b v) sin(r_m v)
+    turns the count x nodes cosine table into two matrix products of
+    (blocks x nodes) and (nodes x _Z_BLOCK) tables.
+    """
+    z, dz = np.linspace(z_lo, z_hi, count, retstep=True)
+    v = _PHI_V_NODES
+    # trapezoid weights in v (phi(0)=1, phi(2)=0 at the endpoints)
+    w = 2.0 * (v[1] - v[0]) * _PHI_V_VALUES
+    w[[0, -1]] *= 0.5
+    base_v = np.outer(z[::_Z_BLOCK], v)
+    offset_v = np.outer(v, np.arange(_Z_BLOCK) * dz)
+    out = ((np.cos(base_v) * w) @ np.cos(offset_v)
+           - (np.sin(base_v) * w) @ np.sin(offset_v))
+    return out.ravel()[:count]
 
 
 def _cutoff_double_integral(N: float) -> float:
@@ -556,8 +590,9 @@ def _cutoff_double_integral(N: float) -> float:
     cosine transform of phi.  The deviation from 2*pi*phi(0) lives on
     z >= N^2 where the complementary cutoff 1 - phi(z/N^2) is supported."""
     n2 = N * N
-    z = np.linspace(n2, 2.0 * n2, 4001)
-    tail = _cutoff_profile_transform(z) * (1.0 - CUTOFFS.phi(z / n2))
+    z = np.linspace(n2, 2.0 * n2, _Z_POINTS)
+    tail = (_cutoff_profile_transform(n2, 2.0 * n2, _Z_POINTS)
+            * (1.0 - CUTOFFS.phi(z / n2)))
     deviation = 2.0 * np.trapezoid(tail, z)
     return 2.0 * np.pi - deviation
 

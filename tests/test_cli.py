@@ -154,6 +154,29 @@ class TestCliDispatch:
         assert "trilinear identity" in out
         assert os.path.exists(tmp_path / "lemma_checks.json")
 
+    def test_lemmas_oscillatory_passes(self, tmp_path, capsys):
+        status = cli_dispatch(["lemmas", "--only", "oscillatory",
+                               "--out", str(tmp_path)])
+        assert status == 0
+        assert "[PASS] oscillatory gaussian" in capsys.readouterr().out
+
+    def test_lemmas_oscillatory_gates_cutoff_rate(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a closed-form match alone must not pass a too-slow cutoff decay
+        from fkdvlab import cli
+        slow = {"gaussian": [{"N": 1.0, "quadrature": 2.8, "closed_form": 2.8,
+                              "abs_error": 0.0}],
+                "cutoff": [], "cutoff_rate": -0.4,
+                "cutoff_check": {"N": 8.0, "error": 0.0,
+                                 "fit_prediction": 1e-3}}
+        monkeypatch.setattr(cli, "check_oscillatory_gaussian", lambda: slow)
+        status = cli_dispatch(["lemmas", "--only", "oscillatory",
+                               "--out", str(tmp_path)])
+        assert status == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] oscillatory gaussian" in out
+        assert "cutoff rate -0.4000 (<= -0.5)" in out
+
     def test_shock_subcommand_with_config(self, tmp_path, capsys):
         path = write(tmp_path, "\n".join([
             "[run]", "study = shock",

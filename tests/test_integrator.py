@@ -331,6 +331,31 @@ class TestRunSimulation:
         run_simulation(u0, eq, cfg, lambda s: seen.append(s.t))
         assert seen == list(times)
 
+    def test_one_cfl_transform_per_step(self, monkeypatch):
+        # planning a segment and its first step read the same state, so
+        # they share one synthesis of max|u|
+        from fkdvlab import integrator
+        counts = {"transform": 0, "cfl": 0, "step": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                counts[name] += 1
+                return func(*args)
+            return wrapper
+
+        for name, attr in (("transform", "half_inverse_transform"),
+                           ("cfl", "cfl_dt"), ("step", "step_ifrk4")):
+            monkeypatch.setattr(integrator, attr,
+                                counted(name, getattr(integrator, attr)))
+        g = make_grid(256, 32.0 * np.pi)
+        cfg = SolverConfig(dt_max=0.1, t_end=2.0, snapshot_times=(0.5, 1.0, 1.5))
+        _, halt = run_simulation(gaussian_field(g, amplitude=0.5),
+                                 make_equation("modified_fkdv", alpha=-0.5), cfg)
+        assert halt.completed
+        assert counts["step"] >= 20
+        assert counts["cfl"] == counts["step"] + 4
+        assert counts["transform"] == counts["step"]
+
     def test_config_validation(self):
         with pytest.raises(Exception):
             SolverConfig(dt_max=-1.0, t_end=1.0)

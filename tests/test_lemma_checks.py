@@ -3,17 +3,25 @@ import pytest
 
 from fkdvlab.errors import ConfigurationError, DomainError
 from fkdvlab.lemma_checks import (
+    CUTOFF_RATE_MAX,
+    GAUSSIAN_CLOSED_FORM_ATOL,
+    _PHI_V_NODES,
+    _PHI_V_VALUES,
+    _Z_BLOCK,
+    _Z_POINTS,
     check_dispersive_estimate,
     check_interpolation_inequality,
     check_oscillatory_gaussian,
     check_phase_expansion,
     check_pseudo_product,
     check_trilinear_identity,
+    cutoff_check_bound,
     dispersive_rhs,
     oscillatory_gaussian_closed_form,
     profile_rhs_double_sum,
     profile_rhs_pseudospectral,
     resonance_function,
+    _cutoff_profile_transform,
     _evolved_band_sup,
 )
 from fkdvlab.spectral import SpectralField, make_grid
@@ -135,14 +143,42 @@ class TestOscillatoryGaussian:
                                             cutoff_N_list=(3.0, 4.0),
                                             cutoff_N_check=6.0)
         for entry in result["gaussian"]:
-            assert entry["abs_error"] <= 1e-8
+            assert entry["abs_error"] <= GAUSSIAN_CLOSED_FORM_ATOL
 
     def test_cutoff_variant_rate(self):
         result = check_oscillatory_gaussian()
         # decays at least as fast as the inverse square root upper bound
-        assert result["cutoff_rate"] <= -0.5
+        assert result["cutoff_rate"] <= CUTOFF_RATE_MAX
         check = result["cutoff_check"]
-        assert check["error"] <= 2.0 * max(check["fit_prediction"], 1e-9)
+        assert check["error"] <= cutoff_check_bound(check["fit_prediction"])
+        # the fitted rate of the direct outer-product transform
+        assert result["cutoff_rate"] == pytest.approx(-10.347969626776898, rel=1e-9)
+
+
+def outer_product_transform(z):
+    """The direct trapezoid sum 2 * sum_j w_j phi(v_j) cos(z v_j) on the
+    outer product of z and the v nodes, in 512-row blocks."""
+    dv = _PHI_V_NODES[1] - _PHI_V_NODES[0]
+    out = np.empty_like(z, dtype=float)
+    for lo in range(0, len(z), 512):
+        block = z[lo: lo + 512]
+        c = np.cos(np.outer(block, _PHI_V_NODES)) * _PHI_V_VALUES
+        out[lo: lo + 512] = 2.0 * (np.sum(c, axis=1) - 0.5 * c[:, 0] - 0.5 * c[:, -1]) * dv
+    return out
+
+
+class TestCutoffProfileTransform:
+    @pytest.mark.parametrize("z_lo,z_hi,count", [
+        *((N * N, 2.0 * N * N, _Z_POINTS) for N in (3.0, 4.0, 6.0, 8.0)),
+        (0.0, 5.0, 2 * _Z_BLOCK + 3),     # not a multiple of the block size
+        (1.5, 2.0, _Z_BLOCK // 6),        # shorter than one block
+    ])
+    def test_matches_outer_product_sum(self, z_lo, z_hi, count):
+        # the sum's terms are O(1); the factored form only reorders round-off
+        factored = _cutoff_profile_transform(z_lo, z_hi, count)
+        direct = outer_product_transform(np.linspace(z_lo, z_hi, count))
+        assert factored.shape == (count,)
+        assert np.max(np.abs(factored - direct)) <= 1e-13
 
 
 class TestDispersiveEstimate:
