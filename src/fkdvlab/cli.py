@@ -27,7 +27,14 @@ from .experiments import (
 from .integrator import geometric_snapshots, run_simulation
 from .lemma_checks import (
     CUTOFF_RATE_MAX,
+    DISPERSIVE_DILATION_DEFECT_MAX,
+    FACTORED_DEFECT_MAX,
     GAUSSIAN_CLOSED_FORM_ATOL,
+    HALVING_RATIO_BAND,
+    INTERPOLATION_CONSTANT_SLACK,
+    INTERPOLATION_DILATION_DEFECT_MAX,
+    PSEUDO_PRODUCT_RATIO_MAX,
+    TRILINEAR_RTOL,
     check_dispersive_estimate,
     check_interpolation_inequality,
     check_oscillatory_gaussian,
@@ -129,6 +136,12 @@ def _run_single_study(study: str, args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _num(x: float) -> str:
+    """A threshold as the lemma lines print it: 1e-6, not 1e-06."""
+    mantissa, _, exponent = f"{x:g}".partition("e")
+    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
+
+
 def run_lemma_checks(only: str | None = None, out_dir: str = "runs",
                      seed: int = 0) -> tuple[int, dict]:
     results = {}
@@ -155,16 +168,18 @@ def run_lemma_checks(only: str | None = None, out_dir: str = "runs",
     status = 0
     if "trilinear" in results:
         worst = max(r["relative_sup_difference"] for r in results["trilinear"])
-        ok = worst <= 1e-10
+        ok = worst <= TRILINEAR_RTOL
         print(f"  [{'PASS' if ok else 'FAIL'}] trilinear identity: "
-              f"max relative difference {worst:.3e} (<= 1e-10)")
+              f"max relative difference {worst:.3e} (<= {_num(TRILINEAR_RTOL)})")
         status |= 0 if ok else 1
     if "phase_expansion" in results:
         ratios = [r for sub in results["phase_expansion"].values()
                   for r in sub["halving_ratios"]]
-        ok = all(6.5 <= r <= 9.5 for r in ratios)
+        lo, hi = HALVING_RATIO_BAND
+        ok = all(lo <= r <= hi for r in ratios)
         print(f"  [{'PASS' if ok else 'FAIL'}] phase expansion: halving ratios "
-              f"in [{min(ratios):.2f}, {max(ratios):.2f}] (need [6.5, 9.5])")
+              f"in [{min(ratios):.2f}, {max(ratios):.2f}] "
+              f"(need [{_num(lo)}, {_num(hi)}])")
         status |= 0 if ok else 1
     if "oscillatory" in results:
         res = results["oscillatory"]
@@ -182,31 +197,36 @@ def run_lemma_checks(only: str | None = None, out_dir: str = "runs",
         status |= 0 if ok else 1
     if "interpolation" in results:
         res = results["interpolation"]
+        slack = 1 + INTERPOLATION_CONSTANT_SLACK
         ok = (res["bandsup_vs_l1"]["ratio_stats"]["max"]
-              <= res["sharp_constants"]["bandsup_vs_l1"] * (1 + 1e-9)
+              <= res["sharp_constants"]["bandsup_vs_l1"] * slack
               and res["l1_vs_weighted_l2"]["ratio_stats"]["max"]
-              <= res["sharp_constants"]["l1_vs_weighted_l2"] * (1 + 1e-9)
-              and res["max_dilation_defect"] <= 1e-6)
+              <= res["sharp_constants"]["l1_vs_weighted_l2"] * slack
+              and res["max_dilation_defect"] <= INTERPOLATION_DILATION_DEFECT_MAX)
         print(f"  [{'PASS' if ok else 'FAIL'}] interpolation chain: constants "
               f"within sharp bounds, dilation defect "
-              f"{res['max_dilation_defect']:.2e} (<= 1e-6)")
+              f"{res['max_dilation_defect']:.2e} "
+              f"(<= {_num(INTERPOLATION_DILATION_DEFECT_MAX)})")
         status |= 0 if ok else 1
     if "dispersive" in results:
         defects = [sub["dilation_defect"] for sub in results["dispersive"].values()]
         maxima = [sub[side]["ratio_stats"]["max"]
                   for sub in results["dispersive"].values()
                   for side in ("freq_side", "phys_side")]
-        ok = max(defects) <= 1e-6 and all(np.isfinite(maxima))
+        ok = (max(defects) <= DISPERSIVE_DILATION_DEFECT_MAX
+              and all(np.isfinite(maxima)))
         print(f"  [{'PASS' if ok else 'FAIL'}] dispersive estimates: sweep "
               f"maxima recorded (worst {max(maxima):.3f}), dilation defect "
-              f"{max(defects):.2e} (<= 1e-6)")
+              f"{max(defects):.2e} (<= {_num(DISPERSIVE_DILATION_DEFECT_MAX)})")
         status |= 0 if ok else 1
     if "pseudo_product" in results:
         res = results["pseudo_product"]
-        ok = res["factored_defect"] <= 1e-10 and res["max_ratio"] < 1.0
+        ok = (res["factored_defect"] <= FACTORED_DEFECT_MAX
+              and res["max_ratio"] < PSEUDO_PRODUCT_RATIO_MAX)
         print(f"  [{'PASS' if ok else 'FAIL'}] pseudo-product bound: max ratio "
-              f"{res['max_ratio']:.4f} (< 1), factored-route defect "
-              f"{res['factored_defect']:.2e} (<= 1e-10)")
+              f"{res['max_ratio']:.4f} (< {_num(PSEUDO_PRODUCT_RATIO_MAX)}), "
+              f"factored-route defect {res['factored_defect']:.2e} "
+              f"(<= {_num(FACTORED_DEFECT_MAX)})")
         status |= 0 if ok else 1
     print(f"lemma check report at {path}")
     return status, results

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -47,6 +46,8 @@ from .spectral import (
     apply_multiplier,
     boundary_mass_fraction,
     derivative_symbol,
+    half_inverse_transform,
+    half_table,
     hermitize,
     inverse_transform,
     make_grid,
@@ -169,9 +170,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"[study] fit window: t_min {cfg.fit_t_min} must precede t_max {cfg.fit_t_max}")
     if cfg.amplitude < 0:
-        raise ConfigurationError(f"[initial] amplitude: must be nonnegative")
+        raise ConfigurationError("[initial] amplitude: must be nonnegative")
     if cfg.width <= 0:
-        raise ConfigurationError(f"[initial] width: must be positive")
+        raise ConfigurationError("[initial] width: must be positive")
     band = cfg.exponent_band
     if len(band) != 2 or band[0] >= band[1]:
         raise ConfigurationError(f"[study] exponent_band: need lo < hi, got {band}")
@@ -466,6 +467,7 @@ def run_longwave_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
 
     # members of the sweep are independent; the pool size bounds parallelism
     if cfg.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             member_results = list(pool.map(one_epsilon, cfg.eps_list))
     else:
@@ -507,8 +509,7 @@ def run_longwave_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             f"e{j0}_over_t_flat_eps{eps:g}", factor < cfg.shape_factor_max,
             factor, f"< {cfg.shape_factor_max}", f"longwave_eps{eps:g}.csv")
 
-    halt = halt_last if halt_last is not None else None
-    return _emit(report, cfg, out_dir, halt, smallness, started)
+    return _emit(report, cfg, out_dir, halt_last, smallness, started)
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +549,14 @@ def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, n_points: int,
     u0 = u0_maker(grid)
     dxs = derivative_symbol()
     g0 = norm_linf(apply_multiplier(u0, dxs))
+    dx_half = half_table(grid, dxs.on_grid(grid))
     snaps = tuple(np.arange(0.0, t_end + 1e-9, cfg.detect_dt))
     hit: list[float] = []
     peak = [0.0]
 
     def observer(state):
-        gx = norm_linf(apply_multiplier(state.u_hat, dxs))
+        gx = float(np.max(np.abs(
+            half_inverse_transform(grid, state.half * dx_half))))
         peak[0] = max(peak[0], gx)
         if not hit and g0 > 0.0 and gx >= cfg.blowup_factor * g0:
             hit.append(state.t)
@@ -643,8 +646,7 @@ def run_shock_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     # evolved by the cubic fractional flow over a horizon past the shock time
     contrast_alpha = cfg.alpha if cfg.alpha is not None else -0.5
     eq_disp = make_equation("modified_fkdv", alpha=contrast_alpha)
-    size0 = measure_smallness(base0, cfg)["epsilon0"]
-    scale = cfg.contrast_epsilon0 / size0
+    scale = cfg.contrast_epsilon0 / smallness["epsilon0"]
     horizon = cfg.contrast_horizon_factor * t_star
 
     def contrast_maker(grid):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, DomainError
 from .spectral import (
@@ -176,6 +175,11 @@ def dispersive_rhs(alpha: float, k: int, t: float) -> dict:
     }
 
 
+#: Pass threshold of ``check_dispersive_estimate``: largest relative
+#: dilation-identity defect (the sweep maxima are recorded, not gated).
+DISPERSIVE_DILATION_DEFECT_MAX = 1e-6
+
+
 def check_dispersive_estimate(alpha: float, k_range=range(-3, 4),
                               t_range=(1.0, 4.0, 16.0, 64.0)) -> dict:
     """Sweep LHS/RHS ratios of the dispersive sup-norm estimates.
@@ -251,6 +255,14 @@ def interpolation_members(grid: Grid, fld: SpectralField, k: int) -> tuple[float
     return sup2, l1sq, right
 
 
+#: Pass thresholds of ``check_interpolation_inequality``: both chain
+#: maxima may exceed their sharp constants by the relative round-off slack
+#: INTERPOLATION_CONSTANT_SLACK; the dilation defect is at most
+#: INTERPOLATION_DILATION_DEFECT_MAX.
+INTERPOLATION_CONSTANT_SLACK = 1e-9
+INTERPOLATION_DILATION_DEFECT_MAX = 1e-6
+
+
 def check_interpolation_inequality(num_trials: int = 20, seed: int = 0) -> dict:
     """Randomized check of band-sup^2 <= C1 L1^2 <= C2 * weighted-L2 product.
 
@@ -295,6 +307,11 @@ def resonance_function(alpha: float, xi, eta, sigma):
     """Phi = a(xi) - a(xi-eta-sigma) - a(eta) - a(sigma) with a = sign |.|^(1+alpha)."""
     a = lambda z: _dispersion(alpha, z)
     return a(xi) - a(xi - eta - sigma) - a(eta) - a(sigma)
+
+
+#: Pass band of ``check_phase_expansion``: every halving ratio of the
+#: remainder must lie in [lo, hi] around 8, the cubic rate.
+HALVING_RATIO_BAND = (6.5, 9.5)
 
 
 def check_phase_expansion(alpha: float, xi: float,
@@ -380,6 +397,11 @@ def profile_rhs_double_sum(fhat: SpectralField, t: float, alpha: float) -> np.nd
     return out
 
 
+#: Pass threshold of ``check_trilinear_identity``: largest relative sup
+#: difference between the oracle and the pseudospectral derivative.
+TRILINEAR_RTOL = 1e-10
+
+
 def check_trilinear_identity(n_points: int = 16, seed: int = 0,
                              t: float = 0.7, alpha: float = -0.5,
                              amplitude: float = 0.1) -> dict:
@@ -423,6 +445,9 @@ def _kernel_l1_by_quadrature(inner_width: float = 1.0) -> float:
     integral_x | integral_eta exp(-eta^2) cos(x eta) d eta | dx, evaluated
     by adaptive quadrature.
     """
+    # scipy is imported here, not at module level, so studies never load it
+    from scipy import integrate
+
     # quad passes plain floats, so the integrands use math, not numpy
     def inner(x):
         val, _ = integrate.quad(lambda e: math.exp(-e * e) * math.cos(x * e),
@@ -430,6 +455,13 @@ def _kernel_l1_by_quadrature(inner_width: float = 1.0) -> float:
         return abs(val)
     outer, _ = integrate.quad(inner, -40.0, 40.0, limit=400)
     return outer ** 2
+
+
+#: Pass thresholds of ``check_pseudo_product``: the factored route must
+#: match the direct double sum to FACTORED_DEFECT_MAX (relative), and every
+#: form/bound ratio must stay strictly below PSEUDO_PRODUCT_RATIO_MAX.
+FACTORED_DEFECT_MAX = 1e-10
+PSEUDO_PRODUCT_RATIO_MAX = 1.0
 
 
 def check_pseudo_product(kernel_choice: str = "gaussian", seed: int = 0,
@@ -538,6 +570,8 @@ def oscillatory_gaussian_closed_form(N: float) -> float:
 
 
 def _gaussian_double_integral(N: float) -> float:
+    from scipy import integrate
+
     def inner(y):
         # oscillatory-weight quadrature of exp(-(x/N)^2) cos(x y)
         val, _ = integrate.quad(lambda x: math.exp(-(x / N) ** 2),

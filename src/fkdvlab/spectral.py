@@ -460,7 +460,8 @@ def regrid(fld: SpectralField, new_grid: Grid) -> SpectralField:
     n_old, n_new = fld.grid.n_points, new_grid.n_points
     c = np.zeros(n_new, dtype=complex)
     m = min(n_old, n_new)
-    c[n_new // 2 - m // 2: n_new // 2 + m // 2] =         fld.coeffs[n_old // 2 - m // 2: n_old // 2 + m // 2]
+    c[n_new // 2 - m // 2: n_new // 2 + m // 2] = \
+        fld.coeffs[n_old // 2 - m // 2: n_old // 2 + m // 2]
     return SpectralField(new_grid, c)
 
 

@@ -16,7 +16,12 @@ from fkdvlab.experiments import default_config, initial_field, run_study
 from fkdvlab.integrator import SolverConfig, run_simulation
 from fkdvlab.lemma_checks import (
     CUTOFF_RATE_MAX,
+    DISPERSIVE_DILATION_DEFECT_MAX,
     GAUSSIAN_CLOSED_FORM_ATOL,
+    HALVING_RATIO_BAND,
+    INTERPOLATION_CONSTANT_SLACK,
+    INTERPOLATION_DILATION_DEFECT_MAX,
+    TRILINEAR_RTOL,
     check_dispersive_estimate,
     check_interpolation_inequality,
     check_oscillatory_gaussian,
@@ -116,9 +121,10 @@ class TestCriterion3TrilinearOracle:
         for seed in range(20):
             result = check_trilinear_identity(16, seed)
             worst = max(worst, result["relative_sup_difference"])
-        passed = worst <= 1e-10
+        passed = worst <= TRILINEAR_RTOL
         report_line(3, "trilinear oracle", passed,
-                    f"worst relative difference {worst:.3e} (<= 1e-10) over 20 seeds")
+                    f"worst relative difference {worst:.3e} "
+                    f"(<= {TRILINEAR_RTOL:g}) over 20 seeds")
         assert passed
 
 
@@ -217,7 +223,8 @@ class TestCriterion9LemmaSweeps:
             for side in ("freq", "phys"):
                 measured = result[f"{side}_side"]["ratio_stats"]["max"]
                 stable = frozen[side] / 2.0 <= measured <= frozen[side] * 2.0
-                ok = ok and stable and result["dilation_defect"] <= 1e-6
+                ok = (ok and stable and result["dilation_defect"]
+                      <= DISPERSIVE_DILATION_DEFECT_MAX)
                 details.append(f"a={alpha} {side} {measured:.3f}")
         report_line(9, "lemma sweep: dispersive estimates", ok,
                     "sweep maxima " + "; ".join(details) + " (within 2x of frozen)")
@@ -225,16 +232,18 @@ class TestCriterion9LemmaSweeps:
 
     def test_interpolation_chain(self):
         result = check_interpolation_inequality(num_trials=20, seed=0)
+        slack = 1 + INTERPOLATION_CONSTANT_SLACK
         ok = (result["bandsup_vs_l1"]["ratio_stats"]["max"]
-              <= result["sharp_constants"]["bandsup_vs_l1"] * (1 + 1e-9)
+              <= result["sharp_constants"]["bandsup_vs_l1"] * slack
               and result["l1_vs_weighted_l2"]["ratio_stats"]["max"]
-              <= result["sharp_constants"]["l1_vs_weighted_l2"] * (1 + 1e-9)
-              and result["max_dilation_defect"] <= 1e-6)
+              <= result["sharp_constants"]["l1_vs_weighted_l2"] * slack
+              and result["max_dilation_defect"] <= INTERPOLATION_DILATION_DEFECT_MAX)
         report_line(9, "lemma sweep: interpolation chain", ok,
                     f"chain ratios {result['bandsup_vs_l1']['ratio_stats']['max']:.4f}"
                     f"/{result['l1_vs_weighted_l2']['ratio_stats']['max']:.4f} within "
                     f"sharp constants; dilation defect "
-                    f"{result['max_dilation_defect']:.2e} (<= 1e-6)")
+                    f"{result['max_dilation_defect']:.2e} "
+                    f"(<= {INTERPOLATION_DILATION_DEFECT_MAX:g})")
         assert ok
 
     def test_phase_expansion_remainder(self):
@@ -242,10 +251,11 @@ class TestCriterion9LemmaSweeps:
         for alpha in (-0.8, -0.5, -0.2):
             result = check_phase_expansion(alpha, 1.0)
             ratios.extend(result["halving_ratios"])
-        ok = all(6.5 <= r <= 9.5 for r in ratios)
+        lo, hi = HALVING_RATIO_BAND
+        ok = all(lo <= r <= hi for r in ratios)
         report_line(9, "lemma sweep: resonance expansion", ok,
                     f"halving ratios in [{min(ratios):.2f}, {max(ratios):.2f}] "
-                    "(need [6.5, 9.5])")
+                    f"(need [{lo:g}, {hi:g}])")
         assert ok
 
     def test_oscillatory_gaussian(self):

@@ -19,8 +19,10 @@ from fkdvlab.experiments import (
     run_shock_study,
     run_study,
 )
-from fkdvlab.spectral import (CUTOFFS, inverse_transform, make_grid, norm_h11,
-                              norm_sobolev, norm_z)
+from fkdvlab.integrator import run_simulation
+from fkdvlab.spectral import (CUTOFFS, apply_multiplier, derivative_symbol,
+                              half_inverse_transform, half_table, inverse_transform,
+                              make_grid, norm_h11, norm_linf, norm_sobolev, norm_z)
 
 TWO_PI = 2.0 * np.pi
 
@@ -231,6 +233,46 @@ class TestStudySmoke:
                       alpha=-0.5)
         with pytest.raises(ConfigurationError):
             run_shock_study(cfg, str(tmp_path))
+
+
+class TestShockObserver:
+    """The ladder observer reads sup|u_x| from the solver's half spectrum;
+    it must equal the full-view expression it replaced bit for bit."""
+
+    @pytest.mark.parametrize("equation,alpha", [("modified_burgers", None),
+                                                ("modified_fkdv", -0.5)])
+    @pytest.mark.parametrize("n", [16, 512, 4096])
+    @pytest.mark.parametrize("box_length", [TWO_PI, 256.0 * np.pi])
+    def test_matches_full_spectrum_expression(self, equation, alpha, n, box_length):
+        cfg = default_config("shock", equation=equation, alpha=alpha,
+                             box_length=box_length, detect_dt=0.05,
+                             blowup_factor=1.02)
+        eq = cfg.make_eq()
+        grid = make_grid(n, box_length)
+        dxs = derivative_symbol()
+        table = half_table(grid, dxs.on_grid(grid))
+        t_end = 0.5
+        old_values, mismatches = [], []
+
+        def observer(state):
+            old = norm_linf(apply_multiplier(state.u_hat, dxs))
+            new = float(np.max(np.abs(half_inverse_transform(grid, state.half * table))))
+            old_values.append((state.t, old))
+            if new != old:
+                mismatches.append((state.t, old, new))
+
+        u0 = initial_field(cfg, grid)
+        run_simulation(u0, eq, cfg.solver(t_end, tuple(np.arange(0.0, t_end + 1e-9,
+                                                                cfg.detect_dt))),
+                       observer)
+        assert len(old_values) == 11 and mismatches == []
+
+        t_detect, info = experiments._detect_blowup_time(
+            cfg, eq, n, lambda g: initial_field(cfg, g), t_end)
+        g0 = norm_linf(apply_multiplier(u0, dxs))
+        hits = [t for t, v in old_values if v >= cfg.blowup_factor * g0]
+        assert info["peak_gradient"] == max(v for _, v in old_values)
+        assert t_detect == (hits[0] if hits else None)
 
 
 class TestDeterminism:

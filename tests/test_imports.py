@@ -1,0 +1,45 @@
+"""Studies run on numpy alone: scipy is loaded only by the two
+quadrature-based lemma checks, inside the functions that call it."""
+
+import json
+import os
+import subprocess
+import sys
+
+import fkdvlab
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fkdvlab.__file__)))
+
+SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+from fkdvlab import cli
+from fkdvlab.config import parse_config
+
+inis = {
+    "decay": ["[run]", "study = decay", "[grid]", "n_points = 256",
+              "[solver]", "t_end = 2", "[study]", "sample_dt = 0.1",
+              "fit_t_min = 0.5", "fit_t_max = 2"],
+    "shock": ["[run]", "study = shock", "[study]", "refine_start = 64",
+              "refine_max = 128"],
+}
+for study, lines in inis.items():
+    ini = os.path.join(out, study + ".ini")
+    with open(ini, "w") as fh:
+        fh.write("\\n".join(lines) + "\\n")
+    parse_config(ini)
+    cli.cli_dispatch([study, "--config", ini, "--out", out])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+status = cli.cli_dispatch(["lemmas", "--only", "pseudo_product", "--out", out])
+print(json.dumps({"scipy_after_studies": loaded, "lemmas_status": status}))
+"""
+
+
+def test_studies_never_load_scipy(tmp_path):
+    done = subprocess.run([sys.executable, "-c", SCRIPT, SRC, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["scipy_after_studies"] == []
+    assert result["lemmas_status"] == 0

@@ -4,7 +4,14 @@ import pytest
 from fkdvlab.errors import ConfigurationError, DomainError
 from fkdvlab.lemma_checks import (
     CUTOFF_RATE_MAX,
+    DISPERSIVE_DILATION_DEFECT_MAX,
+    FACTORED_DEFECT_MAX,
     GAUSSIAN_CLOSED_FORM_ATOL,
+    HALVING_RATIO_BAND,
+    INTERPOLATION_CONSTANT_SLACK,
+    INTERPOLATION_DILATION_DEFECT_MAX,
+    PSEUDO_PRODUCT_RATIO_MAX,
+    TRILINEAR_RTOL,
     _PHI_V_NODES,
     _PHI_V_VALUES,
     _Z_BLOCK,
@@ -33,11 +40,11 @@ class TestTrilinearIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_band_limited(self, seed):
         result = check_trilinear_identity(16, seed)
-        assert result["relative_sup_difference"] <= 1e-10
+        assert result["relative_sup_difference"] <= TRILINEAR_RTOL
 
     def test_larger_grid(self):
         result = check_trilinear_identity(32, 0, t=1.3)
-        assert result["relative_sup_difference"] <= 1e-10
+        assert result["relative_sup_difference"] <= TRILINEAR_RTOL
 
     def test_zero_profile(self):
         g = make_grid(16, TWO_PI)
@@ -76,7 +83,8 @@ class TestPhaseExpansion:
     @pytest.mark.parametrize("alpha,xi", [(-0.5, 1.0), (-0.8, 2.0), (-0.2, 0.5)])
     def test_cubic_remainder_ratios(self, alpha, xi):
         result = check_phase_expansion(alpha, xi)
-        assert all(6.5 <= r <= 9.5 for r in result["halving_ratios"])
+        lo, hi = HALVING_RATIO_BAND
+        assert all(lo <= r <= hi for r in result["halving_ratios"])
 
     def test_domain_guards(self):
         with pytest.raises(DomainError):
@@ -96,9 +104,10 @@ class TestInterpolation:
         result = check_interpolation_inequality(num_trials=12, seed=0)
         sharp1 = result["sharp_constants"]["bandsup_vs_l1"]
         sharp2 = result["sharp_constants"]["l1_vs_weighted_l2"]
-        assert result["bandsup_vs_l1"]["ratio_stats"]["max"] <= sharp1 * (1 + 1e-9)
-        assert result["l1_vs_weighted_l2"]["ratio_stats"]["max"] <= sharp2 * (1 + 1e-9)
-        assert result["max_dilation_defect"] <= 1e-6
+        slack = 1 + INTERPOLATION_CONSTANT_SLACK
+        assert result["bandsup_vs_l1"]["ratio_stats"]["max"] <= sharp1 * slack
+        assert result["l1_vs_weighted_l2"]["ratio_stats"]["max"] <= sharp2 * slack
+        assert result["max_dilation_defect"] <= INTERPOLATION_DILATION_DEFECT_MAX
 
     def test_amplitude_quadratic_invariance(self):
         from fkdvlab.lemma_checks import _random_band_field, interpolation_members
@@ -119,12 +128,12 @@ class TestPseudoProduct:
 
     def test_factorization_oracle(self):
         result = check_pseudo_product("gaussian", seed=0, num_trials=1)
-        assert result["factored_defect"] <= 1e-10
+        assert result["factored_defect"] <= FACTORED_DEFECT_MAX
 
     def test_bound_holds_and_is_seed_stable(self):
         r0 = check_pseudo_product("gaussian", seed=0, num_trials=20)
         r1 = check_pseudo_product("gaussian", seed=1, num_trials=20)
-        assert r0["max_ratio"] < 1.0          # far below the analytic bound
+        assert r0["max_ratio"] < PSEUDO_PRODUCT_RATIO_MAX   # far below the analytic bound
         assert abs(r1["max_ratio"] - r0["max_ratio"]) <= 0.2 * r0["max_ratio"]
 
     def test_unknown_kernel(self):
@@ -187,7 +196,7 @@ class TestDispersiveEstimate:
                                            t_range=(1.0, 4.0))
         assert result["freq_side"]["ratio_stats"]["max"] < 10.0
         assert result["phys_side"]["ratio_stats"]["max"] < 10.0
-        assert result["dilation_defect"] <= 1e-6
+        assert result["dilation_defect"] <= DISPERSIVE_DILATION_DEFECT_MAX
 
     def test_alpha_range_guard(self):
         with pytest.raises(ConfigurationError):
