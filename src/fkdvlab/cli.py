@@ -2,7 +2,8 @@
 
 Subcommands: simulate, decay, scattering, longwave, shock, norms,
 lemmas (--only NAME), all.  Exit status: 0 when every verdict passes,
-1 when any verdict fails, 2 on usage or configuration errors.
+1 when any verdict fails, 2 on usage or configuration errors and on runs
+that leave a fit too few samples.
 """
 
 from __future__ import annotations
@@ -10,49 +11,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 from dataclasses import replace
 
 from . import io as lab_io
 from .config import parse_config
-from .errors import ConfigurationError
-from .experiments import (
-    STUDIES,
-    default_config,
-    initial_field,
-    measure_smallness,
-    run_study,
-)
-from .integrator import geometric_snapshots, run_simulation
-from .lemma_checks import (
-    CUTOFF_RATE_MAX,
-    DISPERSIVE_DILATION_DEFECT_MAX,
-    FACTORED_DEFECT_MAX,
-    GAUSSIAN_CLOSED_FORM_ATOL,
-    HALVING_RATIO_BAND,
-    INTERPOLATION_CONSTANT_SLACK,
-    INTERPOLATION_DILATION_DEFECT_MAX,
-    PSEUDO_PRODUCT_RATIO_MAX,
-    TRILINEAR_RTOL,
-    check_dispersive_estimate,
-    check_interpolation_inequality,
-    check_oscillatory_gaussian,
-    check_phase_expansion,
-    check_pseudo_product,
-    check_trilinear_identity,
-    cutoff_check_bound,
-)
+from .errors import ConfigurationError, InsufficientDataError
+from .experiments import STUDIES, default_config, run_study, study_skeleton
+from .integrator import geometric_snapshots
+from .lemma_checks import LEMMA_CHECKS
 from .spectral import mean_integral, norm_l2, norm_linf, norm_sobolev
-
-LEMMA_CHECKS = ("dispersive", "interpolation", "phase_expansion",
-                "trilinear", "pseudo_product", "oscillatory")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI configuration file")
-    common.add_argument("--out", default="runs", help="output directory")
+    common.add_argument("--out", default=None,
+                        help='output directory (default: [run] out_dir, else "runs")')
     common.add_argument("--seed", type=int, default=None, help="override RNG seed")
     common.add_argument("--threads", type=int, default=1,
                         help="parallel run pool bound for parameter sweeps")
@@ -74,32 +48,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, study: str):
-    # a config file configures the study it names; any other study invoked
-    # in the same call (e.g. via `all`) runs with its own defaults
+def _load_config(args, study: str | None = None):
+    """The configuration and output directory a subcommand runs with.
+
+    A config file configures the study it names; any other study invoked in
+    the same call (e.g. via `all`) runs with its own defaults and the file's
+    seed.  With no study given, the file's own study is kept.  --out beats
+    [run] out_dir, which beats "runs"; --seed beats [run] seed.
+    """
     if args.config:
         cfg, run_options = parse_config(args.config)
-        if cfg.study != study:
+        if study is not None and cfg.study != study:
             cfg = default_config(study, seed=cfg.seed)
     else:
-        cfg, run_options = default_config(study), {"threads": 1, "out_dir": None}
+        cfg, run_options = default_config(study or "decay"), {"threads": 1, "out_dir": None}
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.threads and args.threads > 1:
-        cfg = replace(cfg, threads=args.threads)
-    elif run_options.get("threads", 1) > 1:
-        cfg = replace(cfg, threads=run_options["threads"])
-    out_dir = args.out or run_options.get("out_dir") or "runs"
-    return cfg, out_dir, run_options
+    threads = args.threads if args.threads > 1 else run_options["threads"]
+    if threads > 1:
+        cfg = replace(cfg, threads=threads)
+    return cfg, args.out or run_options["out_dir"] or "runs"
 
 
-def _run_simulate(args) -> int:
-    cfg, out_dir, _ = _load_config(args, "decay")
-    grid = cfg.grid()
-    eq = cfg.make_eq()
-    u0 = initial_field(cfg, grid)
-    smallness = measure_smallness(u0, cfg)
-    snaps = geometric_snapshots(cfg.t_end)
+def _simulate(study):
+    """Raw run of the configured data with snapshot norm series."""
+    cfg = study.cfg
     times, l2s, linfs, means, sobs = [], [], [], [], []
 
     def observer(state):
@@ -109,135 +82,60 @@ def _run_simulate(args) -> int:
         means.append(mean_integral(state.u_hat))
         sobs.append(norm_sobolev(state.u_hat, cfg.sobolev_order))
 
-    final, halt = run_simulation(u0, eq, cfg.solver(cfg.t_end, snaps), observer)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "simulate_series.csv")
-    lab_io.write_series_columns(path, times, {
+    halt = study.simulate(geometric_snapshots(cfg.t_end), observer)
+    study.write_series("simulate_series.csv", times, {
         "l2": l2s, "linf": linfs, "mean": means,
         f"sobolev_{cfg.sobolev_order:g}": sobs})
-    manifest = lab_io.RunManifest.create(cfg.to_dict(), smallness, halt)
-    lab_io.write_manifest(manifest, os.path.join(out_dir, "simulate_manifest.json"))
-    print(f"simulate: halt={halt.kind} at t={halt.t:g}; series at {path}")
-    return 0 if halt.completed else 1
+    return [halt], lambda: None
 
 
-def _print_verdicts(report) -> None:
-    for verdict in report.verdicts:
-        mark = "PASS" if verdict.passed else "FAIL"
-        print(f"  [{mark}] {verdict.name}: value={verdict.value:.6g} "
-              f"threshold {verdict.threshold}")
-
-
-def _run_single_study(study: str, args) -> int:
-    cfg, out_dir, _ = _load_config(args, study)
-    report = run_study(cfg, os.path.join(out_dir, study))
-    print(f"{study}: {'all verdicts pass' if report.all_passed else 'verdict failures'}")
-    _print_verdicts(report)
+def _run_simulate(args) -> int:
+    cfg, out_dir = _load_config(args)
+    report = study_skeleton(cfg, out_dir, _simulate, name="simulate")
+    halt = report.measured["halt"]
+    print(f"simulate: halt={halt['kind']} at t={halt['t']:g}; series at "
+          f"{os.path.join(out_dir, report.series_paths[0])}")
     return 0 if report.all_passed else 1
 
 
-def _num(x: float) -> str:
-    """A threshold as the lemma lines print it: 1e-6, not 1e-06."""
-    mantissa, _, exponent = f"{x:g}".partition("e")
-    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
+def _print_verdicts(label: str, verdicts) -> int:
+    """Print a verdict list under its label; the exit status it earns."""
+    passed = all(v.passed for v in verdicts)
+    print(f"{label}: {'all verdicts pass' if passed else 'verdict failures'}")
+    for verdict in verdicts:
+        mark = "PASS" if verdict.passed else "FAIL"
+        print(f"  [{mark}] {verdict.name}: value={verdict.value:.6g} "
+              f"threshold {verdict.threshold}")
+    return 0 if passed else 1
+
+
+def _run_single_study(study: str, args) -> int:
+    cfg, out_dir = _load_config(args, study)
+    return _print_verdicts(study, run_study(cfg, os.path.join(out_dir, study)).verdicts)
 
 
 def run_lemma_checks(only: str | None = None, out_dir: str = "runs",
                      seed: int = 0) -> tuple[int, dict]:
-    results = {}
     names = LEMMA_CHECKS if only is None else (only,)
-    for name in names:
-        if name == "dispersive":
-            results[name] = {f"alpha={a}": check_dispersive_estimate(a)
-                             for a in (-0.8, -0.5, -0.2)}
-        elif name == "interpolation":
-            results[name] = check_interpolation_inequality(seed=seed)
-        elif name == "phase_expansion":
-            results[name] = {f"alpha={a}": check_phase_expansion(a, 1.0)
-                             for a in (-0.8, -0.5, -0.2)}
-        elif name == "trilinear":
-            results[name] = [check_trilinear_identity(16, s) for s in range(5)]
-        elif name == "pseudo_product":
-            results[name] = check_pseudo_product(seed=seed)
-        elif name == "oscillatory":
-            results[name] = check_oscillatory_gaussian()
-    os.makedirs(out_dir, exist_ok=True)
+    results = {name: LEMMA_CHECKS[name][0](seed) for name in names}
+    verdicts = [v for name in names for v in LEMMA_CHECKS[name][1](results[name])]
     path = os.path.join(out_dir, "lemma_checks.json")
-    lab_io.write_report(results, path)
-
-    status = 0
-    if "trilinear" in results:
-        worst = max(r["relative_sup_difference"] for r in results["trilinear"])
-        ok = worst <= TRILINEAR_RTOL
-        print(f"  [{'PASS' if ok else 'FAIL'}] trilinear identity: "
-              f"max relative difference {worst:.3e} (<= {_num(TRILINEAR_RTOL)})")
-        status |= 0 if ok else 1
-    if "phase_expansion" in results:
-        ratios = [r for sub in results["phase_expansion"].values()
-                  for r in sub["halving_ratios"]]
-        lo, hi = HALVING_RATIO_BAND
-        ok = all(lo <= r <= hi for r in ratios)
-        print(f"  [{'PASS' if ok else 'FAIL'}] phase expansion: halving ratios "
-              f"in [{min(ratios):.2f}, {max(ratios):.2f}] "
-              f"(need [{_num(lo)}, {_num(hi)}])")
-        status |= 0 if ok else 1
-    if "oscillatory" in results:
-        res = results["oscillatory"]
-        worst = max(g["abs_error"] for g in res["gaussian"])
-        check = res["cutoff_check"]
-        bound = cutoff_check_bound(check["fit_prediction"])
-        ok = (worst <= GAUSSIAN_CLOSED_FORM_ATOL
-              and res["cutoff_rate"] <= CUTOFF_RATE_MAX
-              and check["error"] <= bound)
-        print(f"  [{'PASS' if ok else 'FAIL'}] oscillatory gaussian: "
-              f"max closed-form error {worst:.3e} "
-              f"(<= {GAUSSIAN_CLOSED_FORM_ATOL:g}), cutoff rate "
-              f"{res['cutoff_rate']:.4f} (<= {CUTOFF_RATE_MAX:g}), cutoff "
-              f"error at N={check['N']:g} {check['error']:.3e} (<= {bound:.3e})")
-        status |= 0 if ok else 1
-    if "interpolation" in results:
-        res = results["interpolation"]
-        slack = 1 + INTERPOLATION_CONSTANT_SLACK
-        ok = (res["bandsup_vs_l1"]["ratio_stats"]["max"]
-              <= res["sharp_constants"]["bandsup_vs_l1"] * slack
-              and res["l1_vs_weighted_l2"]["ratio_stats"]["max"]
-              <= res["sharp_constants"]["l1_vs_weighted_l2"] * slack
-              and res["max_dilation_defect"] <= INTERPOLATION_DILATION_DEFECT_MAX)
-        print(f"  [{'PASS' if ok else 'FAIL'}] interpolation chain: constants "
-              f"within sharp bounds, dilation defect "
-              f"{res['max_dilation_defect']:.2e} "
-              f"(<= {_num(INTERPOLATION_DILATION_DEFECT_MAX)})")
-        status |= 0 if ok else 1
-    if "dispersive" in results:
-        defects = [sub["dilation_defect"] for sub in results["dispersive"].values()]
-        maxima = [sub[side]["ratio_stats"]["max"]
-                  for sub in results["dispersive"].values()
-                  for side in ("freq_side", "phys_side")]
-        ok = (max(defects) <= DISPERSIVE_DILATION_DEFECT_MAX
-              and all(np.isfinite(maxima)))
-        print(f"  [{'PASS' if ok else 'FAIL'}] dispersive estimates: sweep "
-              f"maxima recorded (worst {max(maxima):.3f}), dilation defect "
-              f"{max(defects):.2e} (<= {_num(DISPERSIVE_DILATION_DEFECT_MAX)})")
-        status |= 0 if ok else 1
-    if "pseudo_product" in results:
-        res = results["pseudo_product"]
-        ok = (res["factored_defect"] <= FACTORED_DEFECT_MAX
-              and res["max_ratio"] < PSEUDO_PRODUCT_RATIO_MAX)
-        print(f"  [{'PASS' if ok else 'FAIL'}] pseudo-product bound: max ratio "
-              f"{res['max_ratio']:.4f} (< {_num(PSEUDO_PRODUCT_RATIO_MAX)}), "
-              f"factored-route defect {res['factored_defect']:.2e} "
-              f"(<= {_num(FACTORED_DEFECT_MAX)})")
-        status |= 0 if ok else 1
+    lab_io.write_report({**results, "verdicts": [v.to_dict() for v in verdicts]}, path)
+    status = _print_verdicts("lemmas", verdicts)
     print(f"lemma check report at {path}")
     return status, results
+
+
+def _run_lemmas(args, only: str | None = None) -> int:
+    cfg, out_dir = _load_config(args)
+    return run_lemma_checks(only, out_dir, cfg.seed)[0]
 
 
 def _run_all(args) -> int:
     status = 0
     for study in STUDIES:
         status |= _run_single_study(study, args)
-    lemma_status, _ = run_lemma_checks(None, args.out, args.seed or 0)
-    return status | lemma_status
+    return status | _run_lemmas(args)
 
 
 def cli_dispatch(argv=None) -> int:
@@ -255,12 +153,14 @@ def cli_dispatch(argv=None) -> int:
         if args.command in STUDIES:
             return _run_single_study(args.command, args)
         if args.command == "lemmas":
-            status, _ = run_lemma_checks(args.only, args.out, args.seed or 0)
-            return status
+            return _run_lemmas(args, args.only)
         if args.command == "all":
             return _run_all(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except InsufficientDataError as exc:
+        print(f"insufficient data: {exc}", file=sys.stderr)
         return 2
     parser.print_usage()
     return 2

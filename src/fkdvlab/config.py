@@ -40,7 +40,7 @@ import numpy as np
 
 from .equations import EQUATION_KINDS
 from .errors import ConfigurationError
-from .experiments import STUDIES, ExperimentConfig, default_config, validate_config
+from .experiments import ExperimentConfig, default_config, validate_config
 
 _FLOAT_KEYS_STUDY = {
     "fit_t_min", "fit_t_max", "r2_min", "slope_max", "sample_dt",
@@ -71,7 +71,7 @@ def _parse_number(section: str, key: str, raw: str) -> float:
 
 def _parse_int(section: str, key: str, raw: str) -> int:
     value = _parse_number(section, key, raw)
-    if value != int(value):
+    if not value.is_integer():
         raise ConfigurationError(f"[{section}] {key}: expected an integer, got {raw!r}")
     return int(value)
 
@@ -91,10 +91,12 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
     """
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value is text, not a reference
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from None
 
     for section in parser.sections():
@@ -104,10 +106,7 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
             if key not in _SECTIONS[section]:
                 raise ConfigurationError(f"unknown key [{section}] {key}")
 
-    study = parser.get("run", "study", fallback="decay").strip().lower()
-    if study not in STUDIES:
-        raise ConfigurationError(f"[run] study: unknown study {study!r}")
-    cfg = default_config(study)
+    cfg = default_config(parser.get("run", "study", fallback="decay").strip().lower())
     run_options = {"threads": 1, "out_dir": None}
     if parser.has_option("run", "seed"):
         cfg = replace(cfg, seed=_parse_int("run", "seed", parser.get("run", "seed")))

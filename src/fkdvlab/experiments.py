@@ -2,10 +2,12 @@
 
 Five studies: sup-norm decay, modified scattering, long-wave comparison,
 dispersionless shock formation (with a characteristics oracle), and
-Sobolev/weighted norm growth.  Each study consumes one ExperimentConfig,
-runs deterministically, writes its series and manifest through the io
-layer, and returns an ExperimentReport whose verdicts cite the emitted
-series files.
+Sobolev/weighted norm growth.  Each study is a body run inside one
+skeleton, ``study_skeleton``: it consumes one ExperimentConfig, runs
+deterministically, writes its series and manifest through the io layer,
+and returns an ExperimentReport whose verdicts cite the emitted series
+files.  A study body keeps only its snapshot schedule, its observer and
+its verdicts.
 
 Default data shapes were chosen so each phenomenon sits inside its
 asymptotic window at desk scale: a narrow gaussian for sup-norm decay
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,8 +40,8 @@ from .diagnostics import (
     fit_power_law,
 )
 from .equations import EquationSpec, make_equation
-from .errors import ConfigurationError, InsufficientDataError
-from .integrator import SolverConfig, geometric_snapshots, run_simulation
+from .errors import ConfigurationError
+from .integrator import HaltReason, SolverConfig, geometric_snapshots, run_simulation
 from .spectral import (
     BOUNDARY_MASS_THRESHOLD,
     Grid,
@@ -141,7 +144,11 @@ class ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Cross-field validation shared by file parsing and direct construction."""
+    """Cross-field validation shared by file parsing and direct construction,
+    including what each study needs of its equation and data."""
+    if cfg.study not in STUDIES:
+        raise ConfigurationError(
+            f"[run] study: unknown study {cfg.study!r}; expected one of {STUDIES}")
     n = cfg.n_points
     if n < 8 or (n & (n - 1)) != 0:
         raise ConfigurationError(f"[grid] n_points: must be a power of two >= 8, got {n}")
@@ -176,6 +183,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
     band = cfg.exponent_band
     if len(band) != 2 or band[0] >= band[1]:
         raise ConfigurationError(f"[study] exponent_band: need lo < hi, got {band}")
+    if cfg.study in ("decay", "shock") and \
+            cfg.make_eq().is_dispersive != (cfg.study == "decay"):
+        need = "dispersive" if cfg.study == "decay" else "dispersionless"
+        raise ConfigurationError(f"[equation] kind: the {cfg.study} study requires "
+                                 f"a {need} equation, got {cfg.equation}")
+    if cfg.study in ("scattering", "norms") and cfg.equation != "modified_fkdv":
+        raise ConfigurationError(f"[equation] kind: the {cfg.study} study requires "
+                                 f"modified_fkdv, got {cfg.equation}")
+    if cfg.study == "scattering" and cfg.t_end < 64.0:
+        raise ConfigurationError(
+            f"[solver] t_end: the scattering study requires t_end >= 64, got {cfg.t_end}")
+    if cfg.study == "longwave" and len(cfg.eps_list) < 2:
+        raise ConfigurationError(f"[study] eps_list: the longwave study needs at "
+                                 f"least two values, got {cfg.eps_list}")
 
 
 #: Study-specific default overrides, applied by default_config().
@@ -194,8 +215,6 @@ STUDY_DEFAULTS: dict[str, dict] = {
 
 
 def default_config(study: str, **overrides) -> ExperimentConfig:
-    if study not in STUDIES:
-        raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDIES}")
     cfg = ExperimentConfig(study=study)
     cfg = replace(cfg, **STUDY_DEFAULTS.get(study, {}))
     cfg = replace(cfg, **overrides)
@@ -276,38 +295,101 @@ def measure_smallness(u0: SpectralField, cfg: ExperimentConfig) -> dict:
             "h11_reliable": bool(frac <= BOUNDARY_MASS_THRESHOLD)}
 
 
-def _check_small(smallness: dict, cfg: ExperimentConfig) -> None:
+# ---------------------------------------------------------------------------
+# The study skeleton
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Study:
+    """What the skeleton hands a study body: the validated configuration,
+    the grid and initial data, their measured size and the report."""
+
+    cfg: ExperimentConfig
+    out_dir: str
+    grid: Grid
+    u0: SpectralField
+    smallness: dict
+    report: ExperimentReport
+
+    @cached_property
+    def eq(self) -> EquationSpec:
+        return self.cfg.make_eq()
+
+    def simulate(self, snapshots: tuple, observer) -> HaltReason:
+        """Run the initial data under the configured equation to t_end."""
+        cfg = self.cfg
+        return run_simulation(self.u0, self.eq, cfg.solver(cfg.t_end, snapshots),
+                              observer)[1]
+
+    def write_series(self, name: str, *data, writer=None, **options) -> str:
+        """Write one series CSV into out_dir, by ``writer(path, *data,
+        **options)`` (default ``io.write_series_columns``), and cite it in
+        the report."""
+        (writer or lab_io.write_series_columns)(
+            os.path.join(self.out_dir, name), *data, **options)
+        self.report.series_paths.append(name)
+        return name
+
+
+def study_skeleton(cfg: ExperimentConfig, out_dir: str,
+                   body: Callable[[Study], tuple[list[HaltReason], Callable[[], None]]],
+                   name: str | None = None) -> ExperimentReport:
+    """Run one study body between the steps every study shares.
+
+    Validates cfg, builds the grid and initial data and refuses data larger
+    than epsilon_bar before any step.  The body runs its simulations and
+    writes its series; it returns the halts of the runs its verdicts rest
+    on, in run order, and the function that adds those verdicts.  Then the
+    halt policy: the study's halt is its first run that stopped early, else
+    its last run; an early stop replaces the verdicts with a failed
+    ``run_completed``.  The report and the manifest go to out_dir as
+    ``<name>_report.json`` and ``<name>_manifest.json``; name defaults to
+    the study.
+    """
+    validate_config(cfg)
+    started = time.time()
+    name = name or cfg.study
+    grid = cfg.grid()
+    u0 = initial_field(cfg, grid)
+    smallness = measure_smallness(u0, cfg)
     if smallness["epsilon0"] > cfg.epsilon_bar:
         raise ConfigurationError(
             f"initial data size {smallness['epsilon0']:.3e} exceeds the "
             f"configured smallness bound {cfg.epsilon_bar:.3e}")
+    os.makedirs(out_dir, exist_ok=True)
+    report = ExperimentReport(name, cfg.to_dict(), {"smallness": smallness})
+    halts, add_verdicts = body(Study(cfg, out_dir, grid, u0, smallness, report))
 
-
-def _emit(report: ExperimentReport, cfg: ExperimentConfig, out_dir: str,
-          halt, smallness: dict, started_at: float | None = None) -> ExperimentReport:
-    manifest = lab_io.RunManifest.create(cfg.to_dict(), smallness, halt,
-                                         started_at=started_at)
-    lab_io.write_manifest(manifest, os.path.join(out_dir, f"{cfg.study}_manifest.json"))
-    lab_io.write_report(report, os.path.join(out_dir, f"{cfg.study}_report.json"))
+    halt = next((h for h in halts if not h.completed), halts[-1] if halts else None)
+    manifest = f"{name}_manifest.json"
+    if halt is not None:
+        report.measured["halt"] = {"kind": halt.kind, "t": halt.t}
+    if halt is None or halt.completed:
+        add_verdicts()
+    else:
+        report.add_verdict("run_completed", False, halt.t, "halt before t_end", manifest)
+    lab_io.write_manifest(os.path.join(out_dir, manifest), cfg.to_dict(), smallness,
+                          halt, started)
+    lab_io.write_report(report, os.path.join(out_dir, f"{name}_report.json"))
     return report
+
+
+def _study(body) -> Callable[[ExperimentConfig, str], ExperimentReport]:
+    """The runner ``(cfg, out_dir) -> ExperimentReport`` of a study body."""
+    def run(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
+        return study_skeleton(cfg, out_dir, body)
+    run.__name__, run.__doc__ = body.__name__, body.__doc__
+    return run
 
 
 # ---------------------------------------------------------------------------
 # Decay study
 # ---------------------------------------------------------------------------
 
-def run_decay_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
+@_study
+def run_decay_study(study: Study):
     """Sup-norm decay of the solution and its gradient, fitted over a window."""
-    started = time.time()
-    grid = cfg.grid()
-    eq = cfg.make_eq()
-    if not eq.is_dispersive:
-        raise ConfigurationError("decay study requires a dispersive equation")
-    u0 = initial_field(cfg, grid)
-    smallness = measure_smallness(u0, cfg)
-    _check_small(smallness, cfg)
-
-    snaps = tuple(np.arange(0.0, cfg.t_end + 1e-9, cfg.sample_dt))
+    cfg, report = study.cfg, study.report
     dxs = derivative_symbol()
     series_u = DecaySeries("linf_u")
     series_ux = DecaySeries("linf_ux")
@@ -317,35 +399,23 @@ def run_decay_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             series_u.add(state.t, norm_linf(state.u_hat))
             series_ux.add(state.t, norm_linf(apply_multiplier(state.u_hat, dxs)))
 
-    final, halt = run_simulation(u0, eq, cfg.solver(cfg.t_end, snaps), observer)
-
-    os.makedirs(out_dir, exist_ok=True)
-    series_name = "decay_series.csv"
-    series_path = os.path.join(out_dir, series_name)
-    lab_io.write_series_columns(
-        series_path, series_u.times,
+    halt = study.simulate(tuple(np.arange(0.0, cfg.t_end + 1e-9, cfg.sample_dt)),
+                          observer)
+    series_name = study.write_series(
+        "decay_series.csv", series_u.times,
         {"linf_u": series_u.values, "linf_ux": series_ux.values})
 
-    report = ExperimentReport("decay", cfg.to_dict())
-    report.series_paths.append(series_name)
-    report.measured["halt"] = {"kind": halt.kind, "t": halt.t}
-    report.measured["smallness"] = smallness
-
-    if not halt.completed:
-        report.add_verdict("run_completed", False, halt.t,
-                           "halt before t_end", series_name)
-        return _emit(report, cfg, out_dir, halt, smallness, started)
-
-    lo, hi = cfg.exponent_band
-    for name, series in (("u", series_u), ("ux", series_ux)):
-        exponent, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
-        report.measured[f"exponent_{name}"] = exponent
-        report.measured[f"r2_{name}"] = r2
-        report.add_verdict(f"exponent_{name}_in_band", lo <= exponent <= hi,
-                           exponent, f"[{lo}, {hi}]", series_name)
-        report.add_verdict(f"r2_{name}", r2 >= cfg.r2_min, r2,
-                           f">= {cfg.r2_min}", series_name)
-    return _emit(report, cfg, out_dir, halt, smallness, started)
+    def verdicts():
+        lo, hi = cfg.exponent_band
+        for name, series in (("u", series_u), ("ux", series_ux)):
+            exponent, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
+            report.measured[f"exponent_{name}"] = exponent
+            report.measured[f"r2_{name}"] = r2
+            report.add_verdict(f"exponent_{name}_in_band", lo <= exponent <= hi,
+                               exponent, f"[{lo}, {hi}]", series_name)
+            report.add_verdict(f"r2_{name}", r2 >= cfg.r2_min, r2,
+                               f">= {cfg.r2_min}", series_name)
+    return [halt], verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +430,13 @@ def _merge_times(times, rel=1e-9) -> tuple:
     return tuple(out)
 
 
-def run_scattering_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
+@_study
+def run_scattering_study(study: Study):
     """Profile Cauchy differences with and without the log-phase correction."""
-    if cfg.equation != "modified_fkdv":
-        raise ConfigurationError("scattering study requires the cubic fractional equation")
-    if cfg.t_end < 64.0:
-        raise ConfigurationError("scattering study requires t_end >= 64")
-    started = time.time()
-    grid = cfg.grid()
-    eq = cfg.make_eq()
-    u0 = initial_field(cfg, grid)
-    smallness = measure_smallness(u0, cfg)
-    _check_small(smallness, cfg)
-
+    cfg, eq, report = study.cfg, study.eq, study.report
     n_dyadic = int(np.floor(np.log2(cfg.t_end) + 1e-9))
     dyadic = [2.0 ** m for m in range(1, n_dyadic + 1)]
-    snaps = _merge_times(set(geometric_snapshots(cfg.t_end)) | set(dyadic))
-    acc = PhaseAccumulator(grid, cfg.alpha)
+    acc = PhaseAccumulator(study.grid, cfg.alpha)
     series = ScatteringSeries(weight=cfg.z_weight)
 
     def observer(state):
@@ -386,64 +446,48 @@ def run_scattering_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentRepor
             if any(abs(state.t - d) <= 1e-8 * d for d in dyadic):
                 series.add(state.t, corrected_profile(snap, acc), snap.f_hat)
 
-    final, halt = run_simulation(u0, eq, cfg.solver(cfg.t_end, snaps), observer)
-    if len(series.times) < 4:
-        raise InsufficientDataError(
-            f"only {len(series.times)} dyadic checkpoints collected")
+    halt = study.simulate(
+        _merge_times(set(geometric_snapshots(cfg.t_end)) | set(dyadic)), observer)
 
-    t_m, d_g = series.dyadic_differences("corrected")
-    _, d_f = series.dyadic_differences("raw")
-    w_inf, rate_g = extract_scattering_limit(series)
-    raw_series = ScatteringSeries(weight=cfg.z_weight)
-    for t, f_hat in zip(series.times, series.raw):
-        raw_series.add(t, f_hat, f_hat)
-    _, rate_f = extract_scattering_limit(raw_series)
+    def verdicts():
+        t_m, d_g = series.dyadic_differences("corrected")
+        _, d_f = series.dyadic_differences("raw")
+        w_inf, rate_g = extract_scattering_limit(series)
+        raw_series = ScatteringSeries(weight=cfg.z_weight)
+        for t, f_hat in zip(series.times, series.raw):
+            raw_series.add(t, f_hat, f_hat)
+        _, rate_f = extract_scattering_limit(raw_series)
 
-    os.makedirs(out_dir, exist_ok=True)
-    d_name, w_name = "scattering_differences.csv", "scattering_limit.csv"
-    lab_io.write_series_columns(os.path.join(out_dir, d_name), t_m,
-                                {"d_corrected": d_g, "d_raw": d_f})
-    lab_io.write_spectrum(os.path.join(out_dir, w_name), w_inf)
+        d_name = study.write_series("scattering_differences.csv", t_m,
+                                    {"d_corrected": d_g, "d_raw": d_f})
+        study.write_series("scattering_limit.csv", w_inf, writer=lab_io.write_spectrum)
+        report.measured["d_corrected"] = [float(v) for v in d_g]
+        report.measured["d_raw"] = [float(v) for v in d_f]
+        report.measured["rate_corrected"] = rate_g
+        report.measured["rate_raw"] = rate_f
 
-    report = ExperimentReport("scattering", cfg.to_dict())
-    report.series_paths.extend([d_name, w_name])
-    report.measured["halt"] = {"kind": halt.kind, "t": halt.t}
-    report.measured["smallness"] = smallness
-    report.measured["d_corrected"] = [float(v) for v in d_g]
-    report.measured["d_raw"] = [float(v) for v in d_f]
-    report.measured["rate_corrected"] = rate_g
-    report.measured["rate_raw"] = rate_f
-
-    m0 = cfg.mono_from
-    mono = all(d_g[i + 1] <= d_g[i] for i in range(m0 - 1, len(d_g) - 1))
-    worst = max((d_g[i + 1] / d_g[i] for i in range(m0 - 1, len(d_g) - 1)),
-                default=0.0)
-    report.add_verdict(f"d_corrected_nonincreasing_from_m{m0}", mono, worst,
-                       "max step ratio <= 1", d_name)
-    final_ratio = d_g[-1] / d_f[-1] if d_f[-1] > 0 else float("inf")
-    report.measured["final_ratio"] = float(final_ratio)
-    report.add_verdict("final_corrected_to_raw_ratio",
-                       final_ratio <= cfg.final_ratio_max, final_ratio,
-                       f"<= {cfg.final_ratio_max}", d_name)
-    return _emit(report, cfg, out_dir, halt, smallness, started)
+        m0 = cfg.mono_from
+        mono = all(d_g[i + 1] <= d_g[i] for i in range(m0 - 1, len(d_g) - 1))
+        worst = max((d_g[i + 1] / d_g[i] for i in range(m0 - 1, len(d_g) - 1)),
+                    default=0.0)
+        report.add_verdict(f"d_corrected_nonincreasing_from_m{m0}", mono, worst,
+                           "max step ratio <= 1", d_name)
+        final_ratio = d_g[-1] / d_f[-1] if d_f[-1] > 0 else float("inf")
+        report.measured["final_ratio"] = float(final_ratio)
+        report.add_verdict("final_corrected_to_raw_ratio",
+                           final_ratio <= cfg.final_ratio_max, final_ratio,
+                           f"<= {cfg.final_ratio_max}", d_name)
+    return [halt], verdicts
 
 
 # ---------------------------------------------------------------------------
 # Long-wave comparison study
 # ---------------------------------------------------------------------------
 
-def run_longwave_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
+@_study
+def run_longwave_study(study: Study):
     """Scaled nonlocal equation vs its third-order local model from shared data."""
-    if len(cfg.eps_list) < 2:
-        raise InsufficientDataError("long-wave study needs at least two epsilon values")
-    started = time.time()
-    grid = cfg.grid()
-    phi = initial_field(cfg, grid)
-    smallness = measure_smallness(phi, cfg)
-
-    os.makedirs(out_dir, exist_ok=True)
-    report = ExperimentReport("longwave", cfg.to_dict())
-    report.measured["smallness"] = smallness
+    cfg, grid, phi, report = study.cfg, study.grid, study.u0, study.report
 
     def one_epsilon(eps: float) -> tuple:
         t_end = max(cfg.t_eval, 1.0 / (2.0 * eps))
@@ -459,57 +503,53 @@ def run_longwave_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         eq_v = make_equation("mkdv", epsilon=eps)
         _, halt_u = run_simulation(phi, eq_u, cfg.solver(t_end, snaps), collector(states_u))
         _, halt_v = run_simulation(phi, eq_v, cfg.solver(t_end, snaps), collector(states_v))
-        halt = halt_u if not halt_u.completed else halt_v
-        times = sorted(states_u)
+        # a run that halted early stops its store short of the other's
+        times = sorted(states_u.keys() & states_v.keys())
         e_j = {j: [norm_sobolev(SpectralField(grid, states_u[t].coeffs - states_v[t].coeffs), j)
                    for t in times] for j in cfg.j_list}
-        return eps, {"times": times, "e": e_j, "t_end": t_end}, halt
+        return {"times": times, "e": e_j}, [halt_u, halt_v]
 
     # members of the sweep are independent; the pool size bounds parallelism
     if cfg.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            member_results = list(pool.map(one_epsilon, cfg.eps_list))
+            members = list(pool.map(one_epsilon, cfg.eps_list))
     else:
-        member_results = [one_epsilon(eps) for eps in cfg.eps_list]
+        members = [one_epsilon(eps) for eps in cfg.eps_list]
 
     errors: dict[float, dict] = {}
-    halt_last = None
-    for eps, data, halt in member_results:
+    for eps, (data, _) in zip(cfg.eps_list, members):
         errors[eps] = data
-        halt_last = halt
-        name = f"longwave_eps{eps:g}.csv"
-        lab_io.write_series_columns(os.path.join(out_dir, name), data["times"],
-                                    {f"e{j}": data["e"][j] for j in cfg.j_list})
-        report.series_paths.append(name)
+        study.write_series(f"longwave_eps{eps:g}.csv", data["times"],
+                           {f"e{j}": data["e"][j] for j in cfg.j_list})
 
-    lo, hi = cfg.ratio_band
-    eps_sorted = sorted(cfg.eps_list, reverse=True)
-    for big, small in zip(eps_sorted, eps_sorted[1:]):
-        for j in cfg.j_list:
-            tb = errors[big]["times"]
-            ts = errors[small]["times"]
-            ib = int(np.argmin(np.abs(np.asarray(tb) - cfg.t_eval)))
-            isml = int(np.argmin(np.abs(np.asarray(ts) - cfg.t_eval)))
-            ratio = errors[big]["e"][j][ib] / errors[small]["e"][j][isml]
-            report.measured[f"ratio_e{j}_eps{big:g}_over_eps{small:g}"] = float(ratio)
+    def verdicts():
+        lo, hi = cfg.ratio_band
+        eps_sorted = sorted(cfg.eps_list, reverse=True)
+        for big, small in zip(eps_sorted, eps_sorted[1:]):
+            for j in cfg.j_list:
+                tb = errors[big]["times"]
+                ts = errors[small]["times"]
+                ib = int(np.argmin(np.abs(np.asarray(tb) - cfg.t_eval)))
+                isml = int(np.argmin(np.abs(np.asarray(ts) - cfg.t_eval)))
+                ratio = errors[big]["e"][j][ib] / errors[small]["e"][j][isml]
+                report.measured[f"ratio_e{j}_eps{big:g}_over_eps{small:g}"] = float(ratio)
+                report.add_verdict(
+                    f"e{j}_ratio_eps{big:g}_to_{small:g}", lo <= ratio <= hi,
+                    ratio, f"[{lo}, {hi}]", f"longwave_eps{big:g}.csv")
+
+        j0 = cfg.j_list[0]
+        for eps in cfg.eps_list:
+            times = np.asarray(errors[eps]["times"])
+            e0 = np.asarray(errors[eps]["e"][j0])
+            window = (times >= 2.0) & (times <= 1.0 / (2.0 * eps) + 1e-9)
+            vals = e0[window] / times[window]
+            factor = float(np.max(vals) / np.min(vals))
+            report.measured[f"e{j0}_over_t_variation_eps{eps:g}"] = factor
             report.add_verdict(
-                f"e{j}_ratio_eps{big:g}_to_{small:g}", lo <= ratio <= hi,
-                ratio, f"[{lo}, {hi}]", f"longwave_eps{big:g}.csv")
-
-    j0 = cfg.j_list[0]
-    for eps in cfg.eps_list:
-        times = np.asarray(errors[eps]["times"])
-        e0 = np.asarray(errors[eps]["e"][j0])
-        window = (times >= 2.0) & (times <= 1.0 / (2.0 * eps) + 1e-9)
-        vals = e0[window] / times[window]
-        factor = float(np.max(vals) / np.min(vals))
-        report.measured[f"e{j0}_over_t_variation_eps{eps:g}"] = factor
-        report.add_verdict(
-            f"e{j0}_over_t_flat_eps{eps:g}", factor < cfg.shape_factor_max,
-            factor, f"< {cfg.shape_factor_max}", f"longwave_eps{eps:g}.csv")
-
-    return _emit(report, cfg, out_dir, halt_last, smallness, started)
+                f"e{j0}_over_t_flat_eps{eps:g}", factor < cfg.shape_factor_max,
+                factor, f"< {cfg.shape_factor_max}", f"longwave_eps{eps:g}.csv")
+    return [halt for _, halts in members for halt in halts], verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -567,23 +607,14 @@ def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, n_points: int,
     return (hit[0] if hit else None), info
 
 
-def run_shock_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
+@_study
+def run_shock_study(study: Study):
     """Gradient blow-up detection vs the characteristics oracle, with a
-    dispersive contrast run from the same data scaled small."""
-    started = time.time()
-    grid0 = cfg.grid()
-    base0 = initial_field(cfg, grid0)
-    samples0 = inverse_transform(base0)
-    eq = cfg.make_eq()
-    if eq.is_dispersive:
-        raise ConfigurationError("shock study requires a dispersionless equation")
-    p = eq.nonlinearity_degree
-    t_star = predict_shock_time(samples0, grid0, p)
-    smallness = measure_smallness(base0, cfg)
-
-    os.makedirs(out_dir, exist_ok=True)
-    report = ExperimentReport("shock", cfg.to_dict())
-    report.measured["smallness"] = smallness
+    dispersive contrast run from the same data scaled small.  Each ladder
+    row records the halt of its own run; the study itself reports none."""
+    cfg, eq, base0, report = study.cfg, study.eq, study.u0, study.report
+    t_star = predict_shock_time(inverse_transform(base0), study.grid,
+                                eq.nonlinearity_degree)
     report.measured["oracle_t_star"] = t_star
 
     def u0_maker(grid):
@@ -606,83 +637,70 @@ def run_shock_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
                 break
         n *= 2
     report.measured["refinement_ladder"] = ladder
-
-    ladder_name = "shock_ladder.csv"
-    ladder_path = os.path.join(out_dir, ladder_name)
-    lab_io.write_series_columns(
-        ladder_path, [row["n_points"] for row in ladder],
+    ladder_name = study.write_series(
+        "shock_ladder.csv", [row["n_points"] for row in ladder],
         {"t_detect": [row["t_detect"] if row["t_detect"] is not None else np.nan
                       for row in ladder],
          "peak_gradient": [row["peak_gradient"] for row in ladder]},
         time_label="n_points")
-    report.series_paths.append(ladder_name)
 
-    if t_star is None:
-        detected = any(row["t_detect"] is not None for row in ladder)
-        report.add_verdict("no_detection_without_compression", not detected,
-                           float(detected), "no detection expected", ladder_name)
-        return _emit(report, cfg, out_dir, None, smallness, started)
+    if t_star is not None:
+        # dispersive contrast: same shape scaled to a prescribed measured size,
+        # evolved by the cubic fractional flow over a horizon past the shock time
+        contrast_alpha = cfg.alpha if cfg.alpha is not None else -0.5
+        scale = cfg.contrast_epsilon0 / study.smallness["epsilon0"]
+        horizon = cfg.contrast_horizon_factor * t_star
 
-    t_detect = ladder[-1]["t_detect"]
-    confirmed = (len(ladder) >= 2 and t_detect is not None
-                 and ladder[-2]["t_detect"] is not None
-                 and abs(t_detect - ladder[-2]["t_detect"]) / ladder[-2]["t_detect"]
-                 < cfg.refine_tolerance)
-    report.measured["t_detect"] = t_detect
-    report.add_verdict("detection_confirmed_under_refinement", confirmed,
-                       float(t_detect if t_detect is not None else -1),
-                       f"move < {cfg.refine_tolerance:.0%} under doubling",
-                       ladder_name)
-    if t_detect is not None:
-        rel = abs(t_detect - t_star) / t_star
-        report.measured["relative_oracle_error"] = rel
-        report.add_verdict("detection_matches_oracle", rel <= cfg.oracle_tolerance,
-                           rel, f"<= {cfg.oracle_tolerance}", ladder_name)
-    else:
-        report.add_verdict("detection_matches_oracle", False, -1.0,
-                           "detection expected", ladder_name)
+        def contrast_maker(grid):
+            return SpectralField(grid, scale * u0_maker(grid).coeffs)
 
-    # dispersive contrast: same shape scaled to a prescribed measured size,
-    # evolved by the cubic fractional flow over a horizon past the shock time
-    contrast_alpha = cfg.alpha if cfg.alpha is not None else -0.5
-    eq_disp = make_equation("modified_fkdv", alpha=contrast_alpha)
-    scale = cfg.contrast_epsilon0 / smallness["epsilon0"]
-    horizon = cfg.contrast_horizon_factor * t_star
+        t_detect_c, info_c = _detect_blowup_time(
+            cfg, make_equation("modified_fkdv", alpha=contrast_alpha),
+            ladder[-1]["n_points"], contrast_maker, horizon)
+        growth = info_c["peak_gradient"] / info_c["initial_gradient"]
+        report.measured["contrast"] = {
+            "alpha": contrast_alpha, "scale": scale, "horizon": horizon,
+            "t_detect": t_detect_c, "gradient_growth": growth}
 
-    def contrast_maker(grid):
-        fld = hermitize(regrid(base0, grid))
-        return SpectralField(grid, scale * fld.coeffs)
-
-    t_detect_c, info_c = _detect_blowup_time(
-        cfg, eq_disp, ladder[-1]["n_points"], contrast_maker, horizon)
-    report.measured["contrast"] = {
-        "alpha": contrast_alpha, "scale": scale, "horizon": horizon,
-        "t_detect": t_detect_c,
-        "gradient_growth": info_c["peak_gradient"] / info_c["initial_gradient"]}
-    report.add_verdict("dispersive_contrast_no_detection", t_detect_c is None,
-                       info_c["peak_gradient"] / info_c["initial_gradient"],
-                       f"gradient growth < {cfg.blowup_factor}x over 4*t*",
-                       ladder_name)
-    return _emit(report, cfg, out_dir, None, smallness, started)
+    def verdicts():
+        if t_star is None:
+            detected = any(row["t_detect"] is not None for row in ladder)
+            report.add_verdict("no_detection_without_compression", not detected,
+                               float(detected), "no detection expected", ladder_name)
+            return
+        t_detect = ladder[-1]["t_detect"]
+        confirmed = (len(ladder) >= 2 and t_detect is not None
+                     and ladder[-2]["t_detect"] is not None
+                     and abs(t_detect - ladder[-2]["t_detect"]) / ladder[-2]["t_detect"]
+                     < cfg.refine_tolerance)
+        report.measured["t_detect"] = t_detect
+        report.add_verdict("detection_confirmed_under_refinement", confirmed,
+                           float(t_detect if t_detect is not None else -1),
+                           f"move < {cfg.refine_tolerance:.0%} under doubling",
+                           ladder_name)
+        if t_detect is not None:
+            rel = abs(t_detect - t_star) / t_star
+            report.measured["relative_oracle_error"] = rel
+            report.add_verdict("detection_matches_oracle", rel <= cfg.oracle_tolerance,
+                               rel, f"<= {cfg.oracle_tolerance}", ladder_name)
+        else:
+            report.add_verdict("detection_matches_oracle", False, -1.0,
+                               "detection expected", ladder_name)
+        report.add_verdict("dispersive_contrast_no_detection", t_detect_c is None,
+                           growth, f"gradient growth < {cfg.blowup_factor}x over 4*t*",
+                           ladder_name)
+    return [], verdicts
 
 
 # ---------------------------------------------------------------------------
 # Norm-growth study
 # ---------------------------------------------------------------------------
 
-def run_norm_growth_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
+@_study
+def run_norm_growth_study(study: Study):
     """Sobolev norm of the solution and weighted-localization norm of the
     profile: log-log slopes over the window must stay near zero."""
-    if cfg.equation != "modified_fkdv":
-        raise ConfigurationError("norm-growth study requires the cubic fractional equation")
-    started = time.time()
-    grid = cfg.grid()
-    eq = cfg.make_eq()
-    u0 = initial_field(cfg, grid)
-    smallness = measure_smallness(u0, cfg)
-    _check_small(smallness, cfg)
-
-    snaps = geometric_snapshots(cfg.t_end)
+    cfg, eq, report = study.cfg, study.eq, study.report
     series_n = DecaySeries(f"sobolev_{cfg.sobolev_order:g}")
     series_11 = DecaySeries("h11_profile")
     warned = [0]
@@ -697,26 +715,19 @@ def run_norm_growth_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentRepo
             warned[0] += 1
         series_11.add(state.t, norm_h11(f_hat, warn=False))
 
-    final, halt = run_simulation(u0, eq, cfg.solver(cfg.t_end, snaps), observer)
-
-    os.makedirs(out_dir, exist_ok=True)
-    series_name = "norm_growth_series.csv"
-    lab_io.write_series_columns(os.path.join(out_dir, series_name), series_n.times,
-                                {series_n.name: series_n.values,
-                                 series_11.name: series_11.values})
-
-    report = ExperimentReport("norms", cfg.to_dict())
-    report.series_paths.append(series_name)
-    report.measured["halt"] = {"kind": halt.kind, "t": halt.t}
-    report.measured["smallness"] = smallness
+    halt = study.simulate(geometric_snapshots(cfg.t_end), observer)
+    series_name = study.write_series(
+        "norm_growth_series.csv", series_n.times,
+        {series_n.name: series_n.values, series_11.name: series_11.values})
     report.measured["h11_boundary_warnings"] = warned[0]
 
-    for name, series in ((f"h{cfg.sobolev_order:g}", series_n), ("h11", series_11)):
-        slope, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
-        report.measured[f"slope_{name}"] = slope
-        report.add_verdict(f"slope_{name}", slope <= cfg.slope_max, slope,
-                           f"<= {cfg.slope_max}", series_name)
-    return _emit(report, cfg, out_dir, halt, smallness, started)
+    def verdicts():
+        for name, series in ((f"h{cfg.sobolev_order:g}", series_n), ("h11", series_11)):
+            slope, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
+            report.measured[f"slope_{name}"] = slope
+            report.add_verdict(f"slope_{name}", slope <= cfg.slope_max, slope,
+                               f"<= {cfg.slope_max}", series_name)
+    return [halt], verdicts
 
 
 STUDY_RUNNERS = {

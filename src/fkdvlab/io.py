@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,35 +91,13 @@ def read_report(path: str) -> dict:
         return json.load(fh)
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce one run bit for bit, plus provenance."""
-
-    tool_version: str
-    config: dict
-    smallness: dict
-    halt: dict | None
-    started_at: float
-    finished_at: float
-
-    @classmethod
-    def create(cls, config: dict, smallness: dict, halt,
-               started_at: float | None = None) -> "RunManifest":
-        now = time.time()
-        halt_dict = None
-        if halt is not None:
-            halt_dict = {"kind": halt.kind, "t": halt.t}
-        return cls(tool_version=__version__, config=config,
-                   smallness=smallness, halt=halt_dict,
-                   started_at=now if started_at is None else started_at,
-                   finished_at=now)
-
-    def to_dict(self) -> dict:
-        return {"tool_version": self.tool_version, "config": self.config,
-                "smallness": self.smallness, "halt": self.halt,
-                "started_at": self.started_at, "finished_at": self.finished_at,
-                "cutoff_profile": CUTOFFS.description}
-
-
-def write_manifest(manifest: RunManifest, path: str) -> None:
-    write_report(manifest.to_dict(), path)
+def write_manifest(path: str, config: dict, smallness: dict, halt,
+                   started_at: float) -> None:
+    """Everything needed to reproduce one run bit for bit, plus provenance:
+    the resolved config, the measured size of the initial data, the halt
+    (None for a study that reports none) and the wall-clock start and end."""
+    write_report({"tool_version": __version__, "config": config,
+                  "smallness": smallness,
+                  "halt": None if halt is None else {"kind": halt.kind, "t": halt.t},
+                  "started_at": started_at, "finished_at": time.time(),
+                  "cutoff_profile": CUTOFFS.description}, path)

@@ -1,9 +1,12 @@
 """Desk-scale numerical verification of the analytical estimates.
 
 Each check evaluates both sides of one inequality or identity on concrete
-fields and reports machine-readable ratios, never a bare pass/fail.
-Implied constants are handled by calibrate-and-freeze: a first run records
-the observed constant, later runs assert stability.
+fields and reports machine-readable ratios, never a bare pass/fail.  Its
+pass thresholds are named constants beside it, and its ``*_verdicts``
+function turns those results into Verdicts that name the value and the
+threshold, as the study verdicts do.  Implied constants are handled by
+calibrate-and-freeze: a first run records the observed constant, later
+runs assert stability.
 
 All checks are deterministic given their seed and pure per parameter tuple.
 """
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .experiments import Verdict
 from .spectral import (
     CUTOFFS,
     Grid,
@@ -25,6 +29,19 @@ from .spectral import (
     make_grid,
     transform,
 )
+
+
+#: The report every lemma verdict cites, where ``fkdvlab lemmas`` writes.
+LEMMA_REPORT = "lemma_checks.json"
+
+
+def _verdict(name: str, value: float, limit: float, op: str = "<=") -> Verdict:
+    """Verdict ``value op limit`` (op one of <=, <, >=), citing LEMMA_REPORT;
+    the limit prints as 1e-6, not 1e-06."""
+    passed = value < limit if op == "<" else value >= limit if op == ">=" else value <= limit
+    mantissa, _, exponent = f"{limit:g}".partition("e")
+    shown = f"{mantissa}e{int(exponent)}" if exponent else mantissa
+    return Verdict(name, bool(passed), float(value), f"{op} {shown}", LEMMA_REPORT)
 
 
 def _dispersion(alpha: float, xi):
@@ -217,6 +234,17 @@ def check_dispersive_estimate(alpha: float, k_range=range(-3, 4),
     }
 
 
+def dispersive_verdicts(results: dict) -> list[Verdict]:
+    """Verdicts on ``check_dispersive_estimate`` results keyed by alpha: the
+    dilation defect, and finite sweep maxima (recorded, not gated)."""
+    subs = results.values()
+    maxima = [sub[side]["ratio_stats"]["max"] for sub in subs
+              for side in ("freq_side", "phys_side")]
+    return [_verdict("dispersive_dilation_defect", max(sub["dilation_defect"] for sub in subs),
+                     DISPERSIVE_DILATION_DEFECT_MAX),
+            _verdict("dispersive_sweep_max_ratio", np.max(maxima), np.inf, "<")]
+
+
 # ---------------------------------------------------------------------------
 # Interpolation inequality between band sup, L^1 and weighted L^2 norms
 # ---------------------------------------------------------------------------
@@ -299,6 +327,16 @@ def check_interpolation_inequality(num_trials: int = 20, seed: int = 0) -> dict:
     }
 
 
+def interpolation_verdicts(result: dict) -> list[Verdict]:
+    """Verdicts on a ``check_interpolation_inequality`` result."""
+    slack = 1 + INTERPOLATION_CONSTANT_SLACK
+    return [_verdict(f"interpolation_{chain}_max_ratio", result[chain]["ratio_stats"]["max"],
+                     result["sharp_constants"][chain] * slack)
+            for chain in ("bandsup_vs_l1", "l1_vs_weighted_l2")] + [
+        _verdict("interpolation_dilation_defect", result["max_dilation_defect"],
+                 INTERPOLATION_DILATION_DEFECT_MAX)]
+
+
 # ---------------------------------------------------------------------------
 # Near-diagonal expansion of the cubic resonance function
 # ---------------------------------------------------------------------------
@@ -346,6 +384,15 @@ def check_phase_expansion(alpha: float, xi: float,
         "halving_ratios": ratios.tolist(),
         "quadratic_coefficient": quad_coeff,
     }
+
+
+def phase_expansion_verdicts(results: dict) -> list[Verdict]:
+    """Verdicts on ``check_phase_expansion`` results keyed by alpha: every
+    halving ratio inside HALVING_RATIO_BAND (np.min/np.max keep a NaN)."""
+    ratios = [r for sub in results.values() for r in sub["halving_ratios"]]
+    lo, hi = HALVING_RATIO_BAND
+    return [_verdict("phase_expansion_min_halving_ratio", np.min(ratios), lo, ">="),
+            _verdict("phase_expansion_max_halving_ratio", np.max(ratios), hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +479,12 @@ def check_trilinear_identity(n_points: int = 16, seed: int = 0,
         "max_abs_target": scale,
         "relative_sup_difference": diff / scale if scale > 0 else 0.0,
     }
+
+
+def trilinear_verdicts(results: list) -> list[Verdict]:
+    """Verdict on a list of ``check_trilinear_identity`` results."""
+    return [_verdict("trilinear_max_relative_difference",
+                     max(r["relative_sup_difference"] for r in results), TRILINEAR_RTOL)]
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +595,14 @@ def check_pseudo_product(kernel_choice: str = "gaussian", seed: int = 0,
         "max_ratio": float(max_ratio),
         "factored_defect": float(factored_defect),
     }
+
+
+def pseudo_product_verdicts(result: dict) -> list[Verdict]:
+    """Verdicts on a ``check_pseudo_product`` result."""
+    return [_verdict("pseudo_product_max_ratio", result["max_ratio"],
+                     PSEUDO_PRODUCT_RATIO_MAX, "<"),
+            _verdict("pseudo_product_factored_defect", result["factored_defect"],
+                     FACTORED_DEFECT_MAX)]
 
 
 # ---------------------------------------------------------------------------
@@ -659,3 +720,31 @@ def check_oscillatory_gaussian(N_list=(1.0, 10.0), cutoff_N_list=(3.0, 4.0, 6.0)
         "cutoff_check": {"N": cutoff_N_check, "error": check_err,
                          "fit_prediction": predicted},
     }
+
+
+def oscillatory_verdicts(result: dict) -> list[Verdict]:
+    """Verdicts on a ``check_oscillatory_gaussian`` result."""
+    check = result["cutoff_check"]
+    return [_verdict("oscillatory_gaussian_closed_form_error",
+                     max(g["abs_error"] for g in result["gaussian"]),
+                     GAUSSIAN_CLOSED_FORM_ATOL),
+            _verdict("oscillatory_cutoff_rate", result["cutoff_rate"], CUTOFF_RATE_MAX),
+            _verdict(f"oscillatory_cutoff_error_at_N{check['N']:g}", check["error"],
+                     cutoff_check_bound(check["fit_prediction"]))]
+
+
+#: Every check as ``fkdvlab lemmas`` runs it: name -> (run(seed), verdicts).
+LEMMA_CHECKS = {
+    "dispersive": (lambda seed: {f"alpha={a}": check_dispersive_estimate(a)
+                                 for a in (-0.8, -0.5, -0.2)}, dispersive_verdicts),
+    "interpolation": (lambda seed: check_interpolation_inequality(seed=seed),
+                      interpolation_verdicts),
+    "phase_expansion": (lambda seed: {f"alpha={a}": check_phase_expansion(a, 1.0)
+                                      for a in (-0.8, -0.5, -0.2)},
+                        phase_expansion_verdicts),
+    "trilinear": (lambda seed: [check_trilinear_identity(16, s) for s in range(5)],
+                  trilinear_verdicts),
+    "pseudo_product": (lambda seed: check_pseudo_product(seed=seed),
+                       pseudo_product_verdicts),
+    "oscillatory": (lambda seed: check_oscillatory_gaussian(), oscillatory_verdicts),
+}

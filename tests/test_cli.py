@@ -3,10 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fkdvlab import io as lab_io
 from fkdvlab.cli import cli_dispatch
-from fkdvlab.config import parse_config
+from fkdvlab.config import _SECTIONS, parse_config
 from fkdvlab.diagnostics import DecaySeries
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import ExperimentReport
@@ -75,6 +77,41 @@ class TestConfigParsing:
         path = write(tmp_path, "[study]\nfit_t_min = 50\nfit_t_max = 10\n")
         with pytest.raises(ConfigurationError, match="fit window"):
             parse_config(path)
+
+    @pytest.mark.parametrize("text,key", [
+        ("[run]\nstudy = scattering\n[solver]\nt_end = 32\n", "t_end"),
+        ("[run]\nstudy = norms\n[equation]\nkind = fkdv\n", "kind"),
+        ("[run]\nstudy = decay\n[equation]\nkind = modified_burgers\n", "kind"),
+        ("[run]\nstudy = shock\n[equation]\nkind = modified_fkdv\nalpha = -0.5\n", "kind"),
+        ("[run]\nstudy = longwave\n[study]\neps_list = 0.1\n", "eps_list"),
+        ("[grid]\nn_points = inf\n", "n_points"),
+        ("[run]\nstudy = 100%\n", "study"),
+    ])
+    def test_study_rules_and_odd_values_refused(self, tmp_path, text, key):
+        with pytest.raises(ConfigurationError, match=key):
+            parse_config(write(tmp_path, text))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.text(max_size=40), st.lists(
+        st.sampled_from(sorted(_SECTIONS) + ["DEFAULT", "other"]).flatmap(
+            lambda section: st.tuples(st.just(section), st.lists(st.tuples(
+                st.sampled_from(sorted(_SECTIONS.get(section, {"key"}))),
+                st.one_of(st.text(max_size=12), st.floats().map(repr),
+                          st.integers().map(str),
+                          st.sampled_from(["decay", "shock", "longwave", "mkdv",
+                                           "sine", "1, 2", "%(x)s", "50%"]))),
+                max_size=4))),
+        max_size=4).map(lambda sections: "\n".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items)
+            for name, items in sections))))
+    def test_fuzzed_ini_parses_or_is_refused(self, tmp_path, text):
+        path = tmp_path / "fuzz.ini"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        try:
+            parse_config(str(path))
+        except ConfigurationError:
+            pass
 
 
 class TestSeriesIO:
@@ -146,36 +183,61 @@ class TestCliDispatch:
         assert cli_dispatch(["decay", "--config", path,
                              "--out", str(tmp_path / "o")]) == 2
 
+    def test_too_few_fit_samples_is_status_2(self, tmp_path, capsys):
+        path = write(tmp_path, "[run]\nstudy = decay\n[grid]\nn_points = 256\n"
+                               "[solver]\nt_end = 2\n"
+                               "[study]\nfit_t_min = 0.5\nfit_t_max = 2\n")
+        assert cli_dispatch(["decay", "--config", path,
+                             "--out", str(tmp_path / "o")]) == 2
+        assert "need >= 5 points in [0.5, 2.0], got 2" in capsys.readouterr().err
+
+    def test_ini_out_dir_and_seed_honoured(self, tmp_path):
+        # --out beats [run] out_dir, which beats "runs"; the INI's seed
+        # reaches the lemma checks as --seed does
+        ini = write(tmp_path, f"[run]\nseed = 7\nout_dir = {tmp_path / 'ini'}\n")
+        only = ["lemmas", "--only", "interpolation"]
+        assert cli_dispatch(only + ["--config", ini]) == 0
+        assert cli_dispatch(only + ["--seed", "7", "--out", str(tmp_path / "flag")]) == 0
+        assert cli_dispatch(only + ["--config", ini, "--seed", "0",
+                                    "--out", str(tmp_path / "zero")]) == 0
+        ini_run, flag_run, zero_run = (
+            open(tmp_path / d / "lemma_checks.json").read()
+            for d in ("ini", "flag", "zero"))
+        assert ini_run == flag_run != zero_run
+
     def test_lemmas_only_trilinear(self, tmp_path, capsys):
         status = cli_dispatch(["lemmas", "--only", "trilinear",
                                "--out", str(tmp_path)])
         assert status == 0
         out = capsys.readouterr().out
-        assert "trilinear identity" in out
-        assert os.path.exists(tmp_path / "lemma_checks.json")
+        assert "[PASS] trilinear_max_relative_difference" in out
+        report = json.load(open(tmp_path / "lemma_checks.json"))
+        assert [v["name"] for v in report["verdicts"]] == [
+            "trilinear_max_relative_difference"]
 
     def test_lemmas_oscillatory_passes(self, tmp_path, capsys):
         status = cli_dispatch(["lemmas", "--only", "oscillatory",
                                "--out", str(tmp_path)])
         assert status == 0
-        assert "[PASS] oscillatory gaussian" in capsys.readouterr().out
+        assert "lemmas: all verdicts pass" in capsys.readouterr().out
 
     def test_lemmas_oscillatory_gates_cutoff_rate(self, tmp_path, capsys,
                                                   monkeypatch):
         # a closed-form match alone must not pass a too-slow cutoff decay
-        from fkdvlab import cli
+        from fkdvlab import lemma_checks
         slow = {"gaussian": [{"N": 1.0, "quadrature": 2.8, "closed_form": 2.8,
                               "abs_error": 0.0}],
                 "cutoff": [], "cutoff_rate": -0.4,
                 "cutoff_check": {"N": 8.0, "error": 0.0,
                                  "fit_prediction": 1e-3}}
-        monkeypatch.setattr(cli, "check_oscillatory_gaussian", lambda: slow)
+        monkeypatch.setattr(lemma_checks, "check_oscillatory_gaussian", lambda: slow)
         status = cli_dispatch(["lemmas", "--only", "oscillatory",
                                "--out", str(tmp_path)])
         assert status == 1
         out = capsys.readouterr().out
-        assert "[FAIL] oscillatory gaussian" in out
-        assert "cutoff rate -0.4000 (<= -0.5)" in out
+        assert "[FAIL] oscillatory_cutoff_rate: value=-0.4 threshold <= -0.5" in out
+        assert "[PASS] oscillatory_gaussian_closed_form_error" in out
+        assert "[PASS] oscillatory_cutoff_error_at_N8" in out
 
     def test_shock_subcommand_with_config(self, tmp_path, capsys):
         path = write(tmp_path, "\n".join([
@@ -202,5 +264,6 @@ class TestCliDispatch:
         assert os.path.exists(tmp_path / "o" / "simulate_series.csv")
         manifest = json.load(open(tmp_path / "o" / "simulate_manifest.json"))
         assert manifest["tool_version"]
+        assert manifest["finished_at"] > manifest["started_at"]
         assert manifest["halt"]["kind"] == "completed"
         assert "epsilon0" in manifest["smallness"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fkdvlab import experiments
-from fkdvlab.errors import ConfigurationError, InsufficientDataError
+from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import (
     ExperimentConfig,
     default_config,
@@ -19,7 +19,8 @@ from fkdvlab.experiments import (
     run_shock_study,
     run_study,
 )
-from fkdvlab.integrator import run_simulation
+from fkdvlab.cli import cli_dispatch
+from fkdvlab.integrator import HaltReason, run_simulation
 from fkdvlab.spectral import (CUTOFFS, apply_multiplier, derivative_symbol,
                               half_inverse_transform, half_table, inverse_transform,
                               make_grid, norm_h11, norm_linf, norm_sobolev, norm_z)
@@ -114,10 +115,20 @@ class TestConfigAndData:
         assert sm["z"] == pytest.approx(norm_z(u0, cfg.z_weight))
         assert sm["h11_reliable"]
 
-    def test_smallness_bound_enforced(self, tmp_path):
-        cfg = replace(default_config("decay"), epsilon_bar=1e-6)
-        with pytest.raises(ConfigurationError):
-            run_decay_study(cfg, str(tmp_path))
+    @pytest.mark.parametrize("study", ["decay", "shock", "longwave"])
+    def test_smallness_bound_enforced(self, study, tmp_path, monkeypatch):
+        # every study refuses data above epsilon_bar before any step; the
+        # shock and longwave defaults measure about 2.1e3 and 1.8e4
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(experiments, "run_simulation", no_simulation)
+        cfg = replace(default_config(study), epsilon_bar=1.0)
+        with pytest.raises(ConfigurationError, match="smallness bound"):
+            run_study(cfg, str(tmp_path))
+        ini = tmp_path / "small.ini"
+        ini.write_text(f"[run]\nstudy = {study}\n[study]\nepsilon_bar = 1\n")
+        assert cli_dispatch([study, "--config", str(ini), "--out", str(tmp_path)]) == 2
 
 
 SMALL_DECAY = dict(n_points=2 ** 11, box_length=64.0 * np.pi, t_end=30.0,
@@ -208,7 +219,7 @@ class TestStudySmoke:
 
     def test_longwave_needs_two_epsilons(self, tmp_path):
         cfg = replace(default_config("longwave"), eps_list=(0.1,))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ConfigurationError, match="eps_list"):
             run_longwave_study(cfg, str(tmp_path))
 
     def test_shock_fast_confirms(self, tmp_path):
@@ -235,6 +246,41 @@ class TestStudySmoke:
             run_shock_study(cfg, str(tmp_path))
 
 
+class TestHaltPolicy:
+    """A study whose run stops early reports that halt and fails a
+    run_completed verdict instead of fitting the partial series."""
+
+    @pytest.mark.parametrize("study", ["scattering", "norms"])
+    def test_blowup_fails_run_completed(self, study, tmp_path):
+        # coefficients above the blow-up amplitude halt the first step
+        cfg = replace(default_config(study), n_points=2 ** 9, amplitude=1e14,
+                      epsilon_bar=1e300)
+        report = run_study(cfg, str(tmp_path))
+        assert report.measured["halt"]["kind"] == "blowup"
+        assert [(v.name, v.passed) for v in report.verdicts] == [("run_completed", False)]
+        manifest = json.load(open(tmp_path / f"{study}_manifest.json"))
+        assert manifest["halt"] == report.measured["halt"]
+        assert report.verdicts[0].series == f"{study}_manifest.json"
+
+    def test_longwave_reports_first_early_halt(self, tmp_path, monkeypatch):
+        # the first member (eps = 0.2) stops at t = 1; the last completes
+        def first_member_blows_up(u0, eq, config, observer=None):
+            if eq.epsilon == 0.2:
+                config = replace(config, t_end=1.0, snapshot_times=tuple(
+                    t for t in config.snapshot_times if t <= 1.0))
+                return run_simulation(u0, eq, config, observer)[0], HaltReason("blowup", 1.0)
+            return run_simulation(u0, eq, config, observer)
+
+        monkeypatch.setattr(experiments, "run_simulation", first_member_blows_up)
+        cfg = replace(default_config("longwave"), n_points=2 ** 8,
+                      eps_list=(0.2, 0.1), t_eval=2.0)
+        report = run_longwave_study(cfg, str(tmp_path))
+        manifest = json.load(open(tmp_path / "longwave_manifest.json"))
+        assert manifest["halt"] == {"kind": "blowup", "t": 1.0}
+        assert [(v.name, v.passed) for v in report.verdicts] == [("run_completed", False)]
+        assert len(report.series_paths) == 2
+
+
 class TestShockObserver:
     """The ladder observer reads sup|u_x| from the solver's half spectrum;
     it must equal the full-view expression it replaced bit for bit."""
@@ -244,9 +290,11 @@ class TestShockObserver:
     @pytest.mark.parametrize("n", [16, 512, 4096])
     @pytest.mark.parametrize("box_length", [TWO_PI, 256.0 * np.pi])
     def test_matches_full_spectrum_expression(self, equation, alpha, n, box_length):
-        cfg = default_config("shock", equation=equation, alpha=alpha,
-                             box_length=box_length, detect_dt=0.05,
-                             blowup_factor=1.02)
+        # the shock study runs modified_fkdv only as its contrast, so the
+        # dispersive case bypasses the study's config rules
+        cfg = replace(default_config("shock", box_length=box_length, detect_dt=0.05,
+                                     blowup_factor=1.02),
+                      equation=equation, alpha=alpha)
         eq = cfg.make_eq()
         grid = make_grid(n, box_length)
         dxs = derivative_symbol()

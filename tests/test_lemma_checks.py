@@ -24,6 +24,12 @@ from fkdvlab.lemma_checks import (
     check_trilinear_identity,
     cutoff_check_bound,
     dispersive_rhs,
+    dispersive_verdicts,
+    interpolation_verdicts,
+    oscillatory_verdicts,
+    phase_expansion_verdicts,
+    pseudo_product_verdicts,
+    trilinear_verdicts,
     oscillatory_gaussian_closed_form,
     profile_rhs_double_sum,
     profile_rhs_pseudospectral,
@@ -209,3 +215,39 @@ class TestDispersiveEstimate:
             r1 = _evolved_band_sup(-0.5, 0, 1024.0) / dispersive_rhs(-0.5, 0, 1024.0)[side]
             r4 = _evolved_band_sup(-0.5, 0, 4096.0) / dispersive_rhs(-0.5, 0, 4096.0)[side]
             assert abs(r4 - r1) <= 0.2 * r1
+
+
+class TestLemmaVerdicts:
+    """Each verdict function applies its check's named thresholds, with the
+    inclusive or strict comparison the check states, and cites the report."""
+
+    def test_thresholds_at_their_edges(self):
+        lo, hi = HALVING_RATIO_BAND
+        cases = [
+            (trilinear_verdicts([{"relative_sup_difference": TRILINEAR_RTOL}]), [True]),
+            (phase_expansion_verdicts({"a": {"halving_ratios": [lo, hi]}}), [True, True]),
+            (phase_expansion_verdicts({"a": {"halving_ratios": [8.0, hi * 1.001]}}),
+             [True, False]),
+            (pseudo_product_verdicts({"max_ratio": PSEUDO_PRODUCT_RATIO_MAX,
+                                      "factored_defect": FACTORED_DEFECT_MAX}),
+             [False, True]),
+            (dispersive_verdicts({"a": {"dilation_defect": DISPERSIVE_DILATION_DEFECT_MAX,
+                                        "freq_side": {"ratio_stats": {"max": 1.0}},
+                                        "phys_side": {"ratio_stats": {"max": np.inf}}}}),
+             [True, False]),
+            (interpolation_verdicts({
+                "bandsup_vs_l1": {"ratio_stats": {"max": 1.0 + INTERPOLATION_CONSTANT_SLACK}},
+                "l1_vs_weighted_l2": {"ratio_stats": {"max": 1.1}},
+                "sharp_constants": {"bandsup_vs_l1": 1.0, "l1_vs_weighted_l2": 1.0},
+                "max_dilation_defect": 2 * INTERPOLATION_DILATION_DEFECT_MAX}),
+             [True, False, False]),
+            (oscillatory_verdicts({
+                "gaussian": [{"abs_error": GAUSSIAN_CLOSED_FORM_ATOL}],
+                "cutoff_rate": CUTOFF_RATE_MAX,
+                "cutoff_check": {"N": 8.0, "error": cutoff_check_bound(1e-3) * 1.001,
+                                 "fit_prediction": 1e-3}}),
+             [True, True, False]),
+        ]
+        for verdicts, passed in cases:
+            assert [v.passed for v in verdicts] == passed
+            assert {v.series for v in verdicts} == {"lemma_checks.json"}
