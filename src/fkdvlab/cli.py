@@ -16,7 +16,8 @@ from dataclasses import replace
 from . import io as lab_io
 from .config import parse_config
 from .errors import ConfigurationError, InsufficientDataError
-from .experiments import STUDIES, default_config, run_study, study_skeleton
+from .experiments import (STUDIES, default_config, run_study, study_skeleton,
+                          validate_config)
 from .integrator import geometric_snapshots
 from .lemma_checks import LEMMA_CHECKS
 from .spectral import mean_integral, norm_l2, norm_linf, norm_sobolev
@@ -27,14 +28,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="INI configuration file")
     common.add_argument("--out", default=None,
                         help='output directory (default: [run] out_dir, else "runs")')
-    common.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel run pool bound for parameter sweeps")
+    common.add_argument("--seed", type=int, default=None,
+                        help="RNG seed (default: [run] seed, else 0)")
+    common.add_argument("--threads", type=int, default=None,
+                        help="bound of the longwave sweep's run pool "
+                             "(default: [run] threads, else 1)")
     parser = argparse.ArgumentParser(
         prog="fkdvlab",
         description="Pseudospectral lab for weakly dispersive equations "
-                    "with power-law nonlinearities",
-        parents=[common])
+                    "with power-law nonlinearities")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("simulate", help="raw run with snapshot norm series",
                    parents=[common])
@@ -53,21 +55,22 @@ def _load_config(args, study: str | None = None):
 
     A config file configures the study it names; any other study invoked in
     the same call (e.g. via `all`) runs with its own defaults and the file's
-    seed.  With no study given, the file's own study is kept.  --out beats
-    [run] out_dir, which beats "runs"; --seed beats [run] seed.
+    seed and threads.  With no study given, the file's own study is kept.
+    --out beats [run] out_dir, which beats "runs"; --seed and --threads
+    beat [run] seed and [run] threads.
     """
     if args.config:
-        cfg, run_options = parse_config(args.config)
+        cfg, out_dir = parse_config(args.config)
         if study is not None and cfg.study != study:
-            cfg = default_config(study, seed=cfg.seed)
+            cfg = default_config(study, seed=cfg.seed, threads=cfg.threads)
     else:
-        cfg, run_options = default_config(study or "decay"), {"threads": 1, "out_dir": None}
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    threads = args.threads if args.threads > 1 else run_options["threads"]
-    if threads > 1:
-        cfg = replace(cfg, threads=threads)
-    return cfg, args.out or run_options["out_dir"] or "runs"
+        cfg, out_dir = default_config(study or "decay"), None
+    flags = {key: getattr(args, key) for key in ("seed", "threads")
+             if getattr(args, key) is not None}
+    if flags:
+        cfg = replace(cfg, **flags)
+        validate_config(cfg)
+    return cfg, args.out or out_dir or "runs"
 
 
 def _simulate(study):

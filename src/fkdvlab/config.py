@@ -34,60 +34,70 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import replace
 
-import numpy as np
-
-from .equations import EQUATION_KINDS
 from .errors import ConfigurationError
-from .experiments import ExperimentConfig, default_config, validate_config
-
-_FLOAT_KEYS_STUDY = {
-    "fit_t_min", "fit_t_max", "r2_min", "slope_max", "sample_dt",
-    "final_ratio_max", "t_eval", "shape_factor_max", "blowup_factor",
-    "detect_dt", "refine_tolerance", "oracle_tolerance",
-    "contrast_epsilon0", "contrast_horizon_factor", "sobolev_order",
-    "z_weight", "epsilon_bar",
-}
-_INT_KEYS_STUDY = {"mono_from", "refine_start", "refine_max"}
-_LIST_KEYS_STUDY = {"eps_list", "j_list", "exponent_band", "ratio_band"}
-
-_SECTIONS = {
-    "run": {"study", "seed", "out_dir", "threads"},
-    "equation": {"kind", "alpha", "epsilon"},
-    "grid": {"n_points", "box_length"},
-    "initial": {"kind", "amplitude", "width", "center", "sine_mode"},
-    "solver": {"dt_max", "cfl_coefficient", "t_end"},
-    "study": _FLOAT_KEYS_STUDY | _INT_KEYS_STUDY | _LIST_KEYS_STUDY,
-}
+from .experiments import ExperimentConfig, default_config
 
 
-def _parse_number(section: str, key: str, raw: str) -> float:
+def _number(section: str, key: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
         raise ConfigurationError(f"[{section}] {key}: not a number: {raw!r}") from None
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    value = _parse_number(section, key, raw)
+def _integer(section: str, key: str, raw: str) -> int:
+    value = _number(section, key, raw)
     if not value.is_integer():
         raise ConfigurationError(f"[{section}] {key}: expected an integer, got {raw!r}")
     return int(value)
 
 
-def _parse_list(section: str, key: str, raw: str) -> tuple:
+def _numbers(section: str, key: str, raw: str) -> tuple:
     try:
         return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
     except ValueError:
         raise ConfigurationError(f"[{section}] {key}: not a number list: {raw!r}") from None
 
 
-def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
+def _name(section: str, key: str, raw: str) -> str:
+    return raw.strip().lower()
+
+
+def _path(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
+def _same(parse, *keys: str) -> dict:
+    return {key: (key, parse) for key in keys}
+
+
+#: Every INI key: {section: {key: (ExperimentConfig field, parser)}}.  The
+#: [run] out_dir key is the one that is not a field; parse_config returns it
+#: beside the config.
+_SECTIONS = {
+    "run": {"study": ("study", _name), "seed": ("seed", _integer),
+            "threads": ("threads", _integer), "out_dir": ("out_dir", _path)},
+    "equation": {"kind": ("equation", _name), **_same(_number, "alpha", "epsilon")},
+    "grid": {**_same(_integer, "n_points"), **_same(_number, "box_length")},
+    "initial": {"kind": ("initial_kind", _name), **_same(_integer, "sine_mode"),
+                **_same(_number, "amplitude", "width", "center")},
+    "solver": _same(_number, "dt_max", "cfl_coefficient", "t_end"),
+    "study": {**_same(_number, "fit_t_min", "fit_t_max", "r2_min", "slope_max",
+                      "sample_dt", "final_ratio_max", "t_eval", "shape_factor_max",
+                      "blowup_factor", "detect_dt", "refine_tolerance",
+                      "oracle_tolerance", "contrast_epsilon0",
+                      "contrast_horizon_factor", "sobolev_order", "z_weight",
+                      "epsilon_bar"),
+              **_same(_integer, "mono_from", "refine_start", "refine_max"),
+              **_same(_numbers, "eps_list", "j_list", "exponent_band", "ratio_band")},
+}
+
+
+def parse_config(path: str) -> tuple[ExperimentConfig, str | None]:
     """Parse and validate a config file into a fully-resolved configuration.
 
-    Returns (config, run_options) where run_options carries the [run]
-    section extras (seed and out_dir already folded into the config).
+    Returns (config, out_dir); out_dir is None when [run] sets none.
     """
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
@@ -99,75 +109,14 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from None
 
+    values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigurationError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _SECTIONS[section]:
                 raise ConfigurationError(f"unknown key [{section}] {key}")
-
-    cfg = default_config(parser.get("run", "study", fallback="decay").strip().lower())
-    run_options = {"threads": 1, "out_dir": None}
-    if parser.has_option("run", "seed"):
-        cfg = replace(cfg, seed=_parse_int("run", "seed", parser.get("run", "seed")))
-    if parser.has_option("run", "threads"):
-        run_options["threads"] = _parse_int("run", "threads", parser.get("run", "threads"))
-    if parser.has_option("run", "out_dir"):
-        run_options["out_dir"] = parser.get("run", "out_dir").strip()
-
-    if parser.has_section("equation"):
-        sec = parser["equation"]
-        if "kind" in sec:
-            kind = sec["kind"].strip().lower()
-            if kind not in EQUATION_KINDS:
-                raise ConfigurationError(
-                    f"[equation] kind: unknown kind {kind!r}; "
-                    f"expected one of {EQUATION_KINDS}")
-            cfg = replace(cfg, equation=kind)
-        if "alpha" in sec:
-            cfg = replace(cfg, alpha=_parse_number("equation", "alpha", sec["alpha"]))
-        if "epsilon" in sec:
-            cfg = replace(cfg, epsilon=_parse_number("equation", "epsilon", sec["epsilon"]))
-
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        if "n_points" in sec:
-            cfg = replace(cfg, n_points=_parse_int("grid", "n_points", sec["n_points"]))
-        if "box_length" in sec:
-            cfg = replace(cfg, box_length=_parse_number("grid", "box_length",
-                                                        sec["box_length"]))
-
-    if parser.has_section("initial"):
-        sec = parser["initial"]
-        if "kind" in sec:
-            kind = sec["kind"].strip().lower()
-            if kind not in ("gaussian", "sech2", "sine", "custom"):
-                raise ConfigurationError(f"[initial] kind: unknown kind {kind!r}")
-            cfg = replace(cfg, initial_kind=kind)
-        for key, attr in (("amplitude", "amplitude"), ("width", "width"),
-                          ("center", "center")):
-            if key in sec:
-                cfg = replace(cfg, **{attr: _parse_number("initial", key, sec[key])})
-        if "sine_mode" in sec:
-            cfg = replace(cfg, sine_mode=_parse_int("initial", "sine_mode",
-                                                    sec["sine_mode"]))
-
-    if parser.has_section("solver"):
-        sec = parser["solver"]
-        for key in ("dt_max", "cfl_coefficient", "t_end"):
-            if key in sec:
-                cfg = replace(cfg, **{key: _parse_number("solver", key, sec[key])})
-
-    if parser.has_section("study"):
-        sec = parser["study"]
-        for key in sec:
-            raw = sec[key]
-            if key in _INT_KEYS_STUDY:
-                cfg = replace(cfg, **{key: _parse_int("study", key, raw)})
-            elif key in _LIST_KEYS_STUDY:
-                cfg = replace(cfg, **{key: _parse_list("study", key, raw)})
-            else:
-                cfg = replace(cfg, **{key: _parse_number("study", key, raw)})
-
-    validate_config(cfg)
-    return cfg, run_options
+            attr, parse = _SECTIONS[section][key]
+            values[attr] = parse(section, key, raw)
+    out_dir = values.pop("out_dir", None)
+    return default_config(values.pop("study", "decay"), **values), out_dir

@@ -66,10 +66,11 @@ class EquationSpec:
         """exp(dt*L) and exp(dt*L/2) on the half spectrum, 0 in the Nyquist
         slot so that a step keeps the Nyquist mode zero.  Cached for the most
         recent dt only: dt is constant inside a solver segment but varies
-        freely across segments."""
+        freely across segments.  Without dispersion they are 1 for every dt,
+        so the cached entry is kept."""
         key = ("exponentials", grid.key())
         entry = self._linear_cache.get(key)
-        if entry is None or entry[0] != dt:
+        if entry is None or (entry[0] != dt and self.is_dispersive):
             lin = half_table(grid, self.linear_values(grid))
             entry = (dt, np.exp(dt * lin), np.exp(0.5 * dt * lin))
             entry[1][-1] = entry[2][-1] = 0.0

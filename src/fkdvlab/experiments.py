@@ -39,7 +39,7 @@ from .diagnostics import (
     extract_scattering_limit,
     fit_power_law,
 )
-from .equations import EquationSpec, make_equation
+from .equations import EQUATION_KINDS, EquationSpec, make_equation
 from .errors import ConfigurationError
 from .integrator import HaltReason, SolverConfig, geometric_snapshots, run_simulation
 from .spectral import (
@@ -63,6 +63,7 @@ from .spectral import (
 )
 
 STUDIES = ("decay", "scattering", "longwave", "shock", "norms")
+INITIAL_KINDS = ("gaussian", "sech2", "sine", "custom")
 
 
 @dataclass
@@ -75,7 +76,7 @@ class ExperimentConfig:
     alpha: float | None = -0.5
     epsilon: float | None = None
     # initial data
-    initial_kind: str = "gaussian"           # gaussian | sech2 | sine | custom
+    initial_kind: str = "gaussian"           # one of INITIAL_KINDS
     amplitude: float = 0.1
     width: float = 1.0
     center: float | None = None              # None -> box center
@@ -154,6 +155,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"[grid] n_points: must be a power of two >= 8, got {n}")
     if cfg.box_length <= 0:
         raise ConfigurationError(f"[grid] box_length: must be positive, got {cfg.box_length}")
+    if cfg.seed < 0:
+        raise ConfigurationError(f"[run] seed: must be nonnegative, got {cfg.seed}")
+    if cfg.threads < 1:
+        raise ConfigurationError(f"[run] threads: must be at least 1, got {cfg.threads}")
+    if cfg.equation not in EQUATION_KINDS:
+        raise ConfigurationError(f"[equation] kind: unknown kind {cfg.equation!r}; "
+                                 f"expected one of {EQUATION_KINDS}")
+    if cfg.initial_kind not in INITIAL_KINDS:
+        raise ConfigurationError(f"[initial] kind: unknown kind {cfg.initial_kind!r}; "
+                                 f"expected one of {INITIAL_KINDS}")
     if cfg.equation in ("modified_fkdv", "fkdv"):
         if cfg.alpha is None:
             raise ConfigurationError(f"[equation] alpha: required for {cfg.equation}")

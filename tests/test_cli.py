@@ -6,12 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fkdvlab import cli
 from fkdvlab import io as lab_io
 from fkdvlab.cli import cli_dispatch
 from fkdvlab.config import _SECTIONS, parse_config
 from fkdvlab.diagnostics import DecaySeries
 from fkdvlab.errors import ConfigurationError
-from fkdvlab.experiments import ExperimentReport
+from fkdvlab.experiments import STUDIES, ExperimentConfig, ExperimentReport, default_config
 from fkdvlab.spectral import SpectralField, make_grid
 
 
@@ -24,12 +25,13 @@ def write(tmp_path, text, name="c.cfg"):
 class TestConfigParsing:
     def test_minimal_config_resolves_defaults(self, tmp_path):
         path = write(tmp_path, "[run]\nstudy = decay\n\n[equation]\nalpha = -0.5\n")
-        cfg, options = parse_config(path)
+        cfg, out_dir = parse_config(path)
         assert cfg.study == "decay"
         assert cfg.alpha == -0.5
         assert cfg.n_points == 2 ** 13            # default filled
         assert cfg.width == 0.7                   # study default filled
-        assert options["threads"] == 1
+        assert cfg.threads == 1
+        assert out_dir is None
 
     def test_alpha_out_of_range_rejected(self, tmp_path):
         path = write(tmp_path, "[run]\nstudy = decay\n\n[equation]\n"
@@ -86,10 +88,45 @@ class TestConfigParsing:
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1\n", "eps_list"),
         ("[grid]\nn_points = inf\n", "n_points"),
         ("[run]\nstudy = 100%\n", "study"),
+        ("[run]\nthreads = 0\n", r"\[run\] threads"),
+        ("[run]\nseed = -1\n", r"\[run\] seed"),
+        ("[initial]\nkind = bogus\n", r"\[initial\] kind"),
+        ("[equation]\nkind = bogus\n", r"\[equation\] kind"),
     ])
     def test_study_rules_and_odd_values_refused(self, tmp_path, text, key):
         with pytest.raises(ConfigurationError, match=key):
             parse_config(write(tmp_path, text))
+
+    def test_table_covers_every_field_once(self):
+        fields = [attr for keys in _SECTIONS.values() for attr, _ in keys.values()]
+        assert sorted(fields) == sorted(
+            ["out_dir"] + [f for f in vars(ExperimentConfig()) if f != "custom_samples"])
+        renamed = {(section, key): attr for section, keys in _SECTIONS.items()
+                   for key, (attr, _) in keys.items() if attr != key}
+        assert renamed == {("equation", "kind"): "equation",
+                           ("initial", "kind"): "initial_kind"}
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_every_key_parses_as_direct_construction(self, tmp_path, study):
+        # one valid value for every key; the config file and the keyword
+        # call must resolve to the same configuration
+        values = {f: v for f, v in vars(default_config(study)).items()
+                  if f not in ("study", "custom_samples")}
+        values.update(seed=3, threads=2, alpha=-0.25, center=1.5, sine_mode=2,
+                      amplitude=0.05, sample_dt=0.25, mono_from=4, refine_start=256,
+                      j_list=(0.0, 1.0, 2.0), epsilon=values["epsilon"] or 0.2)
+        lines = []
+        for section, keys in _SECTIONS.items():
+            lines.append(f"[{section}]")
+            for key, (attr, _) in keys.items():
+                value = {"study": study, "out_dir": " o "}.get(attr, values.get(attr))
+                if isinstance(value, tuple):
+                    value = ", ".join(map(repr, value))
+                lines.append(f"{key} = {value!r}" if isinstance(value, float)
+                             else f"{key} = {value}")
+        cfg, out_dir = parse_config(write(tmp_path, "\n".join(lines) + "\n"))
+        assert out_dir == "o"
+        assert cfg == default_config(study, **values)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -204,6 +241,35 @@ class TestCliDispatch:
             open(tmp_path / d / "lemma_checks.json").read()
             for d in ("ini", "flag", "zero"))
         assert ini_run == flag_run != zero_run
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "7", "lemmas", "--only", "interpolation"],   # before the subcommand
+        ["lemmas", "--only", "interpolation", "--seed", "-1"],
+        ["longwave", "--threads", "0"],
+    ])
+    def test_refused_options_are_status_2(self, tmp_path, argv):
+        assert cli_dispatch(argv + ["--out", str(tmp_path)]) == 2
+        assert not os.listdir(tmp_path)
+
+    def test_flags_beat_ini_run_keys(self, tmp_path, monkeypatch):
+        # --threads 1 beats [run] threads = 2; `all` hands the file's seed
+        # and threads to the studies the file does not configure
+        seen = []
+
+        def fake_study(cfg, out_dir):
+            seen.append(cfg)
+            return ExperimentReport(cfg.study, {})
+
+        monkeypatch.setattr(cli, "run_study", fake_study)
+        monkeypatch.setattr(cli, "run_lemma_checks", lambda *args: (0, {}))
+        ini = write(tmp_path, "[run]\nstudy = longwave\nseed = 3\nthreads = 2\n")
+        assert cli_dispatch(["longwave", "--config", ini, "--threads", "1"]) == 0
+        assert cli_dispatch(["longwave", "--config", ini]) == 0
+        assert [(cfg.seed, cfg.threads) for cfg in seen] == [(3, 1), (3, 2)]
+        seen.clear()
+        assert cli_dispatch(["all", "--config", ini, "--seed", "5"]) == 0
+        assert [(cfg.study, cfg.seed, cfg.threads) for cfg in seen] == [
+            (study, 5, 2) for study in STUDIES]
 
     def test_lemmas_only_trilinear(self, tmp_path, capsys):
         status = cli_dispatch(["lemmas", "--only", "trilinear",

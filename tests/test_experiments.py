@@ -69,6 +69,16 @@ class TestConfigAndData:
         with pytest.raises(ConfigurationError):
             default_config("hydro")
 
+    @pytest.mark.parametrize("study,override,key", [
+        ("decay", {"initial_kind": "bogus"}, r"\[initial\] kind"),
+        ("longwave", {"equation": "bogus"}, r"\[equation\] kind"),
+        ("decay", {"threads": 0}, r"\[run\] threads"),
+        ("decay", {"seed": -1}, r"\[run\] seed"),
+    ])
+    def test_direct_construction_validated(self, study, override, key):
+        with pytest.raises(ConfigurationError, match=key):
+            default_config(study, **override)
+
     def test_bad_override_rejected_before_any_step(self, tmp_path, monkeypatch):
         # a fit window that starts after it ends is a cross-field error
         with pytest.raises(ConfigurationError):

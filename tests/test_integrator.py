@@ -210,18 +210,19 @@ class TestExponentialCache:
     def cached_exponentials(eq):
         return [k for k in eq._linear_cache if k[0] == "exponentials"]
 
-    def test_steps_match_fresh_exponentials(self):
+    @pytest.mark.parametrize("kind,params", [
+        ("modified_fkdv", {"alpha": -0.5}), ("modified_burgers", {})])
+    def test_steps_match_fresh_exponentials(self, kind, params):
         # alternating dt and two grids on one equation must give exactly the
         # steps of an equation that evaluates exp(dt*L) afresh every time
-        eq = make_equation("modified_fkdv", alpha=-0.5)
+        eq = make_equation(kind, **params)
         fields = [gaussian_field(make_grid(n, 16.0 * np.pi), amplitude=0.5)
                   for n in (64, 128)]
         for dt in (0.05, 0.02, 0.05):
             for u0 in fields:
                 state = SolverState(0.0, u0)
                 cached = step_ifrk4(state, dt, eq)
-                fresh_eq = make_equation("modified_fkdv", alpha=-0.5)
-                fresh = step_ifrk4(state, dt, fresh_eq)
+                fresh = step_ifrk4(state, dt, make_equation(kind, **params))
                 assert np.array_equal(cached.u_hat.coeffs, fresh.u_hat.coeffs)
                 # half-length tables, 0 in the Nyquist slot
                 n = u0.grid.n_points
@@ -242,8 +243,19 @@ class TestExponentialCache:
         assert eq._linear_cache.keys() == before.keys()
         assert all(eq._linear_cache[k] is v for k, v in before.items())
 
-    def test_at_most_one_pair_per_grid(self):
+    def test_dispersionless_pair_kept_across_dt(self):
+        # exp(dt*0) is 1 for every dt: the first pair serves every later step
         eq = make_equation("modified_burgers")
+        g = make_grid(32, TWO_PI)
+        first = eq.linear_exponentials(g, 0.05)
+        ones = np.append(np.ones(16), 0.0)
+        for dt in (0.02, 1e-3, 0.05):
+            pair = eq.linear_exponentials(g, dt)
+            assert pair[0] is first[0] and pair[1] is first[1]
+            assert np.array_equal(pair[0], ones) and np.array_equal(pair[1], ones)
+
+    def test_at_most_one_pair_per_grid(self):
+        eq = make_equation("modified_fkdv", alpha=-0.5)
         grids = [make_grid(n, TWO_PI) for n in (32, 64)]
         for dt in np.linspace(1e-3, 2e-3, 100):
             for g in grids:
