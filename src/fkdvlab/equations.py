@@ -163,7 +163,7 @@ def make_equation(kind: str, alpha: float | None = None,
     if kind == "rescaled_modified_whitham":
         if epsilon is None:
             raise ConfigurationError(f"{kind} requires parameter epsilon")
-        if epsilon <= 0:
+        if not (epsilon > 0):
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         scalar = whitham_scalar_symbol(epsilon)
 
@@ -177,7 +177,7 @@ def make_equation(kind: str, alpha: float | None = None,
     if kind == "mkdv":
         if epsilon is None:
             raise ConfigurationError("mkdv requires parameter epsilon")
-        if epsilon <= 0:
+        if not (epsilon > 0):
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         return EquationSpec(kind, _mkdv_symbol(epsilon), 2, -epsilon, epsilon=epsilon)
 

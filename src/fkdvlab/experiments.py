@@ -153,7 +153,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     n = cfg.n_points
     if n < 8 or (n & (n - 1)) != 0:
         raise ConfigurationError(f"[grid] n_points: must be a power of two >= 8, got {n}")
-    if cfg.box_length <= 0:
+    if not (cfg.box_length > 0):
         raise ConfigurationError(f"[grid] box_length: must be positive, got {cfg.box_length}")
     if cfg.seed < 0:
         raise ConfigurationError(f"[run] seed: must be nonnegative, got {cfg.seed}")
@@ -174,25 +174,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.equation in ("rescaled_modified_whitham", "mkdv"):
         if cfg.epsilon is None and cfg.study != "longwave":
             raise ConfigurationError(f"[equation] epsilon: required for {cfg.equation}")
-        if cfg.epsilon is not None and cfg.epsilon <= 0:
+        if cfg.epsilon is not None and not (cfg.epsilon > 0):
             raise ConfigurationError(
                 f"[equation] epsilon: must be positive, got {cfg.epsilon}")
-    if cfg.t_end < 0:
+    if not (cfg.t_end >= 0):
         raise ConfigurationError(f"[solver] t_end: must be nonnegative, got {cfg.t_end}")
     if not (0 < cfg.cfl_coefficient <= 1):
         raise ConfigurationError(
             f"[solver] cfl_coefficient: must lie in (0, 1], got {cfg.cfl_coefficient}")
-    if cfg.dt_max <= 0:
+    if not (cfg.dt_max > 0):
         raise ConfigurationError(f"[solver] dt_max: must be positive, got {cfg.dt_max}")
-    if cfg.fit_t_min >= cfg.fit_t_max:
+    if not (cfg.fit_t_min < cfg.fit_t_max):
         raise ConfigurationError(
             f"[study] fit window: t_min {cfg.fit_t_min} must precede t_max {cfg.fit_t_max}")
-    if cfg.amplitude < 0:
-        raise ConfigurationError("[initial] amplitude: must be nonnegative")
-    if cfg.width <= 0:
-        raise ConfigurationError("[initial] width: must be positive")
+    if not (cfg.amplitude >= 0):
+        raise ConfigurationError(
+            f"[initial] amplitude: must be nonnegative, got {cfg.amplitude}")
+    if not (cfg.width > 0):
+        raise ConfigurationError(f"[initial] width: must be positive, got {cfg.width}")
     band = cfg.exponent_band
-    if len(band) != 2 or band[0] >= band[1]:
+    if len(band) != 2 or not (band[0] < band[1]):
         raise ConfigurationError(f"[study] exponent_band: need lo < hi, got {band}")
     if cfg.study in ("decay", "shock") and \
             cfg.make_eq().is_dispersive != (cfg.study == "decay"):

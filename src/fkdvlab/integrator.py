@@ -22,10 +22,14 @@ import numpy as np
 from .equations import EquationSpec, nonlinearity
 from .errors import ConfigurationError
 from .spectral import (Grid, SpectralField, full_spectrum, half_inverse_transform,
-                       half_spectrum, hermitize)
+                       half_spectrum, half_sup_bound, hermitize)
 
 #: Guard against division by zero in the CFL rule for the zero field.
 CFL_FLOOR = 1e-12
+
+#: Relative margin on the l1 bound of max|u| in the CFL certificate; it
+#: covers the rounding of the bound's sum and of the synthesis it replaces.
+CFL_BOUND_SLACK = 1e-9
 
 #: Overflow guard: amplitudes beyond this are treated as blow-up even
 #: before they reach inf.
@@ -44,12 +48,12 @@ class SolverConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.dt_max <= 0:
+        if not (self.dt_max > 0):
             raise ConfigurationError(f"dt_max must be positive, got {self.dt_max}")
         if not (0.0 < self.cfl_coefficient <= 1.0):
             raise ConfigurationError(
                 f"cfl_coefficient must lie in (0, 1], got {self.cfl_coefficient}")
-        if self.t_end < 0:
+        if not (self.t_end >= 0):
             raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
         times = tuple(float(t) for t in self.snapshot_times)
         if any(t < 0 or t > self.t_end + 1e-12 for t in times):
@@ -84,8 +88,16 @@ class SolverState:
         return full_spectrum(self.grid, self.half)
 
     @cached_property
+    def abs_half(self) -> np.ndarray:
+        """|c| of the half spectrum, shared by the halt check and the CFL
+        certificate."""
+        return np.abs(self.half)
+
+    @cached_property
     def max_abs_u(self) -> float:
-        """max|u| over the grid samples of the full (undealiased) field."""
+        """max|u| over the grid samples of the full (undealiased) field, from
+        one synthesis; ``cfl_dt`` reads it only when the l1 bound cannot
+        settle dt."""
         return float(np.max(np.abs(half_inverse_transform(self.grid, self.half))))
 
 
@@ -116,12 +128,22 @@ def cfl_dt(state: SolverState, eq: EquationSpec, config: SolverConfig) -> float:
     """dt = min(dt_max, cfl * dx / max(floor, max|u|^p)).
 
     The exactly-propagated linear part contributes no restriction; only the
-    nonlinear transport speed |u|^p does.  max|u| is cached on the state, so
-    planning a segment and taking its first step share one transform.
+    nonlinear transport speed |u|^p does.  When the same formula with the
+    l1 bound B >= max|u| (widened by ``CFL_BOUND_SLACK``) already reaches
+    dt_max, the exact value is dt_max too and no synthesis is made.  A
+    binding B, or one that is NaN or beyond ``BLOWUP_AMPLITUDE``, falls
+    back to the exact max|u|, cached on the state, so planning a segment
+    and taking its first step share one transform.
     """
-    speed = state.max_abs_u ** eq.nonlinearity_degree
-    dx = state.grid.dx
-    return min(config.dt_max, config.cfl_coefficient * dx / max(CFL_FLOOR, speed))
+    p = eq.nonlinearity_degree
+    reach = config.cfl_coefficient * state.grid.dx
+    bound = half_sup_bound(state.grid, state.abs_half) * (1.0 + CFL_BOUND_SLACK)
+    # NaN fails the first test, and a bound past the blow-up guard (inf
+    # included) is never certified, so bound**p cannot overflow
+    if bound <= BLOWUP_AMPLITUDE and reach / max(CFL_FLOOR, bound ** p) >= config.dt_max:
+        return config.dt_max
+    speed = state.max_abs_u ** p
+    return min(config.dt_max, reach / max(CFL_FLOOR, speed))
 
 
 def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
@@ -151,7 +173,7 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
 def _state_bad(state: SolverState) -> str | None:
     """Halt reason of a state: "nan", "blowup" or None when it is usable."""
     c = state.half
-    m = np.max(np.abs(c))
+    m = np.max(state.abs_half)
     if np.isfinite(m) and m <= BLOWUP_AMPLITUDE:
         return None
     # |inf + nan*j| is inf, so a non-finite maximum alone cannot tell the

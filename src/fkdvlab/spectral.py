@@ -127,6 +127,14 @@ def half_inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
     return np.fft.irfft(half * (_SQRT_2PI / grid.dx), grid.n_points)
 
 
+def half_sup_bound(grid: Grid, magnitudes: np.ndarray) -> float:
+    """Upper bound on max|half_inverse_transform(grid, half)| from the
+    magnitudes |half| alone: (sqrt(2 pi)/L) (|c_0| + 2 sum |c_k| + |c_(n/2)|),
+    the triangle inequality on the synthesis, with no transform."""
+    l1 = 2.0 * float(np.sum(magnitudes)) - float(magnitudes[0]) - float(magnitudes[-1])
+    return _SQRT_2PI / grid.box_length * l1
+
+
 def half_spectrum(fld: SpectralField) -> np.ndarray:
     """Half spectrum of the Hermitian part (c(xi) + conj c(-xi))/2 of the
     coefficients, with the real parts of the zero and Nyquist modes: the

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,46 @@ class TestConfigParsing:
     def test_study_rules_and_odd_values_refused(self, tmp_path, text, key):
         with pytest.raises(ConfigurationError, match=key):
             parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("section,key,raw,match", [
+        ("grid", "box_length", "nan", r"\[grid\] box_length"),
+        ("solver", "t_end", "nan", r"\[solver\] t_end"),
+        ("solver", "dt_max", "nan", r"\[solver\] dt_max"),
+        ("initial", "amplitude", "nan", r"\[initial\] amplitude"),
+        ("initial", "width", "nan", r"\[initial\] width"),
+        ("equation", "epsilon", "nan", r"\[equation\] epsilon"),
+        ("study", "fit_t_min", "nan", r"\[study\] fit window"),
+        ("study", "fit_t_max", "nan", r"\[study\] fit window"),
+        ("study", "exponent_band", "nan, -0.4", r"\[study\] exponent_band"),
+        ("study", "exponent_band", "-0.6, nan", r"\[study\] exponent_band"),
+    ])
+    def test_nan_refused_on_every_path(self, tmp_path, capsys, path, section, key,
+                                       raw, match):
+        # every range check is written so that NaN fails it
+        ini = {"grid": {"n_points": "64"}}
+        ini.setdefault(section, {})[key] = raw
+        if key == "epsilon":
+            ini["equation"]["kind"] = "mkdv"
+        if path == "direct":
+            values = {}
+            for sec, keys in ini.items():
+                for k, text in keys.items():
+                    attr, parse = _SECTIONS[sec][k]
+                    values[attr] = parse(sec, k, text)
+            with pytest.raises(ConfigurationError, match=match):
+                default_config("decay", **values)
+            return
+        config = write(tmp_path, "".join(
+            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for sec, keys in ini.items()))
+        if path == "ini":
+            with pytest.raises(ConfigurationError, match=match):
+                parse_config(config)
+        else:
+            assert cli_dispatch(["decay", "--config", config,
+                                 "--out", str(tmp_path / "o")]) == 2
+            assert re.search(match, capsys.readouterr().err)
 
     def test_table_covers_every_field_once(self):
         fields = [attr for keys in _SECTIONS.values() for attr, _ in keys.values()]

@@ -362,7 +362,6 @@ class TestResolutionStability:
         rb = rep_b.measured["ratio_e0_eps0.2_over_eps0.1"]
         assert ra == pytest.approx(rb, rel=1e-3)
 
-    @pytest.mark.slow
     def test_scattering_final_ratio_stable_under_box_doubling(self, tmp_path):
         base = default_config("scattering")
         doubled = replace(base, box_length=2.0 * base.box_length,

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkdvlab.equations import REGISTRY_KINDS, linearized, make_equation
+from fkdvlab.errors import ConfigurationError
 from fkdvlab.integrator import (
     BLOWUP_AMPLITUDE,
+    CFL_BOUND_SLACK,
     CFL_FLOOR,
     HaltReason,
     SolverConfig,
@@ -17,6 +21,8 @@ from fkdvlab.integrator import (
 from fkdvlab.spectral import (
     SpectralField,
     dealias_mask,
+    half_inverse_transform,
+    half_sup_bound,
     hermitian_defect,
     hermitize,
     inverse_transform,
@@ -140,6 +146,55 @@ class TestCfl:
         cfg = SolverConfig(dt_max=0.01, cfl_coefficient=0.5, t_end=1.0)
         # p = 2 gives 0.5*0.1/1 = 0.05 > dt_max
         assert cfl_dt(state, make_equation("modified_burgers"), cfg) == 0.01
+
+
+@st.composite
+def cfl_cases(draw):
+    """A random half spectrum (broadband or a few modes, decaying at a
+    random rate, complex or real, any scale), p, the CFL coefficient, and
+    dt_max placed at the exact CFL edge, at the certificate's edge, one ulp
+    past either, or anywhere near them."""
+    n = draw(st.sampled_from([2 ** j for j in range(3, 13)]))
+    grid = make_grid(n, draw(st.sampled_from([TWO_PI, 16.0, 256.0 * np.pi])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = n // 2 + 1
+    half = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.exp(
+        -draw(st.floats(0.0, 50.0)) * np.arange(m) / m)
+    modes = draw(st.one_of(st.none(), st.integers(1, 4)))
+    if modes is not None:
+        keep = np.zeros(m, bool)
+        keep[rng.choice(m, size=min(modes, m), replace=False)] = True
+        half[~keep] = 0.0
+    if draw(st.booleans()):
+        # real coefficients peak together at x = 0: B is tight for one mode
+        half = half.real.astype(complex)
+    half *= 10.0 ** draw(st.floats(-8.0, 3.0))
+    p = draw(st.sampled_from([1, 2]))
+    cfl = draw(st.floats(0.01, 1.0))
+    where = draw(st.sampled_from(["exact", "certificate", "near"]))
+    return grid, half, p, cfl, where, draw(st.sampled_from([0, 1])), \
+        10.0 ** draw(st.floats(-2.0, 2.0))
+
+
+class TestCflCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(cfl_cases())
+    def test_certificate_matches_exact_formula(self, case):
+        grid, half, p, cfl, where, ulps, factor = case
+        eq = make_equation("burgers" if p == 1 else "modified_burgers")
+        assert eq.nonlinearity_degree == p
+        reach = cfl * grid.dx
+        max_u = float(np.max(np.abs(half_inverse_transform(grid, half))))
+        bound = half_sup_bound(grid, np.abs(half)) * (1.0 + CFL_BOUND_SLACK)
+        assert bound >= max_u
+        exact_edge = reach / max(CFL_FLOOR, max_u ** p)
+        dt_max = {"exact": exact_edge, "near": exact_edge * factor,
+                  "certificate": reach / max(CFL_FLOOR, bound ** p)}[where]
+        for _ in range(ulps):
+            dt_max = np.nextafter(dt_max, np.inf)
+        config = SolverConfig(dt_max=float(dt_max), cfl_coefficient=cfl)
+        got = cfl_dt(SolverState.from_half(0.0, grid, half), eq, config)
+        assert got == min(config.dt_max, reach / max(CFL_FLOOR, max_u ** p))
 
 
 class TestStep:
@@ -343,9 +398,9 @@ class TestRunSimulation:
         run_simulation(u0, eq, cfg, lambda s: seen.append(s.t))
         assert seen == list(times)
 
-    def test_one_cfl_transform_per_step(self, monkeypatch):
-        # planning a segment and its first step read the same state, so
-        # they share one synthesis of max|u|
+    @staticmethod
+    def count_calls(monkeypatch):
+        # half_inverse_transform is called in integrator only by max_abs_u
         from fkdvlab import integrator
         counts = {"transform": 0, "cfl": 0, "step": 0}
 
@@ -359,12 +414,31 @@ class TestRunSimulation:
                            ("cfl", "cfl_dt"), ("step", "step_ifrk4")):
             monkeypatch.setattr(integrator, attr,
                                 counted(name, getattr(integrator, attr)))
+        return counts
+
+    def test_certified_steps_make_no_cfl_transform(self, monkeypatch):
+        # small dispersive data: the l1 bound settles dt = dt_max on every
+        # call, so CFL control never synthesises the field
+        counts = self.count_calls(monkeypatch)
         g = make_grid(256, 32.0 * np.pi)
         cfg = SolverConfig(dt_max=0.1, t_end=2.0, snapshot_times=(0.5, 1.0, 1.5))
         _, halt = run_simulation(gaussian_field(g, amplitude=0.5),
                                  make_equation("modified_fkdv", alpha=-0.5), cfg)
         assert halt.completed
-        assert counts["step"] >= 20
+        assert counts["step"] == 20
+        assert counts["cfl"] == counts["step"] + 4
+        assert counts["transform"] == 0
+
+    def test_binding_cfl_one_transform_per_step(self, monkeypatch):
+        # on a fine grid the transport speed binds, the bound cannot settle
+        # dt, and planning a segment and its first step share one synthesis
+        counts = self.count_calls(monkeypatch)
+        g = make_grid(512, TWO_PI)
+        cfg = SolverConfig(dt_max=0.1, t_end=0.2, snapshot_times=(0.05, 0.1, 0.15))
+        _, halt = run_simulation(transform(g, 0.5 * np.sin(g.x)),
+                                 make_equation("modified_burgers"), cfg)
+        assert halt.completed
+        assert counts["step"] >= 8
         assert counts["cfl"] == counts["step"] + 4
         assert counts["transform"] == counts["step"]
 
@@ -375,6 +449,11 @@ class TestRunSimulation:
             SolverConfig(t_end=1.0, snapshot_times=(2.0,))
         with pytest.raises(Exception):
             SolverConfig(t_end=1.0, cfl_coefficient=1.5)
+
+    @pytest.mark.parametrize("field", ["dt_max", "t_end", "cfl_coefficient"])
+    def test_nan_config_refused(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            SolverConfig(**{field: float("nan")})
 
 
 class TestFullSpectrumReference:
