@@ -38,5 +38,6 @@ from .diagnostics import (  # noqa: F401
     corrected_profile,
     z_distance,
     extract_scattering_limit,
+    difference_rate,
     fit_power_law,
 )

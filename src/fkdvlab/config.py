@@ -2,7 +2,8 @@
 
 A config names one study and overrides any subset of its defaults.
 Unknown sections or keys are rejected with the offending key path, as are
-out-of-range values.  Example:
+out-of-range values.  The studies' pass gates are constants in
+``experiments``, not keys.  Example:
 
     [run]
     study = decay
@@ -83,14 +84,11 @@ _SECTIONS = {
     "initial": {"kind": ("initial_kind", _name), **_same(_integer, "sine_mode"),
                 **_same(_number, "amplitude", "width", "center")},
     "solver": _same(_number, "dt_max", "cfl_coefficient", "t_end"),
-    "study": {**_same(_number, "fit_t_min", "fit_t_max", "r2_min", "slope_max",
-                      "sample_dt", "final_ratio_max", "t_eval", "shape_factor_max",
-                      "blowup_factor", "detect_dt", "refine_tolerance",
-                      "oracle_tolerance", "contrast_epsilon0",
-                      "contrast_horizon_factor", "sobolev_order", "z_weight",
+    "study": {**_same(_number, "fit_t_min", "fit_t_max", "sample_dt", "t_eval",
+                      "blowup_factor", "detect_dt", "sobolev_order", "z_weight",
                       "epsilon_bar"),
-              **_same(_integer, "mono_from", "refine_start", "refine_max"),
-              **_same(_numbers, "eps_list", "j_list", "exponent_band", "ratio_band")},
+              **_same(_integer, "refine_start", "refine_max"),
+              **_same(_numbers, "eps_list", "j_list")},
 }
 
 

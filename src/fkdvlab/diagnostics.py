@@ -170,25 +170,27 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), float(1.0 - np.sum(resid ** 2) / ss_tot)
 
 
-def extract_scattering_limit(series: ScatteringSeries) -> tuple[SpectralField, float]:
-    """Weighted corrected profile at the last checkpoint plus the fitted
-    exponent of the dyadic Cauchy differences d_m against t_m.
-
-    A stationary sequence (all differences zero) reports the -inf sentinel.
-    """
+def extract_scattering_limit(series: ScatteringSeries) -> SpectralField:
+    """Weighted corrected profile (1+|xi|)^weight g at the last checkpoint
+    of a series with at least four checkpoints."""
     if len(series.times) < 4:
         raise InsufficientDataError(
             f"need >= 4 dyadic checkpoints, got {len(series.times)}")
     g_last = series.corrected[-1]
     xi = g_last.grid.wavenumbers
-    w_inf = SpectralField(g_last.grid,
-                          (1.0 + np.abs(xi)) ** series.weight * g_last.coeffs)
-    t, d = series.dyadic_differences("corrected")
+    return SpectralField(g_last.grid,
+                         (1.0 + np.abs(xi)) ** series.weight * g_last.coeffs)
+
+
+def difference_rate(t: np.ndarray, d: np.ndarray) -> float:
+    """Fitted exponent of Cauchy differences d_m against t_m (as from
+    ``ScatteringSeries.dyadic_differences``) over the positive ones; a
+    stationary sequence, fewer than two positive, reports the -inf sentinel."""
     positive = d > 0.0
     if np.count_nonzero(positive) < 2:
-        return w_inf, STATIONARY_RATE
+        return STATIONARY_RATE
     rate, _ = _fit_loglog(t[positive], d[positive])
-    return w_inf, rate
+    return rate
 
 
 @dataclass

@@ -129,13 +129,11 @@ EQUATION_KINDS = REGISTRY_KINDS + ("whitham", "burgers")
 
 
 def make_equation(kind: str, alpha: float | None = None,
-                  epsilon: float | None = None,
-                  permissive_alpha: bool = False) -> EquationSpec:
+                  epsilon: float | None = None) -> EquationSpec:
     """Construct a registry equation by name.
 
     alpha is required for the fractional kinds, epsilon for the rescaled
-    long-wave kinds.  ``permissive_alpha`` widens the admissible alpha range
-    to (-1, 1) \\ {0} for quadratic-equation contrast studies.
+    long-wave kinds.
     """
     kind = kind.lower()
     if kind not in EQUATION_KINDS:
@@ -145,7 +143,7 @@ def make_equation(kind: str, alpha: float | None = None,
     if kind in ("modified_fkdv", "fkdv"):
         if alpha is None:
             raise ConfigurationError(f"{kind} requires parameter alpha")
-        symbol = fractional_dispersion_symbol(alpha, permissive=permissive_alpha)
+        symbol = fractional_dispersion_symbol(alpha)
         p = 2 if kind == "modified_fkdv" else 1
         return EquationSpec(kind, symbol, p, -1.0, alpha=alpha)
 

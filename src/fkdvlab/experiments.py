@@ -36,6 +36,7 @@ from .diagnostics import (
     accumulate_phase,
     compute_profile,
     corrected_profile,
+    difference_rate,
     extract_scattering_limit,
     fit_power_law,
 )
@@ -50,12 +51,12 @@ from .spectral import (
     boundary_mass_fraction,
     derivative_symbol,
     half_inverse_transform,
+    half_spectrum,
     half_table,
     hermitize,
     inverse_transform,
     make_grid,
     norm_h11,
-    norm_linf,
     norm_sobolev,
     norm_z,
     regrid,
@@ -98,27 +99,15 @@ class ExperimentConfig:
     sample_dt: float = 1.0
     fit_t_min: float = 5.0
     fit_t_max: float = 100.0
-    exponent_band: tuple = (-0.6, -0.4)
-    r2_min: float = 0.95
-    slope_max: float = 0.05
-    # scattering study
-    mono_from: int = 3
-    final_ratio_max: float = 0.5
     # long-wave study
     eps_list: tuple = (0.1, 0.05)
     j_list: tuple = (0, 1)
     t_eval: float = 5.0
-    ratio_band: tuple = (2.5, 6.0)
-    shape_factor_max: float = 2.0
     # shock study
     blowup_factor: float = 50.0
     detect_dt: float = 0.01
     refine_start: int = 2 ** 9
     refine_max: int = 2 ** 13
-    refine_tolerance: float = 0.05
-    oracle_tolerance: float = 0.10
-    contrast_epsilon0: float = 0.1
-    contrast_horizon_factor: float = 4.0
 
     def grid(self) -> Grid:
         return make_grid(self.n_points, self.box_length)
@@ -192,9 +181,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"[initial] amplitude: must be nonnegative, got {cfg.amplitude}")
     if not (cfg.width > 0):
         raise ConfigurationError(f"[initial] width: must be positive, got {cfg.width}")
-    band = cfg.exponent_band
-    if len(band) != 2 or not (band[0] < band[1]):
-        raise ConfigurationError(f"[study] exponent_band: need lo < hi, got {band}")
     if cfg.study in ("decay", "shock") and \
             cfg.make_eq().is_dispersive != (cfg.study == "decay"):
         need = "dispersive" if cfg.study == "decay" else "dispersionless"
@@ -394,22 +380,32 @@ def _study(body) -> Callable[[ExperimentConfig, str], ExperimentReport]:
     return run
 
 
+def _sup_gradient(grid: Grid) -> Callable[[np.ndarray], float]:
+    """sup|u_x| of a half spectrum on grid, by the half-layout d/dx table."""
+    table = half_table(grid, derivative_symbol().on_grid(grid))
+    return lambda half: float(np.max(np.abs(half_inverse_transform(grid, half * table))))
+
+
 # ---------------------------------------------------------------------------
 # Decay study
 # ---------------------------------------------------------------------------
+
+EXPONENT_BAND = (-0.6, -0.4)    #: band of the fitted exponents of sup|u|, sup|u_x|
+R2_MIN = 0.95                   #: least r^2 of each decay fit
+
 
 @_study
 def run_decay_study(study: Study):
     """Sup-norm decay of the solution and its gradient, fitted over a window."""
     cfg, report = study.cfg, study.report
-    dxs = derivative_symbol()
+    sup_ux = _sup_gradient(study.grid)
     series_u = DecaySeries("linf_u")
     series_ux = DecaySeries("linf_ux")
 
     def observer(state):
         if state.t > 0:
-            series_u.add(state.t, norm_linf(state.u_hat))
-            series_ux.add(state.t, norm_linf(apply_multiplier(state.u_hat, dxs)))
+            series_u.add(state.t, state.max_abs_u)
+            series_ux.add(state.t, sup_ux(state.half))
 
     halt = study.simulate(tuple(np.arange(0.0, cfg.t_end + 1e-9, cfg.sample_dt)),
                           observer)
@@ -418,15 +414,15 @@ def run_decay_study(study: Study):
         {"linf_u": series_u.values, "linf_ux": series_ux.values})
 
     def verdicts():
-        lo, hi = cfg.exponent_band
+        lo, hi = EXPONENT_BAND
         for name, series in (("u", series_u), ("ux", series_ux)):
             exponent, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
             report.measured[f"exponent_{name}"] = exponent
             report.measured[f"r2_{name}"] = r2
             report.add_verdict(f"exponent_{name}_in_band", lo <= exponent <= hi,
                                exponent, f"[{lo}, {hi}]", series_name)
-            report.add_verdict(f"r2_{name}", r2 >= cfg.r2_min, r2,
-                               f">= {cfg.r2_min}", series_name)
+            report.add_verdict(f"r2_{name}", r2 >= R2_MIN, r2,
+                               f">= {R2_MIN}", series_name)
     return [halt], verdicts
 
 
@@ -440,6 +436,10 @@ def _merge_times(times, rel=1e-9) -> tuple:
         if not out or t - out[-1] > rel * max(1.0, abs(t)):
             out.append(float(t))
     return tuple(out)
+
+
+MONO_FROM = 3           #: first dyadic pair m from which d_m(g) must not increase
+FINAL_RATIO_MAX = 0.5   #: largest final corrected-to-raw Cauchy-difference ratio
 
 
 @_study
@@ -462,23 +462,19 @@ def run_scattering_study(study: Study):
         _merge_times(set(geometric_snapshots(cfg.t_end)) | set(dyadic)), observer)
 
     def verdicts():
+        w_inf = extract_scattering_limit(series)
         t_m, d_g = series.dyadic_differences("corrected")
         _, d_f = series.dyadic_differences("raw")
-        w_inf, rate_g = extract_scattering_limit(series)
-        raw_series = ScatteringSeries(weight=cfg.z_weight)
-        for t, f_hat in zip(series.times, series.raw):
-            raw_series.add(t, f_hat, f_hat)
-        _, rate_f = extract_scattering_limit(raw_series)
 
         d_name = study.write_series("scattering_differences.csv", t_m,
                                     {"d_corrected": d_g, "d_raw": d_f})
         study.write_series("scattering_limit.csv", w_inf, writer=lab_io.write_spectrum)
         report.measured["d_corrected"] = [float(v) for v in d_g]
         report.measured["d_raw"] = [float(v) for v in d_f]
-        report.measured["rate_corrected"] = rate_g
-        report.measured["rate_raw"] = rate_f
+        report.measured["rate_corrected"] = difference_rate(t_m, d_g)
+        report.measured["rate_raw"] = difference_rate(t_m, d_f)
 
-        m0 = cfg.mono_from
+        m0 = MONO_FROM
         mono = all(d_g[i + 1] <= d_g[i] for i in range(m0 - 1, len(d_g) - 1))
         worst = max((d_g[i + 1] / d_g[i] for i in range(m0 - 1, len(d_g) - 1)),
                     default=0.0)
@@ -487,14 +483,18 @@ def run_scattering_study(study: Study):
         final_ratio = d_g[-1] / d_f[-1] if d_f[-1] > 0 else float("inf")
         report.measured["final_ratio"] = float(final_ratio)
         report.add_verdict("final_corrected_to_raw_ratio",
-                           final_ratio <= cfg.final_ratio_max, final_ratio,
-                           f"<= {cfg.final_ratio_max}", d_name)
+                           final_ratio <= FINAL_RATIO_MAX, final_ratio,
+                           f"<= {FINAL_RATIO_MAX}", d_name)
     return [halt], verdicts
 
 
 # ---------------------------------------------------------------------------
 # Long-wave comparison study
 # ---------------------------------------------------------------------------
+
+RATIO_BAND = (2.5, 6.0)     #: band of each error ratio of consecutive epsilons
+SHAPE_FACTOR_MAX = 2.0      #: largest max/min of e0/t over 2 <= t <= 1/(2 eps)
+
 
 @_study
 def run_longwave_study(study: Study):
@@ -508,7 +508,7 @@ def run_longwave_study(study: Study):
 
         def collector(store):
             def observer(state):
-                store[round(state.t, 9)] = state.u_hat.copy()
+                store[round(state.t, 9)] = state.u_hat
             return observer
 
         eq_u = make_equation("rescaled_modified_whitham", epsilon=eps)
@@ -536,15 +536,14 @@ def run_longwave_study(study: Study):
                            {f"e{j}": data["e"][j] for j in cfg.j_list})
 
     def verdicts():
-        lo, hi = cfg.ratio_band
+        lo, hi = RATIO_BAND
+        nearest = {eps: int(np.argmin(np.abs(np.asarray(data["times"]) - cfg.t_eval)))
+                   for eps, data in errors.items()}
         eps_sorted = sorted(cfg.eps_list, reverse=True)
         for big, small in zip(eps_sorted, eps_sorted[1:]):
             for j in cfg.j_list:
-                tb = errors[big]["times"]
-                ts = errors[small]["times"]
-                ib = int(np.argmin(np.abs(np.asarray(tb) - cfg.t_eval)))
-                isml = int(np.argmin(np.abs(np.asarray(ts) - cfg.t_eval)))
-                ratio = errors[big]["e"][j][ib] / errors[small]["e"][j][isml]
+                ratio = (errors[big]["e"][j][nearest[big]]
+                         / errors[small]["e"][j][nearest[small]])
                 report.measured[f"ratio_e{j}_eps{big:g}_over_eps{small:g}"] = float(ratio)
                 report.add_verdict(
                     f"e{j}_ratio_eps{big:g}_to_{small:g}", lo <= ratio <= hi,
@@ -559,14 +558,20 @@ def run_longwave_study(study: Study):
             factor = float(np.max(vals) / np.min(vals))
             report.measured[f"e{j0}_over_t_variation_eps{eps:g}"] = factor
             report.add_verdict(
-                f"e{j0}_over_t_flat_eps{eps:g}", factor < cfg.shape_factor_max,
-                factor, f"< {cfg.shape_factor_max}", f"longwave_eps{eps:g}.csv")
+                f"e{j0}_over_t_flat_eps{eps:g}", factor < SHAPE_FACTOR_MAX,
+                factor, f"< {SHAPE_FACTOR_MAX}", f"longwave_eps{eps:g}.csv")
     return [halt for _, halts in members for halt in halts], verdicts
 
 
 # ---------------------------------------------------------------------------
 # Shock study and its characteristics oracle
 # ---------------------------------------------------------------------------
+
+REFINE_TOLERANCE = 0.05         #: largest relative move of t_detect under doubling
+ORACLE_TOLERANCE = 0.10         #: largest relative error of t_detect against t*
+CONTRAST_EPSILON0 = 0.1         #: measured size the contrast data are scaled to
+CONTRAST_HORIZON_FACTOR = 4.0   #: horizon of the contrast run, in units of t*
+
 
 def predict_shock_time(u0_samples: np.ndarray, grid: Grid, degree: int) -> float | None:
     """Gradient blow-up time of u_t + u^p u_x = 0 by characteristics.
@@ -580,18 +585,18 @@ def predict_shock_time(u0_samples: np.ndarray, grid: Grid, degree: int) -> float
     u0 = np.asarray(u0_samples, dtype=float)
     if u0.shape != (grid.n_points,):
         raise ConfigurationError("sample count does not match the grid")
-    fine_n = grid.n_points * 8
-    fine = make_grid(fine_n, grid.box_length)
-    spec = transform(grid, u0 ** degree)
-    pad = np.zeros(fine_n, dtype=complex)
-    lo = fine_n // 2 - grid.n_points // 2
-    pad[lo: lo + grid.n_points] = spec.coeffs
-    slope = inverse_transform(
-        apply_multiplier(SpectralField(fine, pad), derivative_symbol()))
+    fine = make_grid(grid.n_points * 8, grid.box_length)
+    slope = inverse_transform(apply_multiplier(
+        regrid(transform(grid, u0 ** degree), fine), derivative_symbol()))
     worst = float(np.min(slope))
     if worst >= -1e-14 * max(1.0, float(np.max(np.abs(slope)))):
         return None
     return -1.0 / worst
+
+
+def _confirms(prev: float | None, cur: float | None) -> bool:
+    """Whether rungs n and 2n detect within REFINE_TOLERANCE of each other."""
+    return prev is not None and cur is not None and abs(cur - prev) / prev < REFINE_TOLERANCE
 
 
 def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, n_points: int,
@@ -599,16 +604,14 @@ def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, n_points: int,
                         t_end: float) -> tuple[float | None, dict]:
     grid = make_grid(n_points, cfg.box_length)
     u0 = u0_maker(grid)
-    dxs = derivative_symbol()
-    g0 = norm_linf(apply_multiplier(u0, dxs))
-    dx_half = half_table(grid, dxs.on_grid(grid))
+    sup_ux = _sup_gradient(grid)
+    g0 = sup_ux(half_spectrum(u0))
     snaps = tuple(np.arange(0.0, t_end + 1e-9, cfg.detect_dt))
     hit: list[float] = []
     peak = [0.0]
 
     def observer(state):
-        gx = float(np.max(np.abs(
-            half_inverse_transform(grid, state.half * dx_half))))
+        gx = sup_ux(state.half)
         peak[0] = max(peak[0], gx)
         if not hit and g0 > 0.0 and gx >= cfg.blowup_factor * g0:
             hit.append(state.t)
@@ -642,10 +645,7 @@ def run_shock_study(study: Study):
         ladder.append({"n_points": n, "t_detect": t_detect, **info})
         if len(ladder) >= 2:
             prev, cur = ladder[-2]["t_detect"], ladder[-1]["t_detect"]
-            if prev is not None and cur is not None:
-                if abs(cur - prev) / prev < cfg.refine_tolerance:
-                    break
-            if prev is None and cur is None and t_star is None:
+            if _confirms(prev, cur) or (prev is None and cur is None and t_star is None):
                 break
         n *= 2
     report.measured["refinement_ladder"] = ladder
@@ -660,8 +660,8 @@ def run_shock_study(study: Study):
         # dispersive contrast: same shape scaled to a prescribed measured size,
         # evolved by the cubic fractional flow over a horizon past the shock time
         contrast_alpha = cfg.alpha if cfg.alpha is not None else -0.5
-        scale = cfg.contrast_epsilon0 / study.smallness["epsilon0"]
-        horizon = cfg.contrast_horizon_factor * t_star
+        scale = CONTRAST_EPSILON0 / study.smallness["epsilon0"]
+        horizon = CONTRAST_HORIZON_FACTOR * t_star
 
         def contrast_maker(grid):
             return SpectralField(grid, scale * u0_maker(grid).coeffs)
@@ -681,25 +681,23 @@ def run_shock_study(study: Study):
                                float(detected), "no detection expected", ladder_name)
             return
         t_detect = ladder[-1]["t_detect"]
-        confirmed = (len(ladder) >= 2 and t_detect is not None
-                     and ladder[-2]["t_detect"] is not None
-                     and abs(t_detect - ladder[-2]["t_detect"]) / ladder[-2]["t_detect"]
-                     < cfg.refine_tolerance)
+        confirmed = len(ladder) >= 2 and _confirms(ladder[-2]["t_detect"], t_detect)
         report.measured["t_detect"] = t_detect
         report.add_verdict("detection_confirmed_under_refinement", confirmed,
                            float(t_detect if t_detect is not None else -1),
-                           f"move < {cfg.refine_tolerance:.0%} under doubling",
+                           f"move < {REFINE_TOLERANCE:.0%} under doubling",
                            ladder_name)
         if t_detect is not None:
             rel = abs(t_detect - t_star) / t_star
             report.measured["relative_oracle_error"] = rel
-            report.add_verdict("detection_matches_oracle", rel <= cfg.oracle_tolerance,
-                               rel, f"<= {cfg.oracle_tolerance}", ladder_name)
+            report.add_verdict("detection_matches_oracle", rel <= ORACLE_TOLERANCE,
+                               rel, f"<= {ORACLE_TOLERANCE}", ladder_name)
         else:
             report.add_verdict("detection_matches_oracle", False, -1.0,
                                "detection expected", ladder_name)
         report.add_verdict("dispersive_contrast_no_detection", t_detect_c is None,
-                           growth, f"gradient growth < {cfg.blowup_factor}x over 4*t*",
+                           growth, f"gradient growth < {cfg.blowup_factor}x over "
+                           f"{CONTRAST_HORIZON_FACTOR:g}*t*",
                            ladder_name)
     return [], verdicts
 
@@ -707,6 +705,9 @@ def run_shock_study(study: Study):
 # ---------------------------------------------------------------------------
 # Norm-growth study
 # ---------------------------------------------------------------------------
+
+SLOPE_MAX = 0.05    #: largest log-log slope of the H^s and H^{1,1} norms
+
 
 @_study
 def run_norm_growth_study(study: Study):
@@ -737,8 +738,8 @@ def run_norm_growth_study(study: Study):
         for name, series in ((f"h{cfg.sobolev_order:g}", series_n), ("h11", series_11)):
             slope, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
             report.measured[f"slope_{name}"] = slope
-            report.add_verdict(f"slope_{name}", slope <= cfg.slope_max, slope,
-                               f"<= {cfg.slope_max}", series_name)
+            report.add_verdict(f"slope_{name}", slope <= SLOPE_MAX, slope,
+                               f"<= {SLOPE_MAX}", series_name)
     return [halt], verdicts
 
 

@@ -112,10 +112,9 @@ class HaltReason:
 
 
 def geometric_snapshots(t_end: float, t_start: float = 1.0,
-                        ratio: float = SNAPSHOT_RATIO,
-                        include_zero: bool = True) -> tuple:
+                        ratio: float = SNAPSHOT_RATIO) -> tuple:
     """t_start * ratio^j up to t_end, plus the endpoints."""
-    times = [0.0] if include_zero and t_end > 0 else []
+    times = [0.0] if t_end > 0 else []
     t = t_start
     while t < t_end * (1.0 - 1e-12):
         times.append(t)
@@ -142,7 +141,10 @@ def cfl_dt(state: SolverState, eq: EquationSpec, config: SolverConfig) -> float:
     # included) is never certified, so bound**p cannot overflow
     if bound <= BLOWUP_AMPLITUDE and reach / max(CFL_FLOOR, bound ** p) >= config.dt_max:
         return config.dt_max
-    speed = state.max_abs_u ** p
+    try:
+        speed = state.max_abs_u ** p
+    except OverflowError:
+        speed = np.inf                  # dt = 0: run_simulation halts as blowup
     return min(config.dt_max, reach / max(CFL_FLOOR, speed))
 
 
@@ -181,6 +183,12 @@ def _state_bad(state: SolverState) -> str | None:
     return "nan" if np.any(np.isnan(c)) else "blowup"
 
 
+def _substeps(length: float, allowed: float) -> int | None:
+    """Equal substeps of at most ``allowed`` covering ``length``; None if infinite."""
+    count = length / allowed if allowed > 0.0 else np.inf
+    return max(1, int(np.ceil(count - 1e-12))) if np.isfinite(count) else None
+
+
 def run_simulation(u0: SpectralField, eq: EquationSpec, config: SolverConfig,
                    observer: Callable[[SolverState], None] | None = None,
                    ) -> tuple[SolverState, HaltReason]:
@@ -191,7 +199,8 @@ def run_simulation(u0: SpectralField, eq: EquationSpec, config: SolverConfig,
     time seen by the exact linear exponentials matches the snapshot label to
     round-off.  The observer is invoked at each scheduled snapshot (including
     t=0 when scheduled).  Returns the final (or last finite) state and a halt
-    reason: completed, blowup(t) or nan(t) -- never a silent failure.
+    reason: completed, blowup(t) or nan(t) -- never a silent failure; a
+    state whose CFL step is too small to count halts as blowup at its time.
     """
     state = SolverState(0.0, hermitize(u0))
     snapshot_set = set(config.snapshot_times)
@@ -204,13 +213,17 @@ def run_simulation(u0: SpectralField, eq: EquationSpec, config: SolverConfig,
         seg_start = state.t
         seg_len = target - seg_start
         done = 0
-        n_steps = max(1, int(np.ceil(seg_len / cfl_dt(state, eq, config) - 1e-12)))
+        n_steps = _substeps(seg_len, cfl_dt(state, eq, config))
+        if n_steps is None:
+            return state, HaltReason("blowup", state.t)
         dt = seg_len / n_steps
         while done < n_steps:
             allowed = cfl_dt(state, eq, config)
             if dt > allowed * (1.0 + 1e-9):
                 remaining = seg_len - done * dt
-                extra = max(1, int(np.ceil(remaining / allowed - 1e-12)))
+                extra = _substeps(remaining, allowed)
+                if extra is None:
+                    return state, HaltReason("blowup", state.t)
                 seg_start, seg_len, done, n_steps = state.t, remaining, 0, extra
                 dt = seg_len / n_steps
             new_state = step_ifrk4(state, dt, eq)

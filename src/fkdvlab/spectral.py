@@ -107,9 +107,6 @@ class SpectralField:
                 f"coefficient array of shape {self.coeffs.shape} does not match "
                 f"grid with {self.grid.n_points} points")
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
 
 def half_transform(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Real samples -> half spectrum: coefficients of modes k = 0 ... n/2 in
@@ -246,17 +243,11 @@ def derivative_symbol() -> MultiplierSymbol:
     return MultiplierSymbol(lambda xi: 1j * xi, "d/dx")
 
 
-def fractional_dispersion_symbol(alpha: float, permissive: bool = False) -> MultiplierSymbol:
-    """Symbol i*sign(xi)*|xi|^(1+alpha) of the operator |D|^alpha d/dx.
-
-    The default admissible range is -1 < alpha < 0 (weak dispersion);
-    ``permissive=True`` widens it to (-1, 1) \\ {0} for quadratic-equation
-    contrast studies and sweep checks.
-    """
-    lo, hi = (-1.0, 1.0) if permissive else (-1.0, 0.0)
-    if not (lo < alpha < hi) or alpha == 0.0:
-        raise ConfigurationError(
-            f"alpha must lie in ({lo}, {hi}) and be nonzero, got {alpha}")
+def fractional_dispersion_symbol(alpha: float) -> MultiplierSymbol:
+    """Symbol i*sign(xi)*|xi|^(1+alpha) of the operator |D|^alpha d/dx, for
+    -1 < alpha < 0 (weak dispersion)."""
+    if not (-1.0 < alpha < 0.0):
+        raise ConfigurationError(f"alpha must lie in (-1.0, 0.0), got {alpha}")
 
     def evaluate(xi):
         xi = np.asarray(xi, dtype=float)

@@ -12,7 +12,19 @@ import pytest
 
 from fkdvlab.diagnostics import fit_power_law
 from fkdvlab.equations import REGISTRY_KINDS, linearized, make_equation
-from fkdvlab.experiments import default_config, initial_field, run_study
+from fkdvlab.experiments import (
+    CONTRAST_HORIZON_FACTOR,
+    EXPONENT_BAND,
+    FINAL_RATIO_MAX,
+    ORACLE_TOLERANCE,
+    R2_MIN,
+    RATIO_BAND,
+    SHAPE_FACTOR_MAX,
+    SLOPE_MAX,
+    default_config,
+    initial_field,
+    run_study,
+)
 from fkdvlab.integrator import SolverConfig, run_simulation
 from fkdvlab.lemma_checks import (
     CUTOFF_RATE_MAX,
@@ -134,7 +146,8 @@ class TestCriterion4DecayRate:
         passed = decay_report.all_passed
         report_line(4, "decay rate, base run", passed,
                     f"exponents u {m['exponent_u']:.3f}, ux {m['exponent_ux']:.3f} "
-                    f"(in [-0.6,-0.4]); r2 {m['r2_u']:.3f}/{m['r2_ux']:.3f} (>= 0.95)")
+                    f"(in [{EXPONENT_BAND[0]:g},{EXPONENT_BAND[1]:g}]); "
+                    f"r2 {m['r2_u']:.3f}/{m['r2_ux']:.3f} (>= {R2_MIN:g})")
         assert passed
 
     @pytest.mark.parametrize("override,label", [
@@ -156,9 +169,10 @@ class TestCriterion5ModifiedScattering:
     def test_correction_halves_final_cauchy_difference(self, scattering_report):
         m = scattering_report.measured
         ratio = m["final_ratio"]
-        passed = ratio <= 0.5
+        passed = ratio <= FINAL_RATIO_MAX
         report_line(5, "scattering: final corrected/raw ratio", passed,
-                    f"d_m(g)/d_m(fhat) = {ratio:.3f} at the final pair (<= 0.5); "
+                    f"d_m(g)/d_m(fhat) = {ratio:.3f} at the final pair "
+                    f"(<= {FINAL_RATIO_MAX:g}); "
                     f"fitted rates g {m['rate_corrected']:.3f}, "
                     f"raw {m['rate_raw']:.3f}")
         assert passed
@@ -184,9 +198,10 @@ class TestCriterion6LongWaveLimit:
         passed = report.all_passed
         report_line(6, "long-wave limit", passed,
                     f"e0 ratio {m['ratio_e0_eps0.1_over_eps0.05']:.2f}, "
-                    f"e1 ratio {m['ratio_e1_eps0.1_over_eps0.05']:.2f} (in [2.5,6]); "
+                    f"e1 ratio {m['ratio_e1_eps0.1_over_eps0.05']:.2f} "
+                    f"(in [{RATIO_BAND[0]:g},{RATIO_BAND[1]:g}]); "
                     f"e0/t variation {m['e0_over_t_variation_eps0.1']:.2f}/"
-                    f"{m['e0_over_t_variation_eps0.05']:.2f} (< 2)")
+                    f"{m['e0_over_t_variation_eps0.05']:.2f} (< {SHAPE_FACTOR_MAX:g})")
         assert passed
 
 
@@ -198,8 +213,9 @@ class TestCriterion7ShockFormation:
         report_line(7, "shock formation", passed,
                     f"oracle t*={m['oracle_t_star']:.3f}, detected "
                     f"{m['t_detect']:.3f} (rel err {m['relative_oracle_error']:.3f} "
-                    f"<= 0.1); contrast gradient growth "
-                    f"{m['contrast']['gradient_growth']:.2f}x over 4*t*")
+                    f"<= {ORACLE_TOLERANCE:g}); contrast gradient growth "
+                    f"{m['contrast']['gradient_growth']:.2f}x over "
+                    f"{CONTRAST_HORIZON_FACTOR:g}*t*")
         assert passed
 
 
@@ -210,7 +226,7 @@ class TestCriterion8NormGrowth:
         passed = report.all_passed
         report_line(8, "norm growth", passed,
                     f"H8 slope {m['slope_h8']:.4f}, H11 slope {m['slope_h11']:.4f} "
-                    f"(<= 0.05); boundary warnings {m['h11_boundary_warnings']}")
+                    f"(<= {SLOPE_MAX:g}); boundary warnings {m['h11_boundary_warnings']}")
         assert passed
 
 

@@ -108,8 +108,6 @@ class TestConfigParsing:
         ("equation", "epsilon", "nan", r"\[equation\] epsilon"),
         ("study", "fit_t_min", "nan", r"\[study\] fit window"),
         ("study", "fit_t_max", "nan", r"\[study\] fit window"),
-        ("study", "exponent_band", "nan, -0.4", r"\[study\] exponent_band"),
-        ("study", "exponent_band", "-0.6, nan", r"\[study\] exponent_band"),
     ])
     def test_nan_refused_on_every_path(self, tmp_path, capsys, path, section, key,
                                        raw, match):
@@ -138,6 +136,23 @@ class TestConfigParsing:
                                  "--out", str(tmp_path / "o")]) == 2
             assert re.search(match, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key,raw", [
+        ("exponent_band", "-0.6, -0.4"), ("r2_min", "0.9"), ("slope_max", "0.9"),
+        ("mono_from", "3"), ("final_ratio_max", "0.9"), ("ratio_band", "2.5, 6"),
+        ("shape_factor_max", "0.9"), ("refine_tolerance", "0.9"),
+        ("oracle_tolerance", "0.9"), ("contrast_epsilon0", "0.9"),
+        ("contrast_horizon_factor", "0.9"),
+    ])
+    def test_study_gate_keys_refused(self, tmp_path, capsys, key, raw):
+        # the pass gates are constants beside the studies' verdicts; a
+        # config file cannot move them
+        config = write(tmp_path, f"[study]\n{key} = {raw}\n")
+        with pytest.raises(ConfigurationError, match=rf"unknown key \[study\] {key}$"):
+            parse_config(config)
+        assert cli_dispatch(["decay", "--config", config,
+                             "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown key [study] {key}" in capsys.readouterr().err
+
     def test_table_covers_every_field_once(self):
         fields = [attr for keys in _SECTIONS.values() for attr, _ in keys.values()]
         assert sorted(fields) == sorted(
@@ -154,7 +169,7 @@ class TestConfigParsing:
         values = {f: v for f, v in vars(default_config(study)).items()
                   if f not in ("study", "custom_samples")}
         values.update(seed=3, threads=2, alpha=-0.25, center=1.5, sine_mode=2,
-                      amplitude=0.05, sample_dt=0.25, mono_from=4, refine_start=256,
+                      amplitude=0.05, sample_dt=0.25, refine_start=256,
                       j_list=(0.0, 1.0, 2.0), epsilon=values["epsilon"] or 0.2)
         lines = []
         for section, keys in _SECTIONS.items():

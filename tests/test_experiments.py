@@ -241,6 +241,21 @@ class TestStudySmoke:
         assert abs(report.measured["t_detect"] - 4.0) / 4.0 < 0.15
         assert report.measured["contrast"]["t_detect"] is None
 
+    @pytest.mark.parametrize("factor,text", [(4.0, "4"), (2.0, "2")])
+    def test_contrast_threshold_names_its_horizon(self, tmp_path, monkeypatch,
+                                                  factor, text):
+        monkeypatch.setattr(experiments, "CONTRAST_HORIZON_FACTOR", factor)
+        cfg = default_config("shock", blowup_factor=20.0, refine_start=2 ** 6,
+                             refine_max=2 ** 8)
+        report = run_shock_study(cfg, str(tmp_path))
+        m = report.measured
+        assert m["contrast"]["horizon"] == factor * m["oracle_t_star"]
+        threshold = next(v.threshold for v in report.verdicts
+                         if v.name == "dispersive_contrast_no_detection")
+        assert threshold == (f"gradient growth < {cfg.blowup_factor}x over "
+                             f"{experiments.CONTRAST_HORIZON_FACTOR:g}*t*")
+        assert threshold == f"gradient growth < 20.0x over {text}*t*"
+
     def test_shock_no_compression(self, tmp_path):
         cfg = replace(default_config("shock"), initial_kind="custom",
                       custom_samples=np.full(2 ** 9, 0.25), t_end=2.0,
@@ -371,4 +386,4 @@ class TestResolutionStability:
         va = {v.name: v.passed for v in rep_a.verdicts}
         vb = {v.name: v.passed for v in rep_b.verdicts}
         assert va == vb
-        assert rep_b.measured["final_ratio"] <= base.final_ratio_max
+        assert rep_b.measured["final_ratio"] <= experiments.FINAL_RATIO_MAX

@@ -388,6 +388,21 @@ class TestRunSimulation:
         assert np.all(np.isfinite(final.u_hat.coeffs))
         assert halt.t > final.t
 
+    @pytest.mark.parametrize("kind,reason", [("modified_burgers", "blowup"),
+                                             ("burgers", "nan")])
+    @pytest.mark.parametrize("amplitude", [1e154, 1e160, 1e300])
+    def test_huge_data_halts_typed(self, amplitude, kind, reason):
+        # p = 2: max|u|^2 overflows, or leaves a CFL step too small to count
+        # substeps in, so the initial state itself halts; p = 1: the first
+        # step overflows to NaN
+        g = make_grid(64, TWO_PI)
+        u0 = transform(g, amplitude * np.sin(g.x))
+        cfg = SolverConfig(dt_max=0.01, t_end=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            final, halt = run_simulation(u0, make_equation(kind), cfg)
+        assert halt.kind == reason
+        assert final.t == 0.0 and np.all(np.isfinite(final.half))
+
     def test_snapshots_land_exactly(self):
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_burgers")

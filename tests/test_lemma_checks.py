@@ -129,22 +129,18 @@ class TestInterpolation:
 
 class TestPseudoProduct:
     def test_kernel_l1_matches_closed_form(self):
-        result = check_pseudo_product("gaussian", seed=0, num_trials=3)
+        result = check_pseudo_product(seed=0, num_trials=3)
         assert result["kernel_l1"] == pytest.approx(4.0 * np.pi ** 2, rel=1e-6)
 
     def test_factorization_oracle(self):
-        result = check_pseudo_product("gaussian", seed=0, num_trials=1)
+        result = check_pseudo_product(seed=0, num_trials=1)
         assert result["factored_defect"] <= FACTORED_DEFECT_MAX
 
     def test_bound_holds_and_is_seed_stable(self):
-        r0 = check_pseudo_product("gaussian", seed=0, num_trials=20)
-        r1 = check_pseudo_product("gaussian", seed=1, num_trials=20)
+        r0 = check_pseudo_product(seed=0, num_trials=20)
+        r1 = check_pseudo_product(seed=1, num_trials=20)
         assert r0["max_ratio"] < PSEUDO_PRODUCT_RATIO_MAX   # far below the analytic bound
         assert abs(r1["max_ratio"] - r0["max_ratio"]) <= 0.2 * r0["max_ratio"]
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ConfigurationError):
-            check_pseudo_product("cauchy")
 
 
 class TestOscillatoryGaussian:

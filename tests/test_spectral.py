@@ -168,12 +168,9 @@ class TestMultipliers:
         assert abs(sym.evaluate(np.array([-1.0]))[0] + 1j) < 1e-14
 
     def test_fractional_range(self):
-        with pytest.raises(ConfigurationError):
-            fractional_dispersion_symbol(0.5)
-        sym = fractional_dispersion_symbol(0.5, permissive=True)
-        assert abs(sym.evaluate(np.array([4.0]))[0] - 8j) < 1e-12
-        with pytest.raises(ConfigurationError):
-            fractional_dispersion_symbol(-1.5, permissive=True)
+        for alpha in (0.5, 0.0, -1.5, float("nan")):
+            with pytest.raises(ConfigurationError):
+                fractional_dispersion_symbol(alpha)
 
     def test_whitham_symbol(self):
         sym = whitham_scalar_symbol(None)
