@@ -14,8 +14,6 @@ from .spectral import (  # noqa: F401
     apply_multiplier,
     fractional_dispersion_symbol,
     whitham_scalar_symbol,
-    lp_project,
-    compute_norm,
     dealias,
 )
 from .equations import EquationSpec, make_equation, nonlinearity, linearized  # noqa: F401

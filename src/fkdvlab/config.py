@@ -61,6 +61,13 @@ def _numbers(section: str, key: str, raw: str) -> tuple:
         raise ConfigurationError(f"[{section}] {key}: not a number list: {raw!r}") from None
 
 
+def _integers(section: str, key: str, raw: str) -> tuple:
+    values = _numbers(section, key, raw)
+    if not all(v.is_integer() for v in values):
+        raise ConfigurationError(f"[{section}] {key}: expected integers, got {raw!r}")
+    return tuple(int(v) for v in values)
+
+
 def _name(section: str, key: str, raw: str) -> str:
     return raw.strip().lower()
 
@@ -88,7 +95,7 @@ _SECTIONS = {
                       "blowup_factor", "detect_dt", "sobolev_order", "z_weight",
                       "epsilon_bar"),
               **_same(_integer, "refine_start", "refine_max"),
-              **_same(_numbers, "eps_list", "j_list")},
+              **_same(_numbers, "eps_list"), **_same(_integers, "j_list")},
 }
 
 

@@ -18,6 +18,7 @@ from .errors import ConfigurationError
 from .spectral import (
     Grid,
     MultiplierSymbol,
+    dealias_keep,
     dealias_mask,
     fractional_dispersion_symbol,
     half_inverse_transform,
@@ -77,17 +78,24 @@ class EquationSpec:
             self._linear_cache[key] = entry
         return entry[1], entry[2]
 
-    def nonlinear_multipliers(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        """Input dealias mask and output multiplier c*i*xi*mask/(p+1) of the
-        nonlinearity on the half spectrum (cached per grid)."""
+    def band_length(self, grid: Grid) -> int:
+        """Modes k = 0 ... m - 1 of the half spectrum that the nonlinearity
+        reads and writes: m = dealias_keep(n, p + 1) + 1."""
+        return dealias_keep(grid.n_points, self.dealias_degree) + 1
+
+    def nonlinear_multiplier(self, grid: Grid) -> np.ndarray:
+        """Output multiplier c*i*xi/(p+1) of the nonlinearity on the kept band
+        k = 0 ... m - 1 (cached per grid)."""
         key = ("nonlinear", grid.key())
-        pair = self._linear_cache.get(key)
-        if pair is None:
+        multiplier = self._linear_cache.get(key)
+        if multiplier is None:
             mask = half_table(grid, dealias_mask(grid, self.dealias_degree))
             scale = self.nonlinearity_coefficient / (self.nonlinearity_degree + 1)
-            pair = (mask, scale * 1j * half_table(grid, grid.wavenumbers) * mask)
-            self._linear_cache[key] = pair
-        return pair
+            # the band of the full masked table, so the values match it bitwise
+            multiplier = (scale * 1j * half_table(grid, grid.wavenumbers)
+                          * mask)[:self.band_length(grid)]
+            self._linear_cache[key] = multiplier
+        return multiplier
 
     def params(self) -> dict:
         out = {}
@@ -193,17 +201,19 @@ def linearized(eq: EquationSpec) -> EquationSpec:
 
 def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray) -> np.ndarray:
     """Spectral right-hand side c * d/dx(u^{p+1}/(p+1)), alias-free, of a
-    field given by its half spectrum (``spectral.half_spectrum``); the
-    result is a half spectrum too.
+    field given by its half spectrum (``spectral.half_spectrum``).
 
-    The dealias mask for degree p+1 is applied to the input before the
-    pointwise power and to the output after differentiation, so retained
-    modes carry the exact truncated convolution.  The output mask,
-    derivative, coefficient and 1/(p+1) form one cached multiplier.
+    Only the kept band k = 0 ... m - 1 (``EquationSpec.band_length``, the
+    dealias rule for degree p+1) enters and leaves: the synthesis reads
+    ``half[:m]``, zero-padded to n by the inverse real FFT, and the result
+    is the band of length m, every mode above it being zero.  Retained
+    modes carry the exact truncated convolution.  The derivative,
+    coefficient and 1/(p+1) form one cached band multiplier.
     """
+    multiplier = eq.nonlinear_multiplier(grid)
+    m = len(multiplier)
     if eq.nonlinearity_coefficient == 0.0:
-        return np.zeros(grid.n_points // 2 + 1, dtype=complex)
-    mask, multiplier = eq.nonlinear_multipliers(grid)
-    v = half_inverse_transform(grid, half * mask)
+        return np.zeros(m, dtype=complex)
+    v = half_inverse_transform(grid, half[:m])
     power = v * v if eq.nonlinearity_degree == 1 else v * v * v
-    return multiplier * half_transform(grid, power)
+    return multiplier * half_transform(grid, power, m)

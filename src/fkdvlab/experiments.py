@@ -192,6 +192,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.study == "scattering" and cfg.t_end < 64.0:
         raise ConfigurationError(
             f"[solver] t_end: the scattering study requires t_end >= 64, got {cfg.t_end}")
+    if not all(isinstance(j, (int, np.integer)) for j in cfg.j_list):
+        raise ConfigurationError(
+            f"[study] j_list: Sobolev orders must be integers, got {cfg.j_list}")
+    if cfg.study == "longwave" and not cfg.j_list:
+        raise ConfigurationError("[study] j_list: the longwave study needs at least "
+                                 "one Sobolev order")
     if cfg.study == "longwave" and len(cfg.eps_list) < 2:
         raise ConfigurationError(f"[study] eps_list: the longwave study needs at "
                                  f"least two values, got {cfg.eps_list}")

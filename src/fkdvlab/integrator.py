@@ -153,21 +153,26 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
 
     Stage values live in the original (unconjugated) spectral variable; the
     conjugation enters only through the exact exponentials exp(theta*dt*L).
-    Every stage is a half spectrum; the exponentials' zero Nyquist slot
-    keeps the Nyquist mode zero.
+    The nonlinearity reads and writes only the kept band k < m
+    (``EquationSpec.band_length``), so the four stages run on that band;
+    above it every stage term is zero and the new state is exp(dt*L) v
+    exactly.  The exponentials' zero Nyquist slot keeps the Nyquist mode
+    zero.
     """
     if dt == 0.0:
         return state
     grid = state.grid
     e_full, e_half = eq.linear_exponentials(grid, dt)
+    m = eq.band_length(grid)
 
-    v = state.half
+    new_half = e_full * state.half
+    v, ev, e_full, e_half = state.half[:m], new_half[:m], e_full[:m], e_half[:m]
     k1 = nonlinearity(eq, grid, v)
     k2 = nonlinearity(eq, grid, e_half * (v + 0.5 * dt * k1))
     k3 = nonlinearity(eq, grid, e_half * v + 0.5 * dt * k2)
-    k4 = nonlinearity(eq, grid, e_full * v + dt * e_half * k3)
+    k4 = nonlinearity(eq, grid, ev + dt * e_half * k3)
 
-    new_half = e_full * v + (dt / 6.0) * (
+    new_half[:m] = ev + (dt / 6.0) * (
         e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
     return SolverState.from_half(state.t + dt, grid, new_half)
 

@@ -108,14 +108,15 @@ class SpectralField:
                 f"grid with {self.grid.n_points} points")
 
 
-def half_transform(grid: Grid, samples: np.ndarray) -> np.ndarray:
+def half_transform(grid: Grid, samples: np.ndarray, modes: int | None = None) -> np.ndarray:
     """Real samples -> half spectrum: coefficients of modes k = 0 ... n/2 in
     real-FFT order, the Nyquist mode last, continuous normalization.
 
     A real field is Hermitian, so these n/2 + 1 coefficients determine it;
-    ``full_spectrum`` mirrors them into the ascending layout.
+    ``full_spectrum`` mirrors them into the ascending layout.  ``modes``
+    keeps only the first ``modes`` coefficients, k = 0 ... modes - 1.
     """
-    return np.fft.rfft(samples) * (grid.dx / _SQRT_2PI)
+    return np.fft.rfft(samples)[:modes] * (grid.dx / _SQRT_2PI)
 
 
 def half_inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
@@ -226,15 +227,6 @@ class MultiplierSymbol:
         return values
 
 
-def is_skew(symbol: MultiplierSymbol, xi: np.ndarray, tol: float = 1e-12) -> bool:
-    """True if m(-xi) == conj(m(xi)) and m is purely imaginary on ``xi``."""
-    m = np.asarray(symbol.evaluate(xi), dtype=complex)
-    m_neg = np.asarray(symbol.evaluate(-xi), dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    return (np.max(np.abs(m.real)) <= tol * scale
-            and np.max(np.abs(m_neg - np.conj(m))) <= tol * scale)
-
-
 def apply_multiplier(fld: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
     return SpectralField(fld.grid, fld.coeffs * symbol.on_grid(fld.grid))
 
@@ -324,30 +316,6 @@ class DyadicCutoffs:
 CUTOFFS = DyadicCutoffs()
 
 
-def lp_project(fld: SpectralField, j: int, mode: str = "band") -> SpectralField:
-    """Dyadic projection: ``band`` multiplies by psi_j, ``low`` by phi_j.
-
-    The high-pass projection is obtainable as identity minus ``low``.
-    """
-    xi = fld.grid.wavenumbers
-    if mode == "band":
-        mask = CUTOFFS.psi_j(xi, j)
-    elif mode == "low":
-        mask = CUTOFFS.phi_j(xi, j)
-    else:
-        raise ConfigurationError(f"unknown projection mode {mode!r}")
-    return SpectralField(fld.grid, fld.coeffs * mask)
-
-
-def active_band_range(grid: Grid) -> tuple[int, int]:
-    """Dyadic indices j for which psi_j can be nonzero on this grid."""
-    xi_min_pos = grid.dxi
-    xi_max = float(np.max(np.abs(grid.wavenumbers)))
-    j_lo = int(np.floor(np.log2(xi_min_pos))) - 1
-    j_hi = int(np.ceil(np.log2(xi_max))) + 1
-    return j_lo, j_hi
-
-
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
@@ -355,11 +323,6 @@ def active_band_range(grid: Grid) -> tuple[int, int]:
 def norm_l2(fld: SpectralField) -> float:
     u = inverse_transform(fld)
     return float(np.sqrt(np.sum(u * u) * fld.grid.dx))
-
-
-def norm_l1(fld: SpectralField) -> float:
-    u = inverse_transform(fld)
-    return float(np.sum(np.abs(u)) * fld.grid.dx)
 
 
 def norm_linf(fld: SpectralField) -> float:
@@ -417,28 +380,6 @@ def norm_h11(fld: SpectralField, warn: bool = True) -> float:
     xc = fld.grid.x - fld.grid.x_center
     weighted = np.sqrt(1.0 + xc * xc) * u
     return norm_sobolev(transform(fld.grid, weighted), 1.0)
-
-
-def compute_norm(fld: SpectralField, kind: str, param: float | None = None) -> float:
-    """Dispatch by norm name: l2 | linf | l1 | sobolev | z | h11.
-
-    ``param`` carries the Sobolev order (default 8) or the Z weight
-    (default 10); it is ignored for the other kinds.
-    """
-    kind = kind.lower()
-    if kind == "l2":
-        return norm_l2(fld)
-    if kind == "linf":
-        return norm_linf(fld)
-    if kind == "l1":
-        return norm_l1(fld)
-    if kind == "sobolev":
-        return norm_sobolev(fld, 8.0 if param is None else float(param))
-    if kind == "z":
-        return norm_z(fld, 10.0 if param is None else float(param))
-    if kind == "h11":
-        return norm_h11(fld)
-    raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 
 def mean_integral(fld: SpectralField) -> float:

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,7 +76,20 @@ class TestConfigParsing:
                                "eps_list = 0.2, 0.1\nj_list = 0, 1\n")
         cfg, _ = parse_config(path)
         assert cfg.eps_list == (0.2, 0.1)
-        assert cfg.j_list == (0.0, 1.0)
+        assert cfg.j_list == (0, 1)
+        assert all(type(j) is int for j in cfg.j_list)
+
+    def test_integer_j_list_names_series_like_the_default(self, tmp_path):
+        # j_list entries are Sobolev orders; read as floats they named the
+        # columns and verdicts e0.0, e1.0 instead of the default run's e0, e1
+        path = write(tmp_path, "[run]\nstudy = longwave\n[grid]\nn_points = 256\n"
+                               "[study]\neps_list = 0.2, 0.1\nj_list = 0, 1\nt_eval = 2\n")
+        out = tmp_path / "out"
+        cli_dispatch(["longwave", "--config", path, "--out", str(out)])
+        header = (out / "longwave" / "longwave_eps0.2.csv").read_text().splitlines()[0]
+        assert header == "t,e0,e1"
+        report = json.loads((out / "longwave" / "longwave_report.json").read_text())
+        assert "e0_ratio_eps0.2_to_0.1" in {v["name"] for v in report["verdicts"]}
 
     def test_window_ordering_validated(self, tmp_path):
         path = write(tmp_path, "[study]\nfit_t_min = 50\nfit_t_max = 10\n")
@@ -87,6 +102,9 @@ class TestConfigParsing:
         ("[run]\nstudy = decay\n[equation]\nkind = modified_burgers\n", "kind"),
         ("[run]\nstudy = shock\n[equation]\nkind = modified_fkdv\nalpha = -0.5\n", "kind"),
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1\n", "eps_list"),
+        ("[run]\nstudy = longwave\n[study]\nj_list = 0, 1.5\n", r"\[study\] j_list"),
+        ("[run]\nstudy = longwave\n[study]\nj_list = one\n", r"\[study\] j_list"),
+        ("[run]\nstudy = longwave\n[study]\nj_list =\n", r"\[study\] j_list"),
         ("[grid]\nn_points = inf\n", "n_points"),
         ("[run]\nstudy = 100%\n", "study"),
         ("[run]\nthreads = 0\n", r"\[run\] threads"),
@@ -170,7 +188,7 @@ class TestConfigParsing:
                   if f not in ("study", "custom_samples")}
         values.update(seed=3, threads=2, alpha=-0.25, center=1.5, sine_mode=2,
                       amplitude=0.05, sample_dt=0.25, refine_start=256,
-                      j_list=(0.0, 1.0, 2.0), epsilon=values["epsilon"] or 0.2)
+                      j_list=(0, 1, 2), epsilon=values["epsilon"] or 0.2)
         lines = []
         for section, keys in _SECTIONS.items():
             lines.append(f"[{section}]")
@@ -267,6 +285,18 @@ class TestSeriesIO:
 class TestCliDispatch:
     def test_no_arguments_usage(self, capsys):
         assert cli_dispatch([]) == 2
+
+    def test_module_entry_point_runs(self, tmp_path):
+        # `python -m fkdvlab.cli` must dispatch, not import and exit 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "fkdvlab.cli", "lemmas", "--only", "trilinear",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "lemma_checks.json").is_file()
 
     def test_unknown_subcommand(self):
         assert cli_dispatch(["conquer"]) == 2

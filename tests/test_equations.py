@@ -18,7 +18,6 @@ from fkdvlab.spectral import (
     half_spectrum,
     half_transform,
     hermitize,
-    is_skew,
     make_grid,
 )
 
@@ -43,11 +42,28 @@ def reference_nonlinearity(eq, u_hat):
     return dealias(SpectralField(grid, eq.nonlinearity_coefficient * out), degree).coeffs
 
 
+def zero_padded(grid, band):
+    """A band k = 0 ... m - 1 as a half spectrum, zero above the band."""
+    half = np.zeros(grid.n_points // 2 + 1, dtype=complex)
+    half[:len(band)] = band
+    return half
+
+
 def full_nonlinearity(eq, u_hat):
-    """The solver's half-spectrum nonlinearity of a full-spectrum field,
-    mirrored back into the full spectrum."""
+    """The solver's band-limited nonlinearity of a full-spectrum field,
+    zero-padded and mirrored back into the full spectrum."""
     grid = u_hat.grid
-    return full_spectrum(grid, nonlinearity(eq, grid, half_spectrum(u_hat)))
+    band = nonlinearity(eq, grid, half_spectrum(u_hat))
+    return full_spectrum(grid, zero_padded(grid, band))
+
+
+def is_skew(symbol, xi, tol=1e-12):
+    """True if m(-xi) == conj(m(xi)) and m is purely imaginary on ``xi``."""
+    m = np.asarray(symbol.evaluate(xi), dtype=complex)
+    m_neg = np.asarray(symbol.evaluate(-xi), dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    return (np.max(np.abs(m.real)) <= tol * scale
+            and np.max(np.abs(m_neg - np.conj(m))) <= tol * scale)
 
 
 def random_band_limited(grid, band, rng, amplitude=0.5):
@@ -206,5 +222,33 @@ class TestNonlinearity:
         g = make_grid(32, TWO_PI)
         eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
         out = nonlinearity(eq, g, half_transform(g, np.sin(g.x)))
-        assert out.shape == (g.n_points // 2 + 1,)
+        assert out.shape == (eq.band_length(g),)
         assert np.all(out == 0)
+
+
+class TestBandContract:
+    """The nonlinearity reads and writes only the kept band k < m."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 1024, 8192])
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
+    def test_band_length(self, kind, n):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(n, TWO_PI)
+        expected = n // 4 + 1 if eq.nonlinearity_degree == 2 else n // 3 + 1
+        assert eq.band_length(g) == expected
+        assert eq.nonlinear_multiplier(g).shape == (expected,)
+        out = nonlinearity(eq, g, half_transform(g, 0.1 * np.sin(g.x)))
+        assert out.shape == (expected,)
+
+    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    def test_modes_above_band_are_not_read(self, kind):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(256, 16.0 * np.pi)
+        rng = np.random.default_rng(len(kind))
+        half = half_spectrum(random_band_limited(g, g.n_points // 2 - 1, rng))
+        m = eq.band_length(g)
+        changed = half.copy()
+        changed[m:] = 1e3 * (rng.normal(size=len(half) - m)
+                             + 1j * rng.normal(size=len(half) - m))
+        assert np.array_equal(nonlinearity(eq, g, half), nonlinearity(eq, g, changed))
+        assert np.array_equal(nonlinearity(eq, g, half), nonlinearity(eq, g, half[:m]))

@@ -74,6 +74,9 @@ class TestConfigAndData:
         ("longwave", {"equation": "bogus"}, r"\[equation\] kind"),
         ("decay", {"threads": 0}, r"\[run\] threads"),
         ("decay", {"seed": -1}, r"\[run\] seed"),
+        ("longwave", {"j_list": (0.0, 1.0)}, r"\[study\] j_list"),
+        ("decay", {"j_list": (0, 0.5)}, r"\[study\] j_list"),
+        ("longwave", {"j_list": ()}, r"\[study\] j_list"),
     ])
     def test_direct_construction_validated(self, study, override, key):
         with pytest.raises(ConfigurationError, match=key):

@@ -260,6 +260,44 @@ class TestStep:
         assert np.log2(errs[0] / errs[1]) >= 3.9
 
 
+class TestBandLimitedStep:
+    """Above the kept band the step is the exact linear flow, and each step
+    costs the four stages' transforms and nothing more."""
+
+    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    def test_above_band_is_linear_flow(self, kind):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(256, 16.0 * np.pi)
+        rng = np.random.default_rng(len(kind))
+        c = rng.normal(size=256) + 1j * rng.normal(size=256)
+        state = SolverState(0.0, SpectralField(g, 0.05 * c))
+        dt = 0.03
+        out = step_ifrk4(state, dt, eq)
+        m = eq.band_length(g)
+        e_full, _ = eq.linear_exponentials(g, dt)
+        assert np.array_equal(out.half[m:], e_full[m:] * state.half[m:])
+        assert out.half[-1] == 0.0
+
+    @pytest.mark.parametrize("kind", ["modified_fkdv", "fkdv", "modified_burgers"])
+    def test_four_real_transform_pairs_per_step(self, kind, monkeypatch):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(512, 16.0 * np.pi)
+        state = SolverState(0.0, gaussian_field(g, amplitude=0.5))
+        lengths = {"rfft": [], "irfft": []}
+
+        def counted(name, func):
+            def wrapper(a, n=None, *args, **kwargs):
+                result = func(a, n, *args, **kwargs)
+                lengths[name].append(len(result) if name == "irfft" else len(a))
+                return result
+            return wrapper
+
+        for name in lengths:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        step_ifrk4(state, 0.05, eq)
+        assert lengths == {"rfft": [512] * 4, "irfft": [512] * 4}
+
+
 class TestExponentialCache:
     @staticmethod
     def cached_exponentials(eq):

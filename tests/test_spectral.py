@@ -8,10 +8,8 @@ from fkdvlab.errors import BoundaryMassWarning, ConfigurationError, ShapeError
 from fkdvlab.spectral import (
     CUTOFFS,
     SpectralField,
-    active_band_range,
     apply_multiplier,
     boundary_mass_fraction,
-    compute_norm,
     dealias,
     dealias_keep,
     dealias_mask,
@@ -24,7 +22,6 @@ from fkdvlab.spectral import (
     hermitian_defect,
     hermitize,
     inverse_transform,
-    lp_project,
     make_grid,
     mean_integral,
     norm_h11,
@@ -201,38 +198,12 @@ class TestDyadicCutoffs:
             outside = (np.abs(xi) < 2.0 ** (j - 1) - 1e-9) | (np.abs(xi) > 2.0 ** (j + 1) + 1e-9)
             assert np.max(np.abs(band[outside])) == 0.0
 
-    def test_single_mode_projections(self):
-        g = make_grid(64, TWO_PI)
-        c = np.zeros(64, complex)
-        c[np.argmin(np.abs(g.wavenumbers - 1.0))] = 1.0
-        f = SpectralField(g, c)
-        assert np.allclose(lp_project(f, 0, "band").coeffs, f.coeffs)
-        assert np.max(np.abs(lp_project(f, 5, "band").coeffs)) == 0.0
-
-    def test_low_plus_bands_reconstruct(self):
-        rng = np.random.default_rng(5)
-        g = make_grid(128, TWO_PI)
-        f = transform(g, rng.normal(size=128))
-        j_lo, j_hi = active_band_range(g)
-        total = lp_project(f, j_lo, "low").coeffs.copy()
-        for j in range(j_lo + 1, j_hi + 1):
-            total += lp_project(f, j, "band").coeffs
-        assert np.max(np.abs(total - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
-
     def test_disjoint_band_product_is_exactly_zero(self):
         g = make_grid(256, TWO_PI)
         xi = g.wavenumbers
         for j in (0, 1):
             overlap = CUTOFFS.psi_j(xi, j) * CUTOFFS.psi_j(xi, j + 2)
             assert np.max(np.abs(overlap)) == 0.0
-
-    def test_projection_squared_cutoff(self):
-        rng = np.random.default_rng(9)
-        g = make_grid(64, TWO_PI)
-        f = transform(g, rng.normal(size=64))
-        twice = lp_project(lp_project(f, 2, "band"), 2, "band")
-        expected = SpectralField(g, CUTOFFS.psi_j(g.wavenumbers, 2) ** 2 * f.coeffs)
-        assert np.allclose(twice.coeffs, expected.coeffs)
 
 
 class TestNorms:
@@ -283,14 +254,6 @@ class TestNorms:
         assert boundary_mass_fraction(f) > 1e-6
         with pytest.warns(BoundaryMassWarning):
             norm_h11(f)
-
-    def test_compute_norm_dispatch(self):
-        g = make_grid(64, TWO_PI)
-        f = transform(g, np.sin(g.x))
-        assert compute_norm(f, "l2") == pytest.approx(np.sqrt(np.pi), rel=1e-12)
-        assert compute_norm(f, "linf") == pytest.approx(1.0, rel=1e-6)
-        with pytest.raises(ConfigurationError):
-            compute_norm(f, "nope")
 
     def test_mean_integral(self):
         g = make_grid(64, TWO_PI)
