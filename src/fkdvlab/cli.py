@@ -30,9 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help='output directory (default: [run] out_dir, else "runs")')
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: [run] seed, else 0)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="bound of the longwave sweep's run pool "
-                             "(default: [run] threads, else 1)")
     parser = argparse.ArgumentParser(
         prog="fkdvlab",
         description="Pseudospectral lab for weakly dispersive equations "
@@ -55,20 +52,17 @@ def _load_config(args, study: str | None = None):
 
     A config file configures the study it names; any other study invoked in
     the same call (e.g. via `all`) runs with its own defaults and the file's
-    seed and threads.  With no study given, the file's own study is kept.
-    --out beats [run] out_dir, which beats "runs"; --seed and --threads
-    beat [run] seed and [run] threads.
+    seed.  With no study given, the file's own study is kept.  --out beats
+    [run] out_dir, which beats "runs"; --seed beats [run] seed.
     """
     if args.config:
         cfg, out_dir = parse_config(args.config)
         if study is not None and cfg.study != study:
-            cfg = default_config(study, seed=cfg.seed, threads=cfg.threads)
+            cfg = default_config(study, seed=cfg.seed)
     else:
         cfg, out_dir = default_config(study or "decay"), None
-    flags = {key: getattr(args, key) for key in ("seed", "threads")
-             if getattr(args, key) is not None}
-    if flags:
-        cfg = replace(cfg, **flags)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
         validate_config(cfg)
     return cfg, args.out or out_dir or "runs"
 

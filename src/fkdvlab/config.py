@@ -85,7 +85,7 @@ def _same(parse, *keys: str) -> dict:
 #: beside the config.
 _SECTIONS = {
     "run": {"study": ("study", _name), "seed": ("seed", _integer),
-            "threads": ("threads", _integer), "out_dir": ("out_dir", _path)},
+            "out_dir": ("out_dir", _path)},
     "equation": {"kind": ("equation", _name), **_same(_number, "alpha", "epsilon")},
     "grid": {**_same(_integer, "n_points"), **_same(_number, "box_length")},
     "initial": {"kind": ("initial_kind", _name), **_same(_integer, "sine_mode"),

@@ -29,7 +29,7 @@ from .errors import (
     InsufficientDataError,
     SequencingError,
 )
-from .spectral import Grid, SpectralField
+from .spectral import NOISE_FLOOR, Grid, SpectralField
 
 #: Fitted-rate sentinel for a stationary corrected-profile sequence.
 STATIONARY_RATE = float("-inf")
@@ -113,11 +113,10 @@ def corrected_profile(snap: ProfileSnapshot, acc: PhaseAccumulator) -> SpectralF
     return SpectralField(snap.f_hat.grid, np.exp(1j * acc.H) * snap.f_hat.coeffs)
 
 
-def z_distance(g1: SpectralField, g2: SpectralField, weight: float = 10.0,
-               noise_floor: float = 1e-14) -> float:
+def z_distance(g1: SpectralField, g2: SpectralField, weight: float = 10.0) -> float:
     """max over grid xi of (1+|xi|)^weight |g2 - g1|.
 
-    Differences below ``noise_floor`` times the larger field's spectral peak
+    Differences below ``NOISE_FLOOR`` times the larger field's spectral peak
     are below double-precision measurement resolution and count as zero, so
     large weights do not turn round-off into a reported distance.
     """
@@ -127,7 +126,7 @@ def z_distance(g1: SpectralField, g2: SpectralField, weight: float = 10.0,
     diff = np.abs(g2.coeffs - g1.coeffs)
     scale = max(float(np.max(np.abs(g1.coeffs))), float(np.max(np.abs(g2.coeffs))))
     if scale > 0.0:
-        diff = np.where(diff >= noise_floor * scale, diff, 0.0)
+        diff = np.where(diff >= NOISE_FLOOR * scale, diff, 0.0)
     return float(np.max((1.0 + np.abs(xi)) ** weight * diff))
 
 

@@ -97,16 +97,8 @@ class EquationSpec:
             self._linear_cache[key] = multiplier
         return multiplier
 
-    def params(self) -> dict:
-        out = {}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        return out
 
-
-ZERO_SYMBOL = MultiplierSymbol(lambda xi: np.zeros_like(np.asarray(xi, dtype=complex)), "0")
+ZERO_SYMBOL = MultiplierSymbol(lambda xi: np.zeros_like(np.asarray(xi, dtype=complex)))
 
 
 def _mkdv_symbol(epsilon: float) -> MultiplierSymbol:
@@ -119,7 +111,7 @@ def _mkdv_symbol(epsilon: float) -> MultiplierSymbol:
         xi = np.asarray(xi, dtype=float)
         return -1j * xi + 1j * (epsilon / 6.0) * xi ** 3
 
-    return MultiplierSymbol(evaluate, f"-i*xi + i*({epsilon}/6)*xi^3")
+    return MultiplierSymbol(evaluate)
 
 
 #: The registry proper: the equations the studies quantify.
@@ -162,7 +154,7 @@ def make_equation(kind: str, alpha: float | None = None,
             xi = np.asarray(xi, dtype=float)
             return -1j * xi * _scalar(xi)
 
-        symbol = MultiplierSymbol(evaluate, "-i*xi*(tanh|xi|/|xi|)^(1/2)")
+        symbol = MultiplierSymbol(evaluate)
         p = 2 if kind == "modified_whitham" else 1
         return EquationSpec(kind, symbol, p, -1.0)
 
@@ -177,7 +169,7 @@ def make_equation(kind: str, alpha: float | None = None,
             xi = np.asarray(xi, dtype=float)
             return -1j * xi * _scalar(xi)
 
-        symbol = MultiplierSymbol(evaluate, f"-i*xi*l(sqrt({epsilon})*xi)")
+        symbol = MultiplierSymbol(evaluate)
         return EquationSpec(kind, symbol, 2, -epsilon, epsilon=epsilon)
 
     if kind == "mkdv":

@@ -23,8 +23,3 @@ class InsufficientDataError(ValueError):
 
 class DomainError(ValueError):
     """Evaluation requested too close to a singular locus."""
-
-
-class BoundaryMassWarning(UserWarning):
-    """A localization-sensitive norm was evaluated on a field with
-    non-negligible mass near the box boundary; the result is unreliable."""

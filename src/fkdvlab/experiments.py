@@ -94,7 +94,6 @@ class ExperimentConfig:
     z_weight: float = 10.0
     epsilon_bar: float = 1e6
     seed: int = 0
-    threads: int = 1
     # decay / norms studies
     sample_dt: float = 1.0
     fit_t_min: float = 5.0
@@ -146,8 +145,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"[grid] box_length: must be positive, got {cfg.box_length}")
     if cfg.seed < 0:
         raise ConfigurationError(f"[run] seed: must be nonnegative, got {cfg.seed}")
-    if cfg.threads < 1:
-        raise ConfigurationError(f"[run] threads: must be at least 1, got {cfg.threads}")
     if cfg.equation not in EQUATION_KINDS:
         raise ConfigurationError(f"[equation] kind: unknown kind {cfg.equation!r}; "
                                  f"expected one of {EQUATION_KINDS}")
@@ -176,6 +173,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not (cfg.fit_t_min < cfg.fit_t_max):
         raise ConfigurationError(
             f"[study] fit window: t_min {cfg.fit_t_min} must precede t_max {cfg.fit_t_max}")
+    for key in ("sample_dt", "detect_dt"):
+        value = getattr(cfg, key)
+        if not (value > 0):
+            raise ConfigurationError(f"[study] {key}: must be positive, got {value}")
+    if not all(eps > 0 for eps in cfg.eps_list):
+        raise ConfigurationError(
+            f"[study] eps_list: values must be positive, got {cfg.eps_list}")
     if not (cfg.amplitude >= 0):
         raise ConfigurationError(
             f"[initial] amplitude: must be nonnegative, got {cfg.amplitude}")
@@ -292,7 +296,7 @@ def measure_smallness(u0: SpectralField, cfg: ExperimentConfig) -> dict:
     + weighted-sup contributions, recorded in every manifest."""
     h_n = norm_sobolev(u0, cfg.sobolev_order)
     frac = boundary_mass_fraction(u0)
-    h11 = norm_h11(u0, warn=False)
+    h11 = norm_h11(u0)
     z = norm_z(u0, cfg.z_weight)
     return {"sobolev": h_n, "h11": h11, "z": z, "epsilon0": h_n + h11 + z,
             "boundary_mass_fraction": frac,
@@ -527,13 +531,7 @@ def run_longwave_study(study: Study):
                    for t in times] for j in cfg.j_list}
         return {"times": times, "e": e_j}, [halt_u, halt_v]
 
-    # members of the sweep are independent; the pool size bounds parallelism
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            members = list(pool.map(one_epsilon, cfg.eps_list))
-    else:
-        members = [one_epsilon(eps) for eps in cfg.eps_list]
+    members = [one_epsilon(eps) for eps in cfg.eps_list]
 
     errors: dict[float, dict] = {}
     for eps, (data, _) in zip(cfg.eps_list, members):
@@ -732,7 +730,7 @@ def run_norm_growth_study(study: Study):
         frac = boundary_mass_fraction(f_hat)
         if frac > BOUNDARY_MASS_THRESHOLD:
             warned[0] += 1
-        series_11.add(state.t, norm_h11(f_hat, warn=False))
+        series_11.add(state.t, norm_h11(f_hat))
 
     halt = study.simulate(geometric_snapshots(cfg.t_end), observer)
     series_name = study.write_series(

@@ -35,7 +35,7 @@ CFL_BOUND_SLACK = 1e-9
 #: before they reach inf.
 BLOWUP_AMPLITUDE = 1e12
 
-#: Default geometric snapshot ratio; eight nodes per octave keeps the
+#: Ratio of the geometric snapshot schedule; eight nodes per octave keeps the
 #: log-time quadrature of the phase correction second-order accurate.
 SNAPSHOT_RATIO = 2.0 ** 0.125
 
@@ -111,14 +111,13 @@ class HaltReason:
         return self.kind == "completed"
 
 
-def geometric_snapshots(t_end: float, t_start: float = 1.0,
-                        ratio: float = SNAPSHOT_RATIO) -> tuple:
-    """t_start * ratio^j up to t_end, plus the endpoints."""
+def geometric_snapshots(t_end: float) -> tuple:
+    """SNAPSHOT_RATIO^j (j >= 0) up to t_end, plus the endpoints 0 and t_end."""
     times = [0.0] if t_end > 0 else []
-    t = t_start
+    t = 1.0
     while t < t_end * (1.0 - 1e-12):
         times.append(t)
-        t *= ratio
+        t *= SNAPSHOT_RATIO
     times.append(t_end)
     return tuple(sorted(set(times)))
 

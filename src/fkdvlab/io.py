@@ -40,11 +40,6 @@ def write_series_columns(path: str, abscissa, columns: dict,
                               + [_fmt(columns[name][i]) for name in names]) + "\n")
 
 
-def write_series(series, path: str) -> None:
-    """One named decay series as a two-column CSV."""
-    write_series_columns(path, series.times, {series.name: series.values})
-
-
 def read_series(path: str) -> tuple[list, dict]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")

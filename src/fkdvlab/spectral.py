@@ -27,16 +27,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BoundaryMassWarning, ConfigurationError,
-                     GridMismatchError, ShapeError)
-
-import warnings
+from .errors import ConfigurationError, GridMismatchError, ShapeError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 #: Share of the squared-mass budget allowed in the outer 10% of the box
 #: before a localization-sensitive norm is flagged unreliable.
 BOUNDARY_MASS_THRESHOLD = 1e-6
+
+#: Relative size, against the spectral peak, below which a coefficient (or a
+#: coefficient difference) is transform round-off and counts as zero in the
+#: high-frequency-weighted sup norms.
+NOISE_FLOOR = 1e-14
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -167,11 +169,12 @@ def half_table(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def transform(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Physical samples -> spectral coefficients (ascending wavenumber order).
+    """Real physical samples -> spectral coefficients (ascending wavenumber
+    order).
 
-    Real samples go through ``half_transform``; the negative half is the
+    The samples go through ``half_transform``; the negative half is the
     conjugate mirror of the non-negative one, so the result is exactly
-    Hermitian.
+    Hermitian.  Complex samples are refused: every field here is real.
     """
     samples = np.asarray(samples)
     n = grid.n_points
@@ -179,22 +182,17 @@ def transform(grid: Grid, samples: np.ndarray) -> SpectralField:
         raise ShapeError(
             f"sample array of shape {samples.shape} does not match grid "
             f"with {n} points")
-    if np.iscomplexobj(samples):
-        return SpectralField(
-            grid, np.fft.fftshift(np.fft.fft(samples)) * (grid.dx / _SQRT_2PI))
+    if not np.isrealobj(samples):
+        raise TypeError(f"transform takes real samples, got dtype {samples.dtype}")
     return full_spectrum(grid, half_transform(grid, samples))
 
 
-def inverse_transform(fld: SpectralField, real: bool = True) -> np.ndarray:
-    """Spectral coefficients -> physical samples.
-
-    With ``real=True`` the result is the real part of the synthesis, computed
-    by ``half_inverse_transform`` of the Hermitian part (``half_spectrum``)
-    of the coefficients; for a Hermitian field that drops only the imaginary
-    round-off.  Pass ``real=False`` for genuinely complex synthesis.
+def inverse_transform(fld: SpectralField) -> np.ndarray:
+    """Spectral coefficients -> real physical samples: the real part of the
+    synthesis, computed by ``half_inverse_transform`` of the Hermitian part
+    (``half_spectrum``) of the coefficients.  For a Hermitian field that
+    drops only the imaginary round-off.
     """
-    if not real:
-        return np.fft.ifft(np.fft.ifftshift(fld.coeffs)) * (_SQRT_2PI / fld.grid.dx)
     return half_inverse_transform(fld.grid, half_spectrum(fld))
 
 
@@ -218,7 +216,6 @@ class MultiplierSymbol:
     """A Fourier multiplier m(xi), evaluated pointwise on wavenumber arrays."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    description: str = ""
 
     def on_grid(self, grid: Grid) -> np.ndarray:
         values = np.asarray(self.evaluate(grid.wavenumbers), dtype=complex)
@@ -232,7 +229,7 @@ def apply_multiplier(fld: SpectralField, symbol: MultiplierSymbol) -> SpectralFi
 
 
 def derivative_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol(lambda xi: 1j * xi, "d/dx")
+    return MultiplierSymbol(lambda xi: 1j * xi)
 
 
 def fractional_dispersion_symbol(alpha: float) -> MultiplierSymbol:
@@ -245,7 +242,7 @@ def fractional_dispersion_symbol(alpha: float) -> MultiplierSymbol:
         xi = np.asarray(xi, dtype=float)
         return 1j * np.sign(xi) * np.abs(xi) ** (1.0 + alpha)
 
-    return MultiplierSymbol(evaluate, f"i*xi*|xi|^{alpha}")
+    return MultiplierSymbol(evaluate)
 
 
 def whitham_scalar_symbol(epsilon: float | None = None) -> MultiplierSymbol:
@@ -267,7 +264,7 @@ def whitham_scalar_symbol(epsilon: float | None = None) -> MultiplierSymbol:
         ratio = np.where(small, 1.0 - z * z / 3.0, np.tanh(zsafe) / zsafe)
         return np.sqrt(ratio).astype(complex)
 
-    return MultiplierSymbol(evaluate, f"(tanh(sqrt({eps})|xi|)/(sqrt({eps})|xi|))^(1/2)")
+    return MultiplierSymbol(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +333,10 @@ def norm_sobolev(fld: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(weights * np.abs(fld.coeffs) ** 2) * fld.grid.dxi))
 
 
-def norm_z(fld: SpectralField, weight: float = 10.0,
-           noise_floor: float = 1e-14) -> float:
+def norm_z(fld: SpectralField, weight: float = 10.0) -> float:
     """Weighted sup norm max (1+|xi|)^weight |coeff(xi)|.
 
-    Coefficients below ``noise_floor`` times the spectral peak count as
+    Coefficients below ``NOISE_FLOOR`` times the spectral peak count as
     zero: they are transform round-off, and the high-frequency weight would
     otherwise amplify round-off into the reported norm.
     """
@@ -348,7 +344,7 @@ def norm_z(fld: SpectralField, weight: float = 10.0,
     mag = np.abs(fld.coeffs)
     peak = float(np.max(mag))
     if peak > 0.0:
-        mag = np.where(mag >= noise_floor * peak, mag, 0.0)
+        mag = np.where(mag >= NOISE_FLOOR * peak, mag, 0.0)
     return float(np.max((1.0 + np.abs(xi)) ** weight * mag))
 
 
@@ -364,18 +360,13 @@ def boundary_mass_fraction(fld: SpectralField) -> float:
     return float(np.sum(u[outer] ** 2) / total)
 
 
-def norm_h11(fld: SpectralField, warn: bool = True) -> float:
+def norm_h11(fld: SpectralField) -> float:
     """H^{1,1} norm: H^1 norm of <x - x_center> * u.
 
-    Meaningful only for fields localized away from the box boundary; when the
-    boundary mass fraction exceeds the threshold the value is still returned
-    but a BoundaryMassWarning is emitted.
+    Meaningful only for fields localized away from the box boundary, that is
+    with ``boundary_mass_fraction`` at most ``BOUNDARY_MASS_THRESHOLD``; the
+    callers check that themselves.
     """
-    if warn and boundary_mass_fraction(fld) > BOUNDARY_MASS_THRESHOLD:
-        warnings.warn(
-            "H^{1,1} norm evaluated on a field with boundary mass fraction "
-            f"above {BOUNDARY_MASS_THRESHOLD:g}; result unreliable",
-            BoundaryMassWarning, stacklevel=2)
     u = inverse_transform(fld)
     xc = fld.grid.x - fld.grid.x_center
     weighted = np.sqrt(1.0 + xc * xc) * u

@@ -33,7 +33,6 @@ class TestConfigParsing:
         assert cfg.alpha == -0.5
         assert cfg.n_points == 2 ** 13            # default filled
         assert cfg.width == 0.7                   # study default filled
-        assert cfg.threads == 1
         assert out_dir is None
 
     def test_alpha_out_of_range_rejected(self, tmp_path):
@@ -107,14 +106,24 @@ class TestConfigParsing:
         ("[run]\nstudy = longwave\n[study]\nj_list =\n", r"\[study\] j_list"),
         ("[grid]\nn_points = inf\n", "n_points"),
         ("[run]\nstudy = 100%\n", "study"),
-        ("[run]\nthreads = 0\n", r"\[run\] threads"),
+        ("[run]\nthreads = 2\n", r"unknown key \[run\] threads"),
+        ("[run]\nstudy = decay\n[study]\nsample_dt = 0\n", r"\[study\] sample_dt"),
+        ("[run]\nstudy = decay\n[study]\nsample_dt = -1\n", r"\[study\] sample_dt"),
+        ("[run]\nstudy = shock\n[study]\ndetect_dt = 0\n", r"\[study\] detect_dt"),
+        ("[run]\nstudy = longwave\n[study]\neps_list = 0.1, 0\n", r"\[study\] eps_list"),
+        ("[run]\nstudy = longwave\n[study]\neps_list = 0.1, -0.05\n",
+         r"\[study\] eps_list"),
         ("[run]\nseed = -1\n", r"\[run\] seed"),
         ("[initial]\nkind = bogus\n", r"\[initial\] kind"),
         ("[equation]\nkind = bogus\n", r"\[equation\] kind"),
     ])
-    def test_study_rules_and_odd_values_refused(self, tmp_path, text, key):
+    def test_study_rules_and_odd_values_refused(self, tmp_path, capsys, text, key):
+        config = write(tmp_path, text)
         with pytest.raises(ConfigurationError, match=key):
-            parse_config(write(tmp_path, text))
+            parse_config(config)
+        assert cli_dispatch(["simulate", "--config", config,
+                             "--out", str(tmp_path / "o")]) == 2
+        assert re.search(key, capsys.readouterr().err)
 
     @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
     @pytest.mark.parametrize("section,key,raw,match", [
@@ -126,6 +135,9 @@ class TestConfigParsing:
         ("equation", "epsilon", "nan", r"\[equation\] epsilon"),
         ("study", "fit_t_min", "nan", r"\[study\] fit window"),
         ("study", "fit_t_max", "nan", r"\[study\] fit window"),
+        ("study", "sample_dt", "nan", r"\[study\] sample_dt"),
+        ("study", "detect_dt", "nan", r"\[study\] detect_dt"),
+        ("study", "eps_list", "0.1, nan", r"\[study\] eps_list"),
     ])
     def test_nan_refused_on_every_path(self, tmp_path, capsys, path, section, key,
                                        raw, match):
@@ -186,7 +198,7 @@ class TestConfigParsing:
         # call must resolve to the same configuration
         values = {f: v for f, v in vars(default_config(study)).items()
                   if f not in ("study", "custom_samples")}
-        values.update(seed=3, threads=2, alpha=-0.25, center=1.5, sine_mode=2,
+        values.update(seed=3, alpha=-0.25, center=1.5, sine_mode=2,
                       amplitude=0.05, sample_dt=0.25, refine_start=256,
                       j_list=(0, 1, 2), epsilon=values["epsilon"] or 0.2)
         lines = []
@@ -231,7 +243,7 @@ class TestSeriesIO:
         for t, v in ((1.0, 0.5), (2.0, 0.25), (3.0, 1e-17)):
             series.add(t, v)
         path = str(tmp_path / "s.csv")
-        lab_io.write_series(series, path)
+        lab_io.write_series_columns(path, series.times, {series.name: series.values})
         with open(path) as fh:
             lines = fh.read().strip().split("\n")
         assert lines[0] == "t,linf"
@@ -244,7 +256,7 @@ class TestSeriesIO:
         series = DecaySeries("v")
         series.add(1.0, 1.0 / 3.0)
         path = str(tmp_path / "s.csv")
-        lab_io.write_series(series, path)
+        lab_io.write_series_columns(path, series.times, {series.name: series.values})
         _, cols = lab_io.read_series(path)
         assert cols["v"][0] == 1.0 / 3.0          # bit-exact roundtrip
 
@@ -277,8 +289,8 @@ class TestSeriesIO:
         for i, val in enumerate(rng.random(20)):
             series.add(float(i + 1), float(val))
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        lab_io.write_series(series, p1)
-        lab_io.write_series(series, p2)
+        for path in (p1, p2):
+            lab_io.write_series_columns(path, series.times, {series.name: series.values})
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
@@ -331,15 +343,15 @@ class TestCliDispatch:
     @pytest.mark.parametrize("argv", [
         ["--seed", "7", "lemmas", "--only", "interpolation"],   # before the subcommand
         ["lemmas", "--only", "interpolation", "--seed", "-1"],
-        ["longwave", "--threads", "0"],
+        ["longwave", "--threads", "2"],                         # no such option
     ])
     def test_refused_options_are_status_2(self, tmp_path, argv):
         assert cli_dispatch(argv + ["--out", str(tmp_path)]) == 2
         assert not os.listdir(tmp_path)
 
     def test_flags_beat_ini_run_keys(self, tmp_path, monkeypatch):
-        # --threads 1 beats [run] threads = 2; `all` hands the file's seed
-        # and threads to the studies the file does not configure
+        # --seed beats [run] seed; `all` hands the file's seed to the
+        # studies the file does not configure
         seen = []
 
         def fake_study(cfg, out_dir):
@@ -348,14 +360,28 @@ class TestCliDispatch:
 
         monkeypatch.setattr(cli, "run_study", fake_study)
         monkeypatch.setattr(cli, "run_lemma_checks", lambda *args: (0, {}))
-        ini = write(tmp_path, "[run]\nstudy = longwave\nseed = 3\nthreads = 2\n")
-        assert cli_dispatch(["longwave", "--config", ini, "--threads", "1"]) == 0
+        ini = write(tmp_path, "[run]\nstudy = longwave\nseed = 3\n")
+        assert cli_dispatch(["longwave", "--config", ini, "--seed", "4"]) == 0
         assert cli_dispatch(["longwave", "--config", ini]) == 0
-        assert [(cfg.seed, cfg.threads) for cfg in seen] == [(3, 1), (3, 2)]
+        assert [cfg.seed for cfg in seen] == [4, 3]
+        seen.clear()
+        assert cli_dispatch(["all", "--config", ini]) == 0
+        assert [(cfg.study, cfg.seed) for cfg in seen] == [(study, 3) for study in STUDIES]
         seen.clear()
         assert cli_dispatch(["all", "--config", ini, "--seed", "5"]) == 0
-        assert [(cfg.study, cfg.seed, cfg.threads) for cfg in seen] == [
-            (study, 5, 2) for study in STUDIES]
+        assert [(cfg.study, cfg.seed) for cfg in seen] == [(study, 5) for study in STUDIES]
+
+    def test_subcommand_options(self):
+        # every subcommand takes --config, --out and --seed; lemmas adds --only
+        sub = next(action for action in cli._build_parser()._actions
+                   if action.dest == "command")
+        assert sorted(sub.choices) == sorted(
+            ["simulate", *STUDIES, "lemmas", "all"])
+        for name, parser in sub.choices.items():
+            options = {opt for action in parser._actions
+                       for opt in action.option_strings} - {"-h", "--help"}
+            assert options == {"--config", "--out", "--seed"} | (
+                {"--only"} if name == "lemmas" else set()), name
 
     def test_lemmas_only_trilinear(self, tmp_path, capsys):
         status = cli_dispatch(["lemmas", "--only", "trilinear",

@@ -9,6 +9,7 @@ from fkdvlab.integrator import (
     BLOWUP_AMPLITUDE,
     CFL_BOUND_SLACK,
     CFL_FLOOR,
+    SNAPSHOT_RATIO,
     HaltReason,
     SolverConfig,
     SolverState,
@@ -561,10 +562,14 @@ class TestHaltClassification:
 
 class TestSnapshots:
     def test_geometric_schedule(self):
-        times = geometric_snapshots(4.0, t_start=1.0, ratio=2.0)
+        times = geometric_snapshots(4.0)
         assert times[0] == 0.0
         assert times[-1] == 4.0
-        assert 1.0 in times and 2.0 in times
+        # SNAPSHOT_RATIO^j for j = 0 ... 15 lie below t_end; 2^(16/8) is t_end
+        assert times[1:-1] == pytest.approx([SNAPSHOT_RATIO ** j for j in range(16)],
+                                            rel=1e-14)
+        assert geometric_snapshots(0.5) == (0.0, 0.5)
+        assert geometric_snapshots(0.0) == (0.0,)
 
     def test_halt_reason_dataclass(self):
         h = HaltReason("completed", 3.0)
