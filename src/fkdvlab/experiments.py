@@ -141,8 +141,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     n = cfg.n_points
     if n < 8 or (n & (n - 1)) != 0:
         raise ConfigurationError(f"[grid] n_points: must be a power of two >= 8, got {n}")
-    if not (cfg.box_length > 0):
-        raise ConfigurationError(f"[grid] box_length: must be positive, got {cfg.box_length}")
+    if not (0 < cfg.box_length < np.inf):
+        raise ConfigurationError(
+            f"[grid] box_length: must be positive and finite, got {cfg.box_length}")
     if cfg.seed < 0:
         raise ConfigurationError(f"[run] seed: must be nonnegative, got {cfg.seed}")
     if cfg.equation not in EQUATION_KINDS:
@@ -160,31 +161,34 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.equation in ("rescaled_modified_whitham", "mkdv"):
         if cfg.epsilon is None and cfg.study != "longwave":
             raise ConfigurationError(f"[equation] epsilon: required for {cfg.equation}")
-        if cfg.epsilon is not None and not (cfg.epsilon > 0):
+        if cfg.epsilon is not None and not (0 < cfg.epsilon < np.inf):
             raise ConfigurationError(
-                f"[equation] epsilon: must be positive, got {cfg.epsilon}")
-    if not (cfg.t_end >= 0):
-        raise ConfigurationError(f"[solver] t_end: must be nonnegative, got {cfg.t_end}")
+                f"[equation] epsilon: must be positive and finite, got {cfg.epsilon}")
+    if not (0 <= cfg.t_end < np.inf):
+        raise ConfigurationError(
+            f"[solver] t_end: must be nonnegative and finite, got {cfg.t_end}")
     if not (0 < cfg.cfl_coefficient <= 1):
         raise ConfigurationError(
             f"[solver] cfl_coefficient: must lie in (0, 1], got {cfg.cfl_coefficient}")
-    if not (cfg.dt_max > 0):
-        raise ConfigurationError(f"[solver] dt_max: must be positive, got {cfg.dt_max}")
-    if not (cfg.fit_t_min < cfg.fit_t_max):
+    if not (0 < cfg.dt_max < np.inf):
         raise ConfigurationError(
-            f"[study] fit window: t_min {cfg.fit_t_min} must precede t_max {cfg.fit_t_max}")
+            f"[solver] dt_max: must be positive and finite, got {cfg.dt_max}")
+    if not (-np.inf < cfg.fit_t_min < cfg.fit_t_max < np.inf):
+        raise ConfigurationError(f"[study] fit window: t_min {cfg.fit_t_min} must precede "
+                                 f"t_max {cfg.fit_t_max}, both finite")
     for key in ("sample_dt", "detect_dt"):
         value = getattr(cfg, key)
-        if not (value > 0):
-            raise ConfigurationError(f"[study] {key}: must be positive, got {value}")
-    if not all(eps > 0 for eps in cfg.eps_list):
+        if not (0 < value < np.inf):
+            raise ConfigurationError(f"[study] {key}: must be positive and finite, got {value}")
+    if not all(0 < eps < np.inf for eps in cfg.eps_list):
         raise ConfigurationError(
-            f"[study] eps_list: values must be positive, got {cfg.eps_list}")
-    if not (cfg.amplitude >= 0):
+            f"[study] eps_list: values must be positive and finite, got {cfg.eps_list}")
+    if not (0 <= cfg.amplitude < np.inf):
         raise ConfigurationError(
-            f"[initial] amplitude: must be nonnegative, got {cfg.amplitude}")
-    if not (cfg.width > 0):
-        raise ConfigurationError(f"[initial] width: must be positive, got {cfg.width}")
+            f"[initial] amplitude: must be nonnegative and finite, got {cfg.amplitude}")
+    if not (0 < cfg.width < np.inf):
+        raise ConfigurationError(
+            f"[initial] width: must be positive and finite, got {cfg.width}")
     if cfg.study in ("decay", "shock") and \
             cfg.make_eq().is_dispersive != (cfg.study == "decay"):
         need = "dispersive" if cfg.study == "decay" else "dispersionless"

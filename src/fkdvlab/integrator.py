@@ -48,15 +48,16 @@ class SolverConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if not (self.dt_max > 0):
-            raise ConfigurationError(f"dt_max must be positive, got {self.dt_max}")
+        if not (0 < self.dt_max < np.inf):
+            raise ConfigurationError(f"dt_max must be positive and finite, got {self.dt_max}")
         if not (0.0 < self.cfl_coefficient <= 1.0):
             raise ConfigurationError(
                 f"cfl_coefficient must lie in (0, 1], got {self.cfl_coefficient}")
-        if not (self.t_end >= 0):
-            raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (0 <= self.t_end < np.inf):
+            raise ConfigurationError(
+                f"t_end must be nonnegative and finite, got {self.t_end}")
         times = tuple(float(t) for t in self.snapshot_times)
-        if any(t < 0 or t > self.t_end + 1e-12 for t in times):
+        if not all(0 <= t <= self.t_end + 1e-12 for t in times):
             raise ConfigurationError("snapshot times must lie within [0, t_end]")
         if list(times) != sorted(times):
             raise ConfigurationError("snapshot times must be sorted")

@@ -13,7 +13,6 @@ All checks are deterministic given their seed and pure per parameter tuple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +48,15 @@ def _dispersion(alpha: float, xi):
     """a(xi) = sign(xi) |xi|^(1+alpha): the real odd dispersion function."""
     xi = np.asarray(xi, dtype=float)
     return np.sign(xi) * np.abs(xi) ** (1.0 + alpha)
+
+
+def _even_trapezoid(half_width: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, half_width] and weights of the trapezoid rule for the
+    integral of an even function over [-half_width, half_width]."""
+    nodes, h = np.linspace(0.0, half_width, count, retstep=True)
+    weights = np.full(count, 2.0 * h)
+    weights[[0, -1]] = h
+    return nodes, weights
 
 
 @dataclass
@@ -488,23 +496,28 @@ def trilinear_verdicts(results: list) -> list[Verdict]:
 # Pseudo-product trilinear bound
 # ---------------------------------------------------------------------------
 
+#: Trapezoid nodes of the kernel quadrature: eta on [0, 8] (h = 0.04) and
+#: x on [0, 40] (h = 0.25).  The integrands are entire and gaussian-damped,
+#: so the rule converges exponentially: in eta the truncation error is
+#: e^-64 and aliasing sqrt(pi) e^-((2 pi/h - x)^2/4) <= e^-3400 for |x| <= 40;
+#: in x, |K(x)| = sqrt(pi) e^-(x^2/4) has truncation error e^-400 and
+#: aliasing e^-((2 pi/h)^2) = e^-630, so round-off sets the error.
+_KERNEL_ETA_NODES = 201
+_KERNEL_X_NODES = 161
+
+
 def _kernel_l1_by_quadrature() -> float:
     """L1 norm of the bare 2-D inverse transform of exp(-eta^2-sigma^2).
 
     The kernel is separable, so the norm is the square of the 1-D factor
-    integral_x | integral_eta exp(-eta^2) cos(x eta) d eta | dx, evaluated
-    by adaptive quadrature.
+    integral_x |K(x)| dx with K(x) = integral_eta exp(-eta^2) cos(x eta) d eta,
+    both by even trapezoid rules: one cosine table times the eta weights
+    gives K on the x nodes, one weighted sum integrates |K|.
     """
-    # scipy is imported here, not at module level, so studies never load it
-    from scipy import integrate
-
-    # quad passes plain floats, so the integrands use math, not numpy
-    def inner(x):
-        val, _ = integrate.quad(lambda e: math.exp(-e * e) * math.cos(x * e),
-                                -8.0, 8.0, limit=200)
-        return abs(val)
-    outer, _ = integrate.quad(inner, -40.0, 40.0, limit=400)
-    return outer ** 2
+    eta, w_eta = _even_trapezoid(8.0, _KERNEL_ETA_NODES)
+    x, w_x = _even_trapezoid(40.0, _KERNEL_X_NODES)
+    kernel = np.cos(np.outer(x, eta)) @ (w_eta * np.exp(-eta * eta))
+    return float(w_x @ np.abs(kernel)) ** 2
 
 
 #: Pass thresholds of ``check_pseudo_product``: the factored route must
@@ -625,23 +638,29 @@ def oscillatory_gaussian_closed_form(N: float) -> float:
     return 2.0 * np.pi * N / np.sqrt(4.0 / N ** 2 + N ** 2)
 
 
+#: Trapezoid nodes of the oscillatory gaussian quadrature: x on [0, 8N]
+#: (h = N/100) and y on [0, cap], cap = min(8N, 80/N) (h = cap/400).  The
+#: caps hold each truncated tail below e^-64, and N cap <= 80 keeps the
+#: x-rule's aliasing N sqrt(pi) e^-((N (2 pi/h - y))^2/4) below e^-75000
+#: (N (2 pi/h - y) >= 628 - 80).  In y the integrand is a gaussian of
+#: variance 1/(2 (N^2/4 + 1/N^2)), whose aliasing
+#: e^-((2 pi/h)^2 / (4 (N^2/4 + 1/N^2))) stays below e^-940 for every N.
+_GAUSSIAN_X_NODES = 801
+_GAUSSIAN_Y_NODES = 401
+
+
 def _gaussian_double_integral(N: float) -> float:
-    from scipy import integrate
-
-    def inner(y):
-        # oscillatory-weight quadrature of exp(-(x/N)^2) cos(x y)
-        val, _ = integrate.quad(lambda x: math.exp(-(x / N) ** 2),
-                                -8.0 * N, 8.0 * N, weight="cos", wvar=y,
-                                limit=400)
-        return val
-
+    """int int exp(-(x/N)^2) cos(x y) exp(-(y/N)^2) dx dy over the capped
+    box, by even trapezoid rules: one cosine table times the x weights
+    gives the inner integral on the y nodes, one weighted sum the outer."""
     cap = min(8.0 * N, 80.0 / N)
-    val, _ = integrate.quad(lambda y: inner(y) * math.exp(-(y / N) ** 2),
-                            -cap, cap, limit=400)
-    return val
+    x, w_x = _even_trapezoid(8.0 * N, _GAUSSIAN_X_NODES)
+    y, w_y = _even_trapezoid(cap, _GAUSSIAN_Y_NODES)
+    inner = np.cos(np.outer(y, x)) @ (w_x * np.exp(-(x / N) ** 2))
+    return float(w_y @ (inner * np.exp(-(y / N) ** 2)))
 
 
-_PHI_V_NODES = np.linspace(0.0, 2.0, 2 ** 13 + 1)
+_PHI_V_NODES, _PHI_V_WEIGHTS = _even_trapezoid(2.0, 2 ** 13 + 1)
 _PHI_V_VALUES = CUTOFFS.phi(_PHI_V_NODES)
 
 
@@ -664,9 +683,7 @@ def _cutoff_profile_transform(z_lo: float, z_hi: float, count: int) -> np.ndarra
     """
     z, dz = np.linspace(z_lo, z_hi, count, retstep=True)
     v = _PHI_V_NODES
-    # trapezoid weights in v (phi(0)=1, phi(2)=0 at the endpoints)
-    w = 2.0 * (v[1] - v[0]) * _PHI_V_VALUES
-    w[[0, -1]] *= 0.5
+    w = _PHI_V_WEIGHTS * _PHI_V_VALUES
     base_v = np.outer(z[::_Z_BLOCK], v)
     offset_v = np.outer(v, np.arange(_Z_BLOCK) * dz)
     out = ((np.cos(base_v) * w) @ np.cos(offset_v)

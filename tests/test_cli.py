@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fkdvlab import cli
+from fkdvlab import cli, experiments
 from fkdvlab import io as lab_io
 from fkdvlab.cli import cli_dispatch
 from fkdvlab.config import _SECTIONS, parse_config
@@ -23,6 +23,35 @@ def write(tmp_path, text, name="c.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match):
+    """A 64-point decay config with ``[section] key = raw`` is refused,
+    naming ``match``, by default_config ("direct"), parse_config ("ini") or
+    the CLI with exit status 2 ("cli")."""
+    ini = {"grid": {"n_points": "64"}}
+    ini.setdefault(section, {})[key] = raw
+    if key == "epsilon":
+        ini["equation"]["kind"] = "mkdv"
+    if path == "direct":
+        values = {}
+        for sec, keys in ini.items():
+            for k, text in keys.items():
+                attr, parse = _SECTIONS[sec][k]
+                values[attr] = parse(sec, k, text)
+        with pytest.raises(ConfigurationError, match=match):
+            default_config("decay", **values)
+        return
+    config = write(tmp_path, "".join(
+        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for sec, keys in ini.items()))
+    if path == "ini":
+        with pytest.raises(ConfigurationError, match=match):
+            parse_config(config)
+    else:
+        assert cli_dispatch(["decay", "--config", config,
+                             "--out", str(tmp_path / "o")]) == 2
+        assert re.search(match, capsys.readouterr().err)
 
 
 class TestConfigParsing:
@@ -142,29 +171,33 @@ class TestConfigParsing:
     def test_nan_refused_on_every_path(self, tmp_path, capsys, path, section, key,
                                        raw, match):
         # every range check is written so that NaN fails it
-        ini = {"grid": {"n_points": "64"}}
-        ini.setdefault(section, {})[key] = raw
-        if key == "epsilon":
-            ini["equation"]["kind"] = "mkdv"
-        if path == "direct":
-            values = {}
-            for sec, keys in ini.items():
-                for k, text in keys.items():
-                    attr, parse = _SECTIONS[sec][k]
-                    values[attr] = parse(sec, k, text)
-            with pytest.raises(ConfigurationError, match=match):
-                default_config("decay", **values)
-            return
-        config = write(tmp_path, "".join(
-            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-            for sec, keys in ini.items()))
-        if path == "ini":
-            with pytest.raises(ConfigurationError, match=match):
-                parse_config(config)
-        else:
-            assert cli_dispatch(["decay", "--config", config,
-                                 "--out", str(tmp_path / "o")]) == 2
-            assert re.search(match, capsys.readouterr().err)
+        assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match)
+
+    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("section,key,match", [
+        ("grid", "box_length", r"\[grid\] box_length"),
+        ("solver", "t_end", r"\[solver\] t_end"),
+        ("solver", "dt_max", r"\[solver\] dt_max"),
+        ("initial", "amplitude", r"\[initial\] amplitude"),
+        ("initial", "width", r"\[initial\] width"),
+        ("equation", "epsilon", r"\[equation\] epsilon"),
+        ("study", "fit_t_min", r"\[study\] fit window"),
+        ("study", "fit_t_max", r"\[study\] fit window"),
+        ("study", "sample_dt", r"\[study\] sample_dt"),
+        ("study", "detect_dt", r"\[study\] detect_dt"),
+        ("study", "eps_list", r"\[study\] eps_list"),
+    ])
+    def test_infinity_refused_on_every_path(self, tmp_path, capsys, monkeypatch, path,
+                                            sign, section, key, match):
+        # and so that +-inf fails it; a study must never start on one
+        # (t_end = inf would step forever)
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(experiments, "run_simulation", no_simulation)
+        raw = ("0.1, " if key == "eps_list" else "") + sign + "inf"
+        assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match)
 
     @pytest.mark.parametrize("key,raw", [
         ("exponent_band", "-0.6, -0.4"), ("r2_min", "0.9"), ("slope_max", "0.9"),

@@ -78,6 +78,10 @@ class TestConfigAndData:
         ("shock", {"detect_dt": -0.01}, r"\[study\] detect_dt"),
         ("longwave", {"eps_list": (0.1, 0.0)}, r"\[study\] eps_list"),
         ("longwave", {"eps_list": (0.1, float("nan"))}, r"\[study\] eps_list"),
+        ("decay", {"sample_dt": float("inf")}, r"\[study\] sample_dt"),
+        ("shock", {"detect_dt": float("inf")}, r"\[study\] detect_dt"),
+        ("longwave", {"eps_list": (0.1, float("inf"))}, r"\[study\] eps_list"),
+        ("norms", {"t_end": float("inf")}, r"\[solver\] t_end"),
         ("decay", {"seed": -1}, r"\[run\] seed"),
         ("longwave", {"j_list": (0.0, 1.0)}, r"\[study\] j_list"),
         ("decay", {"j_list": (0, 0.5)}, r"\[study\] j_list"),

@@ -1,5 +1,5 @@
-"""Studies run on numpy alone: scipy is loaded only by the two
-quadrature-based lemma checks, inside the functions that call it."""
+"""fkdvlab runs on numpy alone: neither the studies nor any lemma check,
+the two quadratures included, loads scipy."""
 
 import json
 import os
@@ -30,16 +30,16 @@ for study, lines in inis.items():
         fh.write("\\n".join(lines) + "\\n")
     parse_config(ini)
     cli.cli_dispatch([study, "--config", ini, "--out", out])
+status = cli.cli_dispatch(["lemmas", "--out", out])
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-status = cli.cli_dispatch(["lemmas", "--only", "pseudo_product", "--out", out])
-print(json.dumps({"scipy_after_studies": loaded, "lemmas_status": status}))
+print(json.dumps({"scipy_loaded": loaded, "lemmas_status": status}))
 """
 
 
-def test_studies_never_load_scipy(tmp_path):
+def test_studies_and_lemmas_never_load_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", SCRIPT, SRC, str(tmp_path)],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result["scipy_after_studies"] == []
+    assert result["scipy_loaded"] == []
     assert result["lemmas_status"] == 0

@@ -509,6 +509,16 @@ class TestRunSimulation:
         with pytest.raises(ConfigurationError, match=field):
             SolverConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["dt_max", "t_end"])
+    def test_infinite_config_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_nan_snapshot_time_refused(self):
+        with pytest.raises(ConfigurationError, match="snapshot times"):
+            SolverConfig(t_end=1.0, snapshot_times=(0.5, float("nan")))
+
 
 class TestFullSpectrumReference:
     """The half-spectrum solver against the full-spectrum step it replaced:

@@ -16,6 +16,7 @@ from fkdvlab.lemma_checks import (
     _PHI_V_VALUES,
     _Z_BLOCK,
     _Z_POINTS,
+    _gaussian_double_integral,
     check_dispersive_estimate,
     check_interpolation_inequality,
     check_oscillatory_gaussian,
@@ -130,7 +131,7 @@ class TestInterpolation:
 class TestPseudoProduct:
     def test_kernel_l1_matches_closed_form(self):
         result = check_pseudo_product(seed=0, num_trials=3)
-        assert result["kernel_l1"] == pytest.approx(4.0 * np.pi ** 2, rel=1e-6)
+        assert result["kernel_l1"] == pytest.approx(4.0 * np.pi ** 2, rel=1e-12)
 
     def test_factorization_oracle(self):
         result = check_pseudo_product(seed=0, num_trials=1)
@@ -155,6 +156,12 @@ class TestOscillatoryGaussian:
                                             cutoff_N_check=6.0)
         for entry in result["gaussian"]:
             assert entry["abs_error"] <= GAUSSIAN_CLOSED_FORM_ATOL
+
+    @pytest.mark.parametrize("N", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_trapezoid_rule_reaches_round_off(self, N):
+        # the node counts hold for every N, not only the two the check uses
+        assert _gaussian_double_integral(N) == pytest.approx(
+            oscillatory_gaussian_closed_form(N), rel=1e-12)
 
     def test_cutoff_variant_rate(self):
         result = check_oscillatory_gaussian()
