@@ -64,12 +64,12 @@ def _to_jsonable(obj):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj]
+        return _to_jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and np.isnan(obj):
-        return None
+        return None   # JSON has no NaN token
     return obj
 
 

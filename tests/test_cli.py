@@ -305,6 +305,19 @@ class TestSeriesIO:
         assert back["measured"]["exponent_u"] == -0.47
         assert back["all_passed"] is True
 
+    def test_report_writes_every_nan_as_null(self, tmp_path):
+        # python, numpy scalar and numpy array NaN alike: JSON has no NaN token
+        path = str(tmp_path / "r.json")
+        lab_io.write_report({"a": float("nan"), "b": np.float64("nan"),
+                             "c": np.array([np.nan, 1.5]), "d": np.float32("nan"),
+                             "e": np.array(np.nan), "f": np.array([[2, 3]]),
+                             "g": np.bool_(True)}, path)
+        with open(path) as fh:
+            text = fh.read()
+        assert "NaN" not in text
+        assert json.loads(text) == {"a": None, "b": None, "c": [None, 1.5], "d": None,
+                                    "e": None, "f": [[2, 3]], "g": True}
+
     def test_spectrum_writer(self, tmp_path):
         g = make_grid(16, 2 * np.pi)
         c = np.zeros(16, complex)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,16 @@ from fkdvlab.lemma_checks import (
     INTERPOLATION_DILATION_DEFECT_MAX,
     PSEUDO_PRODUCT_RATIO_MAX,
     TRILINEAR_RTOL,
+    _GAUSSIAN_X_NODES,
+    _GAUSSIAN_Y_NODES,
     _PHI_V_NODES,
     _PHI_V_VALUES,
-    _Z_BLOCK,
+    _PHI_V_WEIGHTS,
     _Z_POINTS,
+    _cutoff_deviation,
+    _even_trapezoid,
     _gaussian_double_integral,
+    _uniform_cosine_sums,
     check_dispersive_estimate,
     check_interpolation_inequality,
     check_oscillatory_gaussian,
@@ -172,6 +179,30 @@ class TestOscillatoryGaussian:
         # the fitted rate of the direct outer-product transform
         assert result["cutoff_rate"] == pytest.approx(-10.347969626776898, rel=1e-9)
 
+    def test_cutoff_error_is_the_deviation(self):
+        # the error is the deviation itself, not |value - 2 pi| quantised to
+        # the ulps of 2 pi (8.9e-16, 1.2e-8 of the error at N = 8)
+        result = check_oscillatory_gaussian(cutoff_N_list=(3.0, 4.0), cutoff_N_check=8.0)
+        for entry in result["cutoff"]:
+            deviation = _cutoff_deviation(entry["N"])
+            assert entry["error"] == abs(deviation)
+            assert entry["value"] == TWO_PI - deviation
+        # the same trapezoid sums in long double give 3.8500382890e-08; the
+        # double-precision round-off of the deviation has a standard
+        # deviation of about 2.3e-9 of it at N = 8
+        assert result["cutoff_check"]["error"] == pytest.approx(3.850038289021687e-08,
+                                                                rel=5e-9)
+
+    def test_peak_traced_allocation(self):
+        # no dense cosine tables: the chirp-z sums allocate O(nodes + points)
+        tracemalloc.start()
+        try:
+            check_oscillatory_gaussian()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 def outer_product_transform(z):
     """The direct trapezoid sum 2 * sum_j w_j phi(v_j) cos(z v_j) on the
@@ -188,15 +219,39 @@ def outer_product_transform(z):
 class TestCutoffProfileTransform:
     @pytest.mark.parametrize("z_lo,z_hi,count", [
         *((N * N, 2.0 * N * N, _Z_POINTS) for N in (3.0, 4.0, 6.0, 8.0)),
-        (0.0, 5.0, 2 * _Z_BLOCK + 3),     # not a multiple of the block size
-        (1.5, 2.0, _Z_BLOCK // 6),        # shorter than one block
+        (0.0, 5.0, 131),
+        (1.5, 2.0, 10),
     ])
     def test_matches_outer_product_sum(self, z_lo, z_hi, count):
-        # the sum's terms are O(1); the factored form only reorders round-off
-        factored = _cutoff_profile_transform(z_lo, z_hi, count)
+        # the sum's terms are O(1); the chirp-z form only reorders round-off
+        chirp = _cutoff_profile_transform(z_lo, z_hi, count)
         direct = outer_product_transform(np.linspace(z_lo, z_hi, count))
-        assert factored.shape == (count,)
-        assert np.max(np.abs(factored - direct)) <= 1e-13
+        assert chirp.shape == (count,)
+        assert np.max(np.abs(chirp - direct)) <= 1e-13
+
+
+def gaussian_inner_sums(N):
+    """Arguments of the helper for the inner integral of the oscillatory
+    gaussian quadrature at N: weighted x integrand, h_x, z_lo, h_y, count."""
+    x, w_x = _even_trapezoid(8.0 * N, _GAUSSIAN_X_NODES)
+    y, _ = _even_trapezoid(min(8.0 * N, 80.0 / N), _GAUSSIAN_Y_NODES)
+    return w_x * np.exp(-(x / N) ** 2), x[1], 0.0, y[1], len(y)
+
+
+class TestUniformCosineSums:
+    @pytest.mark.parametrize("a,h,z_lo,dz,count", [
+        *((_PHI_V_WEIGHTS * _PHI_V_VALUES, _PHI_V_NODES[1], N * N, N * N / 4000, 4001)
+          for N in (3.0, 4.0, 6.0, 8.0)),
+        (_PHI_V_WEIGHTS * _PHI_V_VALUES, _PHI_V_NODES[1], 7.5, 0.1, 1),
+        (np.linspace(1.0, -0.5, 7), 0.3, -2.0, 0.7, 20),      # count > len(a)
+        gaussian_inner_sums(20.0),          # the chirp phase reaches 640 rad
+    ])
+    def test_matches_outer_product_sum(self, a, h, z_lo, dz, count):
+        z = z_lo + np.arange(count) * dz
+        direct = np.cos(np.outer(z, np.arange(len(a)) * h)) @ a
+        sums = _uniform_cosine_sums(a, h, z_lo, dz, count)
+        assert sums.shape == (count,)
+        assert np.max(np.abs(sums - direct)) <= 1e-13
 
 
 class TestDispersiveEstimate:
@@ -206,6 +261,14 @@ class TestDispersiveEstimate:
         assert result["freq_side"]["ratio_stats"]["max"] < 10.0
         assert result["phys_side"]["ratio_stats"]["max"] < 10.0
         assert result["dilation_defect"] <= DISPERSIVE_DILATION_DEFECT_MAX
+
+    def test_sweep_sides_equal_dispersive_rhs(self):
+        # the sweep computes each band's norms once; the sides stay bit for bit
+        result = check_dispersive_estimate(-0.5, k_range=(0, 1), t_range=(1.0, 4.0))
+        for side in ("freq", "phys"):
+            sweep = result[f"{side}_side"]
+            assert sweep["rhs"] == [dispersive_rhs(-0.5, p["k"], p["t"])[side]
+                                    for p in sweep["tuples"]]
 
     def test_alpha_range_guard(self):
         with pytest.raises(ConfigurationError):
