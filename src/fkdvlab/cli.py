@@ -16,8 +16,8 @@ from dataclasses import replace
 from . import io as lab_io
 from .config import parse_config
 from .errors import ConfigurationError, InsufficientDataError
-from .experiments import (STUDIES, default_config, run_study, study_skeleton,
-                          validate_config)
+from .experiments import (SOBOLEV_ORDER, STUDIES, default_config, run_study,
+                          study_skeleton, validate_config)
 from .integrator import geometric_snapshots
 from .lemma_checks import LEMMA_CHECKS
 from .spectral import mean_integral, norm_l2, norm_linf, norm_sobolev
@@ -77,12 +77,12 @@ def _simulate(study):
         l2s.append(norm_l2(state.u_hat))
         linfs.append(norm_linf(state.u_hat))
         means.append(mean_integral(state.u_hat))
-        sobs.append(norm_sobolev(state.u_hat, cfg.sobolev_order))
+        sobs.append(norm_sobolev(state.u_hat, SOBOLEV_ORDER))
 
     halt = study.simulate(geometric_snapshots(cfg.t_end), observer)
     study.write_series("simulate_series.csv", times, {
         "l2": l2s, "linf": linfs, "mean": means,
-        f"sobolev_{cfg.sobolev_order:g}": sobs})
+        f"sobolev_{SOBOLEV_ORDER:g}": sobs})
     return [halt], lambda: None
 
 

@@ -2,8 +2,9 @@
 
 A config names one study and overrides any subset of its defaults.
 Unknown sections or keys are rejected with the offending key path, as are
-out-of-range values.  The studies' pass gates are constants in
-``experiments``, not keys.  Example:
+out-of-range values.  The studies' pass gates, the smallness norms and
+bound, and the Z-norm weight are constants in ``experiments`` and
+``spectral``, not keys.  Example:
 
     [run]
     study = decay
@@ -92,8 +93,7 @@ _SECTIONS = {
                 **_same(_number, "amplitude", "width", "center")},
     "solver": _same(_number, "dt_max", "cfl_coefficient", "t_end"),
     "study": {**_same(_number, "fit_t_min", "fit_t_max", "sample_dt", "t_eval",
-                      "blowup_factor", "detect_dt", "sobolev_order", "z_weight",
-                      "epsilon_bar"),
+                      "blowup_factor", "detect_dt"),
               **_same(_integer, "refine_start", "refine_max"),
               **_same(_numbers, "eps_list"), **_same(_integers, "j_list")},
 }

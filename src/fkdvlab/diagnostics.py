@@ -29,7 +29,7 @@ from .errors import (
     InsufficientDataError,
     SequencingError,
 )
-from .spectral import NOISE_FLOOR, Grid, SpectralField
+from .spectral import NOISE_FLOOR, Z_WEIGHT, Grid, SpectralField
 
 #: Fitted-rate sentinel for a stationary corrected-profile sequence.
 STATIONARY_RATE = float("-inf")
@@ -113,7 +113,7 @@ def corrected_profile(snap: ProfileSnapshot, acc: PhaseAccumulator) -> SpectralF
     return SpectralField(snap.f_hat.grid, np.exp(1j * acc.H) * snap.f_hat.coeffs)
 
 
-def z_distance(g1: SpectralField, g2: SpectralField, weight: float = 10.0) -> float:
+def z_distance(g1: SpectralField, g2: SpectralField, weight: float = Z_WEIGHT) -> float:
     """max over grid xi of (1+|xi|)^weight |g2 - g1|.
 
     Differences below ``NOISE_FLOOR`` times the larger field's spectral peak
@@ -134,7 +134,6 @@ def z_distance(g1: SpectralField, g2: SpectralField, weight: float = 10.0) -> fl
 class ScatteringSeries:
     """Corrected profiles at dyadic checkpoints plus Cauchy-difference data."""
 
-    weight: float = 10.0
     times: list = field(default_factory=list)
     corrected: list = field(default_factory=list)     # g at each checkpoint
     raw: list = field(default_factory=list)           # f_hat at each checkpoint
@@ -149,11 +148,11 @@ class ScatteringSeries:
         self.raw.append(f_hat)
 
     def dyadic_differences(self, which: str = "corrected") -> tuple[np.ndarray, np.ndarray]:
-        """(t_m, d_m) with d_m the weighted sup distance between consecutive
-        checkpoints; t_m is the left checkpoint time."""
+        """(t_m, d_m) with d_m the weighted sup distance ``z_distance`` between
+        consecutive checkpoints; t_m is the left checkpoint time."""
         fields = self.corrected if which == "corrected" else self.raw
         t = np.asarray(self.times[:-1])
-        d = np.array([z_distance(fields[i], fields[i + 1], self.weight)
+        d = np.array([z_distance(fields[i], fields[i + 1])
                       for i in range(len(fields) - 1)])
         return t, d
 
@@ -170,7 +169,7 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def extract_scattering_limit(series: ScatteringSeries) -> SpectralField:
-    """Weighted corrected profile (1+|xi|)^weight g at the last checkpoint
+    """Weighted corrected profile (1+|xi|)^Z_WEIGHT g at the last checkpoint
     of a series with at least four checkpoints."""
     if len(series.times) < 4:
         raise InsufficientDataError(
@@ -178,7 +177,7 @@ def extract_scattering_limit(series: ScatteringSeries) -> SpectralField:
     g_last = series.corrected[-1]
     xi = g_last.grid.wavenumbers
     return SpectralField(g_last.grid,
-                         (1.0 + np.abs(xi)) ** series.weight * g_last.coeffs)
+                         (1.0 + np.abs(xi)) ** Z_WEIGHT * g_last.coeffs)
 
 
 def difference_rate(t: np.ndarray, d: np.ndarray) -> float:
@@ -218,5 +217,7 @@ def fit_power_law(series: DecaySeries, t_min: float, t_max: float) -> tuple[floa
         raise InsufficientDataError(
             f"need >= 5 points in [{t_min}, {t_max}], got {np.count_nonzero(window)}")
     if np.any(v[window] <= 0.0):
-        raise ValueError("power-law fit requires positive values in the window")
+        raise InsufficientDataError(
+            f"power-law fit of {series.name} needs positive values in [{t_min}, {t_max}], "
+            f"got {np.count_nonzero(v[window] <= 0.0)} nonpositive")
     return _fit_loglog(t[window], v[window])

@@ -19,7 +19,6 @@ from .spectral import (
     Grid,
     MultiplierSymbol,
     dealias_keep,
-    dealias_mask,
     fractional_dispersion_symbol,
     half_inverse_transform,
     half_table,
@@ -89,11 +88,9 @@ class EquationSpec:
         key = ("nonlinear", grid.key())
         multiplier = self._linear_cache.get(key)
         if multiplier is None:
-            mask = half_table(grid, dealias_mask(grid, self.dealias_degree))
             scale = self.nonlinearity_coefficient / (self.nonlinearity_degree + 1)
-            # the band of the full masked table, so the values match it bitwise
-            multiplier = (scale * 1j * half_table(grid, grid.wavenumbers)
-                          * mask)[:self.band_length(grid)]
+            xi = half_table(grid, grid.wavenumbers)[:self.band_length(grid)]
+            multiplier = scale * 1j * xi
             self._linear_cache[key] = multiplier
         return multiplier
 

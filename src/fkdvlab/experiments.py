@@ -89,10 +89,6 @@ class ExperimentConfig:
     dt_max: float = 0.1
     cfl_coefficient: float = 0.5
     t_end: float = 100.0
-    # diagnostics defaults
-    sobolev_order: float = 8.0
-    z_weight: float = 10.0
-    epsilon_bar: float = 1e6
     seed: int = 0
     # decay / norms studies
     sample_dt: float = 1.0
@@ -132,15 +128,25 @@ class ExperimentConfig:
         return out
 
 
+def _grid_size(n) -> bool:
+    """Whether n is a power of two >= 8, the sizes a grid is built on."""
+    return isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Cross-field validation shared by file parsing and direct construction,
     including what each study needs of its equation and data."""
     if cfg.study not in STUDIES:
         raise ConfigurationError(
             f"[run] study: unknown study {cfg.study!r}; expected one of {STUDIES}")
-    n = cfg.n_points
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"[grid] n_points: must be a power of two >= 8, got {n}")
+    for section, key in (("grid", "n_points"), ("study", "refine_start"),
+                         ("study", "refine_max")):
+        if not _grid_size(getattr(cfg, key)):
+            raise ConfigurationError(f"[{section}] {key}: must be a power of two >= 8, "
+                                     f"got {getattr(cfg, key)}")
+    if cfg.refine_start > cfg.refine_max:
+        raise ConfigurationError(f"[study] refine_start/refine_max: refine_start "
+                                 f"{cfg.refine_start} exceeds refine_max {cfg.refine_max}")
     if not (0 < cfg.box_length < np.inf):
         raise ConfigurationError(
             f"[grid] box_length: must be positive and finite, got {cfg.box_length}")
@@ -189,6 +195,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not (0 < cfg.width < np.inf):
         raise ConfigurationError(
             f"[initial] width: must be positive and finite, got {cfg.width}")
+    if cfg.center is not None and not (-np.inf < cfg.center < np.inf):
+        raise ConfigurationError(f"[initial] center: must be finite, got {cfg.center}")
     if cfg.study in ("decay", "shock") and \
             cfg.make_eq().is_dispersive != (cfg.study == "decay"):
         need = "dispersive" if cfg.study == "decay" else "dispersionless"
@@ -295,13 +303,18 @@ def initial_field(cfg: ExperimentConfig, grid: Grid | None = None) -> SpectralFi
     return hermitize(transform(grid, u0))
 
 
-def measure_smallness(u0: SpectralField, cfg: ExperimentConfig) -> dict:
-    """Size decomposition of the initial data: Sobolev + weighted-localization
-    + weighted-sup contributions, recorded in every manifest."""
-    h_n = norm_sobolev(u0, cfg.sobolev_order)
+SOBOLEV_ORDER = 8.0     #: order s of the H^s norm in the smallness and norms study
+EPSILON_BAR = 1e6       #: largest measured initial-data size a study starts from
+
+
+def measure_smallness(u0: SpectralField) -> dict:
+    """Size decomposition of the initial data: H^SOBOLEV_ORDER +
+    weighted-localization + weighted-sup (Z norm) contributions, recorded in
+    every manifest."""
+    h_n = norm_sobolev(u0, SOBOLEV_ORDER)
     frac = boundary_mass_fraction(u0)
     h11 = norm_h11(u0)
-    z = norm_z(u0, cfg.z_weight)
+    z = norm_z(u0)
     return {"sobolev": h_n, "h11": h11, "z": z, "epsilon0": h_n + h11 + z,
             "boundary_mass_fraction": frac,
             "h11_reliable": bool(frac <= BOUNDARY_MASS_THRESHOLD)}
@@ -348,13 +361,13 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
                    name: str | None = None) -> ExperimentReport:
     """Run one study body between the steps every study shares.
 
-    Validates cfg, builds the grid and initial data and refuses data larger
-    than epsilon_bar before any step.  The body runs its simulations and
-    writes its series; it returns the halts of the runs its verdicts rest
-    on, in run order, and the function that adds those verdicts.  Then the
-    halt policy: the study's halt is its first run that stopped early, else
-    its last run; an early stop replaces the verdicts with a failed
-    ``run_completed``.  The report and the manifest go to out_dir as
+    Validates cfg, builds the grid and initial data and refuses data whose
+    measured size is not within EPSILON_BAR before any step.  The body runs
+    its simulations and writes its series; it returns the halts of the runs
+    its verdicts rest on, in run order, and the function that adds those
+    verdicts.  Then the halt policy: the study's halt is its first run that
+    stopped early, else its last run; an early stop replaces the verdicts
+    with a failed ``run_completed``.  The report and the manifest go to out_dir as
     ``<name>_report.json`` and ``<name>_manifest.json``; name defaults to
     the study.
     """
@@ -363,11 +376,12 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
     name = name or cfg.study
     grid = cfg.grid()
     u0 = initial_field(cfg, grid)
-    smallness = measure_smallness(u0, cfg)
-    if smallness["epsilon0"] > cfg.epsilon_bar:
+    smallness = measure_smallness(u0)
+    # written so that a NaN size (from NaN custom samples) is refused too
+    if not smallness["epsilon0"] <= EPSILON_BAR:
         raise ConfigurationError(
-            f"initial data size {smallness['epsilon0']:.3e} exceeds the "
-            f"configured smallness bound {cfg.epsilon_bar:.3e}")
+            f"initial data size {smallness['epsilon0']:.3e} is not within the "
+            f"smallness bound {EPSILON_BAR:.3e}")
     os.makedirs(out_dir, exist_ok=True)
     report = ExperimentReport(name, cfg.to_dict(), {"smallness": smallness})
     halts, add_verdicts = body(Study(cfg, out_dir, grid, u0, smallness, report))
@@ -463,7 +477,7 @@ def run_scattering_study(study: Study):
     n_dyadic = int(np.floor(np.log2(cfg.t_end) + 1e-9))
     dyadic = [2.0 ** m for m in range(1, n_dyadic + 1)]
     acc = PhaseAccumulator(study.grid, cfg.alpha)
-    series = ScatteringSeries(weight=cfg.z_weight)
+    series = ScatteringSeries()
 
     def observer(state):
         if state.t >= 1.0 - 1e-12:
@@ -722,14 +736,14 @@ def run_norm_growth_study(study: Study):
     """Sobolev norm of the solution and weighted-localization norm of the
     profile: log-log slopes over the window must stay near zero."""
     cfg, eq, report = study.cfg, study.eq, study.report
-    series_n = DecaySeries(f"sobolev_{cfg.sobolev_order:g}")
+    series_n = DecaySeries(f"sobolev_{SOBOLEV_ORDER:g}")
     series_11 = DecaySeries("h11_profile")
     warned = [0]
 
     def observer(state):
         if state.t <= 0:
             return
-        series_n.add(state.t, norm_sobolev(state.u_hat, cfg.sobolev_order))
+        series_n.add(state.t, norm_sobolev(state.u_hat, SOBOLEV_ORDER))
         f_hat = compute_profile(state.u_hat, state.t, eq).f_hat
         frac = boundary_mass_fraction(f_hat)
         if frac > BOUNDARY_MASS_THRESHOLD:
@@ -743,7 +757,7 @@ def run_norm_growth_study(study: Study):
     report.measured["h11_boundary_warnings"] = warned[0]
 
     def verdicts():
-        for name, series in ((f"h{cfg.sobolev_order:g}", series_n), ("h11", series_11)):
+        for name, series in ((f"h{SOBOLEV_ORDER:g}", series_n), ("h11", series_11)):
             slope, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
             report.measured[f"slope_{name}"] = slope
             report.add_verdict(f"slope_{name}", slope <= SLOPE_MAX, slope,

@@ -40,6 +40,10 @@ BOUNDARY_MASS_THRESHOLD = 1e-6
 #: high-frequency-weighted sup norms.
 NOISE_FLOOR = 1e-14
 
+#: Weight of the Z norm max (1+|xi|)^Z_WEIGHT |f_hat(xi)|, the weighted sup
+#: norm of the Fourier profile in which modified scattering is measured.
+Z_WEIGHT = 10.0
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -333,7 +337,7 @@ def norm_sobolev(fld: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(weights * np.abs(fld.coeffs) ** 2) * fld.grid.dxi))
 
 
-def norm_z(fld: SpectralField, weight: float = 10.0) -> float:
+def norm_z(fld: SpectralField, weight: float = Z_WEIGHT) -> float:
     """Weighted sup norm max (1+|xi|)^weight |coeff(xi)|.
 
     Coefficients below ``NOISE_FLOOR`` times the spectral peak count as

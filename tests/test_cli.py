@@ -145,6 +145,10 @@ class TestConfigParsing:
         ("[run]\nseed = -1\n", r"\[run\] seed"),
         ("[initial]\nkind = bogus\n", r"\[initial\] kind"),
         ("[equation]\nkind = bogus\n", r"\[equation\] kind"),
+        ("[study]\nrefine_start = 100\n", r"\[study\] refine_start"),
+        ("[study]\nrefine_max = 4\n", r"\[study\] refine_max"),
+        ("[run]\nstudy = shock\n[study]\nrefine_start = 1024\nrefine_max = 512\n",
+         r"\[study\] refine_start/refine_max"),
     ])
     def test_study_rules_and_odd_values_refused(self, tmp_path, capsys, text, key):
         config = write(tmp_path, text)
@@ -161,6 +165,7 @@ class TestConfigParsing:
         ("solver", "dt_max", "nan", r"\[solver\] dt_max"),
         ("initial", "amplitude", "nan", r"\[initial\] amplitude"),
         ("initial", "width", "nan", r"\[initial\] width"),
+        ("initial", "center", "nan", r"\[initial\] center"),
         ("equation", "epsilon", "nan", r"\[equation\] epsilon"),
         ("study", "fit_t_min", "nan", r"\[study\] fit window"),
         ("study", "fit_t_max", "nan", r"\[study\] fit window"),
@@ -181,6 +186,7 @@ class TestConfigParsing:
         ("solver", "dt_max", r"\[solver\] dt_max"),
         ("initial", "amplitude", r"\[initial\] amplitude"),
         ("initial", "width", r"\[initial\] width"),
+        ("initial", "center", r"\[initial\] center"),
         ("equation", "epsilon", r"\[equation\] epsilon"),
         ("study", "fit_t_min", r"\[study\] fit window"),
         ("study", "fit_t_max", r"\[study\] fit window"),
@@ -205,10 +211,12 @@ class TestConfigParsing:
         ("shape_factor_max", "0.9"), ("refine_tolerance", "0.9"),
         ("oracle_tolerance", "0.9"), ("contrast_epsilon0", "0.9"),
         ("contrast_horizon_factor", "0.9"),
+        ("sobolev_order", "0"), ("z_weight", "0"), ("epsilon_bar", "1e300"),
     ])
     def test_study_gate_keys_refused(self, tmp_path, capsys, key, raw):
-        # the pass gates are constants beside the studies' verdicts; a
-        # config file cannot move them
+        # the pass gates are constants beside the studies' verdicts, and so
+        # are the norms they measure and the smallness bound; a config file
+        # cannot move them
         config = write(tmp_path, f"[study]\n{key} = {raw}\n")
         with pytest.raises(ConfigurationError, match=rf"unknown key \[study\] {key}$"):
             parse_config(config)
@@ -371,6 +379,16 @@ class TestCliDispatch:
         assert cli_dispatch(["decay", "--config", path,
                              "--out", str(tmp_path / "o")]) == 2
         assert "need >= 5 points in [0.5, 2.0], got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("study", ["decay", "norms"])
+    def test_zero_initial_data_is_status_2(self, tmp_path, capsys, study):
+        # zero data is valid (the shock study's no-compression case runs
+        # on it), but leaves the power-law fits no positive value
+        path = write(tmp_path, f"[run]\nstudy = {study}\n[grid]\nn_points = 64\n"
+                               "[initial]\namplitude = 0\n[solver]\nt_end = 20\n"
+                               "[study]\nfit_t_min = 2\nfit_t_max = 20\n")
+        assert cli_dispatch([study, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "insufficient data: power-law fit of" in capsys.readouterr().err
 
     def test_ini_out_dir_and_seed_honoured(self, tmp_path):
         # --out beats [run] out_dir, which beats "runs"; the INI's seed

@@ -210,7 +210,7 @@ class TestScatteringLimit:
         g = make_grid(32, TWO_PI)
         base = single_mode(g, 1.0, 1.0)
         h = single_mode(g, 2.0, 1.0)
-        series = ScatteringSeries(weight=10.0)
+        series = ScatteringSeries()
         for t, d in deltas:
             fld = SpectralField(g, base.coeffs + d * h.coeffs)
             series.add(t, fld, fld)

@@ -23,7 +23,8 @@ from fkdvlab.cli import cli_dispatch
 from fkdvlab.integrator import HaltReason, run_simulation
 from fkdvlab.spectral import (CUTOFFS, apply_multiplier, derivative_symbol,
                               half_inverse_transform, half_table, inverse_transform,
-                              make_grid, norm_h11, norm_linf, norm_sobolev, norm_z)
+                              make_grid, norm_h11, norm_linf, norm_sobolev, norm_z,
+                              Z_WEIGHT)
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,27 +131,36 @@ class TestConfigAndData:
                       box_length=64.0 * np.pi)
         g = cfg.grid()
         u0 = initial_field(cfg, g)
-        sm = measure_smallness(u0, cfg)
+        sm = measure_smallness(u0)
         assert sm["epsilon0"] == pytest.approx(
             sm["sobolev"] + sm["h11"] + sm["z"], rel=1e-12)
-        assert sm["sobolev"] == pytest.approx(norm_sobolev(u0, cfg.sobolev_order))
-        assert sm["z"] == pytest.approx(norm_z(u0, cfg.z_weight))
+        assert sm["sobolev"] == pytest.approx(norm_sobolev(u0, experiments.SOBOLEV_ORDER))
+        assert sm["z"] == pytest.approx(norm_z(u0, Z_WEIGHT))
         assert sm["h11_reliable"]
 
     @pytest.mark.parametrize("study", ["decay", "shock", "longwave"])
     def test_smallness_bound_enforced(self, study, tmp_path, monkeypatch):
-        # every study refuses data above epsilon_bar before any step; the
+        # every study refuses data above EPSILON_BAR before any step; the
         # shock and longwave defaults measure about 2.1e3 and 1.8e4
         def no_simulation(*args, **kwargs):
             raise AssertionError("the simulation started")
 
         monkeypatch.setattr(experiments, "run_simulation", no_simulation)
-        cfg = replace(default_config(study), epsilon_bar=1.0)
+        monkeypatch.setattr(experiments, "EPSILON_BAR", 1.0)
+        with pytest.raises(ConfigurationError, match="smallness bound"):
+            run_study(default_config(study), str(tmp_path))
+        assert cli_dispatch([study, "--out", str(tmp_path)]) == 2
+
+    def test_nan_custom_samples_refused(self, tmp_path, monkeypatch):
+        # a NaN size fails the smallness gate, not the first step
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(experiments, "run_simulation", no_simulation)
+        cfg = replace(default_config("decay"), n_points=64, initial_kind="custom",
+                      custom_samples=np.full(64, np.nan))
         with pytest.raises(ConfigurationError, match="smallness bound"):
             run_study(cfg, str(tmp_path))
-        ini = tmp_path / "small.ini"
-        ini.write_text(f"[run]\nstudy = {study}\n[study]\nepsilon_bar = 1\n")
-        assert cli_dispatch([study, "--config", str(ini), "--out", str(tmp_path)]) == 2
 
 
 SMALL_DECAY = dict(n_points=2 ** 11, box_length=64.0 * np.pi, t_end=30.0,
@@ -280,10 +290,10 @@ class TestHaltPolicy:
     run_completed verdict instead of fitting the partial series."""
 
     @pytest.mark.parametrize("study", ["scattering", "norms"])
-    def test_blowup_fails_run_completed(self, study, tmp_path):
+    def test_blowup_fails_run_completed(self, study, tmp_path, monkeypatch):
         # coefficients above the blow-up amplitude halt the first step
-        cfg = replace(default_config(study), n_points=2 ** 9, amplitude=1e14,
-                      epsilon_bar=1e300)
+        monkeypatch.setattr(experiments, "EPSILON_BAR", 1e300)
+        cfg = replace(default_config(study), n_points=2 ** 9, amplitude=1e14)
         report = run_study(cfg, str(tmp_path))
         assert report.measured["halt"]["kind"] == "blowup"
         assert [(v.name, v.passed) for v in report.verdicts] == [("run_completed", False)]
