@@ -280,14 +280,33 @@ class ExperimentReport:
                 "all_passed": self.all_passed}
 
 
+#: Offsets (x - center)/width past which each profile is exactly 0 in
+#: doubles: exp(-28^2) underflows, and cosh(710) is finite but its square is
+#: not.  ``_scaled_offset`` saturates there instead of overflowing.
+_GAUSSIAN_REACH = 28.0
+_SECH2_REACH = 710.0
+
+
+def _scaled_offset(x: np.ndarray, center: float, width: float, reach: float) -> np.ndarray:
+    """(x - center) / width, clipped to [-reach, reach] before the division,
+    so a huge but finite center or a tiny width cannot overflow it; offsets
+    inside the reach are computed as the plain quotient, bit for bit."""
+    span = reach * float(width)    # a float product: inf when huge, no warning
+    return np.clip(x - center, -span, span) / width
+
+
 def initial_field(cfg: ExperimentConfig, grid: Grid | None = None) -> SpectralField:
     grid = grid or cfg.grid()
     x = grid.x
     center = grid.x_center if cfg.center is None else cfg.center
     if cfg.initial_kind == "gaussian":
-        u0 = cfg.amplitude * np.exp(-((x - center) / cfg.width) ** 2)
+        z = _scaled_offset(x, center, cfg.width, _GAUSSIAN_REACH)
+        u0 = cfg.amplitude * np.exp(-z ** 2)
     elif cfg.initial_kind == "sech2":
-        u0 = cfg.amplitude / np.cosh((x - center) / cfg.width) ** 2
+        c = np.cosh(_scaled_offset(x, center, cfg.width, _SECH2_REACH))
+        finite = c < 2.0 ** 512                 # exactly where c ** 2 does not overflow
+        u0 = np.zeros_like(c)
+        u0[finite] = cfg.amplitude / c[finite] ** 2
     elif cfg.initial_kind == "sine":
         u0 = cfg.amplitude * np.sin(2.0 * np.pi * cfg.sine_mode * x / grid.box_length)
     elif cfg.initial_kind == "custom":

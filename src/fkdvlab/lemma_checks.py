@@ -23,6 +23,7 @@ from .spectral import (
     CUTOFFS,
     Grid,
     SpectralField,
+    half_inverse_transform,
     hermitize,
     inverse_transform,
     make_grid,
@@ -164,22 +165,33 @@ def _packet_grid(alpha: float, k: int, t: float) -> Grid:
 
 
 def _evolved_band_sup(alpha: float, k: int, t: float) -> float:
-    """sup_x |exp(t*L) P_k g| for the band-k bump, by fine-grid synthesis."""
+    """sup_x |exp(t*L) P_k g| for the band-k bump, by fine-grid synthesis.
+
+    The field is real: the bump and psi_j are even in xi, the shift and the
+    phase conjugate-symmetric.  So it is synthesised from its real-FFT half
+    spectrum, which is zero outside the band.
+    """
     grid = _packet_grid(alpha, k, t)
-    xi = grid.wavenumbers
+    xi = np.arange(grid.n_points // 2 + 1) * grid.dxi
     ghat = _bump(xi / 2.0 ** k)
-    proj = CUTOFFS.psi_j(xi, k)
-    inside = proj > 0
-    mass_in = np.sum((ghat[inside]) ** 2)
-    mass = np.sum(ghat ** 2)
+    # the modes of the support 2^(k-1) < xi < 2^(k+1) of psi_j, one spare
+    # each side (psi_j is exactly 0 there)
+    band = slice(max(int(2.0 ** (k - 1) / grid.dxi) - 1, 0),
+                 int(2.0 ** (k + 1) / grid.dxi) + 2)
+    xi_band = xi[band]
+    proj = CUTOFFS.psi_j(xi_band, k)
+    mass_in = 2.0 * np.sum(ghat[band][proj > 0] ** 2)
+    # modes 0 < m < n/2 stand for +-m; the zero and Nyquist modes for one
+    mass = 2.0 * np.sum(ghat ** 2) - ghat[0] ** 2 - ghat[-1] ** 2
     if mass_in < (1.0 - 0.02) * mass:
         raise DomainError(
             f"test profile leaks outside the dyadic band 2^{k} "
             f"({1 - mass_in / mass:.2e} of its mass)")
     # center the packet at 0.7 L: the group drifts leftward for these symbols
-    shift = np.exp(-1j * xi * (0.7 * grid.box_length))
-    coeffs = ghat * proj * shift * np.exp(1j * t * _dispersion(alpha, xi))
-    u = inverse_transform(SpectralField(grid, coeffs.astype(complex)))
+    shift = np.exp(-1j * xi_band * (0.7 * grid.box_length))
+    half = np.zeros(len(xi), dtype=complex)
+    half[band] = ghat[band] * proj * shift * np.exp(1j * t * _dispersion(alpha, xi_band))
+    u = half_inverse_transform(grid, half)
     edge = max(abs(u[0]), abs(u[-1]))
     peak = float(np.max(np.abs(u)))
     if peak > 0 and edge > 1e-4 * peak:
@@ -187,23 +199,29 @@ def _evolved_band_sup(alpha: float, k: int, t: float) -> float:
     return peak
 
 
+#: Sums of the profile norms over _S_NODES at band k = 0: max|g|,
+#: 2 int g^2 ds and 2 int (dg/ds)^2 ds.  Band k scales them by exact
+#: powers of two (``_profile_norms``).
+_S_STEP = _S_NODES[1] - _S_NODES[0]
+_GHAT_INF = float(np.max(_bump(_S_NODES)))
+_GHAT_SQ = 2.0 * np.sum(_bump(_S_NODES) ** 2) * _S_STEP
+_DGHAT_SQ = 2.0 * np.sum(_bump_ds(_S_NODES) ** 2) * _S_STEP
+
+
 def _profile_norms(k: int) -> dict:
-    """Analytic-profile norms on the shared band-relative quadrature."""
+    """Analytic-profile norms on the shared band-relative quadrature: in
+    xi = 2^k s, |g|_2^2 scales by 2^k and |dg/dxi|_2^2 by 2^-k."""
     scale = 2.0 ** k
-    ds = _S_NODES[1] - _S_NODES[0]
-    v = _bump(_S_NODES)
-    dv = _bump_ds(_S_NODES)
-    ghat_inf = float(np.max(v))
-    ghat_l2 = float(np.sqrt(2.0 * np.sum(v ** 2) * ds * scale))
-    dghat_l2 = float(np.sqrt(2.0 * np.sum((dv / scale) ** 2) * ds * scale))
-    return {"ghat_inf": ghat_inf, "ghat_l2": ghat_l2, "dghat_l2": dghat_l2}
+    return {"ghat_inf": _GHAT_INF, "ghat_l2": float(np.sqrt(_GHAT_SQ * scale)),
+            "dghat_l2": float(np.sqrt(_DGHAT_SQ / scale))}
 
 
 def _field_l1(alpha: float, k: int) -> float:
-    """L^1 norm of the (unprojected) physical test field at t = 0."""
+    """L^1 norm of the (unprojected) physical test field at t = 0, from the
+    half spectrum of the even bump."""
     grid = _packet_grid(alpha, k, 1.0)
-    ghat = _bump(grid.wavenumbers / 2.0 ** k).astype(complex)
-    u = inverse_transform(SpectralField(grid, ghat))
+    half = _bump(np.arange(grid.n_points // 2 + 1) * grid.dxi / 2.0 ** k)
+    u = half_inverse_transform(grid, half.astype(complex))
     return float(np.sum(np.abs(u)) * grid.dx)
 
 
@@ -495,9 +513,10 @@ def check_trilinear_identity(n_points: int = 16, seed: int = 0,
     """Double-sum oracle vs pseudospectral profile derivative.
 
     The oracle carries the one-third coefficient of the divergence-form
-    cubic term and the conjugated interaction phases; agreement to
-    round-off binds the solver's nonlinearity to the Fourier-side
-    formulation.
+    cubic term and the conjugated interaction phases.  Its target is
+    ``profile_rhs_pseudospectral``, a separate path zero-padded to 2n; the
+    solver's ``equations.nonlinearity`` is not called, so agreement to
+    round-off checks the Fourier-side formulation, not the solver kernel.
     """
     if n_points > 64:
         raise ConfigurationError("n_points must be <= 64 for the O(n^3) oracle")
@@ -592,11 +611,13 @@ def check_pseudo_product(seed: int = 0, num_trials: int = 20) -> dict:
         return {"l2": float(np.sqrt(np.sum(u * u) * grid.dx)),
                 "linf": float(np.max(np.abs(u)))}
 
+    # mode of -eta-sigma for every (eta, sigma) pair, and where it is on the grid
+    neg_mode = -(np.add.outer(idx - n // 2, idx - n // 2))
+    valid = (neg_mode >= -(n // 2)) & (neg_mode < n // 2)
+    np_clip = np.clip(neg_mode + n // 2, 0, n - 1)
+
     def trilinear(fh, gh, hh):
         # T = sum_{eta,sigma} m1(eta) m1(sigma) fh(eta) gh(sigma) hh(-eta-sigma) dxi^2
-        neg_mode = -(np.add.outer(idx - n // 2, idx - n // 2))
-        valid = (neg_mode >= -(n // 2)) & (neg_mode < n // 2)
-        np_clip = np.clip(neg_mode + n // 2, 0, n - 1)
         h_neg = np.where(valid, hh[np_clip], 0.0)
         mat = np.multiply.outer(m1 * fh, m1 * gh) * h_neg
         return np.sum(mat) * dxi ** 2

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,22 @@ class TestCliDispatch:
                                "[initial]\namplitude = 0\n[solver]\nt_end = 20\n"
                                "[study]\nfit_t_min = 2\nfit_t_max = 20\n")
         assert cli_dispatch([study, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "insufficient data: power-law fit of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["gaussian", "sech2"])
+    @pytest.mark.parametrize("center, width", [("1e300", "0.7"), ("-1e300", "1e-10")])
+    def test_huge_center_is_status_2_without_warning(self, tmp_path, capsys, kind,
+                                                     center, width):
+        # the profile underflows to exactly 0 on the box, with no overflow
+        # warning on the way (which the error filter would raise)
+        path = write(tmp_path, "[run]\nstudy = decay\n[grid]\nn_points = 64\n"
+                               f"[initial]\nkind = {kind}\ncenter = {center}\n"
+                               f"width = {width}\n[solver]\nt_end = 20\n"
+                               "[study]\nfit_t_min = 2\nfit_t_max = 20\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_dispatch(["decay", "--config", path,
+                                 "--out", str(tmp_path / "o")]) == 2
         assert "insufficient data: power-law fit of" in capsys.readouterr().err
 
     def test_ini_out_dir_and_seed_honoured(self, tmp_path):

@@ -22,9 +22,9 @@ from fkdvlab.experiments import (
 from fkdvlab.cli import cli_dispatch
 from fkdvlab.integrator import HaltReason, run_simulation
 from fkdvlab.spectral import (CUTOFFS, apply_multiplier, derivative_symbol,
-                              half_inverse_transform, half_table, inverse_transform,
-                              make_grid, norm_h11, norm_linf, norm_sobolev, norm_z,
-                              Z_WEIGHT)
+                              half_inverse_transform, half_table, hermitize,
+                              inverse_transform, make_grid, norm_h11, norm_linf,
+                              norm_sobolev, norm_z, transform, Z_WEIGHT)
 
 TWO_PI = 2.0 * np.pi
 
@@ -114,6 +114,22 @@ class TestConfigAndData:
         sine = initial_field(replace(cfg, initial_kind="sine", sine_mode=2), g)
         u = inverse_transform(sine)
         assert np.max(np.abs(u - cfg.amplitude * np.sin(4 * np.pi * g.x / 16.0))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["gaussian", "sech2"])
+    def test_far_offsets_are_exact_zeros_and_the_rest_bit_identical(self, kind):
+        # the saturated offset changes no sample the plain formula leaves
+        # nonzero; past the reach both profiles are exactly 0
+        g = make_grid(1024, 2000.0)
+        cfg = replace(default_config("decay"), initial_kind=kind, width=0.5,
+                      amplitude=1e300)
+        z = (g.x - g.x_center) / cfg.width
+        with np.errstate(over="ignore"):
+            plain = (cfg.amplitude * np.exp(-z ** 2) if kind == "gaussian"
+                     else cfg.amplitude / np.cosh(z) ** 2)
+        assert np.count_nonzero(plain) < g.n_points
+        got = initial_field(cfg, g)
+        want = hermitize(transform(g, plain))
+        assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_custom_samples(self):
         cfg = default_config("decay")

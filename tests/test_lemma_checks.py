@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fkdvlab import lemma_checks
 from fkdvlab.errors import ConfigurationError, DomainError
 from fkdvlab.lemma_checks import (
     CUTOFF_RATE_MAX,
@@ -12,6 +13,7 @@ from fkdvlab.lemma_checks import (
     HALVING_RATIO_BAND,
     INTERPOLATION_CONSTANT_SLACK,
     INTERPOLATION_DILATION_DEFECT_MAX,
+    LEMMA_CHECKS,
     PSEUDO_PRODUCT_RATIO_MAX,
     TRILINEAR_RTOL,
     _GAUSSIAN_X_NODES,
@@ -42,10 +44,17 @@ from fkdvlab.lemma_checks import (
     profile_rhs_double_sum,
     profile_rhs_pseudospectral,
     resonance_function,
+    _S_NODES,
+    _bump,
+    _bump_ds,
     _cutoff_profile_transform,
+    _dispersion,
     _evolved_band_sup,
+    _field_l1,
+    _packet_grid,
+    _profile_norms,
 )
-from fkdvlab.spectral import SpectralField, make_grid
+from fkdvlab.spectral import CUTOFFS, SpectralField, inverse_transform, make_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -254,7 +263,84 @@ class TestUniformCosineSums:
         assert np.max(np.abs(sums - direct)) <= 1e-13
 
 
+def full_layout_band_sup(alpha, k, t):
+    """``_evolved_band_sup`` as it was on the ascending full spectrum: every
+    mode evaluated, then mirrored by ``inverse_transform`` (guards left out,
+    they do not change the value)."""
+    grid = _packet_grid(alpha, k, t)
+    xi = grid.wavenumbers
+    ghat = _bump(xi / 2.0 ** k)
+    proj = CUTOFFS.psi_j(xi, k)
+    shift = np.exp(-1j * xi * (0.7 * grid.box_length))
+    coeffs = ghat * proj * shift * np.exp(1j * t * _dispersion(alpha, xi))
+    u = inverse_transform(SpectralField(grid, coeffs.astype(complex)))
+    return float(np.max(np.abs(u)))
+
+
+def full_layout_field_l1(alpha, k):
+    """``_field_l1`` as it was on the ascending full spectrum."""
+    grid = _packet_grid(alpha, k, 1.0)
+    ghat = _bump(grid.wavenumbers / 2.0 ** k).astype(complex)
+    u = inverse_transform(SpectralField(grid, ghat))
+    return float(np.sum(np.abs(u)) * grid.dx)
+
+
+def per_band_profile_norms(k):
+    """``_profile_norms`` as it was, summing over _S_NODES for every band."""
+    scale = 2.0 ** k
+    ds = _S_NODES[1] - _S_NODES[0]
+    v = _bump(_S_NODES)
+    dv = _bump_ds(_S_NODES)
+    return {"ghat_inf": float(np.max(v)),
+            "ghat_l2": float(np.sqrt(2.0 * np.sum(v ** 2) * ds * scale)),
+            "dghat_l2": float(np.sqrt(2.0 * np.sum((dv / scale) ** 2) * ds * scale))}
+
+
+DILATION_PAIRS = [(a, k, t) for a in (-0.8, -0.5, -0.2)
+                  for k, t in ((1, 4.0), (0, 2.0 ** (1.0 + a) * 4.0))]
+
+
 class TestDispersiveEstimate:
+    @pytest.mark.parametrize("alpha, k, t", [
+        (a, k, t) for a in (-0.8, -0.5, -0.2) for k in (-3, 0, 3)
+        for t in (1.0, 64.0, 4096.0)] + DILATION_PAIRS)
+    def test_half_layout_band_sup_is_the_full_layout_bit_for_bit(self, alpha, k, t):
+        # the band-k field is Hermitian, so its half spectrum restricted to
+        # the band synthesises exactly what the full layout did
+        assert _evolved_band_sup(alpha, k, t) == full_layout_band_sup(alpha, k, t)
+
+    @pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
+    def test_half_layout_norms_are_the_old_ones_bit_for_bit(self, alpha):
+        for k in range(-3, 4):
+            assert _field_l1(alpha, k) == full_layout_field_l1(alpha, k)
+            assert _profile_norms(k) == per_band_profile_norms(k)
+
+    def test_sweep_never_uses_the_full_layout(self, monkeypatch):
+        def full_layout(*args, **kwargs):
+            raise AssertionError("the dispersive sweep used inverse_transform")
+
+        monkeypatch.setattr(lemma_checks, "inverse_transform", full_layout)
+        run, verdicts = LEMMA_CHECKS["dispersive"]
+        assert all(v.passed for v in verdicts(run(0)))
+
+    @pytest.mark.parametrize("center, invwidth", [(3.0, 3.0), (1.4, 0.5)])
+    def test_leak_guard(self, monkeypatch, center, invwidth):
+        # a bump off the band, or one too wide for it, leaks out of psi_k
+        monkeypatch.setattr(lemma_checks, "_BUMP_CENTER", center)
+        monkeypatch.setattr(lemma_checks, "_BUMP_INVWIDTH", invwidth)
+        with pytest.raises(DomainError, match="leaks outside the dyadic band"):
+            _evolved_band_sup(-0.5, 0, 4.0)
+
+    def test_box_boundary_guard(self, monkeypatch):
+        # an eighth of the box the packet needs: it wraps onto the boundary
+        def small_box(alpha, k, t):
+            grid = _packet_grid(alpha, k, t)
+            return make_grid(grid.n_points, grid.box_length / 8.0)
+
+        monkeypatch.setattr(lemma_checks, "_packet_grid", small_box)
+        with pytest.raises(DomainError, match="packet reached the box boundary"):
+            _evolved_band_sup(-0.5, 0, 64.0)
+
     def test_sweep_bounded_and_dilation_invariant(self):
         result = check_dispersive_estimate(-0.5, k_range=(-1, 0, 1),
                                            t_range=(1.0, 4.0))
