@@ -1,4 +1,5 @@
-"""fkdvlab: pseudospectral lab for weakly dispersive KdV-type equations."""
+"""fkdvlab: pseudospectral lab for weakly dispersive KdV-type equations
+with cubic nonlinearity."""
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fkdvlab",
         description="Pseudospectral lab for weakly dispersive equations "
-                    "with power-law nonlinearities")
+                    "with cubic nonlinearity")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("simulate", help="raw run with snapshot norm series",
                    parents=[common])

@@ -123,26 +123,25 @@ def geometric_snapshots(t_end: float) -> tuple:
     return tuple(sorted(set(times)))
 
 
-def cfl_dt(state: SolverState, eq: EquationSpec, config: SolverConfig) -> float:
-    """dt = min(dt_max, cfl * dx / max(floor, max|u|^p)).
+def cfl_dt(state: SolverState, config: SolverConfig) -> float:
+    """dt = min(dt_max, cfl * dx / max(floor, max|u|^2)).
 
     The exactly-propagated linear part contributes no restriction; only the
-    nonlinear transport speed |u|^p does.  When the same formula with the
-    l1 bound B >= max|u| (widened by ``CFL_BOUND_SLACK``) already reaches
+    transport speed |u|^2 of the cubic term does.  When the same formula
+    with the l1 bound B >= max|u| (widened by ``CFL_BOUND_SLACK``) reaches
     dt_max, the exact value is dt_max too and no synthesis is made.  A
     binding B, or one that is NaN or beyond ``BLOWUP_AMPLITUDE``, falls
     back to the exact max|u|, cached on the state, so planning a segment
     and taking its first step share one transform.
     """
-    p = eq.nonlinearity_degree
     reach = config.cfl_coefficient * state.grid.dx
     bound = half_sup_bound(state.grid, state.abs_half) * (1.0 + CFL_BOUND_SLACK)
     # NaN fails the first test, and a bound past the blow-up guard (inf
-    # included) is never certified, so bound**p cannot overflow
-    if bound <= BLOWUP_AMPLITUDE and reach / max(CFL_FLOOR, bound ** p) >= config.dt_max:
+    # included) is never certified, so bound**2 cannot overflow
+    if bound <= BLOWUP_AMPLITUDE and reach / max(CFL_FLOOR, bound ** 2) >= config.dt_max:
         return config.dt_max
     try:
-        speed = state.max_abs_u ** p
+        speed = state.max_abs_u ** 2
     except OverflowError:
         speed = np.inf                  # dt = 0: run_simulation halts as blowup
     return min(config.dt_max, reach / max(CFL_FLOOR, speed))
@@ -218,12 +217,12 @@ def run_simulation(u0: SpectralField, eq: EquationSpec, config: SolverConfig,
         seg_start = state.t
         seg_len = target - seg_start
         done = 0
-        n_steps = _substeps(seg_len, cfl_dt(state, eq, config))
+        n_steps = _substeps(seg_len, cfl_dt(state, config))
         if n_steps is None:
             return state, HaltReason("blowup", state.t)
         dt = seg_len / n_steps
         while done < n_steps:
-            allowed = cfl_dt(state, eq, config)
+            allowed = cfl_dt(state, config)
             if dt > allowed * (1.0 + 1e-9):
                 remaining = seg_len - done * dt
                 extra = _substeps(remaining, allowed)

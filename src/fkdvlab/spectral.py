@@ -249,16 +249,15 @@ def fractional_dispersion_symbol(alpha: float) -> MultiplierSymbol:
     return MultiplierSymbol(evaluate)
 
 
-def whitham_scalar_symbol(epsilon: float | None = None) -> MultiplierSymbol:
+def whitham_scalar_symbol(epsilon: float) -> MultiplierSymbol:
     """Scalar symbol l(sqrt(eps)*xi) = (tanh(sqrt(eps)|xi|)/(sqrt(eps)|xi|))^(1/2).
 
-    ``epsilon=None`` gives the unscaled operator (eps = 1).  The value at
-    xi = 0 is the limit 1.  The full linear-part symbol used by steppers is
-    -i*xi*l(sqrt(eps)*xi).
+    The value at xi = 0 is the limit 1.  The full linear-part symbol used by
+    steppers is -i*xi*l(sqrt(eps)*xi).
     """
-    eps = 1.0 if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {eps}")
+    eps = float(epsilon)
+    if not (0 < eps < np.inf):
+        raise ConfigurationError(f"epsilon must be positive and finite, got {eps}")
     root_eps = np.sqrt(eps)
 
     def evaluate(xi):
@@ -400,23 +399,17 @@ def regrid(fld: SpectralField, new_grid: Grid) -> SpectralField:
     return SpectralField(new_grid, c)
 
 
-def dealias_keep(n_points: int, degree: int) -> int:
-    """Largest retained |mode index| for alias-free products of this degree."""
-    if degree == 2:
-        return n_points // 3
-    if degree == 3:
-        return n_points // 4
-    raise ConfigurationError(f"dealias degree must be 2 or 3, got {degree}")
+def dealias_keep(n_points: int) -> int:
+    """Largest retained |mode index| for alias-free cubic products."""
+    return n_points // 4
 
 
-def dealias_mask(grid: Grid, degree: int) -> np.ndarray:
-    keep = dealias_keep(grid.n_points, degree)
+def dealias_mask(grid: Grid) -> np.ndarray:
+    keep = dealias_keep(grid.n_points)
     return (np.abs(grid.mode_index) <= keep).astype(float)
 
 
-def dealias(fld: SpectralField, degree: int) -> SpectralField:
-    """Zero high modes so grid pointwise products of this degree are alias-free.
-
-    Two-thirds rule for quadratic products, one-half rule for cubic ones.
-    """
-    return SpectralField(fld.grid, fld.coeffs * dealias_mask(fld.grid, degree))
+def dealias(fld: SpectralField) -> SpectralField:
+    """Zero high modes so grid pointwise cubic products are alias-free
+    (one-half rule)."""
+    return SpectralField(fld.grid, fld.coeffs * dealias_mask(fld.grid))

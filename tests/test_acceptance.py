@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fkdvlab.diagnostics import fit_power_law
-from fkdvlab.equations import REGISTRY_KINDS, linearized, make_equation
+from fkdvlab.equations import EQUATION_KINDS, linearized, make_equation
 from fkdvlab.experiments import (
     CONTRAST_HORIZON_FACTOR,
     EXPONENT_BAND,
@@ -88,9 +88,9 @@ class TestCriterion1ConservationAnchor:
         l2_0, mean_0 = norm_l2(u0), mean_integral(u0)
         cfg = SolverConfig(dt_max=0.1, t_end=50.0, snapshot_times=(50.0,))
         worst_l2, worst_mean = 0.0, 0.0
-        for kind in REGISTRY_KINDS:
+        for kind in EQUATION_KINDS:
             kwargs = {}
-            if kind in ("modified_fkdv", "fkdv"):
+            if kind == "modified_fkdv":
                 kwargs["alpha"] = -0.5
             if kind in ("rescaled_modified_whitham", "mkdv"):
                 kwargs["epsilon"] = 0.1

@@ -127,7 +127,11 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text,key", [
         ("[run]\nstudy = scattering\n[solver]\nt_end = 32\n", "t_end"),
-        ("[run]\nstudy = norms\n[equation]\nkind = fkdv\n", "kind"),
+        ("[run]\nstudy = norms\n[equation]\nkind = mkdv\nepsilon = 0.1\n", "kind"),
+        ("[equation]\nkind = burgers\n", r"\[equation\] kind"),
+        ("[run]\nstudy = shock\n[equation]\nalpha = 0.5\n"
+         "[study]\nrefine_start = 64\nrefine_max = 128\n", r"\[equation\] alpha"),
+        ("[run]\nstudy = shock\n[equation]\nepsilon = -1\n", r"\[equation\] epsilon"),
         ("[run]\nstudy = decay\n[equation]\nkind = modified_burgers\n", "kind"),
         ("[run]\nstudy = shock\n[equation]\nkind = modified_fkdv\nalpha = -0.5\n", "kind"),
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1\n", "eps_list"),
@@ -205,6 +209,33 @@ class TestConfigParsing:
         monkeypatch.setattr(experiments, "run_simulation", no_simulation)
         raw = ("0.1, " if key == "eps_list" else "") + sign + "inf"
         assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match)
+
+    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("study", STUDIES)
+    @pytest.mark.parametrize("key,raw", [("alpha", "0.5"), ("epsilon", "-1")])
+    def test_equation_parameter_refused_before_any_step(self, tmp_path, capsys,
+                                                        monkeypatch, path, study, key, raw):
+        # a set alpha or epsilon is checked whatever the study and its kind:
+        # the shock study, which reads alpha only for its contrast run, once
+        # refused it after the whole ladder
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(experiments, "run_simulation", no_simulation)
+        match = rf"\[equation\] {key}"
+        if path == "direct":
+            with pytest.raises(ConfigurationError, match=match):
+                default_config(study, **{key: float(raw)})
+            return
+        config = write(tmp_path, f"[run]\nstudy = {study}\n[equation]\n{key} = {raw}\n")
+        if path == "ini":
+            with pytest.raises(ConfigurationError, match=match):
+                parse_config(config)
+        else:
+            out = tmp_path / "o"
+            assert cli_dispatch([study, "--config", config, "--out", str(out)]) == 2
+            assert re.search(match, capsys.readouterr().err)
+            assert not out.exists() or not any(out.rglob("*"))
 
     @pytest.mark.parametrize("key,raw", [
         ("exponent_band", "-0.6, -0.4"), ("r2_min", "0.9"), ("slope_max", "0.9"),

@@ -3,7 +3,6 @@ import pytest
 
 from fkdvlab.equations import (
     EQUATION_KINDS,
-    REGISTRY_KINDS,
     linearized,
     make_equation,
     nonlinearity,
@@ -24,22 +23,21 @@ from fkdvlab.spectral import (
 TWO_PI = 2.0 * np.pi
 SQRT_2PI = np.sqrt(TWO_PI)
 
-REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5}, "fkdv": {"alpha": -0.5},
+REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5},
                    "rescaled_modified_whitham": {"epsilon": 0.1},
                    "mkdv": {"epsilon": 0.1}}
 
 
 def reference_nonlinearity(eq, u_hat):
     """The kernel written out step by step with complex FFTs: dealias,
-    inverse transform, pow, transform, i*xi, dealias."""
+    inverse transform, cube, transform, i*xi, dealias."""
     grid = u_hat.grid
-    degree, p = eq.dealias_degree, eq.nonlinearity_degree
-    v_hat = dealias(u_hat, degree).coeffs
+    v_hat = dealias(u_hat).coeffs
     v = (np.fft.ifft(np.fft.ifftshift(v_hat)) * (SQRT_2PI / grid.dx)).real
-    w_hat = np.fft.fftshift(np.fft.fft(v ** (p + 1) / (p + 1))) * (grid.dx / SQRT_2PI)
+    w_hat = np.fft.fftshift(np.fft.fft(v ** 3 / 3)) * (grid.dx / SQRT_2PI)
     out = (1j * grid.wavenumbers) * w_hat
     out[0] = 0.0
-    return dealias(SpectralField(grid, eq.nonlinearity_coefficient * out), degree).coeffs
+    return dealias(SpectralField(grid, eq.nonlinearity_coefficient * out)).coeffs
 
 
 def zero_padded(grid, band):
@@ -79,7 +77,6 @@ def random_band_limited(grid, band, rng, amplitude=0.5):
 class TestRegistry:
     def test_modified_fkdv(self):
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        assert eq.nonlinearity_degree == 2
         assert eq.nonlinearity_coefficient == -1.0
         assert abs(eq.linear_symbol.evaluate(np.array([4.0]))[0] - 2j) < 1e-14
 
@@ -94,13 +91,31 @@ class TestRegistry:
     def test_modified_burgers(self):
         eq = make_equation("modified_burgers")
         assert not eq.is_dispersive
-        assert eq.nonlinearity_degree == 2
         assert eq.nonlinearity_coefficient == -1.0
         assert np.all(eq.linear_symbol.evaluate(np.linspace(-3, 3, 7)) == 0)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            make_equation("kdv5")
+    # every equation is cubic: the quadratic and unscaled kinds are unknown
+    @pytest.mark.parametrize("kind", ["kdv5", "fkdv", "whitham", "modified_whitham",
+                                      "burgers"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ConfigurationError, match="unknown equation kind"):
+            make_equation(kind, alpha=-0.5)
+
+    @pytest.mark.parametrize("kind,params,match", [
+        ("modified_fkdv", {"alpha": 0.7}, "alpha"),
+        ("mkdv", {"epsilon": 0.0}, "epsilon"),
+        ("rescaled_modified_whitham", {"epsilon": -1.0}, "epsilon"),
+        ("modified_fkdv", {"alpha": 0.0}, "alpha"),
+        ("modified_fkdv", {"alpha": -1.0}, "alpha"),
+        ("modified_fkdv", {"alpha": float("nan")}, "alpha"),
+        ("mkdv", {"epsilon": float("inf")}, "epsilon"),
+        ("mkdv", {"epsilon": float("nan")}, "epsilon"),
+        ("rescaled_modified_whitham", {"epsilon": float("inf")}, "epsilon"),
+        ("rescaled_modified_whitham", {"epsilon": float("nan")}, "epsilon"),
+    ])
+    def test_parameters_out_of_range(self, kind, params, match):
+        with pytest.raises(ConfigurationError, match=match):
+            make_equation(kind, **params)
 
     def test_missing_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -111,15 +126,10 @@ class TestRegistry:
             make_equation("rescaled_modified_whitham")
 
     def test_whole_registry_constructible_and_skew(self):
-        assert len(REGISTRY_KINDS) == 6
+        assert len(EQUATION_KINDS) == 4
         xi = np.linspace(-20, 20, 401)
         for kind in EQUATION_KINDS:
-            kwargs = {}
-            if kind in ("modified_fkdv", "fkdv"):
-                kwargs["alpha"] = -0.5
-            if kind in ("rescaled_modified_whitham", "mkdv"):
-                kwargs["epsilon"] = 0.1
-            eq = make_equation(kind, **kwargs)
+            eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
             assert is_skew(eq.linear_symbol, xi) or not eq.is_dispersive
 
     def test_rescaled_whitham_scaling(self):
@@ -136,7 +146,7 @@ class TestRegistry:
 
 class TestNonlinearity:
     @pytest.mark.parametrize("n", [16, 512, 8192])
-    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
     def test_matches_reference_kernel(self, kind, n):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(n, 16.0 * np.pi)
@@ -154,19 +164,19 @@ class TestNonlinearity:
         out = nonlinearity(eq, g, half_transform(g, np.full(32, 0.7)))
         assert np.max(np.abs(out)) < 1e-15
 
-    def test_quadratic_on_sine(self):
-        # c = -1, p = 1: -d/dx(sin^2 x / 2) = -sin(2x)/2
+    def test_cubic_on_sine(self):
+        # c = -1: -d/dx(sin^3 x / 3) = -sin^2 x cos x
         g = make_grid(64, TWO_PI)
-        eq = make_equation("fkdv", alpha=-0.5)
+        eq = make_equation("modified_fkdv", alpha=-0.5)
         out = half_inverse_transform(g, nonlinearity(eq, g, half_transform(g, np.sin(g.x))))
-        assert np.max(np.abs(out + np.sin(2 * g.x) / 2)) < 1e-12
+        assert np.max(np.abs(out + np.sin(g.x) ** 2 * np.cos(g.x))) < 1e-12
 
     def test_cubic_matches_truncated_convolution(self):
         # retained modes must carry the exact double convolution
         rng = np.random.default_rng(21)
         n = 16
         g = make_grid(n, TWO_PI)
-        keep = dealias_keep(n, 3)
+        keep = dealias_keep(n)
         c = np.zeros(n, complex)
         for k in range(1, keep):
             c[n // 2 + k] = rng.normal() + 1j * rng.normal()
@@ -207,13 +217,13 @@ class TestNonlinearity:
         n = 64
         g = make_grid(n, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        keep = dealias_keep(n, 3)
+        keep = dealias_keep(n)
         c = np.zeros(n, complex)
         for k in range(1, keep):
             c[n // 2 + k] = rng.normal() + 1j * rng.normal()
         u_hat = hermitize(SpectralField(g, 0.5 * c))
         out = full_nonlinearity(eq, u_hat)
-        masked = dealias(u_hat, eq.dealias_degree)
+        masked = dealias(u_hat)
         pairing = np.sum(out.coeffs * np.conj(masked.coeffs)).real * g.dxi
         scale = np.sum(np.abs(masked.coeffs) ** 2) * g.dxi
         assert abs(pairing) <= 1e-10 * max(scale, 1.0)
@@ -234,13 +244,13 @@ class TestBandContract:
     def test_band_length(self, kind, n):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(n, TWO_PI)
-        expected = n // 4 + 1 if eq.nonlinearity_degree == 2 else n // 3 + 1
+        expected = n // 4 + 1
         assert eq.band_length(g) == expected
         assert eq.nonlinear_multiplier(g).shape == (expected,)
         out = nonlinearity(eq, g, half_transform(g, 0.1 * np.sin(g.x)))
         assert out.shape == (expected,)
 
-    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
     def test_modes_above_band_are_not_read(self, kind):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(256, 16.0 * np.pi)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkdvlab.equations import REGISTRY_KINDS, linearized, make_equation
+from fkdvlab.equations import EQUATION_KINDS, linearized, make_equation
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.integrator import (
     BLOWUP_AMPLITUDE,
@@ -36,7 +36,7 @@ from fkdvlab.spectral import (
 
 TWO_PI = 2.0 * np.pi
 
-REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5}, "fkdv": {"alpha": -0.5},
+REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5},
                    "rescaled_modified_whitham": {"epsilon": 0.1},
                    "mkdv": {"epsilon": 0.1}}
 
@@ -52,12 +52,10 @@ def reference_nonlinearity(eq, u_hat):
     grid = u_hat.grid
     if eq.nonlinearity_coefficient == 0.0:
         return np.zeros(grid.n_points, dtype=complex)
-    mask = dealias_mask(grid, eq.dealias_degree)
-    scale = eq.nonlinearity_coefficient / (eq.nonlinearity_degree + 1)
-    multiplier = scale * 1j * grid.wavenumbers * mask
+    mask = dealias_mask(grid)
+    multiplier = eq.nonlinearity_coefficient / 3 * 1j * grid.wavenumbers * mask
     v = inverse_transform(SpectralField(grid, u_hat.coeffs * mask))
-    power = v * v if eq.nonlinearity_degree == 1 else v * v * v
-    return multiplier * transform(grid, power).coeffs
+    return multiplier * transform(grid, v * v * v).coeffs
 
 
 def reference_step(u_hat, dt, eq):
@@ -85,7 +83,7 @@ def reference_run(u0, eq, config):
     the full spectrum and a three-pass halt check.  Returns (field, halt
     kind, halt time, largest Hermitian defect)."""
     def dt_allowed(fld):
-        speed = float(np.max(np.abs(inverse_transform(fld)))) ** eq.nonlinearity_degree
+        speed = float(np.max(np.abs(inverse_transform(fld)))) ** 2
         return min(config.dt_max,
                    config.cfl_coefficient * fld.grid.dx / max(CFL_FLOOR, speed))
 
@@ -126,18 +124,16 @@ class TestCfl:
         g = make_grid(32, TWO_PI)
         state = SolverState(0.0, SpectralField(g, np.zeros(32, complex)))
         cfg = SolverConfig(dt_max=0.7, t_end=1.0)
-        eq = make_equation("modified_burgers")
-        assert cfl_dt(state, eq, cfg) == 0.7
+        assert cfl_dt(state, cfg) == 0.7
 
     def test_transport_speed_restriction(self):
-        # max|u| = 2, p = 2, dx = 0.1, c = 0.5: dt = 0.5*0.1/4
+        # max|u| = 2, dx = 0.1, c = 0.5: dt = 0.5*0.1/2^2
         g = make_grid(32, 3.2)
         u = np.zeros(32)
         u[5] = 2.0
         state = SolverState(0.0, transform(g, u))
         cfg = SolverConfig(dt_max=1.0, cfl_coefficient=0.5, t_end=1.0)
-        eq = make_equation("modified_burgers")
-        assert cfl_dt(state, eq, cfg) == pytest.approx(0.0125, rel=1e-10)
+        assert cfl_dt(state, cfg) == pytest.approx(0.0125, rel=1e-10)
 
     def test_dt_max_cap(self):
         g = make_grid(32, 3.2)
@@ -145,14 +141,14 @@ class TestCfl:
         u[5] = 1.0
         state = SolverState(0.0, transform(g, u))
         cfg = SolverConfig(dt_max=0.01, cfl_coefficient=0.5, t_end=1.0)
-        # p = 2 gives 0.5*0.1/1 = 0.05 > dt_max
-        assert cfl_dt(state, make_equation("modified_burgers"), cfg) == 0.01
+        # max|u| = 1 gives 0.5*0.1/1^2 = 0.05 > dt_max
+        assert cfl_dt(state, cfg) == 0.01
 
 
 @st.composite
 def cfl_cases(draw):
     """A random half spectrum (broadband or a few modes, decaying at a
-    random rate, complex or real, any scale), p, the CFL coefficient, and
+    random rate, complex or real, any scale), the CFL coefficient, and
     dt_max placed at the exact CFL edge, at the certificate's edge, one ulp
     past either, or anywhere near them."""
     n = draw(st.sampled_from([2 ** j for j in range(3, 13)]))
@@ -170,10 +166,9 @@ def cfl_cases(draw):
         # real coefficients peak together at x = 0: B is tight for one mode
         half = half.real.astype(complex)
     half *= 10.0 ** draw(st.floats(-8.0, 3.0))
-    p = draw(st.sampled_from([1, 2]))
     cfl = draw(st.floats(0.01, 1.0))
     where = draw(st.sampled_from(["exact", "certificate", "near"]))
-    return grid, half, p, cfl, where, draw(st.sampled_from([0, 1])), \
+    return grid, half, cfl, where, draw(st.sampled_from([0, 1])), \
         10.0 ** draw(st.floats(-2.0, 2.0))
 
 
@@ -181,21 +176,19 @@ class TestCflCertificate:
     @settings(max_examples=300, deadline=None)
     @given(cfl_cases())
     def test_certificate_matches_exact_formula(self, case):
-        grid, half, p, cfl, where, ulps, factor = case
-        eq = make_equation("burgers" if p == 1 else "modified_burgers")
-        assert eq.nonlinearity_degree == p
+        grid, half, cfl, where, ulps, factor = case
         reach = cfl * grid.dx
         max_u = float(np.max(np.abs(half_inverse_transform(grid, half))))
         bound = half_sup_bound(grid, np.abs(half)) * (1.0 + CFL_BOUND_SLACK)
         assert bound >= max_u
-        exact_edge = reach / max(CFL_FLOOR, max_u ** p)
+        exact_edge = reach / max(CFL_FLOOR, max_u ** 2)
         dt_max = {"exact": exact_edge, "near": exact_edge * factor,
-                  "certificate": reach / max(CFL_FLOOR, bound ** p)}[where]
+                  "certificate": reach / max(CFL_FLOOR, bound ** 2)}[where]
         for _ in range(ulps):
             dt_max = np.nextafter(dt_max, np.inf)
         config = SolverConfig(dt_max=float(dt_max), cfl_coefficient=cfl)
-        got = cfl_dt(SolverState.from_half(0.0, grid, half), eq, config)
-        assert got == min(config.dt_max, reach / max(CFL_FLOOR, max_u ** p))
+        got = cfl_dt(SolverState.from_half(0.0, grid, half), config)
+        assert got == min(config.dt_max, reach / max(CFL_FLOOR, max_u ** 2))
 
 
 class TestStep:
@@ -265,7 +258,7 @@ class TestBandLimitedStep:
     """Above the kept band the step is the exact linear flow, and each step
     costs the four stages' transforms and nothing more."""
 
-    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
     def test_above_band_is_linear_flow(self, kind):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(256, 16.0 * np.pi)
@@ -279,7 +272,7 @@ class TestBandLimitedStep:
         assert np.array_equal(out.half[m:], e_full[m:] * state.half[m:])
         assert out.half[-1] == 0.0
 
-    @pytest.mark.parametrize("kind", ["modified_fkdv", "fkdv", "modified_burgers"])
+    @pytest.mark.parametrize("kind", ["modified_fkdv", "modified_burgers"])
     def test_four_real_transform_pairs_per_step(self, kind, monkeypatch):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(512, 16.0 * np.pi)
@@ -427,20 +420,32 @@ class TestRunSimulation:
         assert np.all(np.isfinite(final.u_hat.coeffs))
         assert halt.t > final.t
 
-    @pytest.mark.parametrize("kind,reason", [("modified_burgers", "blowup"),
-                                             ("burgers", "nan")])
-    @pytest.mark.parametrize("amplitude", [1e154, 1e160, 1e300])
-    def test_huge_data_halts_typed(self, amplitude, kind, reason):
-        # p = 2: max|u|^2 overflows, or leaves a CFL step too small to count
-        # substeps in, so the initial state itself halts; p = 1: the first
-        # step overflows to NaN
+    @pytest.mark.parametrize("amplitude,reason", [
+        (1e120, "nan"), (1e154, "blowup"), (1e160, "blowup"), (1e300, "blowup")])
+    def test_huge_data_halts_typed(self, amplitude, reason):
+        # max|u|^2 overflows, or leaves a CFL step too small to count
+        # substeps in, so the initial state itself halts; below that, u^3
+        # overflows in the first step and the transform makes it NaN
         g = make_grid(64, TWO_PI)
         u0 = transform(g, amplitude * np.sin(g.x))
         cfg = SolverConfig(dt_max=0.01, t_end=0.1)
         with np.errstate(over="ignore", invalid="ignore"):
-            final, halt = run_simulation(u0, make_equation(kind), cfg)
+            final, halt = run_simulation(u0, make_equation("modified_burgers"), cfg)
         assert halt.kind == reason
         assert final.t == 0.0 and np.all(np.isfinite(final.half))
+
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
+    def test_cubic_overflow_halts_nan_for_every_kind(self, kind):
+        # u^3 overflows in the first stage whatever the linear part, and the
+        # halt keeps the last finite state
+        g = make_grid(64, TWO_PI)
+        u0 = transform(g, 1e120 * np.sin(g.x))
+        cfg = SolverConfig(dt_max=0.01, t_end=0.1)
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            final, halt = run_simulation(u0, eq, cfg)
+        assert (halt.kind, final.t) == ("nan", 0.0)
+        assert halt.t > 0.0 and np.all(np.isfinite(final.half))
 
     def test_snapshots_land_exactly(self):
         g = make_grid(64, TWO_PI)
@@ -526,7 +531,7 @@ class TestFullSpectrumReference:
     Hermitian defect to repair."""
 
     @pytest.mark.parametrize("n", [16, 512, 8192])
-    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
     def test_runs_bit_identical(self, kind, n):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(n, 16.0 * np.pi)

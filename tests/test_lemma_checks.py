@@ -356,9 +356,12 @@ class TestDispersiveEstimate:
             assert sweep["rhs"] == [dispersive_rhs(-0.5, p["k"], p["t"])[side]
                                     for p in sweep["tuples"]]
 
-    def test_alpha_range_guard(self):
-        with pytest.raises(ConfigurationError):
-            check_dispersive_estimate(1.5)
+    # the box is sized for the leftward drift of -1 < alpha < 0; a positive
+    # alpha ran on into "packet reached the box boundary"
+    @pytest.mark.parametrize("alpha", [1.5, 0.7, 0.0, float("nan")])
+    def test_alpha_range_guard(self, alpha):
+        with pytest.raises(ConfigurationError, match=r"alpha must lie in \(-1, 0\)"):
+            check_dispersive_estimate(alpha)
 
     def test_ratio_time_stability_dispersed_regime(self):
         # once the packet is fully dispersed the sup obeys the predicted

@@ -172,11 +172,17 @@ class TestMultipliers:
                 fractional_dispersion_symbol(alpha)
 
     def test_whitham_symbol(self):
-        sym = whitham_scalar_symbol(None)
+        sym = whitham_scalar_symbol(1.0)
         assert abs(sym.evaluate(np.array([0.0]))[0] - 1.0) < 1e-14
         assert abs(sym.evaluate(np.array([100.0]))[0] - 0.1) < 1e-12
         sym4 = whitham_scalar_symbol(4.0)
         assert abs(sym4.evaluate(np.array([50.0]))[0] - 0.1) < 1e-12
+
+    # the symbol is always the scaled one: no epsilon means no symbol
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_whitham_range(self, epsilon):
+        with pytest.raises(ConfigurationError, match="epsilon must be positive and finite"):
+            whitham_scalar_symbol(epsilon)
 
 
 class TestDyadicCutoffs:
@@ -268,24 +274,17 @@ class TestDealias:
     def test_cubic_rule(self):
         g = make_grid(32, TWO_PI)
         f = SpectralField(g, np.ones(32, complex))
-        out = dealias(f, 3)
+        out = dealias(f)
         zeroed = np.abs(g.mode_index) > 8
         assert np.all(out.coeffs[zeroed] == 0)
         assert np.all(out.coeffs[~zeroed] == 1)
-
-    def test_quadratic_rule(self):
-        g = make_grid(32, TWO_PI)
-        f = SpectralField(g, np.ones(32, complex))
-        out = dealias(f, 2)
-        assert np.all(out.coeffs[np.abs(g.mode_index) > 10] == 0)
-        assert np.all(out.coeffs[np.abs(g.mode_index) <= 10] == 1)
 
     def test_band_limited_unchanged(self):
         g = make_grid(32, TWO_PI)
         c = np.zeros(32, complex)
         c[g.n_points // 2 + 3] = 1.0
         f = SpectralField(g, c)
-        assert np.all(dealias(f, 3).coeffs == c)
+        assert np.all(dealias(f).coeffs == c)
 
 
 class TestHermitianAndUnitarity:
@@ -385,33 +384,33 @@ def exact_cube(grid, half):
 
 class TestCubicDealias:
     @settings(max_examples=100, deadline=None)
-    @given(band_limited(lambda n: dealias_keep(n, 3) - 1))
+    @given(band_limited(lambda n: dealias_keep(n) - 1))
     def test_products_inside_the_band_are_alias_free(self, case):
         # input modes strictly inside the kept band: every kept output mode
         # of the grid product is the exact truncated convolution
         grid, half = case
-        mask = half_table(grid, dealias_mask(grid, 3))
+        mask = half_table(grid, dealias_mask(grid))
         got, want = cube_on_grid(grid, half) * mask, exact_cube(grid, half) * mask
         scale = 1.0 + np.max(np.abs(half)) ** 3 * (grid.n_points / grid.dx) ** 2
         assert np.allclose(got, want, rtol=0.0, atol=1e-10 * scale)
 
     @settings(max_examples=100, deadline=None)
-    @given(band_limited(lambda n: dealias_keep(n, 3)))
+    @given(band_limited(lambda n: dealias_keep(n)))
     def test_interior_modes_of_masked_products_are_alias_free(self, case):
         grid, half = case
-        interior = np.arange(half.size) < dealias_keep(grid.n_points, 3)
+        interior = np.arange(half.size) < dealias_keep(grid.n_points)
         got, want = cube_on_grid(grid, half), exact_cube(grid, half)
         scale = 1.0 + np.max(np.abs(half)) ** 3 * (grid.n_points / grid.dx) ** 2
         assert np.allclose(got[interior], want[interior], rtol=0.0, atol=1e-10 * scale)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "dealias_keep(n, 3) = n // 4 keeps the modes |k| = n/4, and three of "
+        "dealias_keep(n) = n // 4 keeps the modes |k| = n/4, and three of "
         "them make mode 3n/4, which the n-point grid folds back onto -n/4: "
         "cos(4x)^3 on 16 points puts 1 instead of 3/4 into mode 4.  Keeping "
         "n // 4 - 1 would cure it but moves every cubic study's output"))
     def test_boundary_mode_is_alias_free(self):
         grid = make_grid(16, TWO_PI)
         half = half_transform(grid, np.cos(4.0 * grid.x))
-        mask = half_table(grid, dealias_mask(grid, 3))
+        mask = half_table(grid, dealias_mask(grid))
         assert np.allclose(cube_on_grid(grid, half * mask) * mask,
                            exact_cube(grid, half) * mask, atol=1e-12)
