@@ -51,10 +51,20 @@ from fkdvlab.lemma_checks import (
     _dispersion,
     _evolved_band_sup,
     _field_l1,
+    _kernel_l1_by_quadrature,
     _packet_grid,
     _profile_norms,
+    interpolation_members,
 )
-from fkdvlab.spectral import CUTOFFS, SpectralField, inverse_transform, make_grid
+from fkdvlab.spectral import (
+    CUTOFFS,
+    SpectralField,
+    half_inverse_transform,
+    hermitize,
+    inverse_transform,
+    make_grid,
+    transform,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,6 +132,80 @@ class TestPhaseExpansion:
         assert max(result["deltas"]) == abs(xi) / 32.0
 
 
+def per_case_band_field(rng, k, n=1024):
+    """The random band field of one interpolation member, as the check drew
+    it one case at a time."""
+    L = 2.0 ** (-k) * 64.0 * np.pi          # dxi = 2^k / 32
+    grid = make_grid(n, L)
+    idx = grid.mode_index
+    band = (np.abs(idx) >= 17) & (np.abs(idx) <= 63)   # |xi|/2^k in (1/2, 2)
+    c = np.zeros(n, dtype=complex)
+    pos = np.where(band & (idx > 0))[0]
+    draws = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
+    c[pos] = draws
+    fld = hermitize(SpectralField(grid, c))
+    return grid, fld
+
+
+def per_case_members(grid, fld, k):
+    """``interpolation_members`` as it was, on the full ascending layout."""
+    xi = grid.wavenumbers
+    phat = CUTOFFS.psi_j(xi, k) * fld.coeffs
+    pfld = SpectralField(grid, phat)
+    u = inverse_transform(pfld)
+    sup2 = float(np.max(np.abs(phat))) ** 2
+    l1sq = (float(np.sum(np.abs(u)) * grid.dx)) ** 2
+    l2 = float(np.sqrt(np.sum(np.abs(phat) ** 2) * grid.dxi))
+    xc = grid.x - grid.x_center
+    xw = transform(grid, xc * u)
+    dl2 = float(np.sqrt(np.sum(np.abs(xw.coeffs) ** 2) * grid.dxi))
+    right = 2.0 ** (-k) * l2 * (l2 + 2.0 ** k * dl2)
+    return sup2, l1sq, right
+
+
+def per_case_interpolation(num_trials, seed):
+    """``check_interpolation_inequality`` as it was: one Python iteration,
+    two fields and two member evaluations per trial."""
+    rng = np.random.default_rng(seed)
+    res1 = lemma_checks.EstimateSweepResult("bandsup_vs_l1")
+    res2 = lemma_checks.EstimateSweepResult("l1_vs_weighted_l2")
+    dilation_defects = []
+    for trial in range(num_trials):
+        k = int(rng.integers(-3, 4))
+        state = rng.bit_generator.state
+        grid, fld = per_case_band_field(rng, k)
+        sup2, l1sq, right = per_case_members(grid, fld, k)
+        params = {"trial": trial, "k": k}
+        res1.add(params, sup2, l1sq)
+        res2.add(params, l1sq, right)
+
+        rng2 = np.random.default_rng()
+        rng2.bit_generator.state = state
+        grid_d, fld_d = per_case_band_field(rng2, k + 1)
+        sup2_d, l1sq_d, right_d = per_case_members(grid_d, fld_d, k + 1)
+        defect = max(abs(sup2_d / l1sq_d - sup2 / l1sq) / (sup2 / l1sq),
+                     abs(l1sq_d / right_d - l1sq / right) / (l1sq / right))
+        dilation_defects.append(float(defect))
+    return {
+        "bandsup_vs_l1": res1.to_dict(),
+        "l1_vs_weighted_l2": res2.to_dict(),
+        "max_dilation_defect": float(np.max(dilation_defects)),
+        "sharp_constants": {"bandsup_vs_l1": 1.0 / (2.0 * np.pi),
+                            "l1_vs_weighted_l2": 2.0 * np.pi},
+    }
+
+
+def traced_peak(run):
+    """Peak traced allocation of one call, after an untraced warm-up."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestInterpolation:
     def test_chain_constants_and_dilation(self):
         result = check_interpolation_inequality(num_trials=12, seed=0)
@@ -133,15 +217,103 @@ class TestInterpolation:
         assert result["max_dilation_defect"] <= INTERPOLATION_DILATION_DEFECT_MAX
 
     def test_amplitude_quadratic_invariance(self):
-        from fkdvlab.lemma_checks import _random_band_field, interpolation_members
         rng = np.random.default_rng(0)
-        grid, fld = _random_band_field(rng, 0)
+        grid, fld = per_case_band_field(rng, 0)
         s1, l1, r1 = interpolation_members(grid, fld, 0)
         doubled = SpectralField(grid, 2.0 * fld.coeffs)
         s2, l2, r2 = interpolation_members(grid, doubled, 0)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
         assert l2 == pytest.approx(4.0 * l1, rel=1e-12)
         assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-3, 0, 1, 4])
+    def test_members_are_the_per_case_ones_bit_for_bit(self, k):
+        grid, fld = per_case_band_field(np.random.default_rng(k + 3), k)
+        assert interpolation_members(grid, fld, k) == per_case_members(grid, fld, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("num_trials", [1, 3, 20])
+    def test_batched_check_is_the_per_case_loop_bit_for_bit(self, seed, num_trials):
+        assert (check_interpolation_inequality(num_trials=num_trials, seed=seed)
+                == per_case_interpolation(num_trials, seed))
+
+    def test_peak_traced_allocation_at_most_the_per_case_loops(self):
+        assert (traced_peak(check_interpolation_inequality)
+                <= traced_peak(lambda: per_case_interpolation(20, 0)))
+
+    @pytest.mark.parametrize("num_trials", [0, -1])
+    def test_refuses_no_trials(self, num_trials):
+        with pytest.raises(ConfigurationError, match="num_trials must be at least 1"):
+            check_interpolation_inequality(num_trials=num_trials)
+
+
+def per_case_pseudo_product(seed, num_trials):
+    """``check_pseudo_product`` as it was: one Python iteration and three
+    drawn fields per trial, the factored oracle one mode at a time."""
+    rng = np.random.default_rng(seed)
+    grid = make_grid(128, 16.0 * np.pi)
+    xi = grid.wavenumbers
+    dxi = grid.dxi
+    n = grid.n_points
+    idx = np.arange(n)
+    A = _kernel_l1_by_quadrature()
+    m1 = np.exp(-xi ** 2)
+
+    def random_field():
+        c = np.zeros(n, dtype=complex)
+        for k in range(1, 17):
+            c[n // 2 + k] = rng.normal() + 1j * rng.normal()
+        c[n // 2] = rng.normal()
+        return hermitize(SpectralField(grid, 0.3 * c))
+
+    def norms(fld):
+        u = inverse_transform(fld)
+        return {"l2": float(np.sqrt(np.sum(u * u) * grid.dx)),
+                "linf": float(np.max(np.abs(u)))}
+
+    neg_mode = -(np.add.outer(idx - n // 2, idx - n // 2))
+    valid = (neg_mode >= -(n // 2)) & (neg_mode < n // 2)
+    np_clip = np.clip(neg_mode + n // 2, 0, n - 1)
+
+    def trilinear(fh, gh, hh):
+        h_neg = np.where(valid, hh[np_clip], 0.0)
+        mat = np.multiply.outer(m1 * fh, m1 * gh) * h_neg
+        return np.sum(mat) * dxi ** 2
+
+    def trilinear_factored(fh, gh, hh):
+        q = np.zeros(n, dtype=complex)
+        mg = m1 * gh
+        for j in range(n):
+            h_modes = -(j - n // 2) - (idx - n // 2)
+            valid_j = (h_modes >= -(n // 2)) & (h_modes < n // 2)
+            hp = np.clip(h_modes + n // 2, 0, n - 1)
+            q[j] = np.sum(mg * np.where(valid_j, hh[hp], 0.0)) * dxi
+        return np.sum(m1 * fh * q) * dxi
+
+    trials = []
+    factored_defect = 0.0
+    for trial in range(num_trials):
+        f, g, h = random_field(), random_field(), random_field()
+        T = trilinear(f.coeffs, g.coeffs, h.coeffs)
+        if trial == 0:
+            T2 = trilinear_factored(f.coeffs, g.coeffs, h.coeffs)
+            factored_defect = abs(T - T2) / max(1e-300, abs(T))
+        nf, ng, nh = norms(f), norms(g), norms(h)
+        bounds = {
+            "(2,2,inf)": A * nf["l2"] * ng["l2"] * nh["linf"],
+            "(2,inf,2)": A * nf["l2"] * ng["linf"] * nh["l2"],
+            "(inf,2,2)": A * nf["linf"] * ng["l2"] * nh["l2"],
+        }
+        trials.append({"trial": trial, "form": abs(T),
+                       "ratios": {k: abs(T) / v for k, v in bounds.items()}})
+    max_ratio = max(max(tr["ratios"].values()) for tr in trials)
+    return {
+        "kernel": "gaussian",
+        "kernel_l1": A,
+        "trials": trials,
+        "max_ratio": float(max_ratio),
+        "factored_defect": float(factored_defect),
+    }
 
 
 class TestPseudoProduct:
@@ -158,6 +330,20 @@ class TestPseudoProduct:
         r1 = check_pseudo_product(seed=1, num_trials=20)
         assert r0["max_ratio"] < PSEUDO_PRODUCT_RATIO_MAX   # far below the analytic bound
         assert abs(r1["max_ratio"] - r0["max_ratio"]) <= 0.2 * r0["max_ratio"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("num_trials", [1, 3, 20])
+    def test_batched_check_is_the_per_case_loop_bit_for_bit(self, seed, num_trials):
+        assert (check_pseudo_product(seed=seed, num_trials=num_trials)
+                == per_case_pseudo_product(seed, num_trials))
+
+    def test_peak_traced_allocation_at_most_the_per_case_loops(self):
+        assert traced_peak(check_pseudo_product) <= traced_peak(lambda: per_case_pseudo_product(0, 20))
+
+    @pytest.mark.parametrize("num_trials", [0, -1])
+    def test_refuses_no_trials(self, num_trials):
+        with pytest.raises(ConfigurationError, match="num_trials must be at least 1"):
+            check_pseudo_product(num_trials=num_trials)
 
 
 class TestOscillatoryGaussian:
@@ -296,6 +482,41 @@ def per_band_profile_norms(k):
             "dghat_l2": float(np.sqrt(2.0 * np.sum((dv / scale) ** 2) * ds * scale))}
 
 
+def per_point_band_sup(alpha, k, t):
+    """``_evolved_band_sup`` as it was: one point, its band a slice of the
+    real-FFT half spectrum."""
+    grid = _packet_grid(alpha, k, t)
+    xi = np.arange(grid.n_points // 2 + 1) * grid.dxi
+    ghat = _bump(xi / 2.0 ** k)
+    band = slice(max(int(2.0 ** (k - 1) / grid.dxi) - 1, 0),
+                 int(2.0 ** (k + 1) / grid.dxi) + 2)
+    xi_band = xi[band]
+    proj = CUTOFFS.psi_j(xi_band, k)
+    shift = np.exp(-1j * xi_band * (0.7 * grid.box_length))
+    half = np.zeros(len(xi), dtype=complex)
+    half[band] = ghat[band] * proj * shift * np.exp(1j * t * _dispersion(alpha, xi_band))
+    u = half_inverse_transform(grid, half)
+    return float(np.max(np.abs(u)))
+
+
+def per_point_sweep(alpha, k_range=range(-3, 4), t_range=(1.0, 4.0, 16.0, 64.0)):
+    """``check_dispersive_estimate`` as it was: one Python iteration per point."""
+    res_freq = lemma_checks.EstimateSweepResult("dispersive_freq_side")
+    res_phys = lemma_checks.EstimateSweepResult("dispersive_phys_side")
+    for k in k_range:
+        for t in t_range:
+            lhs = per_point_band_sup(alpha, k, t)
+            rhs = dispersive_rhs(alpha, k, t)
+            params = {"alpha": alpha, "k": int(k), "t": float(t)}
+            res_freq.add(params, lhs, rhs["freq"])
+            res_phys.add(params, lhs, rhs["phys"])
+    t1 = 2.0 ** (1.0 + alpha) * 4.0
+    r_dilated = per_point_band_sup(alpha, 1, 4.0) / dispersive_rhs(alpha, 1, 4.0)["phys"]
+    r_rescaled = per_point_band_sup(alpha, 0, t1) / dispersive_rhs(alpha, 0, t1)["phys"]
+    return {"alpha": alpha, "freq_side": res_freq.to_dict(), "phys_side": res_phys.to_dict(),
+            "dilation_defect": float(abs(r_dilated - r_rescaled) / r_rescaled)}
+
+
 DILATION_PAIRS = [(a, k, t) for a in (-0.8, -0.5, -0.2)
                   for k, t in ((1, 4.0), (0, 2.0 ** (1.0 + a) * 4.0))]
 
@@ -340,6 +561,34 @@ class TestDispersiveEstimate:
         monkeypatch.setattr(lemma_checks, "_packet_grid", small_box)
         with pytest.raises(DomainError, match="packet reached the box boundary"):
             _evolved_band_sup(-0.5, 0, 64.0)
+
+    @pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
+    def test_batched_sweep_is_the_per_point_loop_bit_for_bit(self, alpha):
+        assert check_dispersive_estimate(alpha) == per_point_sweep(alpha)
+
+    def test_batched_sweep_mixes_grid_sizes_and_orders(self):
+        # points out of grid-size order, repeated, and one per chunk
+        ks, ts = (3, -3, 0, 3, 2, 0), (64.0, 1.0, 4096.0, 64.0, 16.0, 4.0)
+        sups = lemma_checks._evolved_band_sups(-0.5, ks, ts)
+        assert sups.tolist() == [per_point_band_sup(-0.5, k, t) for k, t in zip(ks, ts)]
+
+    def test_peak_traced_allocation_at_most_the_per_point_loop(self):
+        run, _ = LEMMA_CHECKS["dispersive"]
+        assert (traced_peak(lambda: run(0))
+                <= traced_peak(lambda: [per_point_sweep(a) for a in (-0.8, -0.5, -0.2)]))
+
+    # the 2^18-point cap left the band above the grid's Nyquist frequency: the
+    # first point returned a truncated packet's sup, the second blamed the
+    # profile for leaking out of its band
+    @pytest.mark.parametrize("alpha, t, nyquist", [(-0.2, 8192.0, "50.3"),
+                                                   (-0.5, 65536.0, "25.1")])
+    def test_grid_cap_guard(self, alpha, t, nyquist):
+        message = (f"2\\^18-point grid cap puts the Nyquist frequency {nyquist} "
+                   "below the top 128 of the dyadic band 2\\^6")
+        with pytest.raises(DomainError, match=message):
+            _packet_grid(alpha, 6, t)
+        with pytest.raises(DomainError, match=message):
+            check_dispersive_estimate(alpha, k_range=(0, 6), t_range=(t,))
 
     def test_sweep_bounded_and_dilation_invariant(self):
         result = check_dispersive_estimate(-0.5, k_range=(-1, 0, 1),
