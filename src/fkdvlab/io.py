@@ -75,10 +75,11 @@ def _to_jsonable(obj):
 
 def write_report(report, path: str) -> None:
     payload = report.to_dict() if hasattr(report, "to_dict") else report
+    # encoded whole and written once: json.dump writes chunk by chunk
+    text = json.dumps(_to_jsonable(payload), indent=2, sort_keys=True) + "\n"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_to_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_report(path: str) -> dict:

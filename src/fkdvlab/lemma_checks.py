@@ -25,7 +25,6 @@ from .spectral import (
     CUTOFFS,
     Grid,
     SpectralField,
-    half_inverse_transform,
     hermitize,
     inverse_transform,
     make_grid,
@@ -292,12 +291,28 @@ def _profile_norms(k: int) -> dict:
 
 
 def _field_l1(alpha: float, k: int) -> float:
-    """L^1 norm of the (unprojected) physical test field at t = 0, from the
-    half spectrum of the even bump."""
-    grid = _packet_grid(alpha, k, 1.0)
-    half = _bump(np.arange(grid.n_points // 2 + 1) * grid.dxi / 2.0 ** k)
-    u = half_inverse_transform(grid, half.astype(complex))
-    return float(np.sum(np.abs(u)) * grid.dx)
+    """L^1 norm of the (unprojected) physical test field of band k at t = 0."""
+    return float(_field_l1s(alpha, [k])[0])
+
+
+def _field_l1s(alpha: float, ks) -> np.ndarray:
+    """``_field_l1`` of each band in ks, from the half spectrum of the even
+    bump: the bands of one grid size are the rows of one synthesis, each
+    with its own dx.  The bump is evaluated only below s = center +
+    28 / invwidth, past which both gaussians are exactly 0 (exp(-784))."""
+    grids = [_packet_grid(alpha, k, 1.0) for k in ks]
+    l1 = np.empty(len(grids))
+    for n in sorted({grid.n_points for grid in grids}):
+        rows = [i for i, grid in enumerate(grids) if grid.n_points == n]
+        dx = np.array([grids[i].dx for i in rows])[:, None]
+        dxi = np.array([grids[i].dxi for i in rows])[:, None]
+        scale = np.ldexp(1.0, np.array(ks)[rows])[:, None]      # 2^k, exactly
+        top = int(np.max((_BUMP_CENTER + 28.0 / _BUMP_INVWIDTH) * scale / dxi)) + 1
+        half = np.zeros((len(rows), n // 2 + 1), dtype=complex)
+        half[:, :top] = _bump(np.arange(min(top, n // 2 + 1)) * dxi / scale)
+        u = np.fft.irfft(half * (_SQRT_2PI / dx), n)
+        l1[rows] = np.sum(np.abs(u), axis=-1) * dx[:, 0]
+    return l1
 
 
 def dispersive_rhs(alpha: float, k: int, t: float) -> dict:
@@ -337,13 +352,18 @@ def check_dispersive_estimate(alpha: float, k_range=range(-3, 4),
     """
     if not (-1.0 < alpha < 0.0):
         raise ConfigurationError(f"alpha must lie in (-1, 0), got {alpha}")
+    if len(k_range) == 0:
+        raise ConfigurationError("k_range must hold at least one band")
+    if len(t_range) == 0 or not all(0.0 < t < np.inf for t in t_range):
+        raise ConfigurationError(f"t_range needs positive, finite times, got {tuple(t_range)}")
     # the sweep, then the dilation pair (band k0 + 1, t0) and (k0, 2^(1+alpha) t0)
     points = [(int(k), float(t)) for k in k_range for t in t_range]
     k0, t0 = 0, 4.0
     pair = [(k0 + 1, t0), (k0, 2.0 ** (1.0 + alpha) * t0)]
     sups = _evolved_band_sups(alpha, *zip(*points, *pair))
     # the profile norms and the field's L^1 norm do not depend on t
-    norms = {k: (_profile_norms(k), _field_l1(alpha, k)) for k in {k for k, _ in points + pair}}
+    bands = sorted({k for k, _ in points + pair})
+    norms = {k: (_profile_norms(k), l1) for k, l1 in zip(bands, _field_l1s(alpha, bands))}
     res_freq = EstimateSweepResult("dispersive_freq_side")
     res_phys = EstimateSweepResult("dispersive_phys_side")
     for (k, t), lhs in zip(points, sups):
@@ -562,21 +582,24 @@ def profile_rhs_double_sum(fhat: SpectralField, t: float, alpha: float) -> np.nd
     dxi = grid.dxi
     idx = np.arange(n)
     F = fhat.coeffs
-    a_grid = _dispersion(alpha, grid.wavenumbers)
-    pair_pos = np.add.outer(idx, idx)             # position sum of (eta, sigma)
-    a_eta_sig = np.add.outer(a_grid, a_grid)      # a(eta) + a(sigma)
-    F_eta_sig = np.multiply.outer(F, F)
-    out = np.zeros(n, dtype=complex)
-    for o in range(n):
-        rem_pos = o + n - pair_pos                # position of xi - eta - sigma
-        valid = (rem_pos >= 0) & (rem_pos < n)
-        rp = np.clip(rem_pos, 0, n - 1)
-        f_rem = np.where(valid, F[rp], 0.0)
-        a_rem = np.where(valid, a_grid[rp], 0.0)
-        phases = np.exp(1j * t * (a_rem + a_eta_sig - a_grid[o]))
-        total = np.sum(phases * f_rem * F_eta_sig)
-        out[o] = -1j / (2.0 * np.pi) * (grid.wavenumbers[o] / 3.0) * total * dxi ** 2
-    return out
+    xi = grid.wavenumbers
+    a_grid = _dispersion(alpha, xi)
+    # axes (output xi, eta, sigma); xi - eta - sigma sits at position
+    # o + n - i - j, looked up n places into F and a padded with n zeros
+    rem = (idx + 2 * n)[:, None, None] - np.add.outer(idx, idx)
+    zeros = np.zeros(n)
+    f_rem = np.concatenate([zeros, F, zeros])[rem]
+    a_rem = np.concatenate([zeros, a_grid, zeros])[rem]
+    a_rem += np.add.outer(a_grid, a_grid)         # + a(eta) + a(sigma)
+    a_rem -= a_grid[:, None, None]
+    phases = np.exp(1j * t * a_rem)
+    phases *= f_rem
+    phases *= np.multiply.outer(F, F)
+    # each output's n x n block summed as one row, as np.sum sums the block
+    total = phases.reshape(n, n * n).sum(axis=-1)
+    # a scalar product per mode: numpy's vectorised complex loops may round otherwise
+    return np.array([-1j / (2.0 * np.pi) * (xi[o] / 3.0) * total[o] * dxi ** 2
+                     for o in range(n)], dtype=complex)
 
 
 #: Pass threshold of ``check_trilinear_identity``: largest relative sup
@@ -600,10 +623,11 @@ def check_trilinear_identity(n_points: int = 16, seed: int = 0,
     rng = np.random.default_rng(seed)
     grid = make_grid(n_points, 2.0 * np.pi)
     keep = n_points // 4 - 1
+    # Re, Im of the modes 1 ... keep in turn, then the zero mode
+    draws = rng.normal(size=2 * keep + 1)
     c = np.zeros(n_points, dtype=complex)
-    for k in range(1, keep + 1):
-        c[n_points // 2 + k] = rng.normal() + 1j * rng.normal()
-    c[n_points // 2] = rng.normal()
+    c[n_points // 2 + 1:n_points // 2 + keep + 1] = draws[0:-1:2] + 1j * draws[1::2]
+    c[n_points // 2] = draws[-1]
     fhat = hermitize(SpectralField(grid, amplitude * c))
 
     oracle = profile_rhs_double_sum(fhat, t, alpha)
@@ -815,6 +839,12 @@ def check_oscillatory_gaussian(N_list=(1.0, 10.0), cutoff_N_list=(3.0, 4.0, 6.0)
                                cutoff_N_check: float = 8.0) -> dict:
     """Quadrature vs closed form for the oscillatory gaussian integral, and
     decay-rate fit for its smooth-cutoff variant approaching 2*pi."""
+    for name, Ns in (("N_list", N_list), ("cutoff_N_list", cutoff_N_list),
+                     ("cutoff_N_check", (cutoff_N_check,))):
+        if len(Ns) == 0 or not all(0.0 < N < np.inf for N in Ns):
+            raise ConfigurationError(f"{name} needs positive, finite N, got {Ns}")
+    if len(set(cutoff_N_list)) < 2:
+        raise ConfigurationError(f"cutoff_N_list needs two distinct N, got {cutoff_N_list}")
     gaussian = []
     for N in N_list:
         value = _gaussian_double_integral(N)

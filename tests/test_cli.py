@@ -358,6 +358,18 @@ class TestSeriesIO:
         assert json.loads(text) == {"a": None, "b": None, "c": [None, 1.5], "d": None,
                                     "e": None, "f": [[2, 3]], "g": True}
 
+    def test_report_bytes_are_the_chunked_json_dump(self, tmp_path):
+        # one encode and one write give the bytes json.dump wrote chunk by chunk
+        payload = {"z": [np.float64(1.0) / 3.0, np.nan, np.int64(7)], "a": {"b": np.arange(3.0)},
+                   "m": np.array([[np.nan, -0.0], [1e-300, np.inf]]), "s": "é \"q\"",
+                   "t": (np.bool_(False), None, 2 ** 70)}
+        path = tmp_path / "r.json"
+        lab_io.write_report(payload, str(path))
+        with open(tmp_path / "chunked.json", "w") as fh:
+            json.dump(lab_io._to_jsonable(payload), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "chunked.json").read_bytes()
+
     def test_spectrum_writer(self, tmp_path):
         g = make_grid(16, 2 * np.pi)
         c = np.zeros(16, complex)

@@ -51,6 +51,7 @@ from fkdvlab.lemma_checks import (
     _dispersion,
     _evolved_band_sup,
     _field_l1,
+    _field_l1s,
     _kernel_l1_by_quadrature,
     _packet_grid,
     _profile_norms,
@@ -67,6 +68,49 @@ from fkdvlab.spectral import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def per_mode_double_sum(fhat, t, alpha):
+    """``profile_rhs_double_sum`` as it was: one Python iteration per output
+    mode, each over an n x n block of (eta, sigma) pairs."""
+    grid = fhat.grid
+    n = grid.n_points
+    dxi = grid.dxi
+    idx = np.arange(n)
+    F = fhat.coeffs
+    a_grid = _dispersion(alpha, grid.wavenumbers)
+    pair_pos = np.add.outer(idx, idx)
+    a_eta_sig = np.add.outer(a_grid, a_grid)
+    F_eta_sig = np.multiply.outer(F, F)
+    out = np.zeros(n, dtype=complex)
+    for o in range(n):
+        rem_pos = o + n - pair_pos
+        valid = (rem_pos >= 0) & (rem_pos < n)
+        rp = np.clip(rem_pos, 0, n - 1)
+        f_rem = np.where(valid, F[rp], 0.0)
+        a_rem = np.where(valid, a_grid[rp], 0.0)
+        phases = np.exp(1j * t * (a_rem + a_eta_sig - a_grid[o]))
+        total = np.sum(phases * f_rem * F_eta_sig)
+        out[o] = -1j / (2.0 * np.pi) * (grid.wavenumbers[o] / 3.0) * total * dxi ** 2
+    return out
+
+
+def per_scalar_profile(n_points, seed, amplitude=0.1):
+    """The random profile of ``check_trilinear_identity`` as it was drawn,
+    one ``rng.normal()`` per real number."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(n_points, dtype=complex)
+    for k in range(1, n_points // 4):
+        c[n_points // 2 + k] = rng.normal() + 1j * rng.normal()
+    c[n_points // 2] = rng.normal()
+    return hermitize(SpectralField(make_grid(n_points, TWO_PI), amplitude * c))
+
+
+def single_pair_profile():
+    c = np.zeros(16, complex)
+    c[8 + 1] = 0.2 + 0.1j
+    c[8 - 1] = np.conj(c[8 + 1])
+    return SpectralField(make_grid(16, TWO_PI), c)
 
 
 class TestTrilinearIdentity:
@@ -87,11 +131,7 @@ class TestTrilinearIdentity:
 
     def test_single_mode_pair(self):
         # one Hermitian mode pair: both sides live on reachable triple sums
-        g = make_grid(16, TWO_PI)
-        c = np.zeros(16, complex)
-        c[8 + 1] = 0.2 + 0.1j
-        c[8 - 1] = np.conj(c[8 + 1])
-        fhat = SpectralField(g, c)
+        fhat = single_pair_profile()
         oracle = profile_rhs_double_sum(fhat, 0.7, -0.5)
         target = profile_rhs_pseudospectral(fhat, 0.7, -0.5)
         assert np.max(np.abs(oracle - target)) <= 1e-12 * np.max(np.abs(target))
@@ -99,6 +139,36 @@ class TestTrilinearIdentity:
     def test_size_guard(self):
         with pytest.raises(ConfigurationError):
             check_trilinear_identity(128, 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_points", [8, 16, 32])
+    def test_oracle_is_the_per_mode_loop_bit_for_bit(self, n_points, seed):
+        fhat = per_scalar_profile(n_points, seed)
+        for t, alpha in ((0.7, -0.5), (1.3, -0.2)):
+            assert np.array_equal(profile_rhs_double_sum(fhat, t, alpha).view(float),
+                                  per_mode_double_sum(fhat, t, alpha).view(float))
+
+    @pytest.mark.parametrize("fhat", [SpectralField(make_grid(16, TWO_PI), np.zeros(16, complex)),
+                                      single_pair_profile()], ids=["zero", "single_pair"])
+    def test_oracle_of_special_fields_is_the_per_mode_loop(self, fhat):
+        assert np.array_equal(profile_rhs_double_sum(fhat, 0.7, -0.5).view(float),
+                              per_mode_double_sum(fhat, 0.7, -0.5).view(float))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_points", [8, 16, 32])
+    def test_check_is_the_per_scalar_draw_bit_for_bit(self, n_points, seed):
+        # the profile's numbers drawn in one call are the one-at-a-time draws
+        fhat = per_scalar_profile(n_points, seed)
+        target = profile_rhs_pseudospectral(fhat, 0.7, -0.5)
+        scale = float(np.max(np.abs(target)))
+        diff = float(np.max(np.abs(per_mode_double_sum(fhat, 0.7, -0.5) - target)))
+        result = check_trilinear_identity(n_points, seed)
+        assert result["max_abs_target"] == scale
+        assert result["relative_sup_difference"] == diff / scale
+
+    def test_peak_traced_allocation_at_most_the_pseudo_product_check(self):
+        # the (n, n, n) oracle arrays never set the lemma checks' peak
+        assert traced_peak(check_trilinear_identity) <= traced_peak(check_pseudo_product)
 
 
 class TestPhaseExpansion:
@@ -388,6 +458,22 @@ class TestOscillatoryGaussian:
         assert result["cutoff_check"]["error"] == pytest.approx(3.850038289021687e-08,
                                                                 rel=5e-9)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"cutoff_N_list": (3.0,)}, "cutoff_N_list needs two distinct N"),
+        ({"cutoff_N_list": (4.0, 4.0)}, "cutoff_N_list needs two distinct N"),
+        ({"cutoff_N_list": (-3.0, 4.0)}, "cutoff_N_list needs positive, finite N"),
+        ({"cutoff_N_check": 0.0}, "cutoff_N_check needs positive, finite N"),
+        ({"cutoff_N_check": float("inf")}, "cutoff_N_check needs positive, finite N"),
+        ({"N_list": (1.0, 0.0)}, "N_list needs positive, finite N"),
+        ({"N_list": (float("nan"),)}, "N_list needs positive, finite N"),
+        ({"N_list": ()}, "N_list needs positive, finite N"),
+    ])
+    def test_refuses_bad_N(self, kwargs, name):
+        # one point fitted no rate (a RankWarning); N <= 0 failed in log or
+        # divide, and a NaN N gave NaN quadratures
+        with pytest.raises(ConfigurationError, match=name):
+            check_oscillatory_gaussian(**kwargs)
+
     def test_peak_traced_allocation(self):
         # no dense cosine tables: the chirp-z sums allocate O(nodes + points)
         tracemalloc.start()
@@ -535,6 +621,34 @@ class TestDispersiveEstimate:
         for k in range(-3, 4):
             assert _field_l1(alpha, k) == full_layout_field_l1(alpha, k)
             assert _profile_norms(k) == per_band_profile_norms(k)
+
+    @pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
+    def test_batched_field_l1_is_the_per_call_one(self, alpha):
+        ks = range(-3, 4)
+        batched = _field_l1s(alpha, ks).tolist()
+        assert batched == [full_layout_field_l1(alpha, k) for k in ks]
+        assert batched == [_field_l1(alpha, k) for k in ks]
+
+    def test_batched_field_l1_mixes_grid_sizes(self):
+        # 4096, 2048, 8192 and 4096 points again, out of size order
+        ks = (7, -3, 9, 0, 7)
+        assert len({_packet_grid(-0.2, k, 1.0).n_points for k in ks}) == 3
+        assert _field_l1s(-0.2, ks).tolist() == [full_layout_field_l1(-0.2, k) for k in ks]
+
+    def test_bump_is_exactly_zero_past_its_cut(self):
+        # _field_l1s evaluates the bump only below this bound
+        cut = lemma_checks._BUMP_CENTER + 28.0 / lemma_checks._BUMP_INVWIDTH
+        assert np.all(_bump(np.linspace(cut, 64.0 * cut, 100001)) == 0.0)
+
+    @pytest.mark.parametrize("t_range", [(0.0,), (1.0, -1.0), (float("nan"),),
+                                         (float("inf"),), ()])
+    def test_refuses_bad_times(self, t_range):
+        with pytest.raises(ConfigurationError, match="t_range needs positive, finite times"):
+            check_dispersive_estimate(-0.5, k_range=(0,), t_range=t_range)
+
+    def test_refuses_no_bands(self):
+        with pytest.raises(ConfigurationError, match="k_range must hold at least one band"):
+            check_dispersive_estimate(-0.5, k_range=())
 
     def test_sweep_never_uses_the_full_layout(self, monkeypatch):
         def full_layout(*args, **kwargs):
