@@ -1,7 +1,7 @@
 """Profile extraction, logarithmic phase correction, and rate fitting.
 
 The profile of a solution is the state pulled back along the free flow,
-f_hat = exp(-t*L) u_hat: time-independent for the linear equation and slowly
+f_hat = exp(-t*L) c: time-independent for the linear equation and slowly
 varying for the weakly nonlinear one.  Its large-time Fourier phase drifts
 logarithmically; the accumulator below removes that drift mode by mode,
 
@@ -13,7 +13,10 @@ which is the phase produced by the three near-diagonal resonances of the
 cubic interaction (stationary-phase constant 2*pi / |Hessian|, one third per
 resonance from the divergence form of the nonlinearity).  The integral is
 accumulated by the trapezoid rule in tau = ln s, which is uniform and
-second-order on geometric snapshot schedules.
+second-order on geometric snapshot schedules.  H is odd in xi, so g is
+Hermitian like f_hat, and both are held as half spectra (``spectral``);
+the weighted sup distances below have even weights, so their max over the
+half spectrum is the max over the whole.
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ class ProfileSnapshot:
     f_hat: SpectralField
 
 
-def compute_profile(u_hat: SpectralField, t: float, eq: EquationSpec) -> ProfileSnapshot:
-    """f_hat = exp(-t*L) u_hat; requires a nonzero linear symbol."""
+def compute_profile(fld: SpectralField, t: float, eq: EquationSpec) -> ProfileSnapshot:
+    """f_hat = exp(-t*L) c of the field's spectrum c; requires a nonzero
+    linear symbol."""
     if not eq.is_dispersive:
         raise ConfigurationError(
             f"profile extraction needs a dispersive equation, got {eq.name!r}")
-    lin = eq.linear_values(u_hat.grid)
-    return ProfileSnapshot(t, SpectralField(u_hat.grid, np.exp(-t * lin) * u_hat.coeffs))
+    lin = eq.linear_values(fld.grid)
+    return ProfileSnapshot(t, SpectralField(fld.grid, np.exp(-t * lin) * fld.coeffs))
 
 
 def phase_prefactor(xi: np.ndarray, alpha: float) -> np.ndarray:
@@ -68,7 +72,7 @@ class PhaseAccumulator:
         self.grid = grid
         self.alpha = alpha
         self.prefactor = phase_prefactor(grid.wavenumbers, alpha)
-        self.integral = np.zeros(grid.n_points)   # integral_1^t |f_hat|^2 ds/s
+        self.integral = np.zeros(len(self.prefactor))   # integral_1^t |f_hat|^2 ds/s
         self.last_t: float | None = None
         self._last_weight: np.ndarray | None = None
 

@@ -20,9 +20,8 @@ from .spectral import (
     MultiplierSymbol,
     dealias_keep,
     fractional_dispersion_symbol,
-    half_inverse_transform,
-    half_table,
-    half_transform,
+    inverse_transform,
+    transform,
     whitham_scalar_symbol,
 )
 
@@ -43,7 +42,8 @@ class EquationSpec:
         return self.linear_symbol is not ZERO_SYMBOL
 
     def linear_values(self, grid: Grid) -> np.ndarray:
-        """Linear symbol evaluated on the grid (cached per grid)."""
+        """Linear symbol evaluated on the grid's half spectrum, 0 in the
+        Nyquist slot (cached per grid)."""
         key = grid.key()
         vals = self._linear_cache.get(key)
         if vals is None:
@@ -60,7 +60,7 @@ class EquationSpec:
         key = ("exponentials", grid.key())
         entry = self._linear_cache.get(key)
         if entry is None or (entry[0] != dt and self.is_dispersive):
-            lin = half_table(grid, self.linear_values(grid))
+            lin = self.linear_values(grid)
             entry = (dt, np.exp(dt * lin), np.exp(0.5 * dt * lin))
             entry[1][-1] = entry[2][-1] = 0.0
             self._linear_cache[key] = entry
@@ -78,7 +78,7 @@ class EquationSpec:
         multiplier = self._linear_cache.get(key)
         if multiplier is None:
             scale = self.nonlinearity_coefficient / 3
-            xi = half_table(grid, grid.wavenumbers)[:self.band_length(grid)]
+            xi = grid.wavenumbers[:self.band_length(grid)]
             multiplier = scale * 1j * xi
             self._linear_cache[key] = multiplier
         return multiplier
@@ -152,7 +152,7 @@ def linearized(eq: EquationSpec) -> EquationSpec:
 
 def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray) -> np.ndarray:
     """Spectral right-hand side c * d/dx(u^3/3), alias-free, of a field
-    given by its half spectrum (``spectral.half_spectrum``).
+    given by its half spectrum.
 
     Only the kept band k = 0 ... m - 1 (``EquationSpec.band_length``, the
     cubic dealias rule) enters and leaves: the synthesis reads
@@ -165,5 +165,5 @@ def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray) -> np.ndarray:
     m = len(multiplier)
     if eq.nonlinearity_coefficient == 0.0:
         return np.zeros(m, dtype=complex)
-    v = half_inverse_transform(grid, half[:m])
-    return multiplier * half_transform(grid, v * v * v, m)
+    v = inverse_transform(grid, half[:m])
+    return multiplier * transform(grid, v * v * v, m)

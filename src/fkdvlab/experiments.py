@@ -50,9 +50,6 @@ from .spectral import (
     apply_multiplier,
     boundary_mass_fraction,
     derivative_symbol,
-    half_inverse_transform,
-    half_spectrum,
-    half_table,
     hermitize,
     inverse_transform,
     make_grid,
@@ -60,7 +57,6 @@ from .spectral import (
     norm_sobolev,
     norm_z,
     regrid,
-    transform,
 )
 
 STUDIES = ("decay", "scattering", "longwave", "shock", "norms")
@@ -182,7 +178,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not (-np.inf < cfg.fit_t_min < cfg.fit_t_max < np.inf):
         raise ConfigurationError(f"[study] fit window: t_min {cfg.fit_t_min} must precede "
                                  f"t_max {cfg.fit_t_max}, both finite")
-    for key in ("sample_dt", "detect_dt"):
+    for key in ("sample_dt", "detect_dt", "t_eval"):
         value = getattr(cfg, key)
         if not (0 < value < np.inf):
             raise ConfigurationError(f"[study] {key}: must be positive and finite, got {value}")
@@ -319,7 +315,7 @@ def initial_field(cfg: ExperimentConfig, grid: Grid | None = None) -> SpectralFi
                 f"with {grid.n_points} points")
     else:
         raise ConfigurationError(f"unknown initial kind {cfg.initial_kind!r}")
-    return hermitize(transform(grid, u0))
+    return hermitize(SpectralField.from_samples(grid, u0))
 
 
 SOBOLEV_ORDER = 8.0     #: order s of the H^s norm in the smallness and norms study
@@ -428,9 +424,9 @@ def _study(body) -> Callable[[ExperimentConfig, str], ExperimentReport]:
 
 
 def _sup_gradient(grid: Grid) -> Callable[[np.ndarray], float]:
-    """sup|u_x| of a half spectrum on grid, by the half-layout d/dx table."""
-    table = half_table(grid, derivative_symbol().on_grid(grid))
-    return lambda half: float(np.max(np.abs(half_inverse_transform(grid, half * table))))
+    """sup|u_x| of a half spectrum on grid, by the d/dx table."""
+    table = derivative_symbol().on_grid(grid)
+    return lambda half: float(np.max(np.abs(inverse_transform(grid, half * table))))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +496,7 @@ def run_scattering_study(study: Study):
 
     def observer(state):
         if state.t >= 1.0 - 1e-12:
-            snap = compute_profile(state.u_hat, state.t, eq)
+            snap = compute_profile(state.field, state.t, eq)
             accumulate_phase(acc, snap)
             if any(abs(state.t - d) <= 1e-8 * d for d in dyadic):
                 series.add(state.t, corrected_profile(snap, acc), snap.f_hat)
@@ -555,7 +551,7 @@ def run_longwave_study(study: Study):
 
         def collector(store):
             def observer(state):
-                store[round(state.t, 9)] = state.u_hat
+                store[round(state.t, 9)] = state.half
             return observer
 
         eq_u = make_equation("rescaled_modified_whitham", epsilon=eps)
@@ -564,7 +560,7 @@ def run_longwave_study(study: Study):
         _, halt_v = run_simulation(phi, eq_v, cfg.solver(t_end, snaps), collector(states_v))
         # a run that halted early stops its store short of the other's
         times = sorted(states_u.keys() & states_v.keys())
-        e_j = {j: [norm_sobolev(SpectralField(grid, states_u[t].coeffs - states_v[t].coeffs), j)
+        e_j = {j: [norm_sobolev(SpectralField(grid, states_u[t] - states_v[t]), j)
                    for t in times] for j in cfg.j_list}
         return {"times": times, "e": e_j}, [halt_u, halt_v]
 
@@ -578,8 +574,14 @@ def run_longwave_study(study: Study):
 
     def verdicts():
         lo, hi = RATIO_BAND
-        nearest = {eps: int(np.argmin(np.abs(np.asarray(data["times"]) - cfg.t_eval)))
-                   for eps, data in errors.items()}
+
+        def index_near_t_eval(times):
+            # every error is 0 at t = 0, so the ratio reads a later snapshot
+            times = np.asarray(times)
+            later = np.flatnonzero(times > 0.0)
+            return int(later[np.argmin(np.abs(times[later] - cfg.t_eval))])
+
+        nearest = {eps: index_near_t_eval(data["times"]) for eps, data in errors.items()}
         eps_sorted = sorted(cfg.eps_list, reverse=True)
         for big, small in zip(eps_sorted, eps_sorted[1:]):
             for j in cfg.j_list:
@@ -625,8 +627,9 @@ def predict_shock_time(u0_samples: np.ndarray, grid: Grid) -> float | None:
     if u0.shape != (grid.n_points,):
         raise ConfigurationError("sample count does not match the grid")
     fine = make_grid(grid.n_points * 8, grid.box_length)
-    slope = inverse_transform(apply_multiplier(
-        regrid(transform(grid, u0 ** 2), fine), derivative_symbol()))
+    slope = inverse_transform(fine, apply_multiplier(
+        regrid(SpectralField.from_samples(grid, u0 ** 2), fine),
+        derivative_symbol()).coeffs)
     worst = float(np.min(slope))
     if worst >= -1e-14 * max(1.0, float(np.max(np.abs(slope)))):
         return None
@@ -644,7 +647,7 @@ def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, n_points: int,
     grid = make_grid(n_points, cfg.box_length)
     u0 = u0_maker(grid)
     sup_ux = _sup_gradient(grid)
-    g0 = sup_ux(half_spectrum(u0))
+    g0 = sup_ux(u0.coeffs)
     snaps = tuple(np.arange(0.0, t_end + 1e-9, cfg.detect_dt))
     hit: list[float] = []
     peak = [0.0]
@@ -667,7 +670,7 @@ def run_shock_study(study: Study):
     dispersive contrast run from the same data scaled small.  Each ladder
     row records the halt of its own run; the study itself reports none."""
     cfg, eq, base0, report = study.cfg, study.eq, study.u0, study.report
-    t_star = predict_shock_time(inverse_transform(base0), study.grid)
+    t_star = predict_shock_time(inverse_transform(base0.grid, base0.coeffs), study.grid)
     report.measured["oracle_t_star"] = t_star
 
     def u0_maker(grid):
@@ -759,8 +762,8 @@ def run_norm_growth_study(study: Study):
     def observer(state):
         if state.t <= 0:
             return
-        series_n.add(state.t, norm_sobolev(state.u_hat, SOBOLEV_ORDER))
-        f_hat = compute_profile(state.u_hat, state.t, eq).f_hat
+        series_n.add(state.t, norm_sobolev(state.field, SOBOLEV_ORDER))
+        f_hat = compute_profile(state.field, state.t, eq).f_hat
         frac = boundary_mass_fraction(f_hat)
         if frac > BOUNDARY_MASS_THRESHOLD:
             warned[0] += 1

@@ -3,8 +3,9 @@
 The linear symbol of every registry equation is purely imaginary, so its
 stiffness is oscillatory rather than dissipative; conjugating by the exact
 multiplier exponential removes it entirely and classical RK4 handles the
-slow nonlinear dynamics.  A zero-nonlinearity step is exactly
-u_hat(t+dt) = exp(dt*L) u_hat(t), unitary to round-off.
+slow nonlinear dynamics.  The solver steps the half spectrum c of the
+field (``spectral``); a zero-nonlinearity step is exactly
+c(t+dt) = exp(dt*L) c(t), unitary to round-off.
 
 Blow-up is a first-class halt reason (the shock study consumes it): a step
 that produces non-finite values is rejected and the last finite state is
@@ -21,8 +22,7 @@ import numpy as np
 
 from .equations import EquationSpec, nonlinearity
 from .errors import ConfigurationError
-from .spectral import (Grid, SpectralField, full_spectrum, half_inverse_transform,
-                       half_spectrum, half_sup_bound, hermitize)
+from .spectral import Grid, SpectralField, half_sup_bound, hermitize, inverse_transform
 
 #: Guard against division by zero in the CFL rule for the zero field.
 CFL_FLOOR = 1e-12
@@ -65,28 +65,14 @@ class SolverConfig:
 
 
 class SolverState:
-    """Time and field of the solver.
+    """Time and field of the solver, the field held as its half spectrum."""
 
-    The field is kept as its half spectrum (``spectral.half_spectrum``), so
-    it is Hermitian by construction; built from a ``SpectralField``, the
-    state holds that field's Hermitian part.  ``u_hat``, the ascending full
-    spectrum, is built on first access.
-    """
-
-    def __init__(self, t: float, u_hat: SpectralField):
-        self.t = t
-        self.grid = u_hat.grid
-        self.half = half_spectrum(u_hat)
-
-    @classmethod
-    def from_half(cls, t: float, grid: Grid, half: np.ndarray) -> "SolverState":
-        state = cls.__new__(cls)
-        state.t, state.grid, state.half = t, grid, half
-        return state
+    def __init__(self, t: float, grid: Grid, half: np.ndarray):
+        self.t, self.grid, self.half = t, grid, half
 
     @cached_property
-    def u_hat(self) -> SpectralField:
-        return full_spectrum(self.grid, self.half)
+    def field(self) -> SpectralField:
+        return SpectralField(self.grid, self.half)
 
     @cached_property
     def abs_half(self) -> np.ndarray:
@@ -99,7 +85,7 @@ class SolverState:
         """max|u| over the grid samples of the full (undealiased) field, from
         one synthesis; ``cfl_dt`` reads it only when the l1 bound cannot
         settle dt."""
-        return float(np.max(np.abs(half_inverse_transform(self.grid, self.half))))
+        return float(np.max(np.abs(inverse_transform(self.grid, self.half))))
 
 
 @dataclass(frozen=True)
@@ -173,7 +159,7 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
 
     new_half[:m] = ev + (dt / 6.0) * (
         e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return SolverState.from_half(state.t + dt, grid, new_half)
+    return SolverState(state.t + dt, grid, new_half)
 
 
 def _state_bad(state: SolverState) -> str | None:
@@ -206,7 +192,8 @@ def run_simulation(u0: SpectralField, eq: EquationSpec, config: SolverConfig,
     reason: completed, blowup(t) or nan(t) -- never a silent failure; a
     state whose CFL step is too small to count halts as blowup at its time.
     """
-    state = SolverState(0.0, hermitize(u0))
+    u0 = hermitize(u0)
+    state = SolverState(0.0, u0.grid, u0.coeffs)
     snapshot_set = set(config.snapshot_times)
     events = sorted(snapshot_set | {config.t_end})
     if observer is not None and events and abs(events[0]) < 1e-14:

@@ -9,6 +9,14 @@ calibrate-and-freeze: a first run records the observed constant, later
 runs assert stability.
 
 All checks are deterministic given their seed and pure per parameter tuple.
+
+The oracles sum over every wavenumber, negative ones included, in an order
+that their pinned results depend on bit for bit.  So, unlike the solver and
+the studies, which hold the half spectrum (``spectral``), they work on the
+ascending whole spectrum, k = -n/2 ... n/2 - 1, with the Nyquist mode first:
+``_ascending_xi`` gives its wavenumbers, ``_mirror`` builds it from a half
+spectrum, ``_hermitize_rows`` and ``_synthesis_rows`` project and
+synthesise it, and zero-padding and truncation are index slices.
 """
 
 from __future__ import annotations
@@ -20,17 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError
 from .experiments import Verdict
-from .spectral import (
-    _SQRT_2PI,
-    CUTOFFS,
-    Grid,
-    SpectralField,
-    hermitize,
-    inverse_transform,
-    make_grid,
-    regrid,
-    transform,
-)
+from .spectral import _SQRT_2PI, CUTOFFS, Grid, make_grid
 
 
 #: The report every lemma verdict cites, where ``fkdvlab lemmas`` writes.
@@ -84,8 +82,21 @@ def _uniform_cosine_sums(a, h: float, z_lo: float, dz: float, count: int) -> np.
     return (np.exp(0.5j * theta * k * k) * conv).real
 
 
+def _ascending_xi(grid: Grid) -> np.ndarray:
+    """Wavenumbers of the ascending whole spectrum of grid."""
+    n = grid.n_points
+    return np.arange(-(n // 2), n // 2) * grid.dxi
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The ascending whole spectrum of a half spectrum: the negative modes
+    the conjugates of the positive ones, the Nyquist mode first."""
+    return np.concatenate([half[-1:], np.conjugate(half[-2:0:-1]), half[:-1]])
+
+
 def _hermitize_rows(c: np.ndarray) -> np.ndarray:
-    """``spectral.hermitize`` of every row of ascending coefficients, in place."""
+    """Hermitian part of every row of ascending coefficients, in place, the
+    Nyquist mode zeroed."""
     mirror = np.conjugate(c[..., :0:-1])
     mirror += c[..., 1:]
     mirror *= 0.5
@@ -95,9 +106,9 @@ def _hermitize_rows(c: np.ndarray) -> np.ndarray:
 
 
 def _synthesis_rows(c: np.ndarray, dx) -> np.ndarray:
-    """``spectral.inverse_transform`` of every row of ascending coefficients,
-    on grids of spacing dx: the half spectrum of each row's Hermitian part,
-    then one real inverse FFT along the rows."""
+    """Real synthesis of every row of ascending coefficients, on grids of
+    spacing dx: the half spectrum of each row's Hermitian part, then one
+    real inverse FFT along the rows."""
     n = c.shape[-1]
     half = np.empty(c.shape[:-1] + (n // 2 + 1,), dtype=complex)
     half[..., 0] = c[..., n // 2].real
@@ -406,9 +417,10 @@ _BAND_POINTS = 1024
 _BAND_DRAWS = slice(_BAND_POINTS // 2 + 17, _BAND_POINTS // 2 + 64)
 
 
-def interpolation_members(grid: Grid, fld: SpectralField, k: int) -> tuple[float, float, float]:
-    """(band-sup^2, L1^2, weighted-L2 product) members of the chain."""
-    phat = CUTOFFS.psi_j(grid.wavenumbers, k) * fld.coeffs
+def interpolation_members(grid: Grid, coeffs: np.ndarray, k: int) -> tuple[float, float, float]:
+    """(band-sup^2, L1^2, weighted-L2 product) members of the chain for the
+    ascending coefficients of a field on grid."""
+    phat = CUTOFFS.psi_j(_ascending_xi(grid), k) * coeffs
     return _chain_members(phat, np.array(grid.box_length), np.array(k))[0]
 
 
@@ -558,31 +570,31 @@ def phase_expansion_verdicts(results: dict) -> list[Verdict]:
 # Fourier-side identity for the profile derivative (cubic flow)
 # ---------------------------------------------------------------------------
 
-def profile_rhs_pseudospectral(fhat: SpectralField, t: float, alpha: float) -> np.ndarray:
-    """exp(-t*L) F(-u^2 u_x) with u rebuilt from the profile; alias-free by
-    zero-padding to twice the grid."""
-    grid = fhat.grid
-    a = _dispersion(alpha, grid.wavenumbers)
-    big = make_grid(2 * grid.n_points, grid.box_length)
-    uhat = SpectralField(grid, np.exp(1j * t * a) * fhat.coeffs)
-    u = inverse_transform(regrid(uhat, big))
-    w = transform(big, u ** 3 / 3.0)
-    rhs = regrid(SpectralField(big, -1j * big.wavenumbers * w.coeffs), grid)
-    return np.exp(-1j * t * a) * rhs.coeffs
+def profile_rhs_pseudospectral(grid: Grid, fhat: np.ndarray, t: float,
+                               alpha: float) -> np.ndarray:
+    """exp(-t*L) F(-u^2 u_x) with u rebuilt from the ascending profile fhat
+    on grid; alias-free by zero-padding to twice the grid."""
+    n = grid.n_points
+    a = _dispersion(alpha, _ascending_xi(grid))
+    big = make_grid(2 * n, grid.box_length)
+    padded = np.zeros(2 * n, dtype=complex)
+    padded[n // 2:3 * n // 2] = np.exp(1j * t * a) * fhat
+    u = _synthesis_rows(padded, big.dx)
+    w = _mirror(np.fft.rfft(u ** 3 / 3.0) * (big.dx / _SQRT_2PI))
+    rhs = (-1j * _ascending_xi(big) * w)[n // 2:3 * n // 2]
+    return np.exp(-1j * t * a) * rhs
 
 
-def profile_rhs_double_sum(fhat: SpectralField, t: float, alpha: float) -> np.ndarray:
+def profile_rhs_double_sum(grid: Grid, F: np.ndarray, t: float, alpha: float) -> np.ndarray:
     """Direct double Riemann sum over grid wavenumbers of the trilinear
-    interaction integral, phases assembled factor by factor from the
-    free-flow conjugation.  O(n^3); keep n small."""
-    grid = fhat.grid
+    interaction integral for the ascending profile F, phases assembled
+    factor by factor from the free-flow conjugation.  O(n^3); keep n small."""
     n = grid.n_points
     if n > 64:
         raise ConfigurationError("double-sum oracle is O(n^3); use n_points <= 64")
     dxi = grid.dxi
     idx = np.arange(n)
-    F = fhat.coeffs
-    xi = grid.wavenumbers
+    xi = _ascending_xi(grid)
     a_grid = _dispersion(alpha, xi)
     # axes (output xi, eta, sigma); xi - eta - sigma sits at position
     # o + n - i - j, looked up n places into F and a padded with n zeros
@@ -628,10 +640,10 @@ def check_trilinear_identity(n_points: int = 16, seed: int = 0,
     c = np.zeros(n_points, dtype=complex)
     c[n_points // 2 + 1:n_points // 2 + keep + 1] = draws[0:-1:2] + 1j * draws[1::2]
     c[n_points // 2] = draws[-1]
-    fhat = hermitize(SpectralField(grid, amplitude * c))
+    fhat = _hermitize_rows(amplitude * c)
 
-    oracle = profile_rhs_double_sum(fhat, t, alpha)
-    target = profile_rhs_pseudospectral(fhat, t, alpha)
+    oracle = profile_rhs_double_sum(grid, fhat, t, alpha)
+    target = profile_rhs_pseudospectral(grid, fhat, t, alpha)
     scale = float(np.max(np.abs(target)))
     diff = float(np.max(np.abs(oracle - target)))
     return {
@@ -694,7 +706,7 @@ def check_pseudo_product(seed: int = 0, num_trials: int = 20) -> dict:
         raise ConfigurationError(f"num_trials must be at least 1, got {num_trials}")
     rng = np.random.default_rng(seed)
     grid = make_grid(128, 16.0 * np.pi)        # dxi = 1/8, |xi| <= 8
-    xi = grid.wavenumbers
+    xi = _ascending_xi(grid)
     dxi = grid.dxi
     n = grid.n_points
 

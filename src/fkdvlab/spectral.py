@@ -1,21 +1,20 @@
 """Periodic spectral representation and Fourier analysis utilities.
 
 Fields live on a uniform periodic grid of ``n`` points over ``[0, L)``.
-Spectral coefficients follow the continuous-transform normalization
+Every field here is real, so its spectrum is Hermitian, c(-xi) =
+conj c(xi), and is held as its half spectrum: the modes k = 0 ... n/2 in
+real-FFT order, the Nyquist mode last, with wavenumbers xi_k = 2*pi*k/L and
+the continuous-transform normalization
 
-    coeff(xi_k) = (dx / sqrt(2*pi)) * sum_m u(x_m) exp(-i x_m xi_k),
+    coeff(xi_k) = (dx / sqrt(2*pi)) * sum_m u(x_m) exp(-i x_m xi_k).
 
-with wavenumbers xi_k = 2*pi*k/L stored in ascending order,
-k = -n/2 ... n/2 - 1.  With this choice the spectral sum
-``sum |coeff|^2 * dxi`` equals the physical quadrature of ``int |u|^2 dx``
-(Parseval), and the analytic Fourier formulas for multipliers, profiles
-and phase corrections transcribe with no hidden constants.
-
-A real field is also held as its half spectrum: modes k = 0 ... n/2 in
-real-FFT order, Nyquist last, same normalization.  ``half_transform`` and
-``half_inverse_transform`` are the transform pair on that layout; the
-solver steps it directly, and ``transform``/``inverse_transform`` are the
-full ascending view built on top of it.
+A sum over the whole spectrum counts each mode 0 < k < n/2 twice, for
+itself and its mirror -k, and the zero and Nyquist modes once.  With this
+choice ``sum |coeff|^2 * dxi`` over the whole spectrum equals the physical
+quadrature of ``int |u|^2 dx`` (Parseval), and the analytic Fourier
+formulas for multipliers, profiles and phase corrections transcribe with
+no hidden constants.  Synthesis ignores the imaginary parts of the zero
+and Nyquist modes, as the real inverse FFT does.
 
 All functions here are pure; grids and fields are immutable value objects.
 """
@@ -75,13 +74,12 @@ class Grid:
 
     @property
     def mode_index(self) -> np.ndarray:
-        """Integer mode indices k = -n/2 ... n/2-1, ascending."""
-        n = self.n_points
-        return np.arange(-(n // 2), n // 2)
+        """Integer mode indices k = 0 ... n/2 of the half spectrum."""
+        return np.arange(self.n_points // 2 + 1)
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        """xi_k = 2*pi*k/L, ascending; single Nyquist mode at the left end."""
+        """xi_k = 2*pi*k/L for k = 0 ... n/2; the Nyquist mode last."""
         return self.mode_index * self.dxi
 
     @property
@@ -102,116 +100,66 @@ def make_grid(n_points: int, box_length: float) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients of one field, paired with its grid."""
+    """Half spectrum of one real field, paired with its grid."""
 
     grid: Grid
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.n_points,):
+        if self.coeffs.shape != (self.grid.n_points // 2 + 1,):
             raise ShapeError(
                 f"coefficient array of shape {self.coeffs.shape} does not match "
-                f"grid with {self.grid.n_points} points")
+                f"the half spectrum of a grid with {self.grid.n_points} points")
+
+    @classmethod
+    def from_samples(cls, grid: Grid, samples) -> "SpectralField":
+        """The field of real samples on grid.  Complex samples are refused,
+        even with a zero imaginary part: every field here is real."""
+        samples = np.asarray(samples)
+        if samples.shape != (grid.n_points,):
+            raise ShapeError(
+                f"sample array of shape {samples.shape} does not match grid "
+                f"with {grid.n_points} points")
+        if not np.isrealobj(samples):
+            raise TypeError(f"a field takes real samples, got dtype {samples.dtype}")
+        return cls(grid, transform(grid, samples))
 
 
-def half_transform(grid: Grid, samples: np.ndarray, modes: int | None = None) -> np.ndarray:
-    """Real samples -> half spectrum: coefficients of modes k = 0 ... n/2 in
-    real-FFT order, the Nyquist mode last, continuous normalization.
-
-    A real field is Hermitian, so these n/2 + 1 coefficients determine it;
-    ``full_spectrum`` mirrors them into the ascending layout.  ``modes``
-    keeps only the first ``modes`` coefficients, k = 0 ... modes - 1.
-    """
+def transform(grid: Grid, samples: np.ndarray, modes: int | None = None) -> np.ndarray:
+    """Real samples -> half spectrum.  ``modes`` keeps only the first
+    ``modes`` coefficients, k = 0 ... modes - 1.  Unchecked: the step
+    kernel calls it; ``SpectralField.from_samples`` checks its samples."""
     return np.fft.rfft(samples)[:modes] * (grid.dx / _SQRT_2PI)
 
 
-def half_inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Half spectrum -> real samples.  The imaginary parts of the zero and
-    Nyquist modes are ignored, as the real inverse FFT does."""
+def inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Half spectrum -> real samples.  A shorter ``half`` is zero-padded to
+    n/2 + 1 modes; the imaginary parts of the zero and Nyquist modes are
+    ignored."""
     return np.fft.irfft(half * (_SQRT_2PI / grid.dx), grid.n_points)
 
 
 def half_sup_bound(grid: Grid, magnitudes: np.ndarray) -> float:
-    """Upper bound on max|half_inverse_transform(grid, half)| from the
-    magnitudes |half| alone: (sqrt(2 pi)/L) (|c_0| + 2 sum |c_k| + |c_(n/2)|),
-    the triangle inequality on the synthesis, with no transform."""
+    """Upper bound on max|inverse_transform(grid, half)| from the magnitudes
+    |half| alone: (sqrt(2 pi)/L) (|c_0| + 2 sum |c_k| + |c_(n/2)|), the
+    triangle inequality on the synthesis, with no transform."""
     l1 = 2.0 * float(np.sum(magnitudes)) - float(magnitudes[0]) - float(magnitudes[-1])
     return _SQRT_2PI / grid.box_length * l1
 
 
-def half_spectrum(fld: SpectralField) -> np.ndarray:
-    """Half spectrum of the Hermitian part (c(xi) + conj c(-xi))/2 of the
-    coefficients, with the real parts of the zero and Nyquist modes: the
-    real field that ``inverse_transform`` synthesises.  For a Hermitian
-    field it is the non-negative half exactly."""
-    c = fld.coeffs
-    n = fld.grid.n_points
-    half = np.empty(n // 2 + 1, dtype=complex)
-    half[0] = c[n // 2].real
-    np.add(c[n // 2 + 1:], np.conjugate(c[n // 2 - 1:0:-1]), out=half[1:n // 2])
-    half[1:n // 2] *= 0.5
-    half[n // 2] = c[0].real                     # Nyquist
-    return half
-
-
-def full_spectrum(grid: Grid, half: np.ndarray) -> SpectralField:
-    """Ascending full spectrum of a half spectrum: the negative modes are the
-    conjugate mirror of the positive ones, the Nyquist mode sits at the left
-    end."""
-    n = grid.n_points
-    coeffs = np.empty(n, dtype=complex)
-    coeffs[n // 2:] = half[:-1]
-    coeffs[0] = half[-1]
-    np.conjugate(coeffs[:n // 2:-1], out=coeffs[1:n // 2])
-    return SpectralField(grid, coeffs)
-
-
-def half_table(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Entries k = 0 ... n/2 - 1 of an ascending full-grid table in the half
-    spectrum layout, with 0 in the Nyquist slot."""
-    return np.append(values[grid.n_points // 2:], 0.0)
-
-
-def transform(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Real physical samples -> spectral coefficients (ascending wavenumber
-    order).
-
-    The samples go through ``half_transform``; the negative half is the
-    conjugate mirror of the non-negative one, so the result is exactly
-    Hermitian.  Complex samples are refused: every field here is real.
-    """
-    samples = np.asarray(samples)
-    n = grid.n_points
-    if samples.shape != (n,):
-        raise ShapeError(
-            f"sample array of shape {samples.shape} does not match grid "
-            f"with {n} points")
-    if not np.isrealobj(samples):
-        raise TypeError(f"transform takes real samples, got dtype {samples.dtype}")
-    return full_spectrum(grid, half_transform(grid, samples))
-
-
-def inverse_transform(fld: SpectralField) -> np.ndarray:
-    """Spectral coefficients -> real physical samples: the real part of the
-    synthesis, computed by ``half_inverse_transform`` of the Hermitian part
-    (``half_spectrum``) of the coefficients.  For a Hermitian field that
-    drops only the imaginary round-off.
-    """
-    return half_inverse_transform(fld.grid, half_spectrum(fld))
-
-
 def hermitian_defect(fld: SpectralField) -> float:
-    """Max deviation from coeff(-xi) == conj(coeff(xi)), Nyquist ignored."""
-    c = fld.coeffs
-    tail = c[1:]
-    return float(np.max(np.abs(tail - np.conj(tail[::-1]))))
+    """Max deviation from coeff(-xi) == conj(coeff(xi)), Nyquist ignored:
+    the negative modes are the mirror by construction, so only the zero
+    mode, its own mirror, can deviate."""
+    return 2.0 * abs(float(fld.coeffs[0].imag))
 
 
 def hermitize(fld: SpectralField) -> SpectralField:
-    """Project onto the Hermitian-symmetric subspace; zero the Nyquist mode."""
+    """Project onto the Hermitian fields: a real zero mode, a zero Nyquist
+    mode."""
     c = fld.coeffs.copy()
-    c[0] = 0.0
-    c[1:] = 0.5 * (c[1:] + np.conj(c[1:][::-1]))
+    c[0] = c[0].real
+    c[-1] = 0.0
     return SpectralField(fld.grid, c)
 
 
@@ -224,7 +172,7 @@ class MultiplierSymbol:
     def on_grid(self, grid: Grid) -> np.ndarray:
         values = np.asarray(self.evaluate(grid.wavenumbers), dtype=complex)
         values = values.copy()
-        values[0] = 0.0  # Nyquist: odd symbols are ill-defined there
+        values[-1] = 0.0  # Nyquist: odd symbols are ill-defined there
         return values
 
 
@@ -321,23 +269,26 @@ CUTOFFS = DyadicCutoffs()
 # ---------------------------------------------------------------------------
 
 def norm_l2(fld: SpectralField) -> float:
-    u = inverse_transform(fld)
+    u = inverse_transform(fld.grid, fld.coeffs)
     return float(np.sqrt(np.sum(u * u) * fld.grid.dx))
 
 
 def norm_linf(fld: SpectralField) -> float:
-    u = inverse_transform(fld)
+    u = inverse_transform(fld.grid, fld.coeffs)
     return float(np.max(np.abs(u)))
 
 
 def norm_sobolev(fld: SpectralField, s: float) -> float:
     xi = fld.grid.wavenumbers
-    weights = (1.0 + xi * xi) ** s
-    return float(np.sqrt(np.sum(weights * np.abs(fld.coeffs) ** 2) * fld.grid.dxi))
+    density = (1.0 + xi * xi) ** s * np.abs(fld.coeffs) ** 2
+    # the modes 0 < k < n/2 stand for +-k
+    total = density[0] + 2.0 * np.sum(density[1:-1]) + density[-1]
+    return float(np.sqrt(total * fld.grid.dxi))
 
 
 def norm_z(fld: SpectralField, weight: float = Z_WEIGHT) -> float:
-    """Weighted sup norm max (1+|xi|)^weight |coeff(xi)|.
+    """Weighted sup norm max (1+|xi|)^weight |coeff(xi)|; the weight is even,
+    so the max over the half spectrum is the max over the whole.
 
     Coefficients below ``NOISE_FLOOR`` times the spectral peak count as
     zero: they are transform round-off, and the high-frequency weight would
@@ -353,7 +304,7 @@ def norm_z(fld: SpectralField, weight: float = Z_WEIGHT) -> float:
 
 def boundary_mass_fraction(fld: SpectralField) -> float:
     """Share of int u^2 dx carried by the outer 10% of the box."""
-    u = inverse_transform(fld)
+    u = inverse_transform(fld.grid, fld.coeffs)
     x = fld.grid.x
     L = fld.grid.box_length
     outer = (x < 0.05 * L) | (x >= 0.95 * L)
@@ -370,16 +321,15 @@ def norm_h11(fld: SpectralField) -> float:
     with ``boundary_mass_fraction`` at most ``BOUNDARY_MASS_THRESHOLD``; the
     callers check that themselves.
     """
-    u = inverse_transform(fld)
-    xc = fld.grid.x - fld.grid.x_center
-    weighted = np.sqrt(1.0 + xc * xc) * u
-    return norm_sobolev(transform(fld.grid, weighted), 1.0)
+    grid = fld.grid
+    xc = grid.x - grid.x_center
+    weighted = np.sqrt(1.0 + xc * xc) * inverse_transform(grid, fld.coeffs)
+    return norm_sobolev(SpectralField.from_samples(grid, weighted), 1.0)
 
 
 def mean_integral(fld: SpectralField) -> float:
     """int u dx over the box (the zero-mode coefficient times sqrt(2*pi))."""
-    n = fld.grid.n_points
-    return float((_SQRT_2PI * fld.coeffs[n // 2]).real)
+    return float((_SQRT_2PI * fld.coeffs[0]).real)
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +338,29 @@ def mean_integral(fld: SpectralField) -> float:
 
 def regrid(fld: SpectralField, new_grid: Grid) -> SpectralField:
     """Move a field to a finer or coarser grid on the same box by spectral
-    zero-padding or truncation (exact for band-limited content)."""
+    zero-padding or truncation (exact for band-limited content).
+
+    The coarser grid's Nyquist mode -m stands alone; on the finer grid it is
+    the pair +-m, each with half its coefficient, so that both grids
+    synthesise the same function.
+    """
     if abs(new_grid.box_length - fld.grid.box_length) > 1e-12 * fld.grid.box_length:
         raise GridMismatchError("regrid requires the same box length")
-    n_old, n_new = fld.grid.n_points, new_grid.n_points
-    c = np.zeros(n_new, dtype=complex)
-    m = min(n_old, n_new)
-    c[n_new // 2 - m // 2: n_new // 2 + m // 2] = \
-        fld.coeffs[n_old // 2 - m // 2: n_old // 2 + m // 2]
+    m = min(fld.grid.n_points, new_grid.n_points) // 2
+    c = np.zeros(new_grid.n_points // 2 + 1, dtype=complex)
+    c[:m + 1] = fld.coeffs[:m + 1]
+    if new_grid.n_points > fld.grid.n_points:
+        c[m] = 0.5 * c[m].real
     return SpectralField(new_grid, c)
 
 
 def dealias_keep(n_points: int) -> int:
-    """Largest retained |mode index| for alias-free cubic products."""
+    """Largest retained mode index for alias-free cubic products."""
     return n_points // 4
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
-    keep = dealias_keep(grid.n_points)
-    return (np.abs(grid.mode_index) <= keep).astype(float)
+    return (grid.mode_index <= dealias_keep(grid.n_points)).astype(float)
 
 
 def dealias(fld: SpectralField) -> SpectralField:

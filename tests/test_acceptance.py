@@ -42,12 +42,12 @@ from fkdvlab.lemma_checks import (
     cutoff_check_bound,
 )
 from fkdvlab.spectral import (
+    SpectralField,
     hermitize,
     inverse_transform,
     make_grid,
     mean_integral,
     norm_l2,
-    transform,
 )
 
 #: Calibrated-and-frozen sweep maxima of the dispersive estimate ratios,
@@ -83,7 +83,7 @@ def scattering_report(tmp_path_factory):
 class TestCriterion1ConservationAnchor:
     def test_all_registry_equations_conserve(self):
         grid = make_grid(2 ** 12, 64.0 * np.pi)
-        u0 = hermitize(transform(
+        u0 = hermitize(SpectralField.from_samples(
             grid, 0.1 * np.exp(-((grid.x - grid.x_center)) ** 2)))
         l2_0, mean_0 = norm_l2(u0), mean_integral(u0)
         cfg = SolverConfig(dt_max=0.1, t_end=50.0, snapshot_times=(50.0,))
@@ -97,8 +97,8 @@ class TestCriterion1ConservationAnchor:
             eq = make_equation(kind, **kwargs)
             final, halt = run_simulation(u0, eq, cfg)
             assert halt.completed, f"{kind} halted: {halt.kind} at t={halt.t}"
-            drift_l2 = abs(norm_l2(final.u_hat) - l2_0) / l2_0
-            drift_mean = abs(mean_integral(final.u_hat) - mean_0) / max(1.0, abs(mean_0))
+            drift_l2 = abs(norm_l2(final.field) - l2_0) / l2_0
+            drift_mean = abs(mean_integral(final.field) - mean_0) / max(1.0, abs(mean_0))
             worst_l2 = max(worst_l2, drift_l2)
             worst_mean = max(worst_mean, drift_mean)
         passed = worst_l2 <= 1e-6 and worst_mean <= 1e-12
@@ -111,16 +111,15 @@ class TestCriterion1ConservationAnchor:
 class TestCriterion2ExactLinearPropagation:
     def test_matches_closed_form(self):
         grid = make_grid(2 ** 11, 64.0 * np.pi)
-        u0 = hermitize(transform(
+        u0 = hermitize(SpectralField.from_samples(
             grid, 0.1 * np.exp(-((grid.x - grid.x_center)) ** 2)))
         eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
         cfg = SolverConfig(dt_max=0.1, t_end=10.0,
                            snapshot_times=tuple(np.arange(0.0, 10.5, 0.5)))
         final, halt = run_simulation(u0, eq, cfg)
         exact = np.exp(10.0 * eq.linear_values(grid)) * u0.coeffs
-        sup = np.max(np.abs(inverse_transform(final.u_hat)
-                            - inverse_transform(
-                                type(u0)(grid, exact))))
+        sup = np.max(np.abs(inverse_transform(grid, final.half)
+                            - inverse_transform(grid, exact)))
         passed = halt.completed and sup <= 1e-12
         report_line(2, "exact linear propagation", passed,
                     f"sup-norm deviation {sup:.3e} (<= 1e-12)")

@@ -144,6 +144,8 @@ class TestConfigParsing:
         ("[run]\nstudy = decay\n[study]\nsample_dt = 0\n", r"\[study\] sample_dt"),
         ("[run]\nstudy = decay\n[study]\nsample_dt = -1\n", r"\[study\] sample_dt"),
         ("[run]\nstudy = shock\n[study]\ndetect_dt = 0\n", r"\[study\] detect_dt"),
+        ("[run]\nstudy = longwave\n[study]\nt_eval = 0\n", r"\[study\] t_eval"),
+        ("[run]\nstudy = longwave\n[study]\nt_eval = -1\n", r"\[study\] t_eval"),
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1, 0\n", r"\[study\] eps_list"),
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1, -0.05\n",
          r"\[study\] eps_list"),
@@ -176,6 +178,7 @@ class TestConfigParsing:
         ("study", "fit_t_max", "nan", r"\[study\] fit window"),
         ("study", "sample_dt", "nan", r"\[study\] sample_dt"),
         ("study", "detect_dt", "nan", r"\[study\] detect_dt"),
+        ("study", "t_eval", "nan", r"\[study\] t_eval"),
         ("study", "eps_list", "0.1, nan", r"\[study\] eps_list"),
     ])
     def test_nan_refused_on_every_path(self, tmp_path, capsys, path, section, key,
@@ -197,6 +200,7 @@ class TestConfigParsing:
         ("study", "fit_t_max", r"\[study\] fit window"),
         ("study", "sample_dt", r"\[study\] sample_dt"),
         ("study", "detect_dt", r"\[study\] detect_dt"),
+        ("study", "t_eval", r"\[study\] t_eval"),
         ("study", "eps_list", r"\[study\] eps_list"),
     ])
     def test_infinity_refused_on_every_path(self, tmp_path, capsys, monkeypatch, path,
@@ -371,15 +375,20 @@ class TestSeriesIO:
         assert path.read_bytes() == (tmp_path / "chunked.json").read_bytes()
 
     def test_spectrum_writer(self, tmp_path):
+        # the file holds the whole spectrum in ascending order: the half
+        # spectrum mirrored, the Nyquist mode on the first row
         g = make_grid(16, 2 * np.pi)
-        c = np.zeros(16, complex)
-        c[8 + 2] = 1.0 + 2.0j
+        c = np.zeros(9, complex)
+        c[2] = 1.0 + 2.0j
+        c[-1] = 0.5
         path = str(tmp_path / "w.csv")
         lab_io.write_spectrum(path, SpectralField(g, c))
         xi, cols = lab_io.read_series(path)
-        assert xi == list(g.wavenumbers)
-        assert cols["re"][8 + 2] == 1.0
-        assert cols["im"][8 + 2] == 2.0
+        assert xi == list(np.arange(-8.0, 8.0))
+        assert (cols["re"][8 + 2], cols["im"][8 + 2]) == (1.0, 2.0)
+        assert (cols["re"][8 - 2], cols["im"][8 - 2]) == (1.0, -2.0)
+        assert (cols["re"][0], cols["im"][0]) == (0.5, 0.0)
+        assert sum(map(abs, cols["re"])) == 2.5
 
     def test_byte_identical_rewrite(self, tmp_path):
         series = DecaySeries("v")

@@ -23,13 +23,17 @@ from fkdvlab.errors import (
     InsufficientDataError,
     SequencingError,
 )
-from fkdvlab.spectral import SpectralField, hermitian_defect, hermitize, make_grid, transform
+from fkdvlab.spectral import SpectralField, hermitian_defect, hermitize, make_grid
 
 TWO_PI = 2.0 * np.pi
 
 
+def random_field(grid, rng):
+    return hermitize(SpectralField.from_samples(grid, rng.normal(size=grid.n_points)))
+
+
 def single_mode(grid, xi0=1.0, value=1.0):
-    c = np.zeros(grid.n_points, complex)
+    c = np.zeros(grid.n_points // 2 + 1, complex)
     c[np.argmin(np.abs(grid.wavenumbers - xi0))] = value
     return SpectralField(grid, c)
 
@@ -53,7 +57,7 @@ class TestProfile:
         rng = np.random.default_rng(3)
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.7)
-        f = hermitize(transform(g, rng.normal(size=64)))
+        f = random_field(g, rng)
         snap = compute_profile(f, 13.7, eq)
         assert np.allclose(np.abs(snap.f_hat.coeffs), np.abs(f.coeffs))
 
@@ -81,18 +85,19 @@ class TestPhaseAccumulator:
         acc = PhaseAccumulator(g, -0.5)
         for t in (1.0, 2.0, 4.0):
             acc = accumulate_phase(acc, ProfileSnapshot(t, single_mode(g, 0.0, 1.0)))
-        assert acc.H[g.n_points // 2] == 0.0
+        assert acc.H[0] == 0.0
 
     def test_oddness(self):
+        # H(-xi) = -H(xi): the prefactor is odd and |f_hat|^2 even, so the
+        # half spectrum's H determines the whole
         rng = np.random.default_rng(4)
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        u = hermitize(transform(g, rng.normal(size=64)))
+        u = random_field(g, rng)
         acc = PhaseAccumulator(g, -0.5)
         for t in (1.0, 2.0, 3.0):
             acc = accumulate_phase(acc, compute_profile(u, t, eq))
-        H = acc.H
-        assert np.max(np.abs(H[1:] + H[1:][::-1])) < 1e-12 * max(1.0, np.max(np.abs(H)))
+        assert np.array_equal(phase_prefactor(-g.wavenumbers, -0.5) * acc.integral, -acc.H)
 
     def test_log_weight_quadrature_exact_for_linear(self):
         # |f_hat(s)|^2 = ln s is linear in tau = ln s, so the trapezoid
@@ -152,7 +157,7 @@ class TestCorrectedProfile:
         rng = np.random.default_rng(5)
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        u = hermitize(transform(g, rng.normal(size=64)))
+        u = random_field(g, rng)
         acc = PhaseAccumulator(g, -0.5)
         snap = None
         for t in (1.0, 2.0):
@@ -160,7 +165,14 @@ class TestCorrectedProfile:
             acc = accumulate_phase(acc, snap)
         gfld = corrected_profile(snap, acc)
         assert np.allclose(np.abs(gfld.coeffs), np.abs(snap.f_hat.coeffs))
-        assert hermitian_defect(gfld) < 1e-12
+        assert hermitian_defect(gfld) == 0.0
+        # g at the negative modes, from exp(i H(-xi)) f_hat(-xi), is the
+        # conjugate of g at the positive ones
+        lin = eq.linear_symbol.evaluate(-g.wavenumbers)
+        lin[-1] = 0.0
+        f_neg = np.exp(-snap.t * lin) * np.conj(u.coeffs)
+        g_neg = np.exp(1j * phase_prefactor(-g.wavenumbers, -0.5) * acc.integral) * f_neg
+        assert np.allclose(g_neg, np.conj(gfld.coeffs), rtol=0.0, atol=1e-15)
 
     def test_pi_phase_flips_sign(self):
         g = make_grid(32, TWO_PI)

@@ -8,17 +8,9 @@ from fkdvlab.equations import (
     nonlinearity,
 )
 from fkdvlab.errors import ConfigurationError
-from fkdvlab.spectral import (
-    SpectralField,
-    dealias,
-    dealias_keep,
-    full_spectrum,
-    half_inverse_transform,
-    half_spectrum,
-    half_transform,
-    hermitize,
-    make_grid,
-)
+from fkdvlab.spectral import dealias_keep, inverse_transform, make_grid, transform
+
+import ascending as asc
 
 TWO_PI = 2.0 * np.pi
 SQRT_2PI = np.sqrt(TWO_PI)
@@ -28,16 +20,16 @@ REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5},
                    "mkdv": {"epsilon": 0.1}}
 
 
-def reference_nonlinearity(eq, u_hat):
-    """The kernel written out step by step with complex FFTs: dealias,
-    inverse transform, cube, transform, i*xi, dealias."""
-    grid = u_hat.grid
-    v_hat = dealias(u_hat).coeffs
-    v = (np.fft.ifft(np.fft.ifftshift(v_hat)) * (SQRT_2PI / grid.dx)).real
+def reference_nonlinearity(eq, grid, c):
+    """The kernel written out step by step with complex FFTs on the
+    ascending spectrum c: dealias, inverse transform, cube, transform,
+    i*xi, dealias."""
+    mask = asc.dealias_mask(grid)
+    v = (np.fft.ifft(np.fft.ifftshift(c * mask)) * (SQRT_2PI / grid.dx)).real
     w_hat = np.fft.fftshift(np.fft.fft(v ** 3 / 3)) * (grid.dx / SQRT_2PI)
-    out = (1j * grid.wavenumbers) * w_hat
+    out = (1j * asc.xi(grid)) * w_hat
     out[0] = 0.0
-    return dealias(SpectralField(grid, eq.nonlinearity_coefficient * out)).coeffs
+    return eq.nonlinearity_coefficient * out * mask
 
 
 def zero_padded(grid, band):
@@ -47,12 +39,11 @@ def zero_padded(grid, band):
     return half
 
 
-def full_nonlinearity(eq, u_hat):
-    """The solver's band-limited nonlinearity of a full-spectrum field,
-    zero-padded and mirrored back into the full spectrum."""
-    grid = u_hat.grid
-    band = nonlinearity(eq, grid, half_spectrum(u_hat))
-    return full_spectrum(grid, zero_padded(grid, band))
+def full_nonlinearity(eq, grid, c):
+    """The solver's band-limited nonlinearity of an ascending spectrum,
+    zero-padded and mirrored back into the ascending spectrum."""
+    band = nonlinearity(eq, grid, asc.half_of(c))
+    return asc.mirror(zero_padded(grid, band))
 
 
 def is_skew(symbol, xi, tol=1e-12):
@@ -65,13 +56,13 @@ def is_skew(symbol, xi, tol=1e-12):
 
 
 def random_band_limited(grid, band, rng, amplitude=0.5):
-    """Hermitian field with random coefficients on 0 < |k| <= band."""
+    """Ascending Hermitian spectrum with random coefficients on 0 < |k| <= band."""
     n = grid.n_points
     c = np.zeros(n, complex)
     k = np.arange(1, band + 1)
     c[n // 2 + k] = rng.normal(size=band) + 1j * rng.normal(size=band)
     c[n // 2 - k] = np.conj(c[n // 2 + k])
-    return SpectralField(grid, amplitude * c / np.sqrt(band))
+    return amplitude * c / np.sqrt(band)
 
 
 class TestRegistry:
@@ -153,22 +144,22 @@ class TestNonlinearity:
         rng = np.random.default_rng(n + len(kind))
         # one band inside every dealias mask, one past both edges
         for band in (n // 4 - 1, 3 * n // 8):
-            u_hat = random_band_limited(g, band, rng)
-            ref = reference_nonlinearity(eq, u_hat)
-            out = full_nonlinearity(eq, u_hat).coeffs
+            c = random_band_limited(g, band, rng)
+            ref = reference_nonlinearity(eq, g, c)
+            out = full_nonlinearity(eq, g, c)
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_constant_field_gives_zero(self):
         g = make_grid(32, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        out = nonlinearity(eq, g, half_transform(g, np.full(32, 0.7)))
+        out = nonlinearity(eq, g, transform(g, np.full(32, 0.7)))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_cubic_on_sine(self):
         # c = -1: -d/dx(sin^3 x / 3) = -sin^2 x cos x
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        out = half_inverse_transform(g, nonlinearity(eq, g, half_transform(g, np.sin(g.x))))
+        out = inverse_transform(g, nonlinearity(eq, g, transform(g, np.sin(g.x))))
         assert np.max(np.abs(out + np.sin(g.x) ** 2 * np.cos(g.x))) < 1e-12
 
     def test_cubic_matches_truncated_convolution(self):
@@ -180,12 +171,11 @@ class TestNonlinearity:
         c = np.zeros(n, complex)
         for k in range(1, keep):
             c[n // 2 + k] = rng.normal() + 1j * rng.normal()
-        u_hat = hermitize(SpectralField(g, 0.3 * c))
+        F = asc.hermitize(0.3 * c)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        out = full_nonlinearity(eq, u_hat)
+        out = full_nonlinearity(eq, g, F)
 
         # oracle: triple convolution with the transform normalization
-        F = u_hat.coeffs
         dxi = g.dxi
         oracle = np.zeros(n, complex)
         for o in range(n):
@@ -195,17 +185,17 @@ class TestNonlinearity:
                     r = o - e - s + n
                     if 0 <= r < n:
                         tot += F[r] * F[e] * F[s]
-            xi_o = g.wavenumbers[o]
+            xi_o = asc.xi(g)[o]
             oracle[o] = -1j * xi_o / 3.0 / TWO_PI * tot * dxi ** 2
-        mask = np.abs(g.mode_index) <= keep
+        mask = asc.dealias_mask(g) == 1.0
         scale = np.max(np.abs(oracle[mask]))
-        assert np.max(np.abs(out.coeffs[mask] - oracle[mask])) <= 1e-10 * scale
+        assert np.max(np.abs(out[mask] - oracle[mask])) <= 1e-10 * scale
 
     def test_mean_exactly_preserved(self):
         rng = np.random.default_rng(1)
         g = make_grid(64, 7.0)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        out = nonlinearity(eq, g, half_transform(g, rng.normal(size=64)))
+        out = nonlinearity(eq, g, transform(g, rng.normal(size=64)))
         assert out[0] == 0.0
 
     def test_skew_pairing_vanishes(self):
@@ -221,17 +211,17 @@ class TestNonlinearity:
         c = np.zeros(n, complex)
         for k in range(1, keep):
             c[n // 2 + k] = rng.normal() + 1j * rng.normal()
-        u_hat = hermitize(SpectralField(g, 0.5 * c))
-        out = full_nonlinearity(eq, u_hat)
-        masked = dealias(u_hat)
-        pairing = np.sum(out.coeffs * np.conj(masked.coeffs)).real * g.dxi
-        scale = np.sum(np.abs(masked.coeffs) ** 2) * g.dxi
+        c = asc.hermitize(0.5 * c)
+        out = full_nonlinearity(eq, g, c)
+        masked = c * asc.dealias_mask(g)
+        pairing = np.sum(out * np.conj(masked)).real * g.dxi
+        scale = np.sum(np.abs(masked) ** 2) * g.dxi
         assert abs(pairing) <= 1e-10 * max(scale, 1.0)
 
     def test_zero_coefficient_shortcut(self):
         g = make_grid(32, TWO_PI)
         eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
-        out = nonlinearity(eq, g, half_transform(g, np.sin(g.x)))
+        out = nonlinearity(eq, g, transform(g, np.sin(g.x)))
         assert out.shape == (eq.band_length(g),)
         assert np.all(out == 0)
 
@@ -247,7 +237,7 @@ class TestBandContract:
         expected = n // 4 + 1
         assert eq.band_length(g) == expected
         assert eq.nonlinear_multiplier(g).shape == (expected,)
-        out = nonlinearity(eq, g, half_transform(g, 0.1 * np.sin(g.x)))
+        out = nonlinearity(eq, g, transform(g, 0.1 * np.sin(g.x)))
         assert out.shape == (expected,)
 
     @pytest.mark.parametrize("kind", EQUATION_KINDS)
@@ -255,7 +245,7 @@ class TestBandContract:
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(256, 16.0 * np.pi)
         rng = np.random.default_rng(len(kind))
-        half = half_spectrum(random_band_limited(g, g.n_points // 2 - 1, rng))
+        half = asc.half_of(random_band_limited(g, g.n_points // 2 - 1, rng))
         m = eq.band_length(g)
         changed = half.copy()
         changed[m:] = 1e3 * (rng.normal(size=len(half) - m)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fkdvlab import experiments
+from fkdvlab import io as lab_io
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import (
     ExperimentConfig,
@@ -21,15 +22,27 @@ from fkdvlab.experiments import (
 )
 from fkdvlab.cli import cli_dispatch
 from fkdvlab.integrator import HaltReason, run_simulation
-from fkdvlab.spectral import (CUTOFFS, apply_multiplier, derivative_symbol,
-                              half_inverse_transform, half_table, hermitize,
-                              inverse_transform, make_grid, norm_h11, norm_linf,
-                              norm_sobolev, norm_z, transform, Z_WEIGHT)
+from fkdvlab.spectral import (CUTOFFS, SpectralField, hermitize, inverse_transform,
+                              make_grid, norm_sobolev, norm_z, Z_WEIGHT)
+
+import ascending as asc
 
 TWO_PI = 2.0 * np.pi
 
 
+def samples(fld):
+    return inverse_transform(fld.grid, fld.coeffs)
+
+
 class TestShockOracle:
+    def test_refinement_splits_the_nyquist_mode(self):
+        # random data carry a Nyquist coefficient, which the 8x refinement
+        # must split over +-n/2; dropping the split moves t* to
+        # 0.07355886015393448
+        g = make_grid(64, TWO_PI)
+        u0 = 0.3 * np.random.default_rng(3).normal(size=64)
+        assert predict_shock_time(u0, g) == 0.07506640057562651
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_cubic_sine_scaling(self, a):
         # for u_t = -u^2 u_x the compression rate is d/dx(u0^2); the sine
@@ -113,10 +126,10 @@ class TestConfigAndData:
         g = make_grid(256, 16.0)
         for kind in ("gaussian", "sech2"):
             fld = initial_field(replace(cfg, initial_kind=kind, width=1.0), g)
-            u = inverse_transform(fld)
+            u = samples(fld)
             assert u.max() == pytest.approx(cfg.amplitude, rel=1e-6)
         sine = initial_field(replace(cfg, initial_kind="sine", sine_mode=2), g)
-        u = inverse_transform(sine)
+        u = samples(sine)
         assert np.max(np.abs(u - cfg.amplitude * np.sin(4 * np.pi * g.x / 16.0))) < 1e-12
 
     @pytest.mark.parametrize("kind", ["gaussian", "sech2"])
@@ -132,19 +145,19 @@ class TestConfigAndData:
                      else cfg.amplitude / np.cosh(z) ** 2)
         assert np.count_nonzero(plain) < g.n_points
         got = initial_field(cfg, g)
-        want = hermitize(transform(g, plain))
+        want = hermitize(SpectralField.from_samples(g, plain))
         assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_custom_samples(self):
         cfg = default_config("decay")
         g = make_grid(64, TWO_PI)
-        samples = 0.1 * np.cos(g.x)
+        custom = 0.1 * np.cos(g.x)
         fld = initial_field(replace(cfg, initial_kind="custom",
-                                    custom_samples=samples), g)
-        assert np.max(np.abs(inverse_transform(fld) - samples)) < 1e-12
+                                    custom_samples=custom), g)
+        assert np.max(np.abs(samples(fld) - custom)) < 1e-12
         with pytest.raises(ConfigurationError):
             initial_field(replace(cfg, initial_kind="custom",
-                                  custom_samples=samples[:10]), g)
+                                  custom_samples=custom[:10]), g)
 
     def test_smallness_decomposition(self):
         cfg = replace(default_config("decay"), n_points=2 ** 10,
@@ -243,7 +256,7 @@ class TestStudySmoke:
 
         def obs(state):
             if state.t >= 1.0:
-                snap = compute_profile(state.u_hat, state.t, eq)
+                snap = compute_profile(state.field, state.t, eq)
                 accumulate_phase(acc, snap)
                 store[state.t] = (snap, corrected_profile(snap, acc))
 
@@ -260,6 +273,21 @@ class TestStudySmoke:
         ratio = report.measured["ratio_e0_eps0.2_over_eps0.1"]
         assert 1.5 < ratio < 8.0
         assert len(report.series_paths) == 2
+
+    def test_longwave_early_t_eval_reads_the_first_later_snapshot(self, tmp_path):
+        # t = 0 is the nearest snapshot to t_eval = 0.1, but every error is 0
+        # there: the ratio reads t = 0.25 instead
+        cfg = replace(default_config("longwave"), n_points=2 ** 8,
+                      eps_list=(0.2, 0.1), t_eval=0.1)
+        report = run_longwave_study(cfg, str(tmp_path))
+        assert [v.name for v in report.verdicts][:2] == [
+            "e0_ratio_eps0.2_to_0.1", "e1_ratio_eps0.2_to_0.1"]
+        for j in cfg.j_list:
+            cols = [lab_io.read_series(str(tmp_path / f"longwave_eps{eps:g}.csv"))
+                    for eps in cfg.eps_list]
+            assert all(times[1] == 0.25 for times, _ in cols)
+            want = cols[0][1][f"e{j}"][1] / cols[1][1][f"e{j}"][1]
+            assert report.measured[f"ratio_e{j}_eps0.2_over_eps0.1"] == want
 
     def test_longwave_needs_two_epsilons(self, tmp_path):
         cfg = replace(default_config("longwave"), eps_list=(0.1,))
@@ -342,7 +370,8 @@ class TestHaltPolicy:
 
 class TestShockObserver:
     """The ladder observer reads sup|u_x| from the solver's half spectrum;
-    it must equal the full-view expression it replaced bit for bit."""
+    it must equal the same expression on the ascending spectrum bit for
+    bit."""
 
     @pytest.mark.parametrize("equation,alpha", [("modified_burgers", None),
                                                 ("modified_fkdv", -0.5)])
@@ -356,14 +385,18 @@ class TestShockObserver:
                       equation=equation, alpha=alpha)
         eq = cfg.make_eq()
         grid = make_grid(n, box_length)
-        dxs = derivative_symbol()
-        table = half_table(grid, dxs.on_grid(grid))
+        dxs = 1j * asc.xi(grid)
+        dxs[0] = 0.0
+        sup_ux = experiments._sup_gradient(grid)
         t_end = 0.5
         old_values, mismatches = [], []
 
+        def sup_ux_ascending(half):
+            return float(np.max(np.abs(asc.inverse_transform(grid, dxs * asc.mirror(half)))))
+
         def observer(state):
-            old = norm_linf(apply_multiplier(state.u_hat, dxs))
-            new = float(np.max(np.abs(half_inverse_transform(grid, state.half * table))))
+            old = sup_ux_ascending(state.half)
+            new = sup_ux(state.half)
             old_values.append((state.t, old))
             if new != old:
                 mismatches.append((state.t, old, new))
@@ -376,7 +409,7 @@ class TestShockObserver:
 
         t_detect, info = experiments._detect_blowup_time(
             cfg, eq, n, lambda g: initial_field(cfg, g), t_end)
-        g0 = norm_linf(apply_multiplier(u0, dxs))
+        g0 = sup_ux_ascending(u0.coeffs)
         hits = [t for t, v in old_values if v >= cfg.blowup_factor * g0]
         assert info["peak_gradient"] == max(v for _, v in old_values)
         assert t_detect == (hits[0] if hits else None)

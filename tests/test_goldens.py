@@ -27,8 +27,9 @@ import os
 import numpy as np
 import pytest
 
-from fkdvlab.cli import LEMMA_CHECKS, run_lemma_checks
+from fkdvlab.cli import run_lemma_checks
 from fkdvlab.experiments import STUDIES, default_config, run_study
+from fkdvlab.lemma_checks import LEMMA_CHECKS
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
 

@@ -43,3 +43,14 @@ def test_studies_and_lemmas_never_load_scipy(tmp_path):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["scipy_loaded"] == []
     assert result["lemmas_status"] == 0
+
+
+def test_cli_import_leaves_the_lemma_checks_unloaded():
+    # a study never needs the lemma checks' module-level tables
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import fkdvlab.cli; "
+         "print('fkdvlab.lemma_checks' in sys.modules)", SRC],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

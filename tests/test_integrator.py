@@ -21,8 +21,6 @@ from fkdvlab.integrator import (
 )
 from fkdvlab.spectral import (
     SpectralField,
-    dealias_mask,
-    half_inverse_transform,
     half_sup_bound,
     hermitian_defect,
     hermitize,
@@ -30,9 +28,9 @@ from fkdvlab.spectral import (
     make_grid,
     mean_integral,
     norm_l2,
-    norm_linf,
-    transform,
 )
+
+import ascending as asc
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,51 +39,60 @@ REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5},
                    "mkdv": {"epsilon": 0.1}}
 
 
+def field_of(grid, samples):
+    return SpectralField.from_samples(grid, samples)
+
+
 def gaussian_field(grid, amplitude=0.1, width=1.0):
-    return hermitize(transform(
+    return hermitize(field_of(
         grid, amplitude * np.exp(-((grid.x - grid.x_center) / width) ** 2)))
 
 
-def reference_nonlinearity(eq, u_hat):
-    """The nonlinearity on the full ascending spectrum: mask, real
-    synthesis, power, transform, multiplier."""
-    grid = u_hat.grid
+def state_of(fld, t=0.0):
+    return SolverState(t, fld.grid, fld.coeffs)
+
+
+def reference_nonlinearity(eq, grid, c):
+    """The nonlinearity on the ascending spectrum c: mask, real synthesis,
+    power, transform, multiplier."""
     if eq.nonlinearity_coefficient == 0.0:
         return np.zeros(grid.n_points, dtype=complex)
-    mask = dealias_mask(grid)
-    multiplier = eq.nonlinearity_coefficient / 3 * 1j * grid.wavenumbers * mask
-    v = inverse_transform(SpectralField(grid, u_hat.coeffs * mask))
-    return multiplier * transform(grid, v * v * v).coeffs
+    mask = asc.dealias_mask(grid)
+    multiplier = eq.nonlinearity_coefficient / 3 * 1j * asc.xi(grid) * mask
+    v = asc.inverse_transform(grid, c * mask)
+    return multiplier * asc.transform(grid, v * v * v)
 
 
-def reference_step(u_hat, dt, eq):
-    """IF-RK4 on the full spectrum, measuring the Hermitian defect of the
-    raw result and repairing it with hermitize.  Returns (field, defect)."""
-    grid = u_hat.grid
-    lin = eq.linear_values(grid)
+def reference_step(grid, c, dt, eq):
+    """IF-RK4 on the ascending spectrum c, measuring the Hermitian defect of
+    the raw result and repairing it with hermitize.  Returns (spectrum,
+    defect)."""
+    lin = np.asarray(eq.linear_symbol.evaluate(asc.xi(grid)), dtype=complex)
+    lin[0] = 0.0
     e_full, e_half = np.exp(dt * lin), np.exp(0.5 * dt * lin)
-    v = u_hat.coeffs
 
     def N(coeffs):
-        return reference_nonlinearity(eq, SpectralField(grid, coeffs))
+        return reference_nonlinearity(eq, grid, coeffs)
 
-    k1 = N(v)
-    k2 = N(e_half * (v + 0.5 * dt * k1))
-    k3 = N(e_half * v + 0.5 * dt * k2)
-    k4 = N(e_full * v + dt * e_half * k3)
-    raw = SpectralField(grid, e_full * v + (dt / 6.0) * (
-        e_full * k1 + 2.0 * e_half * (k2 + k3) + k4))
-    return hermitize(raw), hermitian_defect(raw)
+    k1 = N(c)
+    k2 = N(e_half * (c + 0.5 * dt * k1))
+    k3 = N(e_half * c + 0.5 * dt * k2)
+    k4 = N(e_full * c + dt * e_half * k3)
+    raw = e_full * c + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return asc.hermitize(raw), asc.hermitian_defect(raw)
 
 
 def reference_run(u0, eq, config):
-    """run_simulation's segment loop over reference_step, with CFL read from
-    the full spectrum and a three-pass halt check.  Returns (field, halt
-    kind, halt time, largest Hermitian defect)."""
-    def dt_allowed(fld):
-        speed = float(np.max(np.abs(inverse_transform(fld)))) ** 2
+    """run_simulation's segment loop over reference_step on the ascending
+    spectrum, with CFL read from the synthesis and a three-pass halt check.
+    Returns (half spectrum, halt kind, halt time, largest Hermitian
+    defect)."""
+    grid = u0.grid
+
+    def dt_allowed(c):
+        speed = float(np.max(np.abs(asc.inverse_transform(grid, c)))) ** 2
         return min(config.dt_max,
-                   config.cfl_coefficient * fld.grid.dx / max(CFL_FLOOR, speed))
+                   config.cfl_coefficient * grid.dx / max(CFL_FLOOR, speed))
 
     def bad(c):
         if np.any(np.isnan(c)):
@@ -94,7 +101,7 @@ def reference_run(u0, eq, config):
             return "blowup"
         return None
 
-    fld, t, defect_max = hermitize(u0), 0.0, 0.0
+    fld, t, defect_max = asc.hermitize(asc.mirror(u0.coeffs)), 0.0, 0.0
     for target in sorted(set(config.snapshot_times) | {config.t_end}):
         if target <= 1e-14:
             continue
@@ -108,21 +115,21 @@ def reference_run(u0, eq, config):
                 extra = max(1, int(np.ceil(remaining / allowed - 1e-12)))
                 seg_start, seg_len, done, n_steps = t, remaining, 0, extra
                 dt = seg_len / n_steps
-            new, defect = reference_step(fld, dt, eq)
+            new, defect = reference_step(grid, fld, dt, eq)
             done += 1
             t_new = seg_start + done * dt
-            reason = bad(new.coeffs)
+            reason = bad(new)
             if reason is not None:
-                return fld, reason, t_new, defect_max
+                return asc.half_of(fld), reason, t_new, defect_max
             fld, t, defect_max = new, t_new, max(defect_max, defect)
         t = target
-    return fld, "completed", t, defect_max
+    return asc.half_of(fld), "completed", t, defect_max
 
 
 class TestCfl:
     def test_zero_field_returns_dt_max(self):
         g = make_grid(32, TWO_PI)
-        state = SolverState(0.0, SpectralField(g, np.zeros(32, complex)))
+        state = SolverState(0.0, g, np.zeros(17, complex))
         cfg = SolverConfig(dt_max=0.7, t_end=1.0)
         assert cfl_dt(state, cfg) == 0.7
 
@@ -131,7 +138,7 @@ class TestCfl:
         g = make_grid(32, 3.2)
         u = np.zeros(32)
         u[5] = 2.0
-        state = SolverState(0.0, transform(g, u))
+        state = state_of(field_of(g, u))
         cfg = SolverConfig(dt_max=1.0, cfl_coefficient=0.5, t_end=1.0)
         assert cfl_dt(state, cfg) == pytest.approx(0.0125, rel=1e-10)
 
@@ -139,7 +146,7 @@ class TestCfl:
         g = make_grid(32, 3.2)
         u = np.zeros(32)
         u[5] = 1.0
-        state = SolverState(0.0, transform(g, u))
+        state = state_of(field_of(g, u))
         cfg = SolverConfig(dt_max=0.01, cfl_coefficient=0.5, t_end=1.0)
         # max|u| = 1 gives 0.5*0.1/1^2 = 0.05 > dt_max
         assert cfl_dt(state, cfg) == 0.01
@@ -178,7 +185,7 @@ class TestCflCertificate:
     def test_certificate_matches_exact_formula(self, case):
         grid, half, cfl, where, ulps, factor = case
         reach = cfl * grid.dx
-        max_u = float(np.max(np.abs(half_inverse_transform(grid, half))))
+        max_u = float(np.max(np.abs(inverse_transform(grid, half))))
         bound = half_sup_bound(grid, np.abs(half)) * (1.0 + CFL_BOUND_SLACK)
         assert bound >= max_u
         exact_edge = reach / max(CFL_FLOOR, max_u ** 2)
@@ -187,23 +194,19 @@ class TestCflCertificate:
         for _ in range(ulps):
             dt_max = np.nextafter(dt_max, np.inf)
         config = SolverConfig(dt_max=float(dt_max), cfl_coefficient=cfl)
-        got = cfl_dt(SolverState.from_half(0.0, grid, half), config)
+        got = cfl_dt(SolverState(0.0, grid, half), config)
         assert got == min(config.dt_max, reach / max(CFL_FLOOR, max_u ** 2))
 
 
 class TestStep:
     def test_exact_linear_phase(self):
         g = make_grid(32, TWO_PI)
-        c = np.zeros(32, complex)
-        i = np.argmin(np.abs(g.wavenumbers - 1.0))
-        j = np.argmin(np.abs(g.wavenumbers + 1.0))
-        c[i] = 1.0
-        c[j] = 1.0
+        c = np.zeros(17, complex)
+        c[1] = 1.0
         eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
-        state = SolverState(0.0, SpectralField(g, c))
-        out = step_ifrk4(state, 0.3, eq)
-        assert abs(out.u_hat.coeffs[i] - np.exp(0.3j)) < 1e-14
-        assert abs(abs(out.u_hat.coeffs[i]) - 1.0) < 1e-14
+        out = step_ifrk4(SolverState(0.0, g, c), 0.3, eq)
+        assert abs(out.half[1] - np.exp(0.3j)) < 1e-14
+        assert abs(abs(out.half[1]) - 1.0) < 1e-14
 
     def test_one_step_order_five(self):
         # Richardson: local error of a single step scales like dt^5
@@ -213,11 +216,11 @@ class TestStep:
         dt0 = 0.4
 
         def one_step_error(dt):
-            coarse = step_ifrk4(SolverState(0.0, u0), dt, eq)
-            fine = SolverState(0.0, u0)
+            coarse = step_ifrk4(state_of(u0), dt, eq)
+            fine = state_of(u0)
             for _ in range(16):
                 fine = step_ifrk4(fine, dt / 16.0, eq)
-            return np.max(np.abs(coarse.u_hat.coeffs - fine.u_hat.coeffs))
+            return np.max(np.abs(coarse.half - fine.half))
 
         errs = [one_step_error(dt0 / 2 ** j) for j in range(3)]
         orders = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]
@@ -228,9 +231,9 @@ class TestStep:
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_burgers")
         a0 = 0.01
-        u0 = transform(g, a0 * np.sin(g.x))
-        out = step_ifrk4(SolverState(0.0, u0), 0.01, eq)
-        u_num = inverse_transform(out.u_hat)
+        u0 = field_of(g, a0 * np.sin(g.x))
+        out = step_ifrk4(state_of(u0), 0.01, eq)
+        u_num = inverse_transform(g, out.half)
 
         u_exact = a0 * np.sin(g.x)
         for _ in range(60):
@@ -243,11 +246,11 @@ class TestStep:
         u0 = gaussian_field(g, amplitude=0.8, width=2.0)
 
         def advance(dt, t_end=1.0):
-            state = SolverState(0.0, u0)
+            state = state_of(u0)
             steps = int(round(t_end / dt))
             for _ in range(steps):
                 state = step_ifrk4(state, dt, eq)
-            return state.u_hat.coeffs
+            return state.half
 
         ref = advance(1.0 / 64)
         errs = [np.max(np.abs(advance(dt) - ref)) for dt in (0.25, 0.125)]
@@ -263,8 +266,8 @@ class TestBandLimitedStep:
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(256, 16.0 * np.pi)
         rng = np.random.default_rng(len(kind))
-        c = rng.normal(size=256) + 1j * rng.normal(size=256)
-        state = SolverState(0.0, SpectralField(g, 0.05 * c))
+        c = rng.normal(size=129) + 1j * rng.normal(size=129)
+        state = SolverState(0.0, g, 0.05 * c)
         dt = 0.03
         out = step_ifrk4(state, dt, eq)
         m = eq.band_length(g)
@@ -276,7 +279,7 @@ class TestBandLimitedStep:
     def test_four_real_transform_pairs_per_step(self, kind, monkeypatch):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(512, 16.0 * np.pi)
-        state = SolverState(0.0, gaussian_field(g, amplitude=0.5))
+        state = state_of(gaussian_field(g, amplitude=0.5))
         lengths = {"rfft": [], "irfft": []}
 
         def counted(name, func):
@@ -307,13 +310,13 @@ class TestExponentialCache:
                   for n in (64, 128)]
         for dt in (0.05, 0.02, 0.05):
             for u0 in fields:
-                state = SolverState(0.0, u0)
+                state = state_of(u0)
                 cached = step_ifrk4(state, dt, eq)
                 fresh = step_ifrk4(state, dt, make_equation(kind, **params))
-                assert np.array_equal(cached.u_hat.coeffs, fresh.u_hat.coeffs)
+                assert np.array_equal(cached.half, fresh.half)
                 # half-length tables, 0 in the Nyquist slot
                 n = u0.grid.n_points
-                lin = eq.linear_values(u0.grid)[n // 2:]
+                lin = eq.linear_values(u0.grid)[:-1]
                 e_full, e_half = eq.linear_exponentials(u0.grid, dt)
                 assert e_full.shape == e_half.shape == (n // 2 + 1,)
                 assert np.array_equal(e_full, np.append(np.exp(dt * lin), 0.0))
@@ -322,11 +325,11 @@ class TestExponentialCache:
     def test_linearized_has_own_cache(self):
         eq = make_equation("modified_fkdv", alpha=-0.5)
         u0 = gaussian_field(make_grid(64, 16.0 * np.pi))
-        step_ifrk4(SolverState(0.0, u0), 0.05, eq)
+        step_ifrk4(state_of(u0), 0.05, eq)
         lin_eq = linearized(eq)
         assert lin_eq._linear_cache is not eq._linear_cache
         before = dict(eq._linear_cache)
-        step_ifrk4(SolverState(0.0, u0), 0.03, lin_eq)
+        step_ifrk4(state_of(u0), 0.03, lin_eq)
         assert eq._linear_cache.keys() == before.keys()
         assert all(eq._linear_cache[k] is v for k, v in before.items())
 
@@ -346,7 +349,7 @@ class TestExponentialCache:
         grids = [make_grid(n, TWO_PI) for n in (32, 64)]
         for dt in np.linspace(1e-3, 2e-3, 100):
             for g in grids:
-                step_ifrk4(SolverState(0.0, transform(g, 0.01 * np.sin(g.x))), dt, eq)
+                step_ifrk4(state_of(field_of(g, 0.01 * np.sin(g.x))), dt, eq)
         keys = self.cached_exponentials(eq)
         assert len(keys) == len(grids)
         assert all(eq._linear_cache[k][0] == dt for k in keys)
@@ -368,7 +371,7 @@ class TestRunSimulation:
         cfg = SolverConfig(dt_max=0.1, t_end=10.0, snapshot_times=(10.0,))
         final, halt = run_simulation(u0, eq, cfg)
         assert halt.completed
-        assert norm_l2(final.u_hat) == pytest.approx(norm_l2(u0), rel=1e-12)
+        assert norm_l2(final.field) == pytest.approx(norm_l2(u0), rel=1e-12)
 
     def test_exact_linear_limit_many_steps(self):
         # n-step evolution equals one exact multiplier application
@@ -379,7 +382,7 @@ class TestRunSimulation:
                            snapshot_times=tuple(np.arange(0.0, 10.5, 1.0)))
         final, halt = run_simulation(u0, eq, cfg)
         exact = np.exp(10.0 * eq.linear_values(g)) * u0.coeffs
-        err = np.max(np.abs(final.u_hat.coeffs - exact))
+        err = np.max(np.abs(final.half - exact))
         assert err <= 1e-12 * np.max(np.abs(u0.coeffs))
 
     def test_conservation_short_run(self):
@@ -389,21 +392,21 @@ class TestRunSimulation:
         cfg = SolverConfig(dt_max=0.1, t_end=10.0, snapshot_times=(10.0,))
         final, halt = run_simulation(u0, eq, cfg)
         assert halt.completed
-        assert abs(norm_l2(final.u_hat) - norm_l2(u0)) <= 1e-8 * norm_l2(u0)
-        assert mean_integral(final.u_hat) == mean_integral(u0)
-        assert hermitian_defect(final.u_hat) == 0.0
+        assert abs(norm_l2(final.field) - norm_l2(u0)) <= 1e-8 * norm_l2(u0)
+        assert mean_integral(final.field) == mean_integral(u0)
+        assert hermitian_defect(final.field) == 0.0
 
     def test_time_reversibility(self):
         g = make_grid(256, 32.0 * np.pi)
         eq = make_equation("modified_fkdv", alpha=-0.5)
         u0 = gaussian_field(g, amplitude=0.2)
-        state = SolverState(0.0, u0)
+        state = state_of(u0)
         n_steps, dt = 100, 0.01
         for _ in range(n_steps):
             state = step_ifrk4(state, dt, eq)
         for _ in range(n_steps):
             state = step_ifrk4(state, -dt, eq)
-        err = np.max(np.abs(state.u_hat.coeffs - u0.coeffs))
+        err = np.max(np.abs(state.half - u0.coeffs))
         assert err < 1e-8 * max(1.0, np.max(np.abs(u0.coeffs)))
 
     def test_blowup_halt_preserves_last_finite_state(self):
@@ -412,12 +415,12 @@ class TestRunSimulation:
         # in-range dynamics stable, so only pathological inputs trip this)
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_burgers")
-        u0 = transform(g, 3e12 * np.sin(g.x))
+        u0 = field_of(g, 3e12 * np.sin(g.x))
         cfg = SolverConfig(dt_max=0.05, cfl_coefficient=1.0, t_end=5.0,
                            snapshot_times=(5.0,))
         final, halt = run_simulation(u0, eq, cfg)
         assert halt.kind in ("blowup", "nan")
-        assert np.all(np.isfinite(final.u_hat.coeffs))
+        assert np.all(np.isfinite(final.half))
         assert halt.t > final.t
 
     @pytest.mark.parametrize("amplitude,reason", [
@@ -427,7 +430,7 @@ class TestRunSimulation:
         # substeps in, so the initial state itself halts; below that, u^3
         # overflows in the first step and the transform makes it NaN
         g = make_grid(64, TWO_PI)
-        u0 = transform(g, amplitude * np.sin(g.x))
+        u0 = field_of(g, amplitude * np.sin(g.x))
         cfg = SolverConfig(dt_max=0.01, t_end=0.1)
         with np.errstate(over="ignore", invalid="ignore"):
             final, halt = run_simulation(u0, make_equation("modified_burgers"), cfg)
@@ -439,7 +442,7 @@ class TestRunSimulation:
         # u^3 overflows in the first stage whatever the linear part, and the
         # halt keeps the last finite state
         g = make_grid(64, TWO_PI)
-        u0 = transform(g, 1e120 * np.sin(g.x))
+        u0 = field_of(g, 1e120 * np.sin(g.x))
         cfg = SolverConfig(dt_max=0.01, t_end=0.1)
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -450,7 +453,7 @@ class TestRunSimulation:
     def test_snapshots_land_exactly(self):
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_burgers")
-        u0 = transform(g, 0.01 * np.sin(g.x))
+        u0 = field_of(g, 0.01 * np.sin(g.x))
         times = (0.3, 1.0, 1.7)
         seen = []
         cfg = SolverConfig(dt_max=0.13, t_end=2.0, snapshot_times=times)
@@ -459,7 +462,7 @@ class TestRunSimulation:
 
     @staticmethod
     def count_calls(monkeypatch):
-        # half_inverse_transform is called in integrator only by max_abs_u
+        # inverse_transform is called in integrator only by max_abs_u
         from fkdvlab import integrator
         counts = {"transform": 0, "cfl": 0, "step": 0}
 
@@ -469,7 +472,7 @@ class TestRunSimulation:
                 return func(*args)
             return wrapper
 
-        for name, attr in (("transform", "half_inverse_transform"),
+        for name, attr in (("transform", "inverse_transform"),
                            ("cfl", "cfl_dt"), ("step", "step_ifrk4")):
             monkeypatch.setattr(integrator, attr,
                                 counted(name, getattr(integrator, attr)))
@@ -494,7 +497,7 @@ class TestRunSimulation:
         counts = self.count_calls(monkeypatch)
         g = make_grid(512, TWO_PI)
         cfg = SolverConfig(dt_max=0.1, t_end=0.2, snapshot_times=(0.05, 0.1, 0.15))
-        _, halt = run_simulation(transform(g, 0.5 * np.sin(g.x)),
+        _, halt = run_simulation(field_of(g, 0.5 * np.sin(g.x)),
                                  make_equation("modified_burgers"), cfg)
         assert halt.completed
         assert counts["step"] >= 8
@@ -526,35 +529,35 @@ class TestRunSimulation:
 
 
 class TestFullSpectrumReference:
-    """The half-spectrum solver against the full-spectrum step it replaced:
-    equal bits, equal halt reasons, and a reference that never finds a
-    Hermitian defect to repair."""
+    """The half-spectrum solver against the same step on the ascending
+    whole spectrum: equal bits, equal halt reasons, and a reference that
+    never finds a Hermitian defect to repair."""
 
     @pytest.mark.parametrize("n", [16, 512, 8192])
     @pytest.mark.parametrize("kind", EQUATION_KINDS)
     def test_runs_bit_identical(self, kind, n):
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(n, 16.0 * np.pi)
-        u0 = transform(g, 0.8 * np.exp(-((g.x - g.x_center) / 2.0) ** 2)
-                       + 0.1 * np.sin(6.0 * TWO_PI * g.x / g.box_length))
+        u0 = field_of(g, 0.8 * np.exp(-((g.x - g.x_center) / 2.0) ** 2)
+                      + 0.1 * np.sin(6.0 * TWO_PI * g.x / g.box_length))
         cfg = SolverConfig(dt_max=0.05, t_end=0.2,
                            snapshot_times=(0.05, 0.1, 0.15, 0.2))
         final, halt = run_simulation(u0, eq, cfg)
         ref, kind_ref, t_ref, defect_max = reference_run(u0, eq, cfg)
         assert (halt.kind, halt.t) == (kind_ref, t_ref) == ("completed", 0.2)
-        assert np.array_equal(final.u_hat.coeffs, ref.coeffs)
+        assert np.array_equal(final.half, ref)
         assert defect_max == 0.0
 
     def test_blowup_halt_matches(self):
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_burgers")
-        u0 = transform(g, 3e12 * np.sin(g.x))
+        u0 = field_of(g, 3e12 * np.sin(g.x))
         cfg = SolverConfig(dt_max=0.05, cfl_coefficient=1.0, t_end=5.0,
                            snapshot_times=(5.0,))
         final, halt = run_simulation(u0, eq, cfg)
         ref, kind_ref, t_ref, _ = reference_run(u0, eq, cfg)
         assert (halt.kind, halt.t) == (kind_ref, t_ref)
-        assert np.array_equal(final.u_hat.coeffs, ref.coeffs)
+        assert np.array_equal(final.half, ref)
 
 
 class TestHaltClassification:
@@ -562,7 +565,7 @@ class TestHaltClassification:
     def state_with(value):
         half = np.full(9, 0.5 + 0.25j)
         half[3] = value
-        return SolverState.from_half(1.0, make_grid(16, TWO_PI), half)
+        return SolverState(1.0, make_grid(16, TWO_PI), half)
 
     @pytest.mark.parametrize("value, reason", [
         (0.1 - 0.2j, None),

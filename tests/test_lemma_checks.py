@@ -57,28 +57,21 @@ from fkdvlab.lemma_checks import (
     _profile_norms,
     interpolation_members,
 )
-from fkdvlab.spectral import (
-    CUTOFFS,
-    SpectralField,
-    half_inverse_transform,
-    hermitize,
-    inverse_transform,
-    make_grid,
-    transform,
-)
+from fkdvlab.spectral import CUTOFFS, inverse_transform, make_grid
+
+import ascending as asc
 
 TWO_PI = 2.0 * np.pi
 
 
-def per_mode_double_sum(fhat, t, alpha):
+def per_mode_double_sum(grid, F, t, alpha):
     """``profile_rhs_double_sum`` as it was: one Python iteration per output
     mode, each over an n x n block of (eta, sigma) pairs."""
-    grid = fhat.grid
     n = grid.n_points
     dxi = grid.dxi
     idx = np.arange(n)
-    F = fhat.coeffs
-    a_grid = _dispersion(alpha, grid.wavenumbers)
+    xi = asc.xi(grid)
+    a_grid = _dispersion(alpha, xi)
     pair_pos = np.add.outer(idx, idx)
     a_eta_sig = np.add.outer(a_grid, a_grid)
     F_eta_sig = np.multiply.outer(F, F)
@@ -91,26 +84,30 @@ def per_mode_double_sum(fhat, t, alpha):
         a_rem = np.where(valid, a_grid[rp], 0.0)
         phases = np.exp(1j * t * (a_rem + a_eta_sig - a_grid[o]))
         total = np.sum(phases * f_rem * F_eta_sig)
-        out[o] = -1j / (2.0 * np.pi) * (grid.wavenumbers[o] / 3.0) * total * dxi ** 2
+        out[o] = -1j / (2.0 * np.pi) * (xi[o] / 3.0) * total * dxi ** 2
     return out
 
 
 def per_scalar_profile(n_points, seed, amplitude=0.1):
-    """The random profile of ``check_trilinear_identity`` as it was drawn,
-    one ``rng.normal()`` per real number."""
+    """The grid and ascending random profile of ``check_trilinear_identity``
+    as it was drawn, one ``rng.normal()`` per real number."""
     rng = np.random.default_rng(seed)
     c = np.zeros(n_points, dtype=complex)
     for k in range(1, n_points // 4):
         c[n_points // 2 + k] = rng.normal() + 1j * rng.normal()
     c[n_points // 2] = rng.normal()
-    return hermitize(SpectralField(make_grid(n_points, TWO_PI), amplitude * c))
+    return make_grid(n_points, TWO_PI), asc.hermitize(amplitude * c)
+
+
+def zero_profile():
+    return make_grid(16, TWO_PI), np.zeros(16, complex)
 
 
 def single_pair_profile():
     c = np.zeros(16, complex)
     c[8 + 1] = 0.2 + 0.1j
     c[8 - 1] = np.conj(c[8 + 1])
-    return SpectralField(make_grid(16, TWO_PI), c)
+    return make_grid(16, TWO_PI), c
 
 
 class TestTrilinearIdentity:
@@ -124,16 +121,15 @@ class TestTrilinearIdentity:
         assert result["relative_sup_difference"] <= TRILINEAR_RTOL
 
     def test_zero_profile(self):
-        g = make_grid(16, TWO_PI)
-        fhat = SpectralField(g, np.zeros(16, complex))
-        assert np.max(np.abs(profile_rhs_double_sum(fhat, 0.7, -0.5))) == 0.0
-        assert np.max(np.abs(profile_rhs_pseudospectral(fhat, 0.7, -0.5))) < 1e-300
+        fhat = zero_profile()
+        assert np.max(np.abs(profile_rhs_double_sum(*fhat, 0.7, -0.5))) == 0.0
+        assert np.max(np.abs(profile_rhs_pseudospectral(*fhat, 0.7, -0.5))) < 1e-300
 
     def test_single_mode_pair(self):
         # one Hermitian mode pair: both sides live on reachable triple sums
         fhat = single_pair_profile()
-        oracle = profile_rhs_double_sum(fhat, 0.7, -0.5)
-        target = profile_rhs_pseudospectral(fhat, 0.7, -0.5)
+        oracle = profile_rhs_double_sum(*fhat, 0.7, -0.5)
+        target = profile_rhs_pseudospectral(*fhat, 0.7, -0.5)
         assert np.max(np.abs(oracle - target)) <= 1e-12 * np.max(np.abs(target))
 
     def test_size_guard(self):
@@ -145,23 +141,23 @@ class TestTrilinearIdentity:
     def test_oracle_is_the_per_mode_loop_bit_for_bit(self, n_points, seed):
         fhat = per_scalar_profile(n_points, seed)
         for t, alpha in ((0.7, -0.5), (1.3, -0.2)):
-            assert np.array_equal(profile_rhs_double_sum(fhat, t, alpha).view(float),
-                                  per_mode_double_sum(fhat, t, alpha).view(float))
+            assert np.array_equal(profile_rhs_double_sum(*fhat, t, alpha).view(float),
+                                  per_mode_double_sum(*fhat, t, alpha).view(float))
 
-    @pytest.mark.parametrize("fhat", [SpectralField(make_grid(16, TWO_PI), np.zeros(16, complex)),
-                                      single_pair_profile()], ids=["zero", "single_pair"])
+    @pytest.mark.parametrize("fhat", [zero_profile(), single_pair_profile()],
+                             ids=["zero", "single_pair"])
     def test_oracle_of_special_fields_is_the_per_mode_loop(self, fhat):
-        assert np.array_equal(profile_rhs_double_sum(fhat, 0.7, -0.5).view(float),
-                              per_mode_double_sum(fhat, 0.7, -0.5).view(float))
+        assert np.array_equal(profile_rhs_double_sum(*fhat, 0.7, -0.5).view(float),
+                              per_mode_double_sum(*fhat, 0.7, -0.5).view(float))
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n_points", [8, 16, 32])
     def test_check_is_the_per_scalar_draw_bit_for_bit(self, n_points, seed):
         # the profile's numbers drawn in one call are the one-at-a-time draws
         fhat = per_scalar_profile(n_points, seed)
-        target = profile_rhs_pseudospectral(fhat, 0.7, -0.5)
+        target = profile_rhs_pseudospectral(*fhat, 0.7, -0.5)
         scale = float(np.max(np.abs(target)))
-        diff = float(np.max(np.abs(per_mode_double_sum(fhat, 0.7, -0.5) - target)))
+        diff = float(np.max(np.abs(per_mode_double_sum(*fhat, 0.7, -0.5) - target)))
         result = check_trilinear_identity(n_points, seed)
         assert result["max_abs_target"] == scale
         assert result["relative_sup_difference"] == diff / scale
@@ -207,28 +203,25 @@ def per_case_band_field(rng, k, n=1024):
     it one case at a time."""
     L = 2.0 ** (-k) * 64.0 * np.pi          # dxi = 2^k / 32
     grid = make_grid(n, L)
-    idx = grid.mode_index
+    idx = np.arange(-(n // 2), n // 2)
     band = (np.abs(idx) >= 17) & (np.abs(idx) <= 63)   # |xi|/2^k in (1/2, 2)
     c = np.zeros(n, dtype=complex)
     pos = np.where(band & (idx > 0))[0]
     draws = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
     c[pos] = draws
-    fld = hermitize(SpectralField(grid, c))
-    return grid, fld
+    return grid, asc.hermitize(c)
 
 
-def per_case_members(grid, fld, k):
-    """``interpolation_members`` as it was, on the full ascending layout."""
-    xi = grid.wavenumbers
-    phat = CUTOFFS.psi_j(xi, k) * fld.coeffs
-    pfld = SpectralField(grid, phat)
-    u = inverse_transform(pfld)
+def per_case_members(grid, c, k):
+    """``interpolation_members`` as it was, one case at a time."""
+    phat = CUTOFFS.psi_j(asc.xi(grid), k) * c
+    u = asc.inverse_transform(grid, phat)
     sup2 = float(np.max(np.abs(phat))) ** 2
     l1sq = (float(np.sum(np.abs(u)) * grid.dx)) ** 2
     l2 = float(np.sqrt(np.sum(np.abs(phat) ** 2) * grid.dxi))
     xc = grid.x - grid.x_center
-    xw = transform(grid, xc * u)
-    dl2 = float(np.sqrt(np.sum(np.abs(xw.coeffs) ** 2) * grid.dxi))
+    xw = asc.transform(grid, xc * u)
+    dl2 = float(np.sqrt(np.sum(np.abs(xw) ** 2) * grid.dxi))
     right = 2.0 ** (-k) * l2 * (l2 + 2.0 ** k * dl2)
     return sup2, l1sq, right
 
@@ -290,7 +283,7 @@ class TestInterpolation:
         rng = np.random.default_rng(0)
         grid, fld = per_case_band_field(rng, 0)
         s1, l1, r1 = interpolation_members(grid, fld, 0)
-        doubled = SpectralField(grid, 2.0 * fld.coeffs)
+        doubled = 2.0 * fld
         s2, l2, r2 = interpolation_members(grid, doubled, 0)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
         assert l2 == pytest.approx(4.0 * l1, rel=1e-12)
@@ -322,7 +315,7 @@ def per_case_pseudo_product(seed, num_trials):
     drawn fields per trial, the factored oracle one mode at a time."""
     rng = np.random.default_rng(seed)
     grid = make_grid(128, 16.0 * np.pi)
-    xi = grid.wavenumbers
+    xi = asc.xi(grid)
     dxi = grid.dxi
     n = grid.n_points
     idx = np.arange(n)
@@ -334,10 +327,10 @@ def per_case_pseudo_product(seed, num_trials):
         for k in range(1, 17):
             c[n // 2 + k] = rng.normal() + 1j * rng.normal()
         c[n // 2] = rng.normal()
-        return hermitize(SpectralField(grid, 0.3 * c))
+        return asc.hermitize(0.3 * c)
 
-    def norms(fld):
-        u = inverse_transform(fld)
+    def norms(c):
+        u = asc.inverse_transform(grid, c)
         return {"l2": float(np.sqrt(np.sum(u * u) * grid.dx)),
                 "linf": float(np.max(np.abs(u)))}
 
@@ -364,9 +357,9 @@ def per_case_pseudo_product(seed, num_trials):
     factored_defect = 0.0
     for trial in range(num_trials):
         f, g, h = random_field(), random_field(), random_field()
-        T = trilinear(f.coeffs, g.coeffs, h.coeffs)
+        T = trilinear(f, g, h)
         if trial == 0:
-            T2 = trilinear_factored(f.coeffs, g.coeffs, h.coeffs)
+            T2 = trilinear_factored(f, g, h)
             factored_defect = abs(T - T2) / max(1e-300, abs(T))
         nf, ng, nh = norms(f), norms(g), norms(h)
         bounds = {
@@ -536,24 +529,24 @@ class TestUniformCosineSums:
 
 
 def full_layout_band_sup(alpha, k, t):
-    """``_evolved_band_sup`` as it was on the ascending full spectrum: every
-    mode evaluated, then mirrored by ``inverse_transform`` (guards left out,
+    """``_evolved_band_sup`` as it was on the ascending spectrum: every mode
+    evaluated, then synthesised from its Hermitian part (guards left out,
     they do not change the value)."""
     grid = _packet_grid(alpha, k, t)
-    xi = grid.wavenumbers
+    xi = asc.xi(grid)
     ghat = _bump(xi / 2.0 ** k)
     proj = CUTOFFS.psi_j(xi, k)
     shift = np.exp(-1j * xi * (0.7 * grid.box_length))
     coeffs = ghat * proj * shift * np.exp(1j * t * _dispersion(alpha, xi))
-    u = inverse_transform(SpectralField(grid, coeffs.astype(complex)))
+    u = asc.inverse_transform(grid, coeffs.astype(complex))
     return float(np.max(np.abs(u)))
 
 
 def full_layout_field_l1(alpha, k):
     """``_field_l1`` as it was on the ascending full spectrum."""
     grid = _packet_grid(alpha, k, 1.0)
-    ghat = _bump(grid.wavenumbers / 2.0 ** k).astype(complex)
-    u = inverse_transform(SpectralField(grid, ghat))
+    ghat = _bump(asc.xi(grid) / 2.0 ** k).astype(complex)
+    u = asc.inverse_transform(grid, ghat)
     return float(np.sum(np.abs(u)) * grid.dx)
 
 
@@ -581,7 +574,7 @@ def per_point_band_sup(alpha, k, t):
     shift = np.exp(-1j * xi_band * (0.7 * grid.box_length))
     half = np.zeros(len(xi), dtype=complex)
     half[band] = ghat[band] * proj * shift * np.exp(1j * t * _dispersion(alpha, xi_band))
-    u = half_inverse_transform(grid, half)
+    u = inverse_transform(grid, half)
     return float(np.max(np.abs(u)))
 
 
@@ -650,11 +643,12 @@ class TestDispersiveEstimate:
         with pytest.raises(ConfigurationError, match="k_range must hold at least one band"):
             check_dispersive_estimate(-0.5, k_range=())
 
-    def test_sweep_never_uses_the_full_layout(self, monkeypatch):
-        def full_layout(*args, **kwargs):
-            raise AssertionError("the dispersive sweep used inverse_transform")
+    def test_sweep_never_uses_the_ascending_layout(self, monkeypatch):
+        def ascending(*args, **kwargs):
+            raise AssertionError("the dispersive sweep built an ascending spectrum")
 
-        monkeypatch.setattr(lemma_checks, "inverse_transform", full_layout)
+        for name in ("_mirror", "_synthesis_rows", "_ascending_xi"):
+            monkeypatch.setattr(lemma_checks, name, ascending)
         run, verdicts = LEMMA_CHECKS["dispersive"]
         assert all(v.passed for v in verdicts(run(0)))
 

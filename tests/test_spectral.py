@@ -16,10 +16,6 @@ from fkdvlab.spectral import (
     dealias_mask,
     derivative_symbol,
     fractional_dispersion_symbol,
-    full_spectrum,
-    half_inverse_transform,
-    half_table,
-    half_transform,
     hermitian_defect,
     hermitize,
     inverse_transform,
@@ -37,10 +33,21 @@ from fkdvlab.spectral import (
 TWO_PI = 2.0 * np.pi
 
 
+def samples(fld):
+    return inverse_transform(fld.grid, fld.coeffs)
+
+
+def half_energy(grid, half):
+    """dxi * sum over the whole spectrum of |c|^2, read off the half spectrum."""
+    weights = np.full(half.size, 2.0)
+    weights[0] = weights[-1] = 1.0
+    return grid.dxi * float(np.sum(weights * np.abs(half) ** 2))
+
+
 class TestGrid:
     def test_wavenumbers_unit_box(self):
         g = make_grid(8, TWO_PI)
-        assert np.allclose(g.wavenumbers, [-4, -3, -2, -1, 0, 1, 2, 3])
+        assert np.allclose(g.wavenumbers, [0, 1, 2, 3, 4])
 
     def test_spacing(self):
         g = make_grid(8, 4.0 * np.pi)
@@ -63,33 +70,29 @@ class TestGrid:
         g = make_grid(64, 17.3)
         assert g.dx * g.n_points == pytest.approx(g.box_length, rel=1e-15)
 
-    def test_wavenumber_symmetry_except_nyquist(self):
+    def test_half_spectrum_ends_at_nyquist(self):
         g = make_grid(16, TWO_PI)
-        xi = g.wavenumbers
-        assert np.allclose(xi[1:], -xi[1:][::-1])
+        assert g.wavenumbers.shape == (9,)
+        assert g.wavenumbers[0] == 0.0 and g.wavenumbers[-1] == 8.0
 
 
 class TestTransform:
     def test_cosine_coefficients(self):
         g = make_grid(32, TWO_PI)
-        f = transform(g, np.cos(g.x))
-        i = np.argmin(np.abs(g.wavenumbers - 1.0))
-        j = np.argmin(np.abs(g.wavenumbers + 1.0))
+        f = SpectralField.from_samples(g, np.cos(g.x))
         expected = np.sqrt(np.pi / 2.0)
-        assert abs(f.coeffs[i] - expected) < 1e-12
-        assert abs(f.coeffs[j] - expected) < 1e-12
-        others = np.delete(np.abs(f.coeffs), [i, j])
-        assert np.max(others) < 1e-12
+        assert abs(f.coeffs[1] - expected) < 1e-12
+        assert np.max(np.abs(np.delete(f.coeffs, 1))) < 1e-12
 
     def test_zero_samples(self):
         g = make_grid(16, TWO_PI)
-        assert np.all(transform(g, np.zeros(16)).coeffs == 0)
+        assert np.all(transform(g, np.zeros(16)) == 0)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(3)
         g = make_grid(64, 5.0)
         u = rng.normal(size=64)
-        back = inverse_transform(transform(g, u))
+        back = inverse_transform(g, transform(g, u))
         assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
 
     def test_against_double_loop_dft(self):
@@ -100,32 +103,37 @@ class TestTransform:
         f = transform(g, u)
         for i, xi in enumerate(g.wavenumbers):
             direct = g.dx / np.sqrt(TWO_PI) * np.sum(u * np.exp(-1j * g.x * xi))
-            assert abs(f.coeffs[i] - direct) < 1e-13
+            assert abs(f[i] - direct) < 1e-13
 
     def test_shape_mismatch(self):
         g = make_grid(16, TWO_PI)
         with pytest.raises(ShapeError):
-            transform(g, np.zeros(8))
+            SpectralField.from_samples(g, np.zeros(8))
+        # a whole-spectrum array is not a half spectrum
+        with pytest.raises(ShapeError):
+            SpectralField(g, np.zeros(16, complex))
 
     @pytest.mark.parametrize("n", [8, 16, 512, 8192])
     def test_matches_complex_fft_formulas(self, n):
-        # real samples take the real-FFT path; the result must equal the
-        # complex-FFT formula, and the real synthesis of any coefficients
-        # (Hermitian or not) must equal Re ifft
+        # the real-FFT half spectrum is the non-negative half of the complex
+        # FFT, and the real synthesis of any half spectrum is Re ifft of its
+        # Hermitian extension with real zero and Nyquist modes
         rng = np.random.default_rng(n)
         g = make_grid(n, 7.3)
         scale = g.dx / np.sqrt(TWO_PI)
         u = rng.normal(size=n)
-        ref = np.fft.fftshift(np.fft.fft(u)) * scale
-        out = transform(g, u).coeffs
+        ref = np.fft.fft(u)[:n // 2 + 1] * scale
+        out = transform(g, u)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert hermitian_defect(transform(g, u)) == 0.0
 
-        c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        synth = np.fft.ifft(np.fft.ifftshift(c)) / scale
-        back = inverse_transform(SpectralField(g, c))
+        c = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+        whole = np.concatenate([[c[0].real], c[1:-1], [c[-1].real],
+                                np.conj(c[-2:0:-1])])
+        synth = np.fft.ifft(whole) / scale
+        back = inverse_transform(g, c)
         assert back.dtype == np.float64
         assert np.max(np.abs(back - synth.real)) <= 1e-13 * np.max(np.abs(synth.real))
+        assert np.max(np.abs(synth.imag)) <= 1e-13 * np.max(np.abs(synth.real))
 
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_complex_samples_refused(self, imag):
@@ -133,32 +141,32 @@ class TestTransform:
         # older numpy real FFTs would drop with only a warning
         g = make_grid(16, TWO_PI)
         with pytest.raises(TypeError, match="real samples"):
-            transform(g, np.cos(g.x) + 1j * imag * np.sin(g.x))
+            SpectralField.from_samples(g, np.cos(g.x) + 1j * imag * np.sin(g.x))
 
 
 class TestMultipliers:
     def test_derivative_on_sine(self):
         g = make_grid(32, TWO_PI)
-        out = inverse_transform(apply_multiplier(transform(g, np.sin(g.x)),
-                                                 derivative_symbol()))
+        out = samples(apply_multiplier(SpectralField.from_samples(g, np.sin(g.x)),
+                                       derivative_symbol()))
         assert np.max(np.abs(out - np.cos(g.x))) < 1e-12
 
     def test_identity_multiplier(self):
         from fkdvlab.spectral import MultiplierSymbol
         g = make_grid(32, TWO_PI)
-        f = transform(g, np.sin(2 * g.x) + 0.3 * np.cos(g.x))
+        f = SpectralField.from_samples(g, np.sin(2 * g.x) + 0.3 * np.cos(g.x))
         out = apply_multiplier(f, MultiplierSymbol(lambda xi: np.ones_like(xi, dtype=complex)))
-        keep = np.abs(g.mode_index) < 16   # Nyquist is zeroed by design
+        keep = g.mode_index < 16   # Nyquist is zeroed by design
+        assert out.coeffs[-1] == 0.0
         assert np.allclose(out.coeffs[keep], f.coeffs[keep])
 
     def test_fractional_symbol_single_mode(self):
         # i*xi*|xi|^(-1/2) at xi=4 doubles the amplitude with a 90-degree turn
         g = make_grid(32, TWO_PI)
-        c = np.zeros(32, complex)
-        c[np.argmin(np.abs(g.wavenumbers - 4.0))] = 1.0
+        c = np.zeros(17, complex)
+        c[4] = 1.0
         out = apply_multiplier(SpectralField(g, c), fractional_dispersion_symbol(-0.5))
-        i = np.argmin(np.abs(g.wavenumbers - 4.0))
-        assert abs(out.coeffs[i] - 2j) < 1e-14
+        assert abs(out.coeffs[4] - 2j) < 1e-14
 
     def test_fractional_symbol_values(self):
         sym = fractional_dispersion_symbol(-0.5)
@@ -217,32 +225,33 @@ class TestDyadicCutoffs:
 class TestNorms:
     def test_sine_l2(self):
         g = make_grid(64, TWO_PI)
-        assert norm_l2(transform(g, np.sin(g.x))) == pytest.approx(np.sqrt(np.pi), rel=1e-12)
+        f = SpectralField.from_samples(g, np.sin(g.x))
+        assert norm_l2(f) == pytest.approx(np.sqrt(np.pi), rel=1e-12)
 
     def test_sine_h1(self):
         g = make_grid(64, TWO_PI)
-        f = transform(g, np.sin(g.x))
+        f = SpectralField.from_samples(g, np.sin(g.x))
         assert norm_sobolev(f, 1.0) == pytest.approx(np.sqrt(TWO_PI), rel=1e-12)
 
     def test_z_single_coefficient(self):
         g = make_grid(32, TWO_PI)
-        c = np.zeros(32, complex)
-        c[np.argmin(np.abs(g.wavenumbers - 1.0))] = 1.0
+        c = np.zeros(17, complex)
+        c[1] = 1.0
         assert norm_z(SpectralField(g, c), 10.0) == pytest.approx(1024.0)
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
         g = make_grid(128, 11.0)
-        f = transform(g, rng.normal(size=128))
-        spectral = np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * g.dxi)
-        assert norm_l2(f) == pytest.approx(spectral, rel=1e-10)
+        f = SpectralField.from_samples(g, rng.normal(size=128))
+        assert norm_l2(f) == pytest.approx(np.sqrt(half_energy(g, f.coeffs)), rel=1e-10)
+        assert norm_sobolev(f, 0.0) == pytest.approx(norm_l2(f), rel=1e-12)
 
     def test_z_dilation_covariance(self):
         # same coefficients read at doubled wavenumbers: recompute directly
         rng = np.random.default_rng(4)
         g1 = make_grid(64, TWO_PI)
         g2 = make_grid(64, np.pi)          # wavenumbers doubled
-        c = rng.normal(size=64) + 1j * rng.normal(size=64)
+        c = rng.normal(size=33) + 1j * rng.normal(size=33)
         z2 = norm_z(SpectralField(g2, c), 10.0)
         direct = np.max((1.0 + np.abs(2.0 * g1.wavenumbers)) ** 10 * np.abs(c))
         assert z2 == pytest.approx(direct, rel=1e-12)
@@ -250,7 +259,7 @@ class TestNorms:
     def test_h11_localized_no_warning(self):
         import warnings
         g = make_grid(256, 64.0 * np.pi)
-        f = transform(g, 0.1 * np.exp(-((g.x - g.x_center)) ** 2))
+        f = SpectralField.from_samples(g, 0.1 * np.exp(-((g.x - g.x_center)) ** 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = norm_h11(f)
@@ -258,31 +267,31 @@ class TestNorms:
 
     def test_boundary_mass_fraction(self):
         g = make_grid(128, TWO_PI)
-        spread = transform(g, np.sin(g.x))     # mass everywhere, including edges
+        spread = SpectralField.from_samples(g, np.sin(g.x))   # mass everywhere
         assert boundary_mass_fraction(spread) > BOUNDARY_MASS_THRESHOLD
         g = make_grid(256, 64.0 * np.pi)
-        local = transform(g, 0.1 * np.exp(-((g.x - g.x_center)) ** 2))
+        local = SpectralField.from_samples(g, 0.1 * np.exp(-((g.x - g.x_center)) ** 2))
         assert boundary_mass_fraction(local) <= BOUNDARY_MASS_THRESHOLD
 
     def test_mean_integral(self):
         g = make_grid(64, TWO_PI)
-        f = transform(g, 2.0 + np.cos(g.x))
+        f = SpectralField.from_samples(g, 2.0 + np.cos(g.x))
         assert mean_integral(f) == pytest.approx(4.0 * np.pi, rel=1e-12)
 
 
 class TestDealias:
     def test_cubic_rule(self):
         g = make_grid(32, TWO_PI)
-        f = SpectralField(g, np.ones(32, complex))
+        f = SpectralField(g, np.ones(17, complex))
         out = dealias(f)
-        zeroed = np.abs(g.mode_index) > 8
+        zeroed = g.mode_index > 8
         assert np.all(out.coeffs[zeroed] == 0)
         assert np.all(out.coeffs[~zeroed] == 1)
 
     def test_band_limited_unchanged(self):
         g = make_grid(32, TWO_PI)
-        c = np.zeros(32, complex)
-        c[g.n_points // 2 + 3] = 1.0
+        c = np.zeros(17, complex)
+        c[3] = 1.0
         f = SpectralField(g, c)
         assert np.all(dealias(f).coeffs == c)
 
@@ -291,15 +300,17 @@ class TestHermitianAndUnitarity:
     def test_hermitize_enforces_symmetry(self):
         rng = np.random.default_rng(7)
         g = make_grid(32, TWO_PI)
-        f = SpectralField(g, rng.normal(size=32) + 1j * rng.normal(size=32))
+        f = SpectralField(g, rng.normal(size=17) + 1j * rng.normal(size=17))
+        assert hermitian_defect(f) == 2.0 * abs(f.coeffs[0].imag) > 0.0
         h = hermitize(f)
-        assert hermitian_defect(h) < 1e-15
-        assert h.coeffs[0] == 0.0
+        assert hermitian_defect(h) == 0.0
+        assert h.coeffs[-1] == 0.0
+        assert np.array_equal(h.coeffs[:-1], np.append(f.coeffs[0].real, f.coeffs[1:-1]))
 
     def test_skew_exponential_preserves_l2(self):
         rng = np.random.default_rng(8)
         g = make_grid(128, 16.0)
-        f = hermitize(transform(g, rng.normal(size=128)))
+        f = hermitize(SpectralField.from_samples(g, rng.normal(size=128)))
         sym = fractional_dispersion_symbol(-0.5)
         for t in (0.5, 3.0, 17.0):
             evolved = SpectralField(g, np.exp(t * sym.on_grid(g)) * f.coeffs)
@@ -331,19 +342,12 @@ def band_limited(draw, keep):
     return make_grid(n, draw(BOXES)), half
 
 
-def half_energy(grid, half):
-    """dxi * sum over the full spectrum of |c|^2, read off the half spectrum."""
-    weights = np.full(half.size, 2.0)
-    weights[0] = weights[-1] = 1.0
-    return grid.dxi * float(np.sum(weights * np.abs(half) ** 2))
-
-
 class TestTransformProperties:
     @settings(max_examples=100, deadline=None)
     @given(real_samples())
     def test_half_round_trip(self, case):
         grid, u = case
-        back = half_inverse_transform(grid, half_transform(grid, u))
+        back = inverse_transform(grid, transform(grid, u))
         assert np.allclose(back, u, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(u))))
 
     @settings(max_examples=100, deadline=None)
@@ -351,26 +355,39 @@ class TestTransformProperties:
     def test_half_parseval(self, case):
         grid, u = case
         physical = grid.dx * float(np.sum(u * u))
-        assert half_energy(grid, half_transform(grid, u)) == pytest.approx(
+        assert half_energy(grid, transform(grid, u)) == pytest.approx(
             physical, rel=1e-12, abs=1e-300)
 
     @settings(max_examples=100, deadline=None)
     @given(band_limited(lambda n: n // 2 - 1))
     def test_regrid_up_then_down_is_identity(self, case):
         grid, half = case
-        fld = full_spectrum(grid, half)
+        fld = SpectralField(grid, half)
         fine = make_grid(4 * grid.n_points, grid.box_length)
         up = regrid(fld, fine)
         assert np.array_equal(regrid(up, grid).coeffs, fld.coeffs)
         # the finer grid carries the same function: it agrees at shared points
         scale = 1.0 + np.max(np.abs(half)) / grid.dx
-        assert np.allclose(inverse_transform(up)[::4], inverse_transform(fld),
-                           rtol=0.0, atol=1e-11 * scale)
+        assert np.allclose(samples(up)[::4], samples(fld), rtol=0.0, atol=1e-11 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(band_limited(lambda n: n // 2))
+    def test_regrid_splits_the_nyquist_mode(self, case):
+        # the coarse Nyquist mode n/2 is the pair +-n/2 on the finer grid,
+        # half of it each: padding keeps the function only with the split
+        grid, half = case
+        half[-1] = half[-1].real
+        fine = make_grid(2 * grid.n_points, grid.box_length)
+        up = regrid(SpectralField(grid, half), fine)
+        assert up.coeffs[grid.n_points // 2] == 0.5 * half[-1]
+        scale = 1.0 + np.max(np.abs(half)) / grid.dx
+        assert np.allclose(inverse_transform(fine, up.coeffs)[::2],
+                           inverse_transform(grid, half), rtol=0.0, atol=1e-11 * scale)
 
 
 def cube_on_grid(grid, half):
     """Half spectrum of the pointwise cube on this grid."""
-    return half_transform(grid, half_inverse_transform(grid, half) ** 3)
+    return transform(grid, inverse_transform(grid, half) ** 3)
 
 
 def exact_cube(grid, half):
@@ -389,7 +406,7 @@ class TestCubicDealias:
         # input modes strictly inside the kept band: every kept output mode
         # of the grid product is the exact truncated convolution
         grid, half = case
-        mask = half_table(grid, dealias_mask(grid))
+        mask = dealias_mask(grid)
         got, want = cube_on_grid(grid, half) * mask, exact_cube(grid, half) * mask
         scale = 1.0 + np.max(np.abs(half)) ** 3 * (grid.n_points / grid.dx) ** 2
         assert np.allclose(got, want, rtol=0.0, atol=1e-10 * scale)
@@ -410,7 +427,7 @@ class TestCubicDealias:
         "n // 4 - 1 would cure it but moves every cubic study's output"))
     def test_boundary_mode_is_alias_free(self):
         grid = make_grid(16, TWO_PI)
-        half = half_transform(grid, np.cos(4.0 * grid.x))
-        mask = half_table(grid, dealias_mask(grid))
+        half = transform(grid, np.cos(4.0 * grid.x))
+        mask = dealias_mask(grid)
         assert np.allclose(cube_on_grid(grid, half * mask) * mask,
                            exact_cube(grid, half) * mask, atol=1e-12)
