@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -110,19 +110,6 @@ class ExperimentConfig:
         return SolverConfig(dt_max=self.dt_max, cfl_coefficient=self.cfl_coefficient,
                             t_end=t_end, snapshot_times=snapshots)
 
-    def to_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if key == "custom_samples":
-                out[key] = None if value is None else [float(v) for v in value]
-            elif isinstance(value, tuple):
-                out[key] = list(value)
-            elif isinstance(value, (np.floating, np.integer)):
-                out[key] = value.item()
-            else:
-                out[key] = value
-        return out
-
 
 def _grid_size(n) -> bool:
     """Whether n is a power of two >= 8, the sizes a grid is built on."""
@@ -154,6 +141,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.initial_kind not in INITIAL_KINDS:
         raise ConfigurationError(f"[initial] kind: unknown kind {cfg.initial_kind!r}; "
                                  f"expected one of {INITIAL_KINDS}")
+    # no config key supplies samples: custom data is set in code only
+    if cfg.initial_kind == "custom":
+        if cfg.custom_samples is None:
+            raise ConfigurationError("[initial] kind: custom initial data requires samples")
+        if np.shape(cfg.custom_samples) != (cfg.n_points,):
+            raise ConfigurationError(
+                f"[initial] kind: custom samples of shape {np.shape(cfg.custom_samples)} "
+                f"do not match grid with {cfg.n_points} points")
     # a set alpha or epsilon is checked whatever the kind: the shock study
     # hands alpha to its contrast run after the whole ladder
     if cfg.alpha is None and cfg.equation == "modified_fkdv":
@@ -306,13 +301,7 @@ def initial_field(cfg: ExperimentConfig, grid: Grid | None = None) -> SpectralFi
     elif cfg.initial_kind == "sine":
         u0 = cfg.amplitude * np.sin(2.0 * np.pi * cfg.sine_mode * x / grid.box_length)
     elif cfg.initial_kind == "custom":
-        if cfg.custom_samples is None:
-            raise ConfigurationError("custom initial data requires samples")
         u0 = np.asarray(cfg.custom_samples, dtype=float)
-        if u0.shape != (grid.n_points,):
-            raise ConfigurationError(
-                f"custom samples of length {len(u0)} do not match grid "
-                f"with {grid.n_points} points")
     else:
         raise ConfigurationError(f"unknown initial kind {cfg.initial_kind!r}")
     return hermitize(SpectralField.from_samples(grid, u0))
@@ -398,7 +387,7 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
             f"initial data size {smallness['epsilon0']:.3e} is not within the "
             f"smallness bound {EPSILON_BAR:.3e}")
     os.makedirs(out_dir, exist_ok=True)
-    report = ExperimentReport(name, cfg.to_dict(), {"smallness": smallness})
+    report = ExperimentReport(name, asdict(cfg), {"smallness": smallness})
     halts, add_verdicts = body(Study(cfg, out_dir, grid, u0, smallness, report))
 
     halt = next((h for h in halts if not h.completed), halts[-1] if halts else None)
@@ -409,7 +398,7 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
         add_verdicts()
     else:
         report.add_verdict("run_completed", False, halt.t, "halt before t_end", manifest)
-    lab_io.write_manifest(os.path.join(out_dir, manifest), cfg.to_dict(), smallness,
+    lab_io.write_manifest(os.path.join(out_dir, manifest), asdict(cfg), smallness,
                           halt, started)
     lab_io.write_report(report, os.path.join(out_dir, f"{name}_report.json"))
     return report

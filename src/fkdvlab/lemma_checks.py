@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError
 from .experiments import Verdict
-from .spectral import _SQRT_2PI, CUTOFFS, Grid, make_grid
+from .spectral import _SQRT_2PI, CUTOFFS, Grid, inverse_transform, make_grid
 
 
 #: The report every lemma verdict cites, where ``fkdvlab lemmas`` writes.
@@ -212,11 +212,6 @@ def _packet_grid(alpha: float, k: int, t: float) -> Grid:
 _BATCH_POINTS = 2 ** 14
 
 
-def _evolved_band_sup(alpha: float, k: int, t: float) -> float:
-    """sup_x |exp(t*L) P_k g| for the band-k bump: a one-point sweep."""
-    return float(_evolved_band_sups(alpha, [k], [t])[0])
-
-
 def _evolved_band_sups(alpha: float, ks, ts) -> np.ndarray:
     """sup_x |exp(t*L) P_k g| for the band-k bump at each point (k, t), by
     fine-grid synthesis.  Every grid is sized, and the cap checked, before
@@ -284,46 +279,21 @@ def _band_sup_rows(alpha: float, n: int, L, k, t) -> np.ndarray:
     return peak
 
 
-#: Sums of the profile norms over _S_NODES at band k = 0: max|g|,
-#: 2 int g^2 ds and 2 int (dg/ds)^2 ds.  Band k scales them by exact
-#: powers of two (``_profile_norms``).
+#: The band-0 test profile's norms, which fix every band's: the sums over
+#: _S_NODES of max|g|, 2 int g^2 ds and 2 int (dg/ds)^2 ds, and the L^1 norm
+#: of the (unprojected) physical field, synthesised from the even bump's
+#: half spectrum on the band-0, t = 1 packet grid.  In xi = 2^k s, |g|_2^2
+#: scales by 2^k and |dg/dxi|_2^2 by 2^-k, exact powers of two; max|g| and
+#: the field's L^1 norm are dilation invariants.  Every default (alpha, k)
+#: sizes its t = 1 grid as the exact 2^-k dilate of the band-0 one
+#: (L 2^k = 256), so a synthesis there gives the same L^1 norm bit for bit.
 _S_STEP = _S_NODES[1] - _S_NODES[0]
 _GHAT_INF = float(np.max(_bump(_S_NODES)))
 _GHAT_SQ = 2.0 * np.sum(_bump(_S_NODES) ** 2) * _S_STEP
 _DGHAT_SQ = 2.0 * np.sum(_bump_ds(_S_NODES) ** 2) * _S_STEP
-
-
-def _profile_norms(k: int) -> dict:
-    """Analytic-profile norms on the shared band-relative quadrature: in
-    xi = 2^k s, |g|_2^2 scales by 2^k and |dg/dxi|_2^2 by 2^-k."""
-    scale = 2.0 ** k
-    return {"ghat_inf": _GHAT_INF, "ghat_l2": float(np.sqrt(_GHAT_SQ * scale)),
-            "dghat_l2": float(np.sqrt(_DGHAT_SQ / scale))}
-
-
-def _field_l1(alpha: float, k: int) -> float:
-    """L^1 norm of the (unprojected) physical test field of band k at t = 0."""
-    return float(_field_l1s(alpha, [k])[0])
-
-
-def _field_l1s(alpha: float, ks) -> np.ndarray:
-    """``_field_l1`` of each band in ks, from the half spectrum of the even
-    bump: the bands of one grid size are the rows of one synthesis, each
-    with its own dx.  The bump is evaluated only below s = center +
-    28 / invwidth, past which both gaussians are exactly 0 (exp(-784))."""
-    grids = [_packet_grid(alpha, k, 1.0) for k in ks]
-    l1 = np.empty(len(grids))
-    for n in sorted({grid.n_points for grid in grids}):
-        rows = [i for i, grid in enumerate(grids) if grid.n_points == n]
-        dx = np.array([grids[i].dx for i in rows])[:, None]
-        dxi = np.array([grids[i].dxi for i in rows])[:, None]
-        scale = np.ldexp(1.0, np.array(ks)[rows])[:, None]      # 2^k, exactly
-        top = int(np.max((_BUMP_CENTER + 28.0 / _BUMP_INVWIDTH) * scale / dxi)) + 1
-        half = np.zeros((len(rows), n // 2 + 1), dtype=complex)
-        half[:, :top] = _bump(np.arange(min(top, n // 2 + 1)) * dxi / scale)
-        u = np.fft.irfft(half * (_SQRT_2PI / dx), n)
-        l1[rows] = np.sum(np.abs(u), axis=-1) * dx[:, 0]
-    return l1
+_L1_GRID = make_grid(2048, 256.0)
+_FIELD_L1 = float(np.sum(np.abs(inverse_transform(_L1_GRID, _bump(_L1_GRID.wavenumbers))))
+                  * _L1_GRID.dx)
 
 
 def dispersive_rhs(alpha: float, k: int, t: float) -> dict:
@@ -333,18 +303,13 @@ def dispersive_rhs(alpha: float, k: int, t: float) -> dict:
            + t^(-3/4) 2^(-(1+3a)k/4) (|ghat|_2 + 2^k |dghat|_2)
     phys:  t^(-1/2) 2^((1-a)k/2) |g|_L1
     """
-    return _dispersive_sides(alpha, k, t, _profile_norms(k), _field_l1(alpha, k))
-
-
-def _dispersive_sides(alpha: float, k: int, t: float, p: dict, l1: float) -> dict:
-    """``dispersive_rhs`` from the t-independent profile norms ``p`` and
-    field L^1 norm ``l1`` of band k."""
+    scale = 2.0 ** k
+    ghat_l2 = float(np.sqrt(_GHAT_SQ * scale))
+    dghat_l2 = float(np.sqrt(_DGHAT_SQ / scale))
     lead = t ** -0.5 * 2.0 ** (0.5 * (1.0 - alpha) * k)
     sub = t ** -0.75 * 2.0 ** (-0.25 * (1.0 + 3.0 * alpha) * k)
-    return {
-        "freq": lead * p["ghat_inf"] + sub * (p["ghat_l2"] + 2.0 ** k * p["dghat_l2"]),
-        "phys": lead * l1,
-    }
+    return {"freq": lead * _GHAT_INF + sub * (ghat_l2 + scale * dghat_l2),
+            "phys": lead * _FIELD_L1}
 
 
 #: Pass threshold of ``check_dispersive_estimate``: largest relative
@@ -372,17 +337,14 @@ def check_dispersive_estimate(alpha: float, k_range=range(-3, 4),
     k0, t0 = 0, 4.0
     pair = [(k0 + 1, t0), (k0, 2.0 ** (1.0 + alpha) * t0)]
     sups = _evolved_band_sups(alpha, *zip(*points, *pair))
-    # the profile norms and the field's L^1 norm do not depend on t
-    bands = sorted({k for k, _ in points + pair})
-    norms = {k: (_profile_norms(k), l1) for k, l1 in zip(bands, _field_l1s(alpha, bands))}
     res_freq = EstimateSweepResult("dispersive_freq_side")
     res_phys = EstimateSweepResult("dispersive_phys_side")
     for (k, t), lhs in zip(points, sups):
-        rhs = _dispersive_sides(alpha, k, t, *norms[k])
+        rhs = dispersive_rhs(alpha, k, t)
         params = {"alpha": alpha, "k": k, "t": t}
         res_freq.add(params, lhs, rhs["freq"])
         res_phys.add(params, lhs, rhs["phys"])
-    r_dilated, r_rescaled = (lhs / _dispersive_sides(alpha, k, t, *norms[k])["phys"]
+    r_dilated, r_rescaled = (lhs / dispersive_rhs(alpha, k, t)["phys"]
                              for (k, t), lhs in zip(pair, sups[-2:]))
     dilation_defect = abs(r_dilated - r_rescaled) / r_rescaled
 
@@ -417,17 +379,11 @@ _BAND_POINTS = 1024
 _BAND_DRAWS = slice(_BAND_POINTS // 2 + 17, _BAND_POINTS // 2 + 64)
 
 
-def interpolation_members(grid: Grid, coeffs: np.ndarray, k: int) -> tuple[float, float, float]:
-    """(band-sup^2, L1^2, weighted-L2 product) members of the chain for the
-    ascending coefficients of a field on grid."""
-    phat = CUTOFFS.psi_j(_ascending_xi(grid), k) * coeffs
-    return _chain_members(phat, np.array(grid.box_length), np.array(k))[0]
-
-
 def _chain_members(phat: np.ndarray, L: np.ndarray, k: np.ndarray) -> list[tuple]:
-    """``interpolation_members`` of the rows of band-projected coefficients
-    phat on grids of box lengths L and bands k, which broadcast against
-    the rows: one tuple per row of the broadcast, in C order."""
+    """(band-sup^2, L1^2, weighted-L2 product) members of the chain for the
+    rows of band-projected ascending coefficients phat on grids of box
+    lengths L and bands k, which broadcast against the rows: one tuple per
+    row of the broadcast, in C order."""
     n = phat.shape[-1]
     dx, dxi = L / n, 2.0 * np.pi / L
     mag = np.abs(phat)
@@ -527,22 +483,21 @@ def check_phase_expansion(alpha: float, xi: float,
                           delta_range=tuple(2.0 ** -j for j in range(6, 13))) -> dict:
     """Remainder of Phi minus its quadratic near-diagonal model is cubic.
 
-    With eta = xi - d, sigma = xi - d the model is a''(xi) d^2; halving d
-    must divide the remainder by about 8.  Evaluation too close to the
-    xi - eta - sigma = 0 singular locus is refused.
+    With eta = xi - d, sigma = xi - d the model is a''(xi) d^2, where
+    a''(xi) = sign(xi) alpha (alpha+1) |xi|^(alpha-1) as a is odd; halving d
+    must divide the remainder by about 8.  Offsets are at most |xi|/32, so
+    |xi - eta - sigma| = |2d - xi| >= 15|xi|/16 keeps off the singular locus.
     """
-    if xi == 0.0:
-        raise DomainError("xi must be nonzero")
+    if not 0.0 < abs(xi) < np.inf:
+        raise DomainError(f"xi must be finite and nonzero, got {xi}")
     deltas = np.asarray(sorted(delta_range, reverse=True), dtype=float) * abs(xi)
     if np.max(deltas) > abs(xi) / 32.0:
         raise DomainError("offsets exceed |xi|/32; expansion domain violated")
     remainders = []
-    quad_coeff = alpha * (alpha + 1.0) * abs(xi) ** (alpha - 1.0)
+    quad_coeff = float(np.sign(xi)) * alpha * (alpha + 1.0) * abs(xi) ** (alpha - 1.0)
     for d in deltas:
         eta = xi - d
         sigma = xi - d
-        if abs(xi - eta - sigma) < 1e-8 * abs(xi):
-            raise DomainError("evaluation too close to the singular locus")
         phi = resonance_function(alpha, xi, eta, sigma)
         model = quad_coeff * d * d
         remainders.append(float(phi - model))

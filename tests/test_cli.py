@@ -187,6 +187,13 @@ class TestConfigParsing:
         assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match)
 
     @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    def test_custom_initial_data_refused_on_every_path(self, tmp_path, capsys, path):
+        # no key supplies samples; the kind used to pass validation and fail
+        # only inside initial_field
+        assert_refused_on_path(tmp_path, capsys, path, "initial", "kind", "custom",
+                               r"\[initial\] kind: custom initial data requires samples")
+
+    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
     @pytest.mark.parametrize("sign", ["", "-"])
     @pytest.mark.parametrize("section,key,match", [
         ("grid", "box_length", r"\[grid\] box_length"),

@@ -7,7 +7,7 @@ import pytest
 
 from fkdvlab import experiments
 from fkdvlab import io as lab_io
-from fkdvlab.errors import ConfigurationError
+from fkdvlab.errors import ConfigurationError, ShapeError
 from fkdvlab.experiments import (
     ExperimentConfig,
     default_config,
@@ -104,6 +104,8 @@ class TestConfigAndData:
         ("longwave", {"j_list": (0.0, 1.0)}, r"\[study\] j_list"),
         ("decay", {"j_list": (0, 0.5)}, r"\[study\] j_list"),
         ("longwave", {"j_list": ()}, r"\[study\] j_list"),
+        ("decay", {"initial_kind": "custom", "n_points": 64,
+                   "custom_samples": np.zeros(10)}, r"\[initial\] kind"),
     ])
     def test_direct_construction_validated(self, study, override, key):
         with pytest.raises(ConfigurationError, match=key):
@@ -155,7 +157,7 @@ class TestConfigAndData:
         fld = initial_field(replace(cfg, initial_kind="custom",
                                     custom_samples=custom), g)
         assert np.max(np.abs(samples(fld) - custom)) < 1e-12
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ShapeError):
             initial_field(replace(cfg, initial_kind="custom",
                                   custom_samples=custom[:10]), g)
 

@@ -48,14 +48,12 @@ from fkdvlab.lemma_checks import (
     _bump,
     _bump_ds,
     _cutoff_profile_transform,
+    _FIELD_L1,
+    _chain_members,
     _dispersion,
-    _evolved_band_sup,
-    _field_l1,
-    _field_l1s,
+    _evolved_band_sups,
     _kernel_l1_by_quadrature,
     _packet_grid,
-    _profile_norms,
-    interpolation_members,
 )
 from fkdvlab.spectral import CUTOFFS, inverse_transform, make_grid
 
@@ -179,7 +177,10 @@ class TestPhaseExpansion:
         assert phi / d ** 2 == pytest.approx(-0.25, rel=1e-3)
         assert result["quadratic_coefficient"] == pytest.approx(-0.25)
 
-    @pytest.mark.parametrize("alpha,xi", [(-0.5, 1.0), (-0.8, 2.0), (-0.2, 0.5)])
+    # a is odd, so a''(xi) changes sign with xi: without it the negative xi
+    # left a quadratic remainder (halving ratios about 4)
+    @pytest.mark.parametrize("alpha,xi", [(-0.5, 1.0), (-0.8, 2.0), (-0.2, 0.5),
+                                          (-0.5, -1.0), (-0.8, -3.0)])
     def test_cubic_remainder_ratios(self, alpha, xi):
         result = check_phase_expansion(alpha, xi)
         lo, hi = HALVING_RATIO_BAND
@@ -190,6 +191,12 @@ class TestPhaseExpansion:
             check_phase_expansion(-0.5, 0.0)
         with pytest.raises(DomainError):
             check_phase_expansion(-0.5, 1.0, delta_range=(0.25,))
+
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf"), float("-inf")])
+    def test_refuses_non_finite_xi(self, xi):
+        # a NaN gave NaN ratios silently, an infinity a RuntimeWarning first
+        with pytest.raises(DomainError, match="xi must be finite and nonzero"):
+            check_phase_expansion(-0.5, xi)
 
     @pytest.mark.parametrize("xi", [1.0, -2.0, 0.3])
     def test_offsets_at_domain_edge_accepted(self, xi):
@@ -213,7 +220,8 @@ def per_case_band_field(rng, k, n=1024):
 
 
 def per_case_members(grid, c, k):
-    """``interpolation_members`` as it was, one case at a time."""
+    """The chain members of one field's ascending coefficients c, as the
+    check computed them one case at a time."""
     phat = CUTOFFS.psi_j(asc.xi(grid), k) * c
     u = asc.inverse_transform(grid, phat)
     sup2 = float(np.max(np.abs(phat))) ** 2
@@ -282,9 +290,10 @@ class TestInterpolation:
     def test_amplitude_quadratic_invariance(self):
         rng = np.random.default_rng(0)
         grid, fld = per_case_band_field(rng, 0)
-        s1, l1, r1 = interpolation_members(grid, fld, 0)
-        doubled = 2.0 * fld
-        s2, l2, r2 = interpolation_members(grid, doubled, 0)
+        L, k = np.array(grid.box_length), np.array(0)
+        phat = CUTOFFS.psi_j(asc.xi(grid), 0) * fld
+        [(s1, l1, r1)] = _chain_members(phat, L, k)
+        [(s2, l2, r2)] = _chain_members(2.0 * phat, L, k)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
         assert l2 == pytest.approx(4.0 * l1, rel=1e-12)
         assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
@@ -292,7 +301,9 @@ class TestInterpolation:
     @pytest.mark.parametrize("k", [-3, 0, 1, 4])
     def test_members_are_the_per_case_ones_bit_for_bit(self, k):
         grid, fld = per_case_band_field(np.random.default_rng(k + 3), k)
-        assert interpolation_members(grid, fld, k) == per_case_members(grid, fld, k)
+        phat = CUTOFFS.psi_j(asc.xi(grid), k) * fld
+        assert (_chain_members(phat, np.array(grid.box_length), np.array(k))
+                == [per_case_members(grid, fld, k)])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("num_trials", [1, 3, 20])
@@ -529,7 +540,7 @@ class TestUniformCosineSums:
 
 
 def full_layout_band_sup(alpha, k, t):
-    """``_evolved_band_sup`` as it was on the ascending spectrum: every mode
+    """The band sup of one point as it was on the ascending spectrum: every mode
     evaluated, then synthesised from its Hermitian part (guards left out,
     they do not change the value)."""
     grid = _packet_grid(alpha, k, t)
@@ -543,7 +554,8 @@ def full_layout_band_sup(alpha, k, t):
 
 
 def full_layout_field_l1(alpha, k):
-    """``_field_l1`` as it was on the ascending full spectrum."""
+    """The field L^1 norm as it was synthesised for each band, on the
+    ascending full spectrum of its own t = 1 packet grid."""
     grid = _packet_grid(alpha, k, 1.0)
     ghat = _bump(asc.xi(grid) / 2.0 ** k).astype(complex)
     u = asc.inverse_transform(grid, ghat)
@@ -551,7 +563,7 @@ def full_layout_field_l1(alpha, k):
 
 
 def per_band_profile_norms(k):
-    """``_profile_norms`` as it was, summing over _S_NODES for every band."""
+    """The profile norms as they were, summing over _S_NODES for every band."""
     scale = 2.0 ** k
     ds = _S_NODES[1] - _S_NODES[0]
     v = _bump(_S_NODES)
@@ -561,8 +573,18 @@ def per_band_profile_norms(k):
             "dghat_l2": float(np.sqrt(2.0 * np.sum((dv / scale) ** 2) * ds * scale))}
 
 
+def per_band_rhs(alpha, k, t):
+    """``dispersive_rhs`` as it was: the band's own profile norms and the
+    L^1 norm of the field synthesised on its own grid."""
+    p = per_band_profile_norms(k)
+    lead = t ** -0.5 * 2.0 ** (0.5 * (1.0 - alpha) * k)
+    sub = t ** -0.75 * 2.0 ** (-0.25 * (1.0 + 3.0 * alpha) * k)
+    return {"freq": lead * p["ghat_inf"] + sub * (p["ghat_l2"] + 2.0 ** k * p["dghat_l2"]),
+            "phys": lead * full_layout_field_l1(alpha, k)}
+
+
 def per_point_band_sup(alpha, k, t):
-    """``_evolved_band_sup`` as it was: one point, its band a slice of the
+    """The band sup of one point as it was: its band a slice of the
     real-FFT half spectrum."""
     grid = _packet_grid(alpha, k, t)
     xi = np.arange(grid.n_points // 2 + 1) * grid.dxi
@@ -585,13 +607,13 @@ def per_point_sweep(alpha, k_range=range(-3, 4), t_range=(1.0, 4.0, 16.0, 64.0))
     for k in k_range:
         for t in t_range:
             lhs = per_point_band_sup(alpha, k, t)
-            rhs = dispersive_rhs(alpha, k, t)
+            rhs = per_band_rhs(alpha, k, t)
             params = {"alpha": alpha, "k": int(k), "t": float(t)}
             res_freq.add(params, lhs, rhs["freq"])
             res_phys.add(params, lhs, rhs["phys"])
     t1 = 2.0 ** (1.0 + alpha) * 4.0
-    r_dilated = per_point_band_sup(alpha, 1, 4.0) / dispersive_rhs(alpha, 1, 4.0)["phys"]
-    r_rescaled = per_point_band_sup(alpha, 0, t1) / dispersive_rhs(alpha, 0, t1)["phys"]
+    r_dilated = per_point_band_sup(alpha, 1, 4.0) / per_band_rhs(alpha, 1, 4.0)["phys"]
+    r_rescaled = per_point_band_sup(alpha, 0, t1) / per_band_rhs(alpha, 0, t1)["phys"]
     return {"alpha": alpha, "freq_side": res_freq.to_dict(), "phys_side": res_phys.to_dict(),
             "dilation_defect": float(abs(r_dilated - r_rescaled) / r_rescaled)}
 
@@ -607,31 +629,27 @@ class TestDispersiveEstimate:
     def test_half_layout_band_sup_is_the_full_layout_bit_for_bit(self, alpha, k, t):
         # the band-k field is Hermitian, so its half spectrum restricted to
         # the band synthesises exactly what the full layout did
-        assert _evolved_band_sup(alpha, k, t) == full_layout_band_sup(alpha, k, t)
+        assert _evolved_band_sups(alpha, [k], [t])[0] == full_layout_band_sup(alpha, k, t)
 
     @pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
     def test_half_layout_norms_are_the_old_ones_bit_for_bit(self, alpha):
+        # every default band's t = 1 grid is the exact 2^-k dilate of the
+        # band-0 one, so its own synthesis gives the constant bit for bit
         for k in range(-3, 4):
-            assert _field_l1(alpha, k) == full_layout_field_l1(alpha, k)
-            assert _profile_norms(k) == per_band_profile_norms(k)
+            assert _FIELD_L1 == full_layout_field_l1(alpha, k)
+            for t in (1.0, 64.0):
+                assert dispersive_rhs(alpha, k, t) == per_band_rhs(alpha, k, t)
 
-    @pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
-    def test_batched_field_l1_is_the_per_call_one(self, alpha):
-        ks = range(-3, 4)
-        batched = _field_l1s(alpha, ks).tolist()
-        assert batched == [full_layout_field_l1(alpha, k) for k in ks]
-        assert batched == [_field_l1(alpha, k) for k in ks]
+    @pytest.mark.parametrize("k, n_points", [(7, 4096), (9, 8192), (12, 32768)])
+    def test_field_l1_on_larger_grids_is_the_constant_to_round_off(self, k, n_points):
+        # other grid sizes sum other samples: the same norm up to round-off
+        assert _packet_grid(-0.2, k, 1.0).n_points == n_points
+        assert full_layout_field_l1(-0.2, k) == pytest.approx(_FIELD_L1, rel=1e-14, abs=0)
 
-    def test_batched_field_l1_mixes_grid_sizes(self):
-        # 4096, 2048, 8192 and 4096 points again, out of size order
-        ks = (7, -3, 9, 0, 7)
-        assert len({_packet_grid(-0.2, k, 1.0).n_points for k in ks}) == 3
-        assert _field_l1s(-0.2, ks).tolist() == [full_layout_field_l1(-0.2, k) for k in ks]
-
-    def test_bump_is_exactly_zero_past_its_cut(self):
-        # _field_l1s evaluates the bump only below this bound
-        cut = lemma_checks._BUMP_CENTER + 28.0 / lemma_checks._BUMP_INVWIDTH
-        assert np.all(_bump(np.linspace(cut, 64.0 * cut, 100001)) == 0.0)
+    def test_bump_squares_are_exactly_zero_past_their_cut(self):
+        # _band_sup_rows evaluates the profile's squares only below this bound
+        cut = lemma_checks._BUMP_CENTER + 20.0 / lemma_checks._BUMP_INVWIDTH
+        assert np.all(_bump(np.linspace(cut, 64.0 * cut, 100001)) ** 2 == 0.0)
 
     @pytest.mark.parametrize("t_range", [(0.0,), (1.0, -1.0), (float("nan"),),
                                          (float("inf"),), ()])
@@ -658,7 +676,7 @@ class TestDispersiveEstimate:
         monkeypatch.setattr(lemma_checks, "_BUMP_CENTER", center)
         monkeypatch.setattr(lemma_checks, "_BUMP_INVWIDTH", invwidth)
         with pytest.raises(DomainError, match="leaks outside the dyadic band"):
-            _evolved_band_sup(-0.5, 0, 4.0)
+            _evolved_band_sups(-0.5, [0], [4.0])
 
     def test_box_boundary_guard(self, monkeypatch):
         # an eighth of the box the packet needs: it wraps onto the boundary
@@ -668,7 +686,7 @@ class TestDispersiveEstimate:
 
         monkeypatch.setattr(lemma_checks, "_packet_grid", small_box)
         with pytest.raises(DomainError, match="packet reached the box boundary"):
-            _evolved_band_sup(-0.5, 0, 64.0)
+            _evolved_band_sups(-0.5, [0], [64.0])
 
     @pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
     def test_batched_sweep_is_the_per_point_loop_bit_for_bit(self, alpha):
@@ -677,7 +695,7 @@ class TestDispersiveEstimate:
     def test_batched_sweep_mixes_grid_sizes_and_orders(self):
         # points out of grid-size order, repeated, and one per chunk
         ks, ts = (3, -3, 0, 3, 2, 0), (64.0, 1.0, 4096.0, 64.0, 16.0, 4.0)
-        sups = lemma_checks._evolved_band_sups(-0.5, ks, ts)
+        sups = _evolved_band_sups(-0.5, ks, ts)
         assert sups.tolist() == [per_point_band_sup(-0.5, k, t) for k, t in zip(ks, ts)]
 
     def test_peak_traced_allocation_at_most_the_per_point_loop(self):
@@ -723,9 +741,10 @@ class TestDispersiveEstimate:
     def test_ratio_time_stability_dispersed_regime(self):
         # once the packet is fully dispersed the sup obeys the predicted
         # t^(-1/2) law and both sides' ratios freeze (to within 20% per 4x)
+        sup1, sup4 = _evolved_band_sups(-0.5, [0, 0], [1024.0, 4096.0])
         for side in ("freq", "phys"):
-            r1 = _evolved_band_sup(-0.5, 0, 1024.0) / dispersive_rhs(-0.5, 0, 1024.0)[side]
-            r4 = _evolved_band_sup(-0.5, 0, 4096.0) / dispersive_rhs(-0.5, 0, 4096.0)[side]
+            r1 = sup1 / dispersive_rhs(-0.5, 0, 1024.0)[side]
+            r4 = sup4 / dispersive_rhs(-0.5, 0, 4096.0)[side]
             assert abs(r4 - r1) <= 0.2 * r1
 
 
