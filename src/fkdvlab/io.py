@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .spectral import CUTOFFS, SpectralField
+from .spectral import CUTOFFS, SpectralField, whole_spectrum, whole_wavenumbers
 
 
 def _fmt(x) -> str:
@@ -52,20 +52,13 @@ def read_series(path: str) -> tuple[list, dict]:
 
 
 def write_spectrum(path: str, fld: SpectralField) -> None:
-    """Spectrum CSV: wavenumber, real and imaginary coefficient parts.
-
-    The file stays in the ascending layout of the whole spectrum, n rows
-    for xi_k, k = -n/2 ... n/2 - 1: the half spectrum is mirrored on write,
-    the negative modes as the conjugates of the positive ones and the
-    Nyquist mode on the first row.
-    """
-    grid, half = fld.grid, fld.coeffs
-    n = grid.n_points
-    xi = np.arange(-(n // 2), n // 2) * grid.dxi
-    coeffs = np.concatenate([half[-1:], np.conjugate(half[-2:0:-1]), half[:-1]])
+    """Spectrum CSV: wavenumber, real and imaginary coefficient parts, n
+    rows in the ascending order of ``spectral.whole_spectrum``, the
+    Nyquist mode on the first row."""
+    coeffs = whole_spectrum(fld.coeffs)
     # + 0.0 turns the -0 that conjugating a zero leaves into 0
-    write_series_columns(path, xi, {"re": coeffs.real, "im": coeffs.imag + 0.0},
-                         time_label="xi")
+    write_series_columns(path, whole_wavenumbers(fld.grid),
+                         {"re": coeffs.real, "im": coeffs.imag + 0.0}, time_label="xi")
 
 
 def _to_jsonable(obj):

@@ -4,19 +4,13 @@ Each check evaluates both sides of one inequality or identity on concrete
 fields and reports machine-readable ratios, never a bare pass/fail.  Its
 pass thresholds are named constants beside it, and its ``*_verdicts``
 function turns those results into Verdicts that name the value and the
-threshold, as the study verdicts do.  Implied constants are handled by
-calibrate-and-freeze: a first run records the observed constant, later
-runs assert stability.
+threshold, as the study verdicts do.
 
 All checks are deterministic given their seed and pure per parameter tuple.
 
-The oracles sum over every wavenumber, negative ones included, in an order
-that their pinned results depend on bit for bit.  So, unlike the solver and
-the studies, which hold the half spectrum (``spectral``), they work on the
-ascending whole spectrum, k = -n/2 ... n/2 - 1, with the Nyquist mode first:
-``_ascending_xi`` gives its wavenumbers, ``_mirror`` builds it from a half
-spectrum, ``_hermitize_rows`` and ``_synthesis_rows`` project and
-synthesise it, and zero-padding and truncation are index slices.
+Fields are drawn and synthesised as half spectra, as everywhere else; the
+sums over every wavenumber, whose pinned results depend on their ascending
+order, read ``spectral.whole_spectrum``.
 """
 
 from __future__ import annotations
@@ -28,7 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError
 from .experiments import Verdict
-from .spectral import _SQRT_2PI, CUTOFFS, Grid, inverse_transform, make_grid
+from .spectral import (_SQRT_2PI, CUTOFFS, Grid, inverse_transform, make_grid, transform,
+                       whole_spectrum, whole_wavenumbers)
 
 
 #: The report every lemma verdict cites, where ``fkdvlab lemmas`` writes.
@@ -80,42 +75,6 @@ def _uniform_cosine_sums(a, h: float, z_lo: float, dz: float, count: int) -> np.
     conv = np.fft.ifft(np.fft.fft(b, size) * np.fft.fft(chirp, size))[n - 1:n - 1 + count]
     k = np.arange(count)
     return (np.exp(0.5j * theta * k * k) * conv).real
-
-
-def _ascending_xi(grid: Grid) -> np.ndarray:
-    """Wavenumbers of the ascending whole spectrum of grid."""
-    n = grid.n_points
-    return np.arange(-(n // 2), n // 2) * grid.dxi
-
-
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """The ascending whole spectrum of a half spectrum: the negative modes
-    the conjugates of the positive ones, the Nyquist mode first."""
-    return np.concatenate([half[-1:], np.conjugate(half[-2:0:-1]), half[:-1]])
-
-
-def _hermitize_rows(c: np.ndarray) -> np.ndarray:
-    """Hermitian part of every row of ascending coefficients, in place, the
-    Nyquist mode zeroed."""
-    mirror = np.conjugate(c[..., :0:-1])
-    mirror += c[..., 1:]
-    mirror *= 0.5
-    c[..., 0] = 0.0
-    c[..., 1:] = mirror
-    return c
-
-
-def _synthesis_rows(c: np.ndarray, dx) -> np.ndarray:
-    """Real synthesis of every row of ascending coefficients, on grids of
-    spacing dx: the half spectrum of each row's Hermitian part, then one
-    real inverse FFT along the rows."""
-    n = c.shape[-1]
-    half = np.empty(c.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    half[..., 0] = c[..., n // 2].real
-    np.add(c[..., n // 2 + 1:], np.conjugate(c[..., n // 2 - 1:0:-1]), out=half[..., 1:n // 2])
-    half[..., 1:n // 2] *= 0.5
-    half[..., n // 2] = c[..., 0].real                     # Nyquist
-    return np.fft.irfft(half * (_SQRT_2PI / dx), n)
 
 
 @dataclass
@@ -371,27 +330,29 @@ def dispersive_verdicts(results: dict) -> list[Verdict]:
 # Interpolation inequality between band sup, L^1 and weighted L^2 norms
 # ---------------------------------------------------------------------------
 
-#: The random band fields: 1024 modes on the box 2^-k 64 pi (dxi = 2^k / 32),
-#: drawn on the mode offsets 17 ... 63, where |xi|/2^k lies in (1/2, 2).  The
-#: draws are attached to band-relative offsets, so the same draw at k and
+#: The random band fields: 1024 points on the box 2^-k 64 pi (dxi = 2^k / 32),
+#: drawn on the modes 17 ... 63, where |xi|/2^k lies in (1/2, 2).  The
+#: draws are attached to band-relative modes, so the same draw at k and
 #: k+1 produces exact dilates of one another.
 _BAND_POINTS = 1024
-_BAND_DRAWS = slice(_BAND_POINTS // 2 + 17, _BAND_POINTS // 2 + 64)
+_BAND_DRAWS = slice(17, 64)
 
 
 def _chain_members(phat: np.ndarray, L: np.ndarray, k: np.ndarray) -> list[tuple]:
     """(band-sup^2, L1^2, weighted-L2 product) members of the chain for the
-    rows of band-projected ascending coefficients phat on grids of box
-    lengths L and bands k, which broadcast against the rows: one tuple per
-    row of the broadcast, in C order."""
-    n = phat.shape[-1]
+    rows of band-projected half spectra phat on grids of box lengths L and
+    bands k, which broadcast against the rows: one tuple per row of the
+    broadcast, in C order.  The sums over the whole spectrum run in its
+    ascending order."""
+    n = 2 * (phat.shape[-1] - 1)
     dx, dxi = L / n, 2.0 * np.pi / L
-    mag = np.abs(phat)
+    mag = whole_spectrum(np.abs(phat))
     sup, l2 = np.max(mag, axis=-1), np.sqrt(np.sum(mag ** 2, axis=-1) * dxi)
     # each row array is dropped once read: two rows then hold no more than
     # one case did
     del mag
-    u = _synthesis_rows(phat, dx[..., None])
+    # each row on its own box: the rows' own real inverse FFT, not one grid's
+    u = np.fft.irfft(phat * (_SQRT_2PI / dx)[..., None], n)
     l1 = np.sum(np.abs(u), axis=-1) * dx
     xcu = np.arange(n) * dx[..., None]
     xcu -= 0.5 * L[..., None]
@@ -401,8 +362,7 @@ def _chain_members(phat: np.ndarray, L: np.ndarray, k: np.ndarray) -> list[tuple
     del xcu
     w *= (dx / _SQRT_2PI)[..., None]
     w = np.square(np.abs(w))
-    # the ascending full spectrum's |.|^2: Nyquist, mirrored and non-negative modes
-    dl2 = np.sqrt(np.sum(np.concatenate([w[..., :0:-1], w[..., :-1]], axis=-1), axis=-1) * dxi)
+    dl2 = np.sqrt(np.sum(whole_spectrum(w), axis=-1) * dxi)
     rows = np.broadcast_arrays(sup, l1, l2, dl2, k)
     return [(float(sup) ** 2, float(l1) ** 2, 2.0 ** -int(k) * l2 * (l2 + 2.0 ** int(k) * dl2))
             for sup, l1, l2, dl2, k in zip(*(row.ravel() for row in rows))]
@@ -428,17 +388,18 @@ def check_interpolation_inequality(num_trials: int = 20, seed: int = 0) -> dict:
         raise ConfigurationError(f"num_trials must be at least 1, got {num_trials}")
     rng = np.random.default_rng(seed)
     # on every band grid xi / 2^k is exactly mode / 32: one psi_k row serves all
-    psi = CUTOFFS.psi(np.arange(-(_BAND_POINTS // 2), _BAND_POINTS // 2) / 32.0)
+    psi = CUTOFFS.psi(np.arange(_BAND_POINTS // 2 + 1) / 32.0)
     res1 = EstimateSweepResult("bandsup_vs_l1")
     res2 = EstimateSweepResult("l1_vs_weighted_l2")
     dilation_defects = []
     for trial in range(num_trials):
         k = int(rng.integers(-3, 4))
-        c = np.zeros(_BAND_POINTS, dtype=complex)
-        c[_BAND_DRAWS] = rng.normal(size=47) + 1j * rng.normal(size=47)
+        # each draw is split evenly between the modes +-m of the real field
+        c = np.zeros(_BAND_POINTS // 2 + 1, dtype=complex)
+        c[_BAND_DRAWS] = 0.5 * (rng.normal(size=47) + 1j * rng.normal(size=47))
         pair = np.array([k, k + 1])
         (sup2, l1sq, right), (sup2_d, l1sq_d, right_d) = _chain_members(
-            psi * _hermitize_rows(c), np.ldexp(64.0 * np.pi, -pair), pair)
+            psi * c, np.ldexp(64.0 * np.pi, -pair), pair)
         params = {"trial": trial, "k": k}
         res1.add(params, sup2, l1sq)
         res2.add(params, l1sq, right)
@@ -488,6 +449,8 @@ def check_phase_expansion(alpha: float, xi: float,
     must divide the remainder by about 8.  Offsets are at most |xi|/32, so
     |xi - eta - sigma| = |2d - xi| >= 15|xi|/16 keeps off the singular locus.
     """
+    if not (-1.0 < alpha < 0.0):
+        raise ConfigurationError(f"alpha must lie in (-1, 0), got {alpha}")
     if not 0.0 < abs(xi) < np.inf:
         raise DomainError(f"xi must be finite and nonzero, got {xi}")
     deltas = np.asarray(sorted(delta_range, reverse=True), dtype=float) * abs(xi)
@@ -527,29 +490,29 @@ def phase_expansion_verdicts(results: dict) -> list[Verdict]:
 
 def profile_rhs_pseudospectral(grid: Grid, fhat: np.ndarray, t: float,
                                alpha: float) -> np.ndarray:
-    """exp(-t*L) F(-u^2 u_x) with u rebuilt from the ascending profile fhat
-    on grid; alias-free by zero-padding to twice the grid."""
+    """Half spectrum of exp(-t*L) F(-u^2 u_x) on grid, with u rebuilt from
+    the half-spectrum profile fhat; alias-free by zero-padding to twice the
+    grid, where the top mode n/2 is an interior mode and comes out complex."""
     n = grid.n_points
-    a = _dispersion(alpha, _ascending_xi(grid))
+    xi = grid.wavenumbers
+    a = _dispersion(alpha, xi)
     big = make_grid(2 * n, grid.box_length)
-    padded = np.zeros(2 * n, dtype=complex)
-    padded[n // 2:3 * n // 2] = np.exp(1j * t * a) * fhat
-    u = _synthesis_rows(padded, big.dx)
-    w = _mirror(np.fft.rfft(u ** 3 / 3.0) * (big.dx / _SQRT_2PI))
-    rhs = (-1j * _ascending_xi(big) * w)[n // 2:3 * n // 2]
-    return np.exp(-1j * t * a) * rhs
+    u = inverse_transform(big, np.exp(1j * t * a) * fhat)
+    w = transform(big, u ** 3 / 3.0, n // 2 + 1)
+    return np.exp(-1j * t * a) * (-1j * xi * w)
 
 
 def profile_rhs_double_sum(grid: Grid, F: np.ndarray, t: float, alpha: float) -> np.ndarray:
     """Direct double Riemann sum over grid wavenumbers of the trilinear
-    interaction integral for the ascending profile F, phases assembled
-    factor by factor from the free-flow conjugation.  O(n^3); keep n small."""
+    interaction integral for the ascending whole spectrum F of a profile
+    (``whole_spectrum``), phases assembled factor by factor from the
+    free-flow conjugation.  O(n^3); keep n small."""
     n = grid.n_points
     if n > 64:
         raise ConfigurationError("double-sum oracle is O(n^3); use n_points <= 64")
     dxi = grid.dxi
     idx = np.arange(n)
-    xi = _ascending_xi(grid)
+    xi = whole_wavenumbers(grid)
     a_grid = _dispersion(alpha, xi)
     # axes (output xi, eta, sigma); xi - eta - sigma sits at position
     # o + n - i - j, looked up n places into F and a padded with n zeros
@@ -584,21 +547,20 @@ def check_trilinear_identity(n_points: int = 16, seed: int = 0,
     ``profile_rhs_pseudospectral``, a separate path zero-padded to 2n; the
     solver's ``equations.nonlinearity`` is not called, so agreement to
     round-off checks the Fourier-side formulation, not the solver kernel.
+    The oracle refuses n_points > 64.
     """
-    if n_points > 64:
-        raise ConfigurationError("n_points must be <= 64 for the O(n^3) oracle")
     rng = np.random.default_rng(seed)
     grid = make_grid(n_points, 2.0 * np.pi)
     keep = n_points // 4 - 1
-    # Re, Im of the modes 1 ... keep in turn, then the zero mode
+    # Re, Im of the modes 1 ... keep in turn, then the zero mode; each
+    # draw is split evenly between the modes +-m of the real field
     draws = rng.normal(size=2 * keep + 1)
-    c = np.zeros(n_points, dtype=complex)
-    c[n_points // 2 + 1:n_points // 2 + keep + 1] = draws[0:-1:2] + 1j * draws[1::2]
-    c[n_points // 2] = draws[-1]
-    fhat = _hermitize_rows(amplitude * c)
+    fhat = np.zeros(n_points // 2 + 1, dtype=complex)
+    fhat[1:keep + 1] = 0.5 * (amplitude * (draws[0:-1:2] + 1j * draws[1::2]))
+    fhat[0] = amplitude * draws[-1]
 
-    oracle = profile_rhs_double_sum(grid, fhat, t, alpha)
-    target = profile_rhs_pseudospectral(grid, fhat, t, alpha)
+    oracle = profile_rhs_double_sum(grid, whole_spectrum(fhat), t, alpha)
+    target = whole_spectrum(profile_rhs_pseudospectral(grid, fhat, t, alpha))
     scale = float(np.max(np.abs(target)))
     diff = float(np.max(np.abs(oracle - target)))
     return {
@@ -661,7 +623,7 @@ def check_pseudo_product(seed: int = 0, num_trials: int = 20) -> dict:
         raise ConfigurationError(f"num_trials must be at least 1, got {num_trials}")
     rng = np.random.default_rng(seed)
     grid = make_grid(128, 16.0 * np.pi)        # dxi = 1/8, |xi| <= 8
-    xi = _ascending_xi(grid)
+    xi = whole_wavenumbers(grid)
     dxi = grid.dxi
     n = grid.n_points
 
@@ -669,16 +631,19 @@ def check_pseudo_product(seed: int = 0, num_trials: int = 20) -> dict:
     m1 = np.exp(-xi ** 2)                      # m(eta, sigma) = m1(eta) m1(sigma)
 
     # each field draws Re, Im of the modes 1 ... 16 (|xi| <= 2) in turn,
-    # then the zero mode
+    # then the zero mode; each draw is split evenly between the modes +-m
+    # of the real field
     draws = rng.normal(size=(num_trials, 3, 33))
-    c = np.zeros((num_trials, 3, n), dtype=complex)
-    c[..., n // 2 + 1:n // 2 + 17] = draws[..., 0:32:2] + 1j * draws[..., 1:32:2]
-    c[..., n // 2] = draws[..., 32]
-    fields = _hermitize_rows(0.3 * c)
-    u = _synthesis_rows(fields, grid.dx)
+    half = np.zeros((num_trials, 3, n // 2 + 1), dtype=complex)
+    half[..., 1:17] = 0.5 * (0.3 * (draws[..., 0:32:2] + 1j * draws[..., 1:32:2]))
+    half[..., 0] = 0.3 * draws[..., 32]
+    # the synthesis first: with the whole-spectrum rows built before it, the
+    # lemmas benchmark read a peak RSS about 0.8 MiB higher (heap layout)
+    u = inverse_transform(grid, half)
+    fields = whole_spectrum(half)
     l2 = np.sqrt(np.sum(u * u, axis=-1) * grid.dx)
     linf = np.max(np.abs(u), axis=-1)
-    del draws, c, u                            # the trial loop below sets the peak
+    del draws, half, u                         # the trial loop below sets the peak
 
     mf, mg = m1 * fields[:, 0], m1 * fields[:, 1]
     forms = np.empty(num_trials)

@@ -14,7 +14,8 @@ choice ``sum |coeff|^2 * dxi`` over the whole spectrum equals the physical
 quadrature of ``int |u|^2 dx`` (Parseval), and the analytic Fourier
 formulas for multipliers, profiles and phase corrections transcribe with
 no hidden constants.  Synthesis ignores the imaginary parts of the zero
-and Nyquist modes, as the real inverse FFT does.
+and Nyquist modes, as the real inverse FFT does.  ``whole_spectrum`` is the
+one ascending view, k = -n/2 ... n/2 - 1, for sums over every wavenumber.
 
 All functions here are pure; grids and fields are immutable value objects.
 """
@@ -139,6 +140,20 @@ def inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
     return np.fft.irfft(half * (_SQRT_2PI / grid.dx), grid.n_points)
 
 
+def whole_wavenumbers(grid: Grid) -> np.ndarray:
+    """xi_k = 2*pi*k/L for k = -n/2 ... n/2 - 1, the ascending order of
+    ``whole_spectrum``."""
+    n = grid.n_points
+    return np.arange(-(n // 2), n // 2) * grid.dxi
+
+
+def whole_spectrum(half: np.ndarray) -> np.ndarray:
+    """The ascending whole spectrum, modes k = -n/2 ... n/2 - 1, of the half
+    spectra on the last axis: mode -k is the conjugate of mode k, the
+    Nyquist mode -n/2 included, so a complex top mode is mirrored too."""
+    return np.concatenate([np.conjugate(half[..., :0:-1]), half[..., :-1]], axis=-1)
+
+
 def half_sup_bound(grid: Grid, magnitudes: np.ndarray) -> float:
     """Upper bound on max|inverse_transform(grid, half)| from the magnitudes
     |half| alone: (sqrt(2 pi)/L) (|c_0| + 2 sum |c_k| + |c_(n/2)|), the
@@ -241,8 +256,8 @@ class DyadicCutoffs:
 
     ``phi`` equals 1 on |xi| <= 1 and 0 on |xi| >= 2 (exp-based mollified
     step); ``psi = phi - phi(2 .)`` is the unit band bump, with rescalings
-    psi_j(xi) = psi(xi / 2^j), phi_j(xi) = phi(xi / 2^j).  Telescoping gives
-    the exact partition phi + sum_{j>=1} psi_j = 1.
+    psi_j(xi) = psi(xi / 2^j).  Telescoping gives the exact partition
+    phi + sum_{j>=1} psi_j = 1.
     """
 
     description = "exp(-1/x)-mollified step, transition on 1<|xi|<2"
@@ -253,9 +268,6 @@ class DyadicCutoffs:
     def psi(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         return self.phi(xi) - self.phi(2.0 * xi)
-
-    def phi_j(self, xi, j: int) -> np.ndarray:
-        return self.phi(np.asarray(xi, dtype=float) / 2.0 ** j)
 
     def psi_j(self, xi, j: int) -> np.ndarray:
         return self.psi(np.asarray(xi, dtype=float) / 2.0 ** j)

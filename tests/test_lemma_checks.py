@@ -55,7 +55,7 @@ from fkdvlab.lemma_checks import (
     _kernel_l1_by_quadrature,
     _packet_grid,
 )
-from fkdvlab.spectral import CUTOFFS, inverse_transform, make_grid
+from fkdvlab.spectral import CUTOFFS, inverse_transform, make_grid, whole_spectrum
 
 import ascending as asc
 
@@ -121,13 +121,15 @@ class TestTrilinearIdentity:
     def test_zero_profile(self):
         fhat = zero_profile()
         assert np.max(np.abs(profile_rhs_double_sum(*fhat, 0.7, -0.5))) == 0.0
-        assert np.max(np.abs(profile_rhs_pseudospectral(*fhat, 0.7, -0.5))) < 1e-300
+        grid, F = fhat
+        assert np.max(np.abs(profile_rhs_pseudospectral(grid, asc.half_of(F), 0.7, -0.5))) < 1e-300
 
     def test_single_mode_pair(self):
         # one Hermitian mode pair: both sides live on reachable triple sums
         fhat = single_pair_profile()
         oracle = profile_rhs_double_sum(*fhat, 0.7, -0.5)
-        target = profile_rhs_pseudospectral(*fhat, 0.7, -0.5)
+        grid, F = fhat
+        target = whole_spectrum(profile_rhs_pseudospectral(grid, asc.half_of(F), 0.7, -0.5))
         assert np.max(np.abs(oracle - target)) <= 1e-12 * np.max(np.abs(target))
 
     def test_size_guard(self):
@@ -153,7 +155,8 @@ class TestTrilinearIdentity:
     def test_check_is_the_per_scalar_draw_bit_for_bit(self, n_points, seed):
         # the profile's numbers drawn in one call are the one-at-a-time draws
         fhat = per_scalar_profile(n_points, seed)
-        target = profile_rhs_pseudospectral(*fhat, 0.7, -0.5)
+        grid, F = fhat
+        target = whole_spectrum(profile_rhs_pseudospectral(grid, asc.half_of(F), 0.7, -0.5))
         scale = float(np.max(np.abs(target)))
         diff = float(np.max(np.abs(per_mode_double_sum(*fhat, 0.7, -0.5) - target)))
         result = check_trilinear_identity(n_points, seed)
@@ -197,6 +200,13 @@ class TestPhaseExpansion:
         # a NaN gave NaN ratios silently, an infinity a RuntimeWarning first
         with pytest.raises(DomainError, match="xi must be finite and nonzero"):
             check_phase_expansion(-0.5, xi)
+
+    # alpha outside (-1, 0) gave NaN ratios silently (NaN) or a
+    # RuntimeWarning on 0/0 remainders (alpha = 0)
+    @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, 0.5])
+    def test_alpha_range_guard(self, alpha):
+        with pytest.raises(ConfigurationError, match=r"alpha must lie in \(-1, 0\)"):
+            check_phase_expansion(alpha, 1.0)
 
     @pytest.mark.parametrize("xi", [1.0, -2.0, 0.3])
     def test_offsets_at_domain_edge_accepted(self, xi):
@@ -292,8 +302,8 @@ class TestInterpolation:
         grid, fld = per_case_band_field(rng, 0)
         L, k = np.array(grid.box_length), np.array(0)
         phat = CUTOFFS.psi_j(asc.xi(grid), 0) * fld
-        [(s1, l1, r1)] = _chain_members(phat, L, k)
-        [(s2, l2, r2)] = _chain_members(2.0 * phat, L, k)
+        [(s1, l1, r1)] = _chain_members(asc.half_of(phat), L, k)
+        [(s2, l2, r2)] = _chain_members(asc.half_of(2.0 * phat), L, k)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
         assert l2 == pytest.approx(4.0 * l1, rel=1e-12)
         assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
@@ -302,7 +312,7 @@ class TestInterpolation:
     def test_members_are_the_per_case_ones_bit_for_bit(self, k):
         grid, fld = per_case_band_field(np.random.default_rng(k + 3), k)
         phat = CUTOFFS.psi_j(asc.xi(grid), k) * fld
-        assert (_chain_members(phat, np.array(grid.box_length), np.array(k))
+        assert (_chain_members(asc.half_of(phat), np.array(grid.box_length), np.array(k))
                 == [per_case_members(grid, fld, k)])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -665,7 +675,7 @@ class TestDispersiveEstimate:
         def ascending(*args, **kwargs):
             raise AssertionError("the dispersive sweep built an ascending spectrum")
 
-        for name in ("_mirror", "_synthesis_rows", "_ascending_xi"):
+        for name in ("whole_spectrum", "whole_wavenumbers"):
             monkeypatch.setattr(lemma_checks, name, ascending)
         run, verdicts = LEMMA_CHECKS["dispersive"]
         assert all(v.passed for v in verdicts(run(0)))

@@ -28,7 +28,11 @@ from fkdvlab.spectral import (
     regrid,
     transform,
     whitham_scalar_symbol,
+    whole_spectrum,
+    whole_wavenumbers,
 )
+
+import ascending as asc
 
 TWO_PI = 2.0 * np.pi
 
@@ -142,6 +146,40 @@ class TestTransform:
         g = make_grid(16, TWO_PI)
         with pytest.raises(TypeError, match="real samples"):
             SpectralField.from_samples(g, np.cos(g.x) + 1j * imag * np.sin(g.x))
+
+
+class TestWholeSpectrum:
+    @pytest.mark.parametrize("n", [8, 16, 1024])
+    def test_is_the_ascending_reference(self, n):
+        # a real Nyquist mode: the reference puts it on the first row as is
+        rng = np.random.default_rng(n)
+        g = make_grid(n, 7.3)
+        half = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+        half[-1] = half[-1].real
+        assert np.array_equal(whole_wavenumbers(g), asc.xi(g))
+        assert np.array_equal(whole_spectrum(half), asc.mirror(half))
+
+    @pytest.mark.parametrize("n", [8, 16, 1024])
+    def test_rows_are_mirrored_one_by_one(self, n):
+        rng = np.random.default_rng(n + 1)
+        rows = rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1))
+        rows[:, -1] = rows[:, -1].real
+        whole = whole_spectrum(rows)
+        assert whole.shape == (3, n)
+        for row, half in zip(whole, rows):
+            assert np.array_equal(row, asc.mirror(half))
+        # real rows stay real
+        mag = whole_spectrum(np.abs(rows))
+        assert mag.dtype == np.float64
+        assert np.array_equal(mag, np.abs(whole))
+
+    def test_complex_nyquist_mode_is_mirrored(self):
+        # mode -n/2 is the conjugate of mode +n/2, as for every other pair
+        rows = np.outer([1.0, -3.0], np.arange(9) * (1.0 + 2.0j))
+        whole = whole_spectrum(rows)
+        assert whole[:, 0].tolist() == [8.0 - 16.0j, -24.0 + 48.0j]
+        for row, half in zip(whole, rows):
+            assert np.array_equal(row[1:], asc.mirror(half)[1:])
 
 
 class TestMultipliers:
