@@ -6,18 +6,15 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     Grid,
     SpectralField,
-    MultiplierSymbol,
     DyadicCutoffs,
     make_grid,
     transform,
     inverse_transform,
     hermitize,
-    apply_multiplier,
-    fractional_dispersion_symbol,
-    whitham_scalar_symbol,
+    dispersion,
     dealias,
 )
-from .equations import EquationSpec, make_equation, nonlinearity, linearized  # noqa: F401
+from .equations import EquationSpec, make_equation, nonlinearity  # noqa: F401
 from .integrator import (  # noqa: F401
     SolverConfig,
     SolverState,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import EquationSpec
+from .equations import EquationSpec, grid_tables
 from .errors import (
     ConfigurationError,
     GridMismatchError,
@@ -49,8 +49,8 @@ def compute_profile(fld: SpectralField, t: float, eq: EquationSpec) -> ProfileSn
     linear symbol."""
     if not eq.is_dispersive:
         raise ConfigurationError(
-            f"profile extraction needs a dispersive equation, got {eq.name!r}")
-    lin = eq.linear_values(fld.grid)
+            f"profile extraction needs a dispersive equation, got {eq.kind!r}")
+    lin = grid_tables(eq, fld.grid).linear
     return ProfileSnapshot(t, SpectralField(fld.grid, np.exp(-t * lin) * fld.coeffs))
 
 
@@ -83,7 +83,7 @@ class PhaseAccumulator:
 
 def accumulate_phase(acc: PhaseAccumulator, snap: ProfileSnapshot) -> PhaseAccumulator:
     """Advance H to snap.t by one trapezoid panel in tau = ln s."""
-    if snap.f_hat.grid.key() != acc.grid.key():
+    if snap.f_hat.grid != acc.grid:
         raise GridMismatchError("snapshot grid does not match accumulator grid")
     if snap.t < 1.0:
         return acc
@@ -104,7 +104,7 @@ def accumulate_phase(acc: PhaseAccumulator, snap: ProfileSnapshot) -> PhaseAccum
 
 def corrected_profile(snap: ProfileSnapshot, acc: PhaseAccumulator) -> SpectralField:
     """g = exp(i*H) f_hat at the accumulator's current time."""
-    if snap.f_hat.grid.key() != acc.grid.key():
+    if snap.f_hat.grid != acc.grid:
         raise GridMismatchError("snapshot grid does not match accumulator grid")
     if acc.last_t is None:
         if snap.t > 1.0:
@@ -124,7 +124,7 @@ def z_distance(g1: SpectralField, g2: SpectralField, weight: float = Z_WEIGHT) -
     are below double-precision measurement resolution and count as zero, so
     large weights do not turn round-off into a reported distance.
     """
-    if g1.grid.key() != g2.grid.key():
+    if g1.grid != g2.grid:
         raise GridMismatchError("z_distance requires fields on the same grid")
     xi = g1.grid.wavenumbers
     diff = np.abs(g2.coeffs - g1.coeffs)
@@ -154,6 +154,8 @@ class ScatteringSeries:
     def dyadic_differences(self, which: str = "corrected") -> tuple[np.ndarray, np.ndarray]:
         """(t_m, d_m) with d_m the weighted sup distance ``z_distance`` between
         consecutive checkpoints; t_m is the left checkpoint time."""
+        if which not in ("corrected", "raw"):
+            raise ValueError(f"which must be 'corrected' or 'raw', got {which!r}")
         fields = self.corrected if which == "corrected" else self.raw
         t = np.asarray(self.times[:-1])
         d = np.array([z_distance(fields[i], fields[i + 1])

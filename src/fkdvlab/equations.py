@@ -10,94 +10,29 @@ drift at time-integration level only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (
-    Grid,
-    MultiplierSymbol,
-    dealias_keep,
-    fractional_dispersion_symbol,
-    inverse_transform,
-    transform,
-    whitham_scalar_symbol,
-)
+from .spectral import Grid, dealias_keep, dispersion, half_table, inverse_transform, transform
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquationSpec:
-    """One evolution equation: linear symbol plus cubic nonlinearity."""
+    """One evolution equation u_t = L u + c u^2 u_x: its kind, the
+    coefficient c and the parameter its symbol L reads.  A plain value:
+    equal equations compare and hash equal, and share their grid tables."""
 
-    name: str
-    linear_symbol: MultiplierSymbol
-    nonlinearity_coefficient: float     # c in  u_t = L u + c u^2 u_x
+    kind: str
+    coefficient: float          # c in  u_t = L u + c u^2 u_x
     alpha: float | None = None
     epsilon: float | None = None
-    _linear_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_dispersive(self) -> bool:
-        return self.linear_symbol is not ZERO_SYMBOL
-
-    def linear_values(self, grid: Grid) -> np.ndarray:
-        """Linear symbol evaluated on the grid's half spectrum, 0 in the
-        Nyquist slot (cached per grid)."""
-        key = grid.key()
-        vals = self._linear_cache.get(key)
-        if vals is None:
-            vals = self.linear_symbol.on_grid(grid)
-            self._linear_cache[key] = vals
-        return vals
-
-    def linear_exponentials(self, grid: Grid, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """exp(dt*L) and exp(dt*L/2) on the half spectrum, 0 in the Nyquist
-        slot so that a step keeps the Nyquist mode zero.  Cached for the most
-        recent dt only: dt is constant inside a solver segment but varies
-        freely across segments.  Without dispersion they are 1 for every dt,
-        so the cached entry is kept."""
-        key = ("exponentials", grid.key())
-        entry = self._linear_cache.get(key)
-        if entry is None or (entry[0] != dt and self.is_dispersive):
-            lin = self.linear_values(grid)
-            entry = (dt, np.exp(dt * lin), np.exp(0.5 * dt * lin))
-            entry[1][-1] = entry[2][-1] = 0.0
-            self._linear_cache[key] = entry
-        return entry[1], entry[2]
-
-    def band_length(self, grid: Grid) -> int:
-        """Modes k = 0 ... m - 1 of the half spectrum that the nonlinearity
-        reads and writes: m = dealias_keep(n) + 1."""
-        return dealias_keep(grid.n_points) + 1
-
-    def nonlinear_multiplier(self, grid: Grid) -> np.ndarray:
-        """Output multiplier c*i*xi/3 of the nonlinearity on the kept band
-        k = 0 ... m - 1 (cached per grid)."""
-        key = ("nonlinear", grid.key())
-        multiplier = self._linear_cache.get(key)
-        if multiplier is None:
-            scale = self.nonlinearity_coefficient / 3
-            xi = grid.wavenumbers[:self.band_length(grid)]
-            multiplier = scale * 1j * xi
-            self._linear_cache[key] = multiplier
-        return multiplier
-
-
-ZERO_SYMBOL = MultiplierSymbol(lambda xi: np.zeros_like(np.asarray(xi, dtype=complex)))
-
-
-def _mkdv_symbol(epsilon: float) -> MultiplierSymbol:
-    # Linear part of v_t + v_x + (eps/6) v_xxx = 0.  The third-derivative
-    # coefficient eps/6 is the one produced by the long-wave expansion
-    # (tanh z / z)^{1/2} = 1 - z^2/6 + O(z^4) of the scaled water-wave
-    # symbol, so the comparison with the scaled nonlocal equation closes at
-    # second order in eps.
-    def evaluate(xi):
-        xi = np.asarray(xi, dtype=float)
-        return -1j * xi + 1j * (epsilon / 6.0) * xi ** 3
-
-    return MultiplierSymbol(evaluate)
+        return self.kind != "modified_burgers"
 
 
 #: The equations the studies build, all of them cubic.
@@ -124,46 +59,98 @@ def make_equation(kind: str, alpha: float | None = None,
     if kind == "modified_fkdv":
         if alpha is None:
             raise ConfigurationError(f"{kind} requires parameter alpha")
-        return EquationSpec(kind, fractional_dispersion_symbol(alpha), -1.0, alpha=alpha)
+        # weak dispersion
+        if not (-1.0 < alpha < 0.0):
+            raise ConfigurationError(f"alpha must lie in (-1.0, 0.0), got {alpha}")
+        return EquationSpec(kind, -1.0, alpha=alpha)
 
     if kind == "modified_burgers":
-        return EquationSpec(kind, ZERO_SYMBOL, -1.0)
+        return EquationSpec(kind, -1.0)
 
     if epsilon is None:
         raise ConfigurationError(f"{kind} requires parameter epsilon")
     if not (0 < epsilon < np.inf):
         raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
-    if kind == "mkdv":
-        return EquationSpec(kind, _mkdv_symbol(epsilon), -epsilon, epsilon=epsilon)
-
-    scalar = whitham_scalar_symbol(epsilon)
-
-    def evaluate(xi, _scalar=scalar.evaluate):
-        xi = np.asarray(xi, dtype=float)
-        return -1j * xi * _scalar(xi)
-
-    return EquationSpec(kind, MultiplierSymbol(evaluate), -epsilon, epsilon=epsilon)
+    return EquationSpec(kind, -epsilon, epsilon=epsilon)
 
 
-def linearized(eq: EquationSpec) -> EquationSpec:
-    """Copy of the equation with the nonlinearity switched off."""
-    return replace(eq, nonlinearity_coefficient=0.0, _linear_cache={})
+def linear_symbol(eq: EquationSpec, xi) -> np.ndarray:
+    """The symbol L(xi) of the equation's linear part, purely imaginary and
+    odd; 0 for the dispersionless kind."""
+    xi = np.asarray(xi, dtype=float)
+    if eq.kind == "modified_fkdv":
+        # |D|^alpha d/dx
+        return 1j * dispersion(eq.alpha, xi)
+    if eq.kind == "mkdv":
+        # Linear part of v_t + v_x + (eps/6) v_xxx = 0.  The third-derivative
+        # coefficient eps/6 is the one produced by the long-wave expansion
+        # (tanh z / z)^{1/2} = 1 - z^2/6 + O(z^4) of the scaled water-wave
+        # symbol, so the comparison with the scaled nonlocal equation closes
+        # at second order in eps.
+        return -1j * xi + 1j * (eq.epsilon / 6.0) * xi ** 3
+    if eq.kind == "rescaled_modified_whitham":
+        # -i xi (tanh z / z)^(1/2) with z = sqrt(eps)|xi|; the ratio's value
+        # at z = 0 is the limit 1
+        z = np.sqrt(eq.epsilon) * np.abs(xi)
+        small = z < 1e-8
+        zsafe = np.where(small, 1.0, z)
+        ratio = np.where(small, 1.0 - z * z / 3.0, np.tanh(zsafe) / zsafe)
+        return -1j * xi * np.sqrt(ratio)
+    return np.zeros(xi.shape, dtype=complex)
+
+
+def band_length(grid: Grid) -> int:
+    """Modes k = 0 ... m - 1 of the half spectrum that the nonlinearity
+    reads and writes: m = dealias_keep(n) + 1."""
+    return dealias_keep(grid.n_points) + 1
+
+
+@dataclass
+class GridTables:
+    """An equation's tables on one grid's half spectrum."""
+
+    linear: np.ndarray          # L, 0 in the Nyquist slot
+    multiplier: np.ndarray      # c*i*xi/3 on the kept band k < m
+    exponentials: tuple | None = None   # (dt, exp(dt*L), exp(dt*L/2)), latest dt
+
+
+@lru_cache(maxsize=16)
+def grid_tables(eq: EquationSpec, grid: Grid) -> GridTables:
+    """The tables of an equation on a grid, kept for the 16 most recent
+    (equation, grid) pairs."""
+    return GridTables(half_table(grid, lambda xi: linear_symbol(eq, xi)),
+                      eq.coefficient / 3 * 1j * grid.wavenumbers[:band_length(grid)])
+
+
+def linear_exponentials(eq: EquationSpec, grid: Grid, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(dt*L) and exp(dt*L/2) on the half spectrum, 0 in the Nyquist
+    slot so that a step keeps the Nyquist mode zero.  Kept for the most
+    recent dt only: dt is constant inside a solver segment but varies
+    freely across segments.  Without dispersion they are 1 for every dt,
+    so the first pair is kept."""
+    tables = grid_tables(eq, grid)
+    entry = tables.exponentials
+    if entry is None or (entry[0] != dt and eq.is_dispersive):
+        entry = (dt, np.exp(dt * tables.linear), np.exp(0.5 * dt * tables.linear))
+        entry[1][-1] = entry[2][-1] = 0.0
+        tables.exponentials = entry
+    return entry[1], entry[2]
 
 
 def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray) -> np.ndarray:
     """Spectral right-hand side c * d/dx(u^3/3), alias-free, of a field
     given by its half spectrum.
 
-    Only the kept band k = 0 ... m - 1 (``EquationSpec.band_length``, the
-    cubic dealias rule) enters and leaves: the synthesis reads
-    ``half[:m]``, zero-padded to n by the inverse real FFT, and the result
-    is the band of length m, every mode above it being zero.  Retained
-    modes carry the exact truncated convolution.  The derivative,
-    coefficient and 1/3 form one cached band multiplier.
+    Only the kept band k = 0 ... m - 1 (``band_length``, the cubic dealias
+    rule) enters and leaves: the synthesis reads ``half[:m]``, zero-padded
+    to n by the inverse real FFT, and the result is the band of length m,
+    every mode above it being zero.  Retained modes carry the exact
+    truncated convolution.  The derivative, coefficient and 1/3 form one
+    cached band multiplier.
     """
-    multiplier = eq.nonlinear_multiplier(grid)
+    multiplier = grid_tables(eq, grid).multiplier
     m = len(multiplier)
-    if eq.nonlinearity_coefficient == 0.0:
+    if eq.coefficient == 0.0:
         return np.zeros(m, dtype=complex)
     v = inverse_transform(grid, half[:m])
     return multiplier * transform(grid, v * v * v, m)

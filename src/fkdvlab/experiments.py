@@ -47,9 +47,8 @@ from .spectral import (
     BOUNDARY_MASS_THRESHOLD,
     Grid,
     SpectralField,
-    apply_multiplier,
     boundary_mass_fraction,
-    derivative_symbol,
+    half_table,
     hermitize,
     inverse_transform,
     make_grid,
@@ -180,6 +179,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not all(0 < eps < np.inf for eps in cfg.eps_list):
         raise ConfigurationError(
             f"[study] eps_list: values must be positive and finite, got {cfg.eps_list}")
+    # each value names its series file longwave_eps{eps:g}.csv and its verdicts
+    if len({f"{eps:g}" for eps in cfg.eps_list}) < len(cfg.eps_list):
+        raise ConfigurationError(
+            f"[study] eps_list: values must differ in their first 6 significant "
+            f"digits, which name the series files, got {cfg.eps_list}")
     if not (0 <= cfg.amplitude < np.inf):
         raise ConfigurationError(
             f"[initial] amplitude: must be nonnegative and finite, got {cfg.amplitude}")
@@ -202,6 +206,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not all(isinstance(j, (int, np.integer)) for j in cfg.j_list):
         raise ConfigurationError(
             f"[study] j_list: Sobolev orders must be integers, got {cfg.j_list}")
+    if len(set(cfg.j_list)) < len(cfg.j_list):
+        raise ConfigurationError(
+            f"[study] j_list: Sobolev orders must not repeat, got {cfg.j_list}")
     if cfg.study == "longwave" and not cfg.j_list:
         raise ConfigurationError("[study] j_list: the longwave study needs at least "
                                  "one Sobolev order")
@@ -414,7 +421,7 @@ def _study(body) -> Callable[[ExperimentConfig, str], ExperimentReport]:
 
 def _sup_gradient(grid: Grid) -> Callable[[np.ndarray], float]:
     """sup|u_x| of a half spectrum on grid, by the d/dx table."""
-    table = derivative_symbol().on_grid(grid)
+    table = half_table(grid, lambda xi: 1j * xi)
     return lambda half: float(np.max(np.abs(inverse_transform(grid, half * table))))
 
 
@@ -616,9 +623,8 @@ def predict_shock_time(u0_samples: np.ndarray, grid: Grid) -> float | None:
     if u0.shape != (grid.n_points,):
         raise ConfigurationError("sample count does not match the grid")
     fine = make_grid(grid.n_points * 8, grid.box_length)
-    slope = inverse_transform(fine, apply_multiplier(
-        regrid(SpectralField.from_samples(grid, u0 ** 2), fine),
-        derivative_symbol()).coeffs)
+    slope = inverse_transform(fine, regrid(SpectralField.from_samples(grid, u0 ** 2),
+                                           fine).coeffs * half_table(fine, lambda xi: 1j * xi))
     worst = float(np.min(slope))
     if worst >= -1e-14 * max(1.0, float(np.max(np.abs(slope)))):
         return None

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .equations import EquationSpec, nonlinearity
+from .equations import EquationSpec, band_length, linear_exponentials, nonlinearity
 from .errors import ConfigurationError
 from .spectral import Grid, SpectralField, half_sup_bound, hermitize, inverse_transform
 
@@ -139,7 +139,7 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
     Stage values live in the original (unconjugated) spectral variable; the
     conjugation enters only through the exact exponentials exp(theta*dt*L).
     The nonlinearity reads and writes only the kept band k < m
-    (``EquationSpec.band_length``), so the four stages run on that band;
+    (``equations.band_length``), so the four stages run on that band;
     above it every stage term is zero and the new state is exp(dt*L) v
     exactly.  The exponentials' zero Nyquist slot keeps the Nyquist mode
     zero.
@@ -147,8 +147,8 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
     if dt == 0.0:
         return state
     grid = state.grid
-    e_full, e_half = eq.linear_exponentials(grid, dt)
-    m = eq.band_length(grid)
+    e_full, e_half = linear_exponentials(eq, grid, dt)
+    m = band_length(grid)
 
     new_half = e_full * state.half
     v, ev, e_full, e_half = state.half[:m], new_half[:m], e_full[:m], e_half[:m]

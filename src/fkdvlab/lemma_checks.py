@@ -22,8 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError
 from .experiments import Verdict
-from .spectral import (_SQRT_2PI, CUTOFFS, Grid, inverse_transform, make_grid, transform,
-                       whole_spectrum, whole_wavenumbers)
+from .spectral import (_SQRT_2PI, CUTOFFS, Grid, dispersion, inverse_transform, make_grid,
+                       transform, whole_spectrum, whole_wavenumbers)
 
 
 #: The report every lemma verdict cites, where ``fkdvlab lemmas`` writes.
@@ -37,12 +37,6 @@ def _verdict(name: str, value: float, limit: float, op: str = "<=") -> Verdict:
     mantissa, _, exponent = f"{limit:g}".partition("e")
     shown = f"{mantissa}e{int(exponent)}" if exponent else mantissa
     return Verdict(name, bool(passed), float(value), f"{op} {shown}", LEMMA_REPORT)
-
-
-def _dispersion(alpha: float, xi):
-    """a(xi) = sign(xi) |xi|^(1+alpha): the real odd dispersion function."""
-    xi = np.asarray(xi, dtype=float)
-    return np.sign(xi) * np.abs(xi) ** (1.0 + alpha)
 
 
 def _even_trapezoid(half_width: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +223,7 @@ def _band_sup_rows(alpha: float, n: int, L, k, t) -> np.ndarray:
     shift = np.exp(-1j * xi_band * (0.7 * L)[:, None])
     half = np.zeros((len(L), n // 2 + 1), dtype=complex)
     half[np.nonzero(band)[0], cols[band]] = (
-        gb * proj * shift * np.exp(1j * t[:, None] * _dispersion(alpha, xi_band)))[band]
+        gb * proj * shift * np.exp(1j * t[:, None] * dispersion(alpha, xi_band)))[band]
     u = np.fft.irfft(half * (_SQRT_2PI / (L / n))[:, None], n)
     edge = np.maximum(np.abs(u[:, 0]), np.abs(u[:, -1]))
     peak = np.max(np.abs(u), axis=-1)
@@ -431,7 +425,7 @@ def interpolation_verdicts(result: dict) -> list[Verdict]:
 
 def resonance_function(alpha: float, xi, eta, sigma):
     """Phi = a(xi) - a(xi-eta-sigma) - a(eta) - a(sigma) with a = sign |.|^(1+alpha)."""
-    a = lambda z: _dispersion(alpha, z)
+    a = lambda z: dispersion(alpha, z)
     return a(xi) - a(xi - eta - sigma) - a(eta) - a(sigma)
 
 
@@ -495,7 +489,7 @@ def profile_rhs_pseudospectral(grid: Grid, fhat: np.ndarray, t: float,
     grid, where the top mode n/2 is an interior mode and comes out complex."""
     n = grid.n_points
     xi = grid.wavenumbers
-    a = _dispersion(alpha, xi)
+    a = dispersion(alpha, xi)
     big = make_grid(2 * n, grid.box_length)
     u = inverse_transform(big, np.exp(1j * t * a) * fhat)
     w = transform(big, u ** 3 / 3.0, n // 2 + 1)
@@ -513,7 +507,7 @@ def profile_rhs_double_sum(grid: Grid, F: np.ndarray, t: float, alpha: float) ->
     dxi = grid.dxi
     idx = np.arange(n)
     xi = whole_wavenumbers(grid)
-    a_grid = _dispersion(alpha, xi)
+    a_grid = dispersion(alpha, xi)
     # axes (output xi, eta, sigma); xi - eta - sigma sits at position
     # o + n - i - j, looked up n places into F and a padded with n zeros
     rem = (idx + 2 * n)[:, None, None] - np.add.outer(idx, idx)

@@ -51,7 +51,8 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, box_length)."""
+    """Uniform periodic grid on [0, box_length).  A plain value: equal
+    grids compare and hash equal, so a grid keys its own tables."""
 
     n_points: int
     box_length: float
@@ -60,9 +61,9 @@ class Grid:
         if not isinstance(self.n_points, (int, np.integer)) or not _is_power_of_two(int(self.n_points)) or self.n_points < 8:
             raise ConfigurationError(
                 f"n_points must be a power of two >= 8, got {self.n_points}")
-        if not self.box_length > 0:
+        if not 0 < self.box_length < np.inf:
             raise ConfigurationError(
-                f"box_length must be positive, got {self.box_length}")
+                f"box_length must be positive and finite, got {self.box_length}")
 
     @property
     def dx(self) -> float:
@@ -90,9 +91,6 @@ class Grid:
     @property
     def x_center(self) -> float:
         return 0.5 * self.box_length
-
-    def key(self) -> tuple:
-        return (self.n_points, self.box_length)
 
 
 def make_grid(n_points: int, box_length: float) -> Grid:
@@ -178,59 +176,19 @@ def hermitize(fld: SpectralField) -> SpectralField:
     return SpectralField(fld.grid, c)
 
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """A Fourier multiplier m(xi), evaluated pointwise on wavenumber arrays."""
-
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-    def on_grid(self, grid: Grid) -> np.ndarray:
-        values = np.asarray(self.evaluate(grid.wavenumbers), dtype=complex)
-        values = values.copy()
-        values[-1] = 0.0  # Nyquist: odd symbols are ill-defined there
-        return values
+def half_table(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The multiplier symbol(xi) on the grid's half spectrum, with 0 in the
+    Nyquist slot: odd symbols are ill-defined there."""
+    table = np.array(symbol(grid.wavenumbers), dtype=complex)
+    table[-1] = 0.0
+    return table
 
 
-def apply_multiplier(fld: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
-    return SpectralField(fld.grid, fld.coeffs * symbol.on_grid(fld.grid))
-
-
-def derivative_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol(lambda xi: 1j * xi)
-
-
-def fractional_dispersion_symbol(alpha: float) -> MultiplierSymbol:
-    """Symbol i*sign(xi)*|xi|^(1+alpha) of the operator |D|^alpha d/dx, for
-    -1 < alpha < 0 (weak dispersion)."""
-    if not (-1.0 < alpha < 0.0):
-        raise ConfigurationError(f"alpha must lie in (-1.0, 0.0), got {alpha}")
-
-    def evaluate(xi):
-        xi = np.asarray(xi, dtype=float)
-        return 1j * np.sign(xi) * np.abs(xi) ** (1.0 + alpha)
-
-    return MultiplierSymbol(evaluate)
-
-
-def whitham_scalar_symbol(epsilon: float) -> MultiplierSymbol:
-    """Scalar symbol l(sqrt(eps)*xi) = (tanh(sqrt(eps)|xi|)/(sqrt(eps)|xi|))^(1/2).
-
-    The value at xi = 0 is the limit 1.  The full linear-part symbol used by
-    steppers is -i*xi*l(sqrt(eps)*xi).
-    """
-    eps = float(epsilon)
-    if not (0 < eps < np.inf):
-        raise ConfigurationError(f"epsilon must be positive and finite, got {eps}")
-    root_eps = np.sqrt(eps)
-
-    def evaluate(xi):
-        z = root_eps * np.abs(np.asarray(xi, dtype=float))
-        small = z < 1e-8
-        zsafe = np.where(small, 1.0, z)
-        ratio = np.where(small, 1.0 - z * z / 3.0, np.tanh(zsafe) / zsafe)
-        return np.sqrt(ratio).astype(complex)
-
-    return MultiplierSymbol(evaluate)
+def dispersion(alpha: float, xi) -> np.ndarray:
+    """a(xi) = sign(xi) |xi|^(1+alpha), the real odd dispersion relation of
+    the fractional equation; its linear symbol is i*a(xi)."""
+    xi = np.asarray(xi, dtype=float)
+    return np.sign(xi) * np.abs(xi) ** (1.0 + alpha)
 
 
 # ---------------------------------------------------------------------------

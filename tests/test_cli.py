@@ -187,6 +187,21 @@ class TestConfigParsing:
         assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match)
 
     @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("key,raw", [
+        ("eps_list", "0.2, 0.2"),
+        # 0.1 and 0.1000001 both name longwave_eps0.1.csv
+        ("eps_list", "0.1, 0.05, 0.1000001"),
+        ("j_list", "0, 0"),
+        ("j_list", "0, 1, 0"),
+    ])
+    def test_repeated_list_entries_refused_on_every_path(self, tmp_path, capsys, path,
+                                                         key, raw):
+        # a repeated entry wrote and cited one series file twice and gave two
+        # verdicts one name
+        assert_refused_on_path(tmp_path, capsys, path, "study", key, raw,
+                               rf"\[study\] {key}")
+
+    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
     def test_custom_initial_data_refused_on_every_path(self, tmp_path, capsys, path):
         # no key supplies samples; the kind used to pass validation and fail
         # only inside initial_field

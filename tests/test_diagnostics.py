@@ -16,7 +16,7 @@ from fkdvlab.diagnostics import (
     phase_prefactor,
     z_distance,
 )
-from fkdvlab.equations import make_equation
+from fkdvlab.equations import linear_symbol, make_equation
 from fkdvlab.errors import (
     ConfigurationError,
     GridMismatchError,
@@ -168,7 +168,7 @@ class TestCorrectedProfile:
         assert hermitian_defect(gfld) == 0.0
         # g at the negative modes, from exp(i H(-xi)) f_hat(-xi), is the
         # conjugate of g at the positive ones
-        lin = eq.linear_symbol.evaluate(-g.wavenumbers)
+        lin = linear_symbol(eq, -g.wavenumbers)
         lin[-1] = 0.0
         f_neg = np.exp(-snap.t * lin) * np.conj(u.coeffs)
         g_neg = np.exp(1j * phase_prefactor(-g.wavenumbers, -0.5) * acc.integral) * f_neg
@@ -231,6 +231,20 @@ class TestScatteringLimit:
     def test_stationary_sentinel(self):
         series = self._series([(2.0, 0.0), (4.0, 0.0), (8.0, 0.0), (16.0, 0.0)])
         assert difference_rate(*series.dyadic_differences()) == STATIONARY_RATE
+
+    @pytest.mark.parametrize("which", ["corected", "", None])
+    def test_unknown_difference_kind_refused(self, which):
+        series = self._series([(2.0, 0.0), (4.0, 0.1)])
+        with pytest.raises(ValueError, match="'corrected' or 'raw'"):
+            series.dyadic_differences(which)
+
+    def test_raw_and_corrected_differences(self):
+        g = make_grid(32, TWO_PI)
+        series = ScatteringSeries()
+        series.add(2.0, single_mode(g, 1.0, 1.0), single_mode(g, 1.0, 2.0))
+        series.add(4.0, single_mode(g, 1.0, 1.0), single_mode(g, 1.0, 3.0))
+        assert series.dyadic_differences("corrected")[1].tolist() == [0.0]
+        assert series.dyadic_differences("raw")[1][0] > 0.0
 
     def test_synthetic_power_rate(self):
         times = [2.0 ** m for m in range(1, 8)]

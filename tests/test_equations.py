@@ -1,9 +1,13 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from fkdvlab.equations import (
     EQUATION_KINDS,
-    linearized,
+    band_length,
+    grid_tables,
+    linear_symbol,
     make_equation,
     nonlinearity,
 )
@@ -14,6 +18,9 @@ import ascending as asc
 
 TWO_PI = 2.0 * np.pi
 SQRT_2PI = np.sqrt(TWO_PI)
+
+ALPHA_RANGE = r"alpha must lie in \(-1.0, 0.0\)"
+EPSILON_RANGE = "epsilon must be positive and finite"
 
 REGISTRY_PARAMS = {"modified_fkdv": {"alpha": -0.5},
                    "rescaled_modified_whitham": {"epsilon": 0.1},
@@ -29,7 +36,7 @@ def reference_nonlinearity(eq, grid, c):
     w_hat = np.fft.fftshift(np.fft.fft(v ** 3 / 3)) * (grid.dx / SQRT_2PI)
     out = (1j * asc.xi(grid)) * w_hat
     out[0] = 0.0
-    return eq.nonlinearity_coefficient * out * mask
+    return eq.coefficient * out * mask
 
 
 def zero_padded(grid, band):
@@ -46,10 +53,10 @@ def full_nonlinearity(eq, grid, c):
     return asc.mirror(zero_padded(grid, band))
 
 
-def is_skew(symbol, xi, tol=1e-12):
-    """True if m(-xi) == conj(m(xi)) and m is purely imaginary on ``xi``."""
-    m = np.asarray(symbol.evaluate(xi), dtype=complex)
-    m_neg = np.asarray(symbol.evaluate(-xi), dtype=complex)
+def is_skew(eq, xi, tol=1e-12):
+    """True if L(-xi) == conj(L(xi)) and L is purely imaginary on ``xi``."""
+    m = linear_symbol(eq, xi)
+    m_neg = linear_symbol(eq, -xi)
     scale = max(1.0, float(np.max(np.abs(m))))
     return (np.max(np.abs(m.real)) <= tol * scale
             and np.max(np.abs(m_neg - np.conj(m))) <= tol * scale)
@@ -67,23 +74,28 @@ def random_band_limited(grid, band, rng, amplitude=0.5):
 
 class TestRegistry:
     def test_modified_fkdv(self):
+        # i*xi*|xi|^(-1/2): 2i at xi = 4 and -i at xi = -1; the table on the
+        # half spectrum is 0 in the Nyquist slot
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        assert eq.nonlinearity_coefficient == -1.0
-        assert abs(eq.linear_symbol.evaluate(np.array([4.0]))[0] - 2j) < 1e-14
+        assert eq.coefficient == -1.0
+        assert abs(linear_symbol(eq, np.array([4.0]))[0] - 2j) < 1e-14
+        assert abs(linear_symbol(eq, np.array([-1.0]))[0] + 1j) < 1e-14
+        lin = grid_tables(eq, make_grid(32, TWO_PI)).linear
+        assert abs(lin[4] - 2j) < 1e-14 and lin[0] == 0 and lin[-1] == 0
 
     def test_mkdv_symbol_zero_crossing(self):
         # -i xi + i (eps/6) xi^3 vanishes where xi^2 = 6/eps
         eq = make_equation("mkdv", epsilon=1.0)
         xi0 = np.sqrt(6.0)
-        assert abs(eq.linear_symbol.evaluate(np.array([xi0]))[0]) < 1e-12
-        val = eq.linear_symbol.evaluate(np.array([1.0]))[0]
+        assert abs(linear_symbol(eq, np.array([xi0]))[0]) < 1e-12
+        val = linear_symbol(eq, np.array([1.0]))[0]
         assert abs(val - (-1j + 1j / 6.0)) < 1e-14
 
     def test_modified_burgers(self):
         eq = make_equation("modified_burgers")
         assert not eq.is_dispersive
-        assert eq.nonlinearity_coefficient == -1.0
-        assert np.all(eq.linear_symbol.evaluate(np.linspace(-3, 3, 7)) == 0)
+        assert eq.coefficient == -1.0
+        assert np.all(linear_symbol(eq, np.linspace(-3, 3, 7)) == 0)
 
     # every equation is cubic: the quadratic and unscaled kinds are unknown
     @pytest.mark.parametrize("kind", ["kdv5", "fkdv", "whitham", "modified_whitham",
@@ -92,17 +104,22 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown equation kind"):
             make_equation(kind, alpha=-0.5)
 
+    # the alpha range is weak dispersion; the symbol is always the scaled
+    # one, so no epsilon means no symbol
     @pytest.mark.parametrize("kind,params,match", [
-        ("modified_fkdv", {"alpha": 0.7}, "alpha"),
-        ("mkdv", {"epsilon": 0.0}, "epsilon"),
-        ("rescaled_modified_whitham", {"epsilon": -1.0}, "epsilon"),
-        ("modified_fkdv", {"alpha": 0.0}, "alpha"),
-        ("modified_fkdv", {"alpha": -1.0}, "alpha"),
-        ("modified_fkdv", {"alpha": float("nan")}, "alpha"),
-        ("mkdv", {"epsilon": float("inf")}, "epsilon"),
-        ("mkdv", {"epsilon": float("nan")}, "epsilon"),
-        ("rescaled_modified_whitham", {"epsilon": float("inf")}, "epsilon"),
-        ("rescaled_modified_whitham", {"epsilon": float("nan")}, "epsilon"),
+        ("modified_fkdv", {"alpha": 0.7}, ALPHA_RANGE),
+        ("modified_fkdv", {"alpha": 0.0}, ALPHA_RANGE),
+        ("modified_fkdv", {"alpha": -1.0}, ALPHA_RANGE),
+        ("modified_fkdv", {"alpha": -1.5}, ALPHA_RANGE),
+        ("modified_fkdv", {"alpha": float("nan")}, ALPHA_RANGE),
+        ("mkdv", {"epsilon": 0.0}, EPSILON_RANGE),
+        ("mkdv", {"epsilon": -1.0}, EPSILON_RANGE),
+        ("mkdv", {"epsilon": float("inf")}, EPSILON_RANGE),
+        ("mkdv", {"epsilon": float("nan")}, EPSILON_RANGE),
+        ("rescaled_modified_whitham", {"epsilon": 0.0}, EPSILON_RANGE),
+        ("rescaled_modified_whitham", {"epsilon": -1.0}, EPSILON_RANGE),
+        ("rescaled_modified_whitham", {"epsilon": float("inf")}, EPSILON_RANGE),
+        ("rescaled_modified_whitham", {"epsilon": float("nan")}, EPSILON_RANGE),
     ])
     def test_parameters_out_of_range(self, kind, params, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -121,18 +138,28 @@ class TestRegistry:
         xi = np.linspace(-20, 20, 401)
         for kind in EQUATION_KINDS:
             eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
-            assert is_skew(eq.linear_symbol, xi) or not eq.is_dispersive
+            assert is_skew(eq, xi) or not eq.is_dispersive
 
     def test_rescaled_whitham_scaling(self):
         eq = make_equation("rescaled_modified_whitham", epsilon=4.0)
         # -i xi l(sqrt(4) xi) at xi = 50: l(100) = 0.1
-        val = eq.linear_symbol.evaluate(np.array([50.0]))[0]
+        val = linear_symbol(eq, np.array([50.0]))[0]
         assert abs(val - (-1j * 50.0 * 0.1)) < 1e-10
-        assert eq.nonlinearity_coefficient == -4.0
+        assert eq.coefficient == -4.0
+        # l(z) = (tanh z / z)^(1/2) takes its limit 1 at z = 0
+        xi = np.array([1e-9, 0.0])
+        assert np.array_equal(linear_symbol(eq, xi), -1j * xi)
 
-    def test_linearized(self):
-        eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
-        assert eq.nonlinearity_coefficient == 0.0
+    def test_equal_equations_compare_equal(self):
+        eq = make_equation("modified_fkdv", alpha=-0.5)
+        assert eq == make_equation("modified_fkdv", alpha=-0.5)
+        assert hash(eq) == hash(make_equation("modified_fkdv", alpha=-0.5))
+        assert eq != make_equation("modified_fkdv", alpha=-0.4)
+        with pytest.raises(FrozenInstanceError):
+            eq.coefficient = 0.0
+        linear = replace(eq, coefficient=0.0)
+        assert linear.coefficient == 0.0 and linear.alpha == eq.alpha
+
 
 
 class TestNonlinearity:
@@ -220,9 +247,9 @@ class TestNonlinearity:
 
     def test_zero_coefficient_shortcut(self):
         g = make_grid(32, TWO_PI)
-        eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
+        eq = replace(make_equation("modified_fkdv", alpha=-0.5), coefficient=0.0)
         out = nonlinearity(eq, g, transform(g, np.sin(g.x)))
-        assert out.shape == (eq.band_length(g),)
+        assert out.shape == (band_length(g),)
         assert np.all(out == 0)
 
 
@@ -235,8 +262,8 @@ class TestBandContract:
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(n, TWO_PI)
         expected = n // 4 + 1
-        assert eq.band_length(g) == expected
-        assert eq.nonlinear_multiplier(g).shape == (expected,)
+        assert band_length(g) == expected
+        assert grid_tables(eq, g).multiplier.shape == (expected,)
         out = nonlinearity(eq, g, transform(g, 0.1 * np.sin(g.x)))
         assert out.shape == (expected,)
 
@@ -246,7 +273,7 @@ class TestBandContract:
         g = make_grid(256, 16.0 * np.pi)
         rng = np.random.default_rng(len(kind))
         half = asc.half_of(random_band_limited(g, g.n_points // 2 - 1, rng))
-        m = eq.band_length(g)
+        m = band_length(g)
         changed = half.copy()
         changed[m:] = 1e3 * (rng.normal(size=len(half) - m)
                              + 1j * rng.normal(size=len(half) - m))

@@ -1,9 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkdvlab.equations import EQUATION_KINDS, linearized, make_equation
+from fkdvlab.equations import (
+    EQUATION_KINDS,
+    band_length,
+    grid_tables,
+    linear_exponentials,
+    linear_symbol,
+    make_equation,
+)
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.integrator import (
     BLOWUP_AMPLITUDE,
@@ -55,10 +64,10 @@ def state_of(fld, t=0.0):
 def reference_nonlinearity(eq, grid, c):
     """The nonlinearity on the ascending spectrum c: mask, real synthesis,
     power, transform, multiplier."""
-    if eq.nonlinearity_coefficient == 0.0:
+    if eq.coefficient == 0.0:
         return np.zeros(grid.n_points, dtype=complex)
     mask = asc.dealias_mask(grid)
-    multiplier = eq.nonlinearity_coefficient / 3 * 1j * asc.xi(grid) * mask
+    multiplier = eq.coefficient / 3 * 1j * asc.xi(grid) * mask
     v = asc.inverse_transform(grid, c * mask)
     return multiplier * asc.transform(grid, v * v * v)
 
@@ -67,7 +76,7 @@ def reference_step(grid, c, dt, eq):
     """IF-RK4 on the ascending spectrum c, measuring the Hermitian defect of
     the raw result and repairing it with hermitize.  Returns (spectrum,
     defect)."""
-    lin = np.asarray(eq.linear_symbol.evaluate(asc.xi(grid)), dtype=complex)
+    lin = linear_symbol(eq, asc.xi(grid))
     lin[0] = 0.0
     e_full, e_half = np.exp(dt * lin), np.exp(0.5 * dt * lin)
 
@@ -203,7 +212,7 @@ class TestStep:
         g = make_grid(32, TWO_PI)
         c = np.zeros(17, complex)
         c[1] = 1.0
-        eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
+        eq = replace(make_equation("modified_fkdv", alpha=-0.5), coefficient=0.0)
         out = step_ifrk4(SolverState(0.0, g, c), 0.3, eq)
         assert abs(out.half[1] - np.exp(0.3j)) < 1e-14
         assert abs(abs(out.half[1]) - 1.0) < 1e-14
@@ -270,8 +279,8 @@ class TestBandLimitedStep:
         state = SolverState(0.0, g, 0.05 * c)
         dt = 0.03
         out = step_ifrk4(state, dt, eq)
-        m = eq.band_length(g)
-        e_full, _ = eq.linear_exponentials(g, dt)
+        m = band_length(g)
+        e_full, _ = linear_exponentials(eq, g, dt)
         assert np.array_equal(out.half[m:], e_full[m:] * state.half[m:])
         assert out.half[-1] == 0.0
 
@@ -296,63 +305,73 @@ class TestBandLimitedStep:
 
 
 class TestExponentialCache:
-    @staticmethod
-    def cached_exponentials(eq):
-        return [k for k in eq._linear_cache if k[0] == "exponentials"]
+    """The grid tables are one bounded cache shared by equal equations; a
+    step from cached tables is the step from tables built afresh."""
 
     @pytest.mark.parametrize("kind,params", [
         ("modified_fkdv", {"alpha": -0.5}), ("modified_burgers", {})])
-    def test_steps_match_fresh_exponentials(self, kind, params):
-        # alternating dt and two grids on one equation must give exactly the
-        # steps of an equation that evaluates exp(dt*L) afresh every time
+    def test_steps_match_fresh_tables(self, kind, params):
+        # alternating dt across two grids on one equation must give exactly
+        # the steps of a fresh equation whose tables are all rebuilt
         eq = make_equation(kind, **params)
         fields = [gaussian_field(make_grid(n, 16.0 * np.pi), amplitude=0.5)
                   for n in (64, 128)]
-        for dt in (0.05, 0.02, 0.05):
-            for u0 in fields:
-                state = state_of(u0)
-                cached = step_ifrk4(state, dt, eq)
-                fresh = step_ifrk4(state, dt, make_equation(kind, **params))
-                assert np.array_equal(cached.half, fresh.half)
-                # half-length tables, 0 in the Nyquist slot
-                n = u0.grid.n_points
-                lin = eq.linear_values(u0.grid)[:-1]
-                e_full, e_half = eq.linear_exponentials(u0.grid, dt)
-                assert e_full.shape == e_half.shape == (n // 2 + 1,)
-                assert np.array_equal(e_full, np.append(np.exp(dt * lin), 0.0))
-                assert np.array_equal(e_half, np.append(np.exp(0.5 * dt * lin), 0.0))
+        schedule = [(dt, u0) for dt in (0.05, 0.02, 0.05) for u0 in fields]
+        cached = [step_ifrk4(state_of(u0), dt, eq).half for dt, u0 in schedule]
+        for (dt, u0), half in zip(schedule, cached):
+            grid_tables.cache_clear()
+            fresh = step_ifrk4(state_of(u0), dt, make_equation(kind, **params))
+            assert np.array_equal(half, fresh.half)
+            # half-length tables, 0 in the Nyquist slot
+            lin = linear_symbol(eq, u0.grid.wavenumbers[:-1])
+            e_full, e_half = linear_exponentials(eq, u0.grid, dt)
+            assert np.array_equal(e_full, np.append(np.exp(dt * lin), 0.0))
+            assert np.array_equal(e_half, np.append(np.exp(0.5 * dt * lin), 0.0))
 
-    def test_linearized_has_own_cache(self):
+    def test_equal_equations_share_tables(self):
+        g = make_grid(64, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        u0 = gaussian_field(make_grid(64, 16.0 * np.pi))
-        step_ifrk4(state_of(u0), 0.05, eq)
-        lin_eq = linearized(eq)
-        assert lin_eq._linear_cache is not eq._linear_cache
-        before = dict(eq._linear_cache)
-        step_ifrk4(state_of(u0), 0.03, lin_eq)
-        assert eq._linear_cache.keys() == before.keys()
-        assert all(eq._linear_cache[k] is v for k, v in before.items())
+        twin = make_equation("modified_fkdv", alpha=-0.5)
+        assert eq == twin and hash(eq) == hash(twin)
+        assert grid_tables(eq, g) is grid_tables(twin, g)
+        # a changed coefficient is another equation, with its own tables
+        linear = replace(eq, coefficient=0.0)
+        assert linear != eq
+        assert grid_tables(linear, g) is not grid_tables(eq, g)
+        assert np.array_equal(grid_tables(linear, g).linear, grid_tables(eq, g).linear)
+        assert not np.any(grid_tables(linear, g).multiplier)
 
     def test_dispersionless_pair_kept_across_dt(self):
         # exp(dt*0) is 1 for every dt: the first pair serves every later step
         eq = make_equation("modified_burgers")
         g = make_grid(32, TWO_PI)
-        first = eq.linear_exponentials(g, 0.05)
+        first = linear_exponentials(eq, g, 0.05)
         ones = np.append(np.ones(16), 0.0)
         for dt in (0.02, 1e-3, 0.05):
-            pair = eq.linear_exponentials(g, dt)
+            pair = linear_exponentials(eq, g, dt)
             assert pair[0] is first[0] and pair[1] is first[1]
             assert np.array_equal(pair[0], ones) and np.array_equal(pair[1], ones)
 
-    def test_at_most_one_pair_per_grid(self):
+    def test_dispersive_pair_follows_dt(self):
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        grids = [make_grid(n, TWO_PI) for n in (32, 64)]
-        for dt in np.linspace(1e-3, 2e-3, 100):
+        g = make_grid(32, TWO_PI)
+        first = linear_exponentials(eq, g, 0.05)
+        assert linear_exponentials(eq, g, 0.05)[0] is first[0]
+        lin = grid_tables(eq, g).linear
+        for dt in (0.02, 0.05):
+            e_full, e_half = linear_exponentials(eq, g, dt)
+            assert np.array_equal(e_full[:-1], np.exp(dt * lin[:-1]))
+            assert np.array_equal(e_half[:-1], np.exp(0.5 * dt * lin[:-1]))
+
+    def test_cache_stays_bounded(self):
+        grids = [make_grid(n, TWO_PI) for n in (8, 16, 32)]
+        for alpha in np.linspace(-0.9, -0.1, 30):
+            eq = make_equation("modified_fkdv", alpha=float(alpha))
             for g in grids:
-                step_ifrk4(state_of(field_of(g, 0.01 * np.sin(g.x))), dt, eq)
-        keys = self.cached_exponentials(eq)
-        assert len(keys) == len(grids)
-        assert all(eq._linear_cache[k][0] == dt for k in keys)
+                step_ifrk4(state_of(field_of(g, 0.01 * np.sin(g.x))), 1e-3, eq)
+        info = grid_tables.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < 30 * len(grids)
 
 
 class TestRunSimulation:
@@ -366,7 +385,7 @@ class TestRunSimulation:
 
     def test_linear_run_unitary(self):
         g = make_grid(256, 32.0 * np.pi)
-        eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
+        eq = replace(make_equation("modified_fkdv", alpha=-0.5), coefficient=0.0)
         u0 = gaussian_field(g)
         cfg = SolverConfig(dt_max=0.1, t_end=10.0, snapshot_times=(10.0,))
         final, halt = run_simulation(u0, eq, cfg)
@@ -376,12 +395,12 @@ class TestRunSimulation:
     def test_exact_linear_limit_many_steps(self):
         # n-step evolution equals one exact multiplier application
         g = make_grid(256, 32.0 * np.pi)
-        eq = linearized(make_equation("modified_fkdv", alpha=-0.5))
+        eq = replace(make_equation("modified_fkdv", alpha=-0.5), coefficient=0.0)
         u0 = gaussian_field(g)
         cfg = SolverConfig(dt_max=0.037, t_end=10.0,
                            snapshot_times=tuple(np.arange(0.0, 10.5, 1.0)))
         final, halt = run_simulation(u0, eq, cfg)
-        exact = np.exp(10.0 * eq.linear_values(g)) * u0.coeffs
+        exact = np.exp(10.0 * grid_tables(eq, g).linear) * u0.coeffs
         err = np.max(np.abs(final.half - exact))
         assert err <= 1e-12 * np.max(np.abs(u0.coeffs))
 

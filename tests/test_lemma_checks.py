@@ -50,12 +50,11 @@ from fkdvlab.lemma_checks import (
     _cutoff_profile_transform,
     _FIELD_L1,
     _chain_members,
-    _dispersion,
     _evolved_band_sups,
     _kernel_l1_by_quadrature,
     _packet_grid,
 )
-from fkdvlab.spectral import CUTOFFS, inverse_transform, make_grid, whole_spectrum
+from fkdvlab.spectral import CUTOFFS, dispersion, inverse_transform, make_grid, whole_spectrum
 
 import ascending as asc
 
@@ -69,7 +68,7 @@ def per_mode_double_sum(grid, F, t, alpha):
     dxi = grid.dxi
     idx = np.arange(n)
     xi = asc.xi(grid)
-    a_grid = _dispersion(alpha, xi)
+    a_grid = dispersion(alpha, xi)
     pair_pos = np.add.outer(idx, idx)
     a_eta_sig = np.add.outer(a_grid, a_grid)
     F_eta_sig = np.multiply.outer(F, F)
@@ -558,7 +557,7 @@ def full_layout_band_sup(alpha, k, t):
     ghat = _bump(xi / 2.0 ** k)
     proj = CUTOFFS.psi_j(xi, k)
     shift = np.exp(-1j * xi * (0.7 * grid.box_length))
-    coeffs = ghat * proj * shift * np.exp(1j * t * _dispersion(alpha, xi))
+    coeffs = ghat * proj * shift * np.exp(1j * t * dispersion(alpha, xi))
     u = asc.inverse_transform(grid, coeffs.astype(complex))
     return float(np.max(np.abs(u)))
 
@@ -605,7 +604,7 @@ def per_point_band_sup(alpha, k, t):
     proj = CUTOFFS.psi_j(xi_band, k)
     shift = np.exp(-1j * xi_band * (0.7 * grid.box_length))
     half = np.zeros(len(xi), dtype=complex)
-    half[band] = ghat[band] * proj * shift * np.exp(1j * t * _dispersion(alpha, xi_band))
+    half[band] = ghat[band] * proj * shift * np.exp(1j * t * dispersion(alpha, xi_band))
     u = inverse_transform(grid, half)
     return float(np.max(np.abs(u)))
 

@@ -9,13 +9,12 @@ from fkdvlab.spectral import (
     BOUNDARY_MASS_THRESHOLD,
     CUTOFFS,
     SpectralField,
-    apply_multiplier,
     boundary_mass_fraction,
     dealias,
     dealias_keep,
     dealias_mask,
-    derivative_symbol,
-    fractional_dispersion_symbol,
+    dispersion,
+    half_table,
     hermitian_defect,
     hermitize,
     inverse_transform,
@@ -27,7 +26,6 @@ from fkdvlab.spectral import (
     norm_z,
     regrid,
     transform,
-    whitham_scalar_symbol,
     whole_spectrum,
     whole_wavenumbers,
 )
@@ -66,9 +64,15 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             make_grid(4, TWO_PI)
 
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_grid(8, -1.0)
+    @pytest.mark.parametrize("length", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_nonpositive_or_nonfinite_length_rejected(self, length):
+        with pytest.raises(ConfigurationError, match="box_length must be positive and finite"):
+            make_grid(16, length)
+
+    def test_grid_is_its_own_key(self):
+        g = make_grid(16, TWO_PI)
+        assert g == make_grid(16.0, TWO_PI) and hash(g) == hash(make_grid(16, TWO_PI))
+        assert g != make_grid(32, TWO_PI) and g != make_grid(16, 2.0 * TWO_PI)
 
     def test_dx_times_n_is_box_length(self):
         g = make_grid(64, 17.3)
@@ -185,50 +189,25 @@ class TestWholeSpectrum:
 class TestMultipliers:
     def test_derivative_on_sine(self):
         g = make_grid(32, TWO_PI)
-        out = samples(apply_multiplier(SpectralField.from_samples(g, np.sin(g.x)),
-                                       derivative_symbol()))
+        f = SpectralField.from_samples(g, np.sin(g.x))
+        out = inverse_transform(g, f.coeffs * half_table(g, lambda xi: 1j * xi))
         assert np.max(np.abs(out - np.cos(g.x))) < 1e-12
 
-    def test_identity_multiplier(self):
-        from fkdvlab.spectral import MultiplierSymbol
+    def test_half_table_zeroes_nyquist(self):
         g = make_grid(32, TWO_PI)
-        f = SpectralField.from_samples(g, np.sin(2 * g.x) + 0.3 * np.cos(g.x))
-        out = apply_multiplier(f, MultiplierSymbol(lambda xi: np.ones_like(xi, dtype=complex)))
-        keep = g.mode_index < 16   # Nyquist is zeroed by design
-        assert out.coeffs[-1] == 0.0
-        assert np.allclose(out.coeffs[keep], f.coeffs[keep])
+        values = np.ones(17)
+        table = half_table(g, lambda xi: values)
+        assert table.dtype == complex
+        assert table[-1] == 0.0 and np.all(table[:-1] == 1.0)
+        assert values[-1] == 1.0    # the symbol's own array is left alone
 
-    def test_fractional_symbol_single_mode(self):
-        # i*xi*|xi|^(-1/2) at xi=4 doubles the amplitude with a 90-degree turn
-        g = make_grid(32, TWO_PI)
-        c = np.zeros(17, complex)
-        c[4] = 1.0
-        out = apply_multiplier(SpectralField(g, c), fractional_dispersion_symbol(-0.5))
-        assert abs(out.coeffs[4] - 2j) < 1e-14
-
-    def test_fractional_symbol_values(self):
-        sym = fractional_dispersion_symbol(-0.5)
-        assert abs(sym.evaluate(np.array([4.0]))[0] - 2j) < 1e-14
-        assert sym.evaluate(np.array([0.0]))[0] == 0
-        assert abs(sym.evaluate(np.array([-1.0]))[0] + 1j) < 1e-14
-
-    def test_fractional_range(self):
-        for alpha in (0.5, 0.0, -1.5, float("nan")):
-            with pytest.raises(ConfigurationError):
-                fractional_dispersion_symbol(alpha)
-
-    def test_whitham_symbol(self):
-        sym = whitham_scalar_symbol(1.0)
-        assert abs(sym.evaluate(np.array([0.0]))[0] - 1.0) < 1e-14
-        assert abs(sym.evaluate(np.array([100.0]))[0] - 0.1) < 1e-12
-        sym4 = whitham_scalar_symbol(4.0)
-        assert abs(sym4.evaluate(np.array([50.0]))[0] - 0.1) < 1e-12
-
-    # the symbol is always the scaled one: no epsilon means no symbol
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
-    def test_whitham_range(self, epsilon):
-        with pytest.raises(ConfigurationError, match="epsilon must be positive and finite"):
-            whitham_scalar_symbol(epsilon)
+    def test_dispersion_values(self):
+        # a(xi) = sign(xi)|xi|^(1/2) at alpha = -1/2: real and odd
+        assert np.array_equal(dispersion(-0.5, [4.0, 0.0, -1.0, -9.0]),
+                              [2.0, 0.0, -1.0, -3.0])
+        xi = np.linspace(-20.0, 20.0, 41)
+        for alpha in (-0.9, -0.5, -0.1):
+            assert np.array_equal(dispersion(alpha, -xi), -dispersion(alpha, xi))
 
 
 class TestDyadicCutoffs:
@@ -349,9 +328,9 @@ class TestHermitianAndUnitarity:
         rng = np.random.default_rng(8)
         g = make_grid(128, 16.0)
         f = hermitize(SpectralField.from_samples(g, rng.normal(size=128)))
-        sym = fractional_dispersion_symbol(-0.5)
+        symbol = half_table(g, lambda xi: 1j * dispersion(-0.5, xi))
         for t in (0.5, 3.0, 17.0):
-            evolved = SpectralField(g, np.exp(t * sym.on_grid(g)) * f.coeffs)
+            evolved = SpectralField(g, np.exp(t * symbol) * f.coeffs)
             assert norm_l2(evolved) == pytest.approx(norm_l2(f), rel=1e-12)
 
 
