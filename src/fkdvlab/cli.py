@@ -16,8 +16,7 @@ from dataclasses import replace
 from . import io as lab_io
 from .config import parse_config
 from .errors import ConfigurationError, InsufficientDataError
-from .experiments import (SOBOLEV_ORDER, STUDIES, default_config, run_study,
-                          study_skeleton, validate_config)
+from .experiments import SOBOLEV_ORDER, STUDIES, default_config, run_study, study_skeleton
 from .integrator import geometric_snapshots
 from .spectral import mean_integral, norm_l2, norm_linf, norm_sobolev
 
@@ -66,7 +65,6 @@ def _load_config(args, study: str | None = None):
         cfg, out_dir = default_config(study or "decay"), None
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-        validate_config(cfg)
     return cfg, args.out or out_dir or "runs"
 
 

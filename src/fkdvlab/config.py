@@ -16,7 +16,7 @@ bound, and the Z-norm weight are constants in ``experiments`` and
 
     [grid]
     n_points = 8192
-    box_length = 804.2477193189871
+    box_length = 804.247719318987
 
     [initial]
     kind = gaussian

@@ -16,62 +16,62 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import Grid, dealias_keep, dispersion, half_table, inverse_transform, transform
+from .spectral import (Grid, check_alpha, dealias_keep, dispersion, half_table,
+                       inverse_transform, transform)
 
 
 @dataclass(frozen=True)
 class EquationSpec:
     """One evolution equation u_t = L u + c u^2 u_x: its kind, the
     coefficient c and the parameter its symbol L reads.  A plain value:
-    equal equations compare and hash equal, and share their grid tables."""
+    equal equations compare and hash equal, and share their grid tables.
+    The kind must be known and its parameter set; a set alpha or epsilon
+    is checked whatever the kind."""
 
     kind: str
     coefficient: float          # c in  u_t = L u + c u^2 u_x
     alpha: float | None = None
     epsilon: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in EQUATION_KINDS:
+            raise ConfigurationError(f"kind {self.kind!r}: unknown equation kind; "
+                                     f"expected one of {EQUATION_KINDS}")
+        if self.kind == "modified_fkdv" and self.alpha is None:
+            raise ConfigurationError(f"alpha is required by {self.kind}")
+        if self.kind in LONG_WAVE_KINDS and self.epsilon is None:
+            raise ConfigurationError(f"epsilon is required by {self.kind}")
+        if self.alpha is not None:
+            check_alpha(self.alpha)
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
+
     @property
     def is_dispersive(self) -> bool:
         return self.kind != "modified_burgers"
 
 
+#: The rescaled long-wave kinds, whose symbol and coefficient read epsilon.
+LONG_WAVE_KINDS = ("rescaled_modified_whitham", "mkdv")
+
 #: The equations the studies build, all of them cubic.
-EQUATION_KINDS = (
-    "modified_fkdv",
-    "rescaled_modified_whitham",
-    "mkdv",
-    "modified_burgers",
-)
+EQUATION_KINDS = ("modified_fkdv", *LONG_WAVE_KINDS, "modified_burgers")
 
 
 def make_equation(kind: str, alpha: float | None = None,
                   epsilon: float | None = None) -> EquationSpec:
     """Construct a registry equation by name.
 
-    alpha is required for modified_fkdv, epsilon for the rescaled long-wave
-    kinds.
+    alpha is read by modified_fkdv, epsilon by the rescaled long-wave
+    kinds, whose coefficient is -epsilon; the record refuses a missing or
+    out-of-range parameter and an unknown kind.
     """
     kind = kind.lower()
-    if kind not in EQUATION_KINDS:
-        raise ConfigurationError(
-            f"unknown equation kind {kind!r}; expected one of {EQUATION_KINDS}")
-
     if kind == "modified_fkdv":
-        if alpha is None:
-            raise ConfigurationError(f"{kind} requires parameter alpha")
-        # weak dispersion
-        if not (-1.0 < alpha < 0.0):
-            raise ConfigurationError(f"alpha must lie in (-1.0, 0.0), got {alpha}")
         return EquationSpec(kind, -1.0, alpha=alpha)
-
-    if kind == "modified_burgers":
-        return EquationSpec(kind, -1.0)
-
-    if epsilon is None:
-        raise ConfigurationError(f"{kind} requires parameter epsilon")
-    if not (0 < epsilon < np.inf):
-        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
-    return EquationSpec(kind, -epsilon, epsilon=epsilon)
+    if kind in LONG_WAVE_KINDS and epsilon is not None:
+        return EquationSpec(kind, -epsilon, epsilon=epsilon)
+    return EquationSpec(kind, -1.0)
 
 
 def linear_symbol(eq: EquationSpec, xi) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -40,7 +40,7 @@ from .diagnostics import (
     extract_scattering_limit,
     fit_power_law,
 )
-from .equations import EQUATION_KINDS, EquationSpec, make_equation
+from .equations import EquationSpec, make_equation
 from .errors import ConfigurationError
 from .integrator import HaltReason, SolverConfig, geometric_snapshots, run_simulation
 from .spectral import (
@@ -51,6 +51,7 @@ from .spectral import (
     half_table,
     hermitize,
     inverse_transform,
+    is_grid_size,
     make_grid,
     norm_h11,
     norm_sobolev,
@@ -62,9 +63,21 @@ STUDIES = ("decay", "scattering", "longwave", "shock", "norms")
 INITIAL_KINDS = ("gaussian", "sech2", "sine", "custom")
 
 
-@dataclass
+def _in_section(section: str, build, *args):
+    """build(*args), a refusal's message led by the INI section whose keys
+    the record reads."""
+    try:
+        return build(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{section}] {exc}") from None
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration of one study run (defaults per study)."""
+    """Resolved configuration of one study run (defaults per study).  It is
+    checked once, when built: the grid, solver and equation records check
+    their own keys, and the config adds what each study needs of them and
+    of its data."""
 
     study: str = "decay"
     # equation
@@ -100,7 +113,7 @@ class ExperimentConfig:
     refine_max: int = 2 ** 13
 
     def grid(self) -> Grid:
-        return make_grid(self.n_points, self.box_length)
+        return Grid(self.n_points, float(self.box_length))
 
     def make_eq(self) -> EquationSpec:
         return make_equation(self.equation, alpha=self.alpha, epsilon=self.epsilon)
@@ -109,112 +122,90 @@ class ExperimentConfig:
         return SolverConfig(dt_max=self.dt_max, cfl_coefficient=self.cfl_coefficient,
                             t_end=t_end, snapshot_times=snapshots)
 
-
-def _grid_size(n) -> bool:
-    """Whether n is a power of two >= 8, the sizes a grid is built on."""
-    return isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Cross-field validation shared by file parsing and direct construction,
-    including what each study needs of its equation and data."""
-    if cfg.study not in STUDIES:
-        raise ConfigurationError(
-            f"[run] study: unknown study {cfg.study!r}; expected one of {STUDIES}")
-    for section, key in (("grid", "n_points"), ("study", "refine_start"),
-                         ("study", "refine_max")):
-        if not _grid_size(getattr(cfg, key)):
-            raise ConfigurationError(f"[{section}] {key}: must be a power of two >= 8, "
-                                     f"got {getattr(cfg, key)}")
-    if cfg.refine_start > cfg.refine_max:
-        raise ConfigurationError(f"[study] refine_start/refine_max: refine_start "
-                                 f"{cfg.refine_start} exceeds refine_max {cfg.refine_max}")
-    if not (0 < cfg.box_length < np.inf):
-        raise ConfigurationError(
-            f"[grid] box_length: must be positive and finite, got {cfg.box_length}")
-    if cfg.seed < 0:
-        raise ConfigurationError(f"[run] seed: must be nonnegative, got {cfg.seed}")
-    if cfg.equation not in EQUATION_KINDS:
-        raise ConfigurationError(f"[equation] kind: unknown kind {cfg.equation!r}; "
-                                 f"expected one of {EQUATION_KINDS}")
-    if cfg.initial_kind not in INITIAL_KINDS:
-        raise ConfigurationError(f"[initial] kind: unknown kind {cfg.initial_kind!r}; "
-                                 f"expected one of {INITIAL_KINDS}")
-    # no config key supplies samples: custom data is set in code only
-    if cfg.initial_kind == "custom":
-        if cfg.custom_samples is None:
-            raise ConfigurationError("[initial] kind: custom initial data requires samples")
-        if np.shape(cfg.custom_samples) != (cfg.n_points,):
+    def __post_init__(self):
+        if self.study not in STUDIES:
             raise ConfigurationError(
-                f"[initial] kind: custom samples of shape {np.shape(cfg.custom_samples)} "
-                f"do not match grid with {cfg.n_points} points")
-    # a set alpha or epsilon is checked whatever the kind: the shock study
-    # hands alpha to its contrast run after the whole ladder
-    if cfg.alpha is None and cfg.equation == "modified_fkdv":
-        raise ConfigurationError(f"[equation] alpha: required for {cfg.equation}")
-    if cfg.alpha is not None and not (-1.0 < cfg.alpha < 0.0):
-        raise ConfigurationError(f"[equation] alpha: must lie in (-1, 0), got {cfg.alpha}")
-    if cfg.epsilon is None and cfg.equation in ("rescaled_modified_whitham", "mkdv") \
-            and cfg.study != "longwave":
-        raise ConfigurationError(f"[equation] epsilon: required for {cfg.equation}")
-    if cfg.epsilon is not None and not (0 < cfg.epsilon < np.inf):
-        raise ConfigurationError(
-            f"[equation] epsilon: must be positive and finite, got {cfg.epsilon}")
-    if not (0 <= cfg.t_end < np.inf):
-        raise ConfigurationError(
-            f"[solver] t_end: must be nonnegative and finite, got {cfg.t_end}")
-    if not (0 < cfg.cfl_coefficient <= 1):
-        raise ConfigurationError(
-            f"[solver] cfl_coefficient: must lie in (0, 1], got {cfg.cfl_coefficient}")
-    if not (0 < cfg.dt_max < np.inf):
-        raise ConfigurationError(
-            f"[solver] dt_max: must be positive and finite, got {cfg.dt_max}")
-    if not (-np.inf < cfg.fit_t_min < cfg.fit_t_max < np.inf):
-        raise ConfigurationError(f"[study] fit window: t_min {cfg.fit_t_min} must precede "
-                                 f"t_max {cfg.fit_t_max}, both finite")
-    for key in ("sample_dt", "detect_dt", "t_eval"):
-        value = getattr(cfg, key)
-        if not (0 < value < np.inf):
-            raise ConfigurationError(f"[study] {key}: must be positive and finite, got {value}")
-    if not all(0 < eps < np.inf for eps in cfg.eps_list):
-        raise ConfigurationError(
-            f"[study] eps_list: values must be positive and finite, got {cfg.eps_list}")
-    # each value names its series file longwave_eps{eps:g}.csv and its verdicts
-    if len({f"{eps:g}" for eps in cfg.eps_list}) < len(cfg.eps_list):
-        raise ConfigurationError(
-            f"[study] eps_list: values must differ in their first 6 significant "
-            f"digits, which name the series files, got {cfg.eps_list}")
-    if not (0 <= cfg.amplitude < np.inf):
-        raise ConfigurationError(
-            f"[initial] amplitude: must be nonnegative and finite, got {cfg.amplitude}")
-    if not (0 < cfg.width < np.inf):
-        raise ConfigurationError(
-            f"[initial] width: must be positive and finite, got {cfg.width}")
-    if cfg.center is not None and not (-np.inf < cfg.center < np.inf):
-        raise ConfigurationError(f"[initial] center: must be finite, got {cfg.center}")
-    if cfg.study in ("decay", "shock") and \
-            cfg.make_eq().is_dispersive != (cfg.study == "decay"):
-        need = "dispersive" if cfg.study == "decay" else "dispersionless"
-        raise ConfigurationError(f"[equation] kind: the {cfg.study} study requires "
-                                 f"a {need} equation, got {cfg.equation}")
-    if cfg.study in ("scattering", "norms") and cfg.equation != "modified_fkdv":
-        raise ConfigurationError(f"[equation] kind: the {cfg.study} study requires "
-                                 f"modified_fkdv, got {cfg.equation}")
-    if cfg.study == "scattering" and cfg.t_end < 64.0:
-        raise ConfigurationError(
-            f"[solver] t_end: the scattering study requires t_end >= 64, got {cfg.t_end}")
-    if not all(isinstance(j, (int, np.integer)) for j in cfg.j_list):
-        raise ConfigurationError(
-            f"[study] j_list: Sobolev orders must be integers, got {cfg.j_list}")
-    if len(set(cfg.j_list)) < len(cfg.j_list):
-        raise ConfigurationError(
-            f"[study] j_list: Sobolev orders must not repeat, got {cfg.j_list}")
-    if cfg.study == "longwave" and not cfg.j_list:
-        raise ConfigurationError("[study] j_list: the longwave study needs at least "
-                                 "one Sobolev order")
-    if cfg.study == "longwave" and len(cfg.eps_list) < 2:
-        raise ConfigurationError(f"[study] eps_list: the longwave study needs at "
-                                 f"least two values, got {cfg.eps_list}")
+                f"[run] study: unknown study {self.study!r}; expected one of {STUDIES}")
+        _in_section("grid", self.grid)
+        for key in ("refine_start", "refine_max"):
+            if not is_grid_size(getattr(self, key)):
+                raise ConfigurationError(f"[study] {key}: must be a power of two >= 8, "
+                                         f"got {getattr(self, key)}")
+        if self.refine_start > self.refine_max:
+            raise ConfigurationError(f"[study] refine_start/refine_max: refine_start "
+                                     f"{self.refine_start} exceeds refine_max {self.refine_max}")
+        if self.seed < 0:
+            raise ConfigurationError(f"[run] seed: must be nonnegative, got {self.seed}")
+        if self.initial_kind not in INITIAL_KINDS:
+            raise ConfigurationError(f"[initial] kind: unknown kind {self.initial_kind!r}; "
+                                     f"expected one of {INITIAL_KINDS}")
+        # no config key supplies samples: custom data is set in code only
+        if self.initial_kind == "custom":
+            if self.custom_samples is None:
+                raise ConfigurationError("[initial] kind: custom initial data requires samples")
+            if np.shape(self.custom_samples) != (self.n_points,):
+                raise ConfigurationError(
+                    f"[initial] kind: custom samples of shape {np.shape(self.custom_samples)} "
+                    f"do not match grid with {self.n_points} points")
+        if not all(0 < eps < np.inf for eps in self.eps_list):
+            raise ConfigurationError(
+                f"[study] eps_list: values must be positive and finite, got {self.eps_list}")
+        # each value names its series file longwave_eps{eps:g}.csv and its verdicts
+        if len({f"{eps:g}" for eps in self.eps_list}) < len(self.eps_list):
+            raise ConfigurationError(
+                f"[study] eps_list: values must differ in their first 6 significant "
+                f"digits, which name the series files, got {self.eps_list}")
+        if self.study == "longwave" and len(self.eps_list) < 2:
+            raise ConfigurationError(f"[study] eps_list: the longwave study needs at "
+                                     f"least two values, got {self.eps_list}")
+        # The record checks the kind and each set parameter whatever the kind:
+        # the shock study hands alpha to its contrast run after the whole
+        # ladder.  The longwave study builds its own equations, one per
+        # eps_list entry, so there a long-wave kind may leave epsilon to them.
+        epsilon = self.epsilon
+        if epsilon is None and self.study == "longwave":
+            epsilon = self.eps_list[0]
+        eq = _in_section("equation", EquationSpec, self.equation, -1.0, self.alpha, epsilon)
+        _in_section("solver", self.solver, self.t_end, ())
+        if not (-np.inf < self.fit_t_min < self.fit_t_max < np.inf):
+            raise ConfigurationError(f"[study] fit window: t_min {self.fit_t_min} must "
+                                     f"precede t_max {self.fit_t_max}, both finite")
+        for key in ("sample_dt", "detect_dt", "t_eval"):
+            value = getattr(self, key)
+            if not (0 < value < np.inf):
+                raise ConfigurationError(f"[study] {key}: must be positive and finite, "
+                                         f"got {value}")
+        # a factor of 1 or less detects at t = 0 on every rung
+        if not (1 < self.blowup_factor < np.inf):
+            raise ConfigurationError(f"[study] blowup_factor: must exceed 1 and be "
+                                     f"finite, got {self.blowup_factor}")
+        if not (0 <= self.amplitude < np.inf):
+            raise ConfigurationError(
+                f"[initial] amplitude: must be nonnegative and finite, got {self.amplitude}")
+        if not (0 < self.width < np.inf):
+            raise ConfigurationError(
+                f"[initial] width: must be positive and finite, got {self.width}")
+        if self.center is not None and not (-np.inf < self.center < np.inf):
+            raise ConfigurationError(f"[initial] center: must be finite, got {self.center}")
+        if self.study in ("decay", "shock") and eq.is_dispersive != (self.study == "decay"):
+            need = "dispersive" if self.study == "decay" else "dispersionless"
+            raise ConfigurationError(f"[equation] kind: the {self.study} study requires "
+                                     f"a {need} equation, got {self.equation}")
+        if self.study in ("scattering", "norms") and self.equation != "modified_fkdv":
+            raise ConfigurationError(f"[equation] kind: the {self.study} study requires "
+                                     f"modified_fkdv, got {self.equation}")
+        if self.study == "scattering" and self.t_end < 64.0:
+            raise ConfigurationError(
+                f"[solver] t_end: the scattering study requires t_end >= 64, got {self.t_end}")
+        if not all(isinstance(j, (int, np.integer)) for j in self.j_list):
+            raise ConfigurationError(
+                f"[study] j_list: Sobolev orders must be integers, got {self.j_list}")
+        if len(set(self.j_list)) < len(self.j_list):
+            raise ConfigurationError(
+                f"[study] j_list: Sobolev orders must not repeat, got {self.j_list}")
+        if self.study == "longwave" and not self.j_list:
+            raise ConfigurationError("[study] j_list: the longwave study needs at least "
+                                     "one Sobolev order")
 
 
 #: Study-specific default overrides, applied by default_config().
@@ -233,11 +224,7 @@ STUDY_DEFAULTS: dict[str, dict] = {
 
 
 def default_config(study: str, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(study=study)
-    cfg = replace(cfg, **STUDY_DEFAULTS.get(study, {}))
-    cfg = replace(cfg, **overrides)
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(study=study, **{**STUDY_DEFAULTS.get(study, {}), **overrides})
 
 
 @dataclass
@@ -307,10 +294,8 @@ def initial_field(cfg: ExperimentConfig, grid: Grid | None = None) -> SpectralFi
         u0[finite] = cfg.amplitude / c[finite] ** 2
     elif cfg.initial_kind == "sine":
         u0 = cfg.amplitude * np.sin(2.0 * np.pi * cfg.sine_mode * x / grid.box_length)
-    elif cfg.initial_kind == "custom":
-        u0 = np.asarray(cfg.custom_samples, dtype=float)
     else:
-        raise ConfigurationError(f"unknown initial kind {cfg.initial_kind!r}")
+        u0 = np.asarray(cfg.custom_samples, dtype=float)
     return hermitize(SpectralField.from_samples(grid, u0))
 
 
@@ -372,7 +357,7 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
                    name: str | None = None) -> ExperimentReport:
     """Run one study body between the steps every study shares.
 
-    Validates cfg, builds the grid and initial data and refuses data whose
+    Builds the grid and initial data and refuses data whose
     measured size is not within EPSILON_BAR before any step.  The body runs
     its simulations and writes its series; it returns the halts of the runs
     its verdicts rest on, in run order, and the function that adds those
@@ -382,7 +367,6 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
     ``<name>_report.json`` and ``<name>_manifest.json``; name defaults to
     the study.
     """
-    validate_config(cfg)
     started = time.time()
     name = name or cfg.study
     grid = cfg.grid()
@@ -789,5 +773,4 @@ STUDY_RUNNERS = {
 
 
 def run_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    validate_config(cfg)
     return STUDY_RUNNERS[cfg.study](cfg, out_dir)

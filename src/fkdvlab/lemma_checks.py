@@ -22,8 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError
 from .experiments import Verdict
-from .spectral import (_SQRT_2PI, CUTOFFS, Grid, dispersion, inverse_transform, make_grid,
-                       transform, whole_spectrum, whole_wavenumbers)
+from .spectral import (_SQRT_2PI, CUTOFFS, Grid, check_alpha, dispersion, inverse_transform,
+                       make_grid, transform, whole_spectrum, whole_wavenumbers)
 
 
 #: The report every lemma verdict cites, where ``fkdvlab lemmas`` writes.
@@ -279,8 +279,7 @@ def check_dispersive_estimate(alpha: float, k_range=range(-3, 4),
     (band k, time 2^(1+alpha) t), because packet, band and both sides of the
     estimate carry the same dyadic factors.
     """
-    if not (-1.0 < alpha < 0.0):
-        raise ConfigurationError(f"alpha must lie in (-1, 0), got {alpha}")
+    check_alpha(alpha)
     if len(k_range) == 0:
         raise ConfigurationError("k_range must hold at least one band")
     if len(t_range) == 0 or not all(0.0 < t < np.inf for t in t_range):
@@ -443,8 +442,7 @@ def check_phase_expansion(alpha: float, xi: float,
     must divide the remainder by about 8.  Offsets are at most |xi|/32, so
     |xi - eta - sigma| = |2d - xi| >= 15|xi|/16 keeps off the singular locus.
     """
-    if not (-1.0 < alpha < 0.0):
-        raise ConfigurationError(f"alpha must lie in (-1, 0), got {alpha}")
+    check_alpha(alpha)
     if not 0.0 < abs(xi) < np.inf:
         raise DomainError(f"xi must be finite and nonzero, got {xi}")
     deltas = np.asarray(sorted(delta_range, reverse=True), dtype=float) * abs(xi)

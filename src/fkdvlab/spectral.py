@@ -45,8 +45,9 @@ NOISE_FLOOR = 1e-14
 Z_WEIGHT = 10.0
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def is_grid_size(n) -> bool:
+    """Whether n is a size a grid is built on: an integer power of two >= 8."""
+    return isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class Grid:
     box_length: float
 
     def __post_init__(self):
-        if not isinstance(self.n_points, (int, np.integer)) or not _is_power_of_two(int(self.n_points)) or self.n_points < 8:
+        if not is_grid_size(self.n_points):
             raise ConfigurationError(
                 f"n_points must be a power of two >= 8, got {self.n_points}")
         if not 0 < self.box_length < np.inf:
@@ -94,7 +95,10 @@ class Grid:
 
 
 def make_grid(n_points: int, box_length: float) -> Grid:
-    return Grid(int(n_points), float(box_length))
+    """The grid of n_points over [0, box_length); an integral float size is
+    read as its integer, any other non-integer size is refused."""
+    return Grid(int(n_points) if float(n_points).is_integer() else n_points,
+                float(box_length))
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,12 @@ def half_table(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray]) -> np.nda
     table = np.array(symbol(grid.wavenumbers), dtype=complex)
     table[-1] = 0.0
     return table
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse alpha outside (-1, 0), the weak dispersion the paper treats."""
+    if not -1.0 < alpha < 0.0:
+        raise ConfigurationError(f"alpha must lie in (-1.0, 0.0), got {alpha}")
 
 
 def dispersion(alpha: float, xi) -> np.ndarray:

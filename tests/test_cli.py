@@ -3,14 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fkdvlab import cli, experiments
+from fkdvlab import cli, config, experiments
 from fkdvlab import io as lab_io
 from fkdvlab.cli import cli_dispatch
 from fkdvlab.config import _SECTIONS, parse_config
@@ -28,20 +30,24 @@ def write(tmp_path, text, name="c.cfg"):
 
 def assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match):
     """A 64-point decay config with ``[section] key = raw`` is refused,
-    naming ``match``, by default_config ("direct"), parse_config ("ini") or
-    the CLI with exit status 2 ("cli")."""
+    naming ``match``, by default_config ("direct"), by dataclasses.replace
+    on a valid 64-point decay config ("replace"), by parse_config ("ini") or
+    by the CLI with exit status 2 ("cli")."""
     ini = {"grid": {"n_points": "64"}}
     ini.setdefault(section, {})[key] = raw
     if key == "epsilon":
         ini["equation"]["kind"] = "mkdv"
-    if path == "direct":
+    if path in ("direct", "replace"):
         values = {}
         for sec, keys in ini.items():
             for k, text in keys.items():
                 attr, parse = _SECTIONS[sec][k]
                 values[attr] = parse(sec, k, text)
         with pytest.raises(ConfigurationError, match=match):
-            default_config("decay", **values)
+            if path == "direct":
+                default_config("decay", **values)
+            else:
+                replace(default_config("decay", n_points=64), **values)
         return
     config = write(tmp_path, "".join(
         f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -156,6 +162,11 @@ class TestConfigParsing:
         ("[study]\nrefine_max = 4\n", r"\[study\] refine_max"),
         ("[run]\nstudy = shock\n[study]\nrefine_start = 1024\nrefine_max = 512\n",
          r"\[study\] refine_start/refine_max"),
+        # a factor of 1 or less detected at t = 0 on every rung and ended in
+        # a ZeroDivisionError
+        ("[run]\nstudy = shock\n[study]\nblowup_factor = 0\n", r"\[study\] blowup_factor"),
+        ("[run]\nstudy = shock\n[study]\nblowup_factor = 1\n", r"\[study\] blowup_factor"),
+        ("[run]\nstudy = shock\n[study]\nblowup_factor = -2\n", r"\[study\] blowup_factor"),
     ])
     def test_study_rules_and_odd_values_refused(self, tmp_path, capsys, text, key):
         config = write(tmp_path, text)
@@ -165,7 +176,7 @@ class TestConfigParsing:
                              "--out", str(tmp_path / "o")]) == 2
         assert re.search(key, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
     @pytest.mark.parametrize("section,key,raw,match", [
         ("grid", "box_length", "nan", r"\[grid\] box_length"),
         ("solver", "t_end", "nan", r"\[solver\] t_end"),
@@ -180,13 +191,14 @@ class TestConfigParsing:
         ("study", "detect_dt", "nan", r"\[study\] detect_dt"),
         ("study", "t_eval", "nan", r"\[study\] t_eval"),
         ("study", "eps_list", "0.1, nan", r"\[study\] eps_list"),
+        ("study", "blowup_factor", "nan", r"\[study\] blowup_factor"),
     ])
     def test_nan_refused_on_every_path(self, tmp_path, capsys, path, section, key,
                                        raw, match):
         # every range check is written so that NaN fails it
         assert_refused_on_path(tmp_path, capsys, path, section, key, raw, match)
 
-    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
     @pytest.mark.parametrize("key,raw", [
         ("eps_list", "0.2, 0.2"),
         # 0.1 and 0.1000001 both name longwave_eps0.1.csv
@@ -201,14 +213,14 @@ class TestConfigParsing:
         assert_refused_on_path(tmp_path, capsys, path, "study", key, raw,
                                rf"\[study\] {key}")
 
-    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
     def test_custom_initial_data_refused_on_every_path(self, tmp_path, capsys, path):
         # no key supplies samples; the kind used to pass validation and fail
         # only inside initial_field
         assert_refused_on_path(tmp_path, capsys, path, "initial", "kind", "custom",
                                r"\[initial\] kind: custom initial data requires samples")
 
-    @pytest.mark.parametrize("path", ["direct", "ini", "cli"])
+    @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
     @pytest.mark.parametrize("sign", ["", "-"])
     @pytest.mark.parametrize("section,key,match", [
         ("grid", "box_length", r"\[grid\] box_length"),
@@ -224,6 +236,7 @@ class TestConfigParsing:
         ("study", "detect_dt", r"\[study\] detect_dt"),
         ("study", "t_eval", r"\[study\] t_eval"),
         ("study", "eps_list", r"\[study\] eps_list"),
+        ("study", "blowup_factor", r"\[study\] blowup_factor"),
     ])
     def test_infinity_refused_on_every_path(self, tmp_path, capsys, monkeypatch, path,
                                             sign, section, key, match):
@@ -281,6 +294,18 @@ class TestConfigParsing:
         assert cli_dispatch(["decay", "--config", config,
                              "--out", str(tmp_path / "o")]) == 2
         assert f"unknown key [study] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["readme", "docstring"])
+    def test_documented_example_is_the_default_decay_run(self, tmp_path, source):
+        # the docstring's box_length once parsed one ulp above 256*pi
+        if source == "readme":
+            readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+            with open(readme, encoding="utf-8") as fh:
+                text = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        else:
+            text = textwrap.dedent(config.__doc__.split("Example:\n", 1)[1])
+        cfg, _ = parse_config(write(tmp_path, text))
+        assert asdict(cfg) == asdict(default_config("decay", seed=1))
 
     def test_table_covers_every_field_once(self):
         fields = [attr for keys in _SECTIONS.values() for attr, _ in keys.values()]

@@ -5,6 +5,7 @@ import pytest
 
 from fkdvlab.equations import (
     EQUATION_KINDS,
+    EquationSpec,
     band_length,
     grid_tables,
     linear_symbol,
@@ -132,6 +133,20 @@ class TestRegistry:
             make_equation("mkdv")
         with pytest.raises(ConfigurationError):
             make_equation("rescaled_modified_whitham")
+
+    # a record built directly checks itself as make_equation's does: the
+    # first gave L(4) = 8i, the second an all-zero symbol on a dispersive kind
+    @pytest.mark.parametrize("args,kwargs,match", [
+        (("modified_fkdv", -1.0), {"alpha": 0.5}, ALPHA_RANGE),
+        (("bogus", -1.0), {}, "unknown equation kind"),
+        (("modified_fkdv", -1.0), {}, "alpha is required"),
+        (("mkdv", -0.1), {}, "epsilon is required"),
+        (("modified_burgers", -1.0), {"alpha": 0.5}, ALPHA_RANGE),
+        (("modified_fkdv", -1.0), {"alpha": -0.5, "epsilon": -1.0}, EPSILON_RANGE),
+    ])
+    def test_direct_record_checks_itself(self, args, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            EquationSpec(*args, **kwargs)
 
     def test_whole_registry_constructible_and_skew(self):
         assert len(EQUATION_KINDS) == 4

@@ -1,13 +1,13 @@
 import json
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from fkdvlab import experiments
 from fkdvlab import io as lab_io
-from fkdvlab.errors import ConfigurationError, ShapeError
+from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import (
     ExperimentConfig,
     default_config,
@@ -21,6 +21,7 @@ from fkdvlab.experiments import (
     run_study,
 )
 from fkdvlab.cli import cli_dispatch
+from fkdvlab.equations import make_equation
 from fkdvlab.integrator import HaltReason, run_simulation
 from fkdvlab.spectral import (CUTOFFS, SpectralField, hermitize, inverse_transform,
                               make_grid, norm_sobolev, norm_z, Z_WEIGHT)
@@ -106,10 +107,23 @@ class TestConfigAndData:
         ("longwave", {"j_list": ()}, r"\[study\] j_list"),
         ("decay", {"initial_kind": "custom", "n_points": 64,
                    "custom_samples": np.zeros(10)}, r"\[initial\] kind"),
+        ("shock", {"blowup_factor": 1.0}, r"\[study\] blowup_factor"),
+        ("shock", {"blowup_factor": float("nan")}, r"\[study\] blowup_factor"),
+        ("decay", {"n_points": 64.0}, r"\[grid\] n_points"),
     ])
     def test_direct_construction_validated(self, study, override, key):
         with pytest.raises(ConfigurationError, match=key):
             default_config(study, **override)
+
+    def test_config_is_frozen_and_checked_on_replace(self):
+        # replace builds a new config, which checks itself; this one was
+        # accepted without a word while configs were mutable and checked by
+        # their callers
+        cfg = default_config("shock")
+        with pytest.raises(ConfigurationError, match=r"\[study\] refine_start"):
+            replace(cfg, refine_start=12)
+        with pytest.raises(FrozenInstanceError):
+            cfg.refine_start = 12
 
     def test_bad_override_rejected_before_any_step(self, tmp_path, monkeypatch):
         # a fit window that starts after it ends is a cross-field error
@@ -151,15 +165,15 @@ class TestConfigAndData:
         assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_custom_samples(self):
-        cfg = default_config("decay")
-        g = make_grid(64, TWO_PI)
+        cfg = default_config("decay", n_points=64, box_length=TWO_PI)
+        g = cfg.grid()
         custom = 0.1 * np.cos(g.x)
         fld = initial_field(replace(cfg, initial_kind="custom",
                                     custom_samples=custom), g)
         assert np.max(np.abs(samples(fld) - custom)) < 1e-12
-        with pytest.raises(ShapeError):
-            initial_field(replace(cfg, initial_kind="custom",
-                                  custom_samples=custom[:10]), g)
+        # samples that do not fit the grid are refused when the config is built
+        with pytest.raises(ConfigurationError, match=r"\[initial\] kind"):
+            replace(cfg, initial_kind="custom", custom_samples=custom[:10])
 
     def test_smallness_decomposition(self):
         cfg = replace(default_config("decay"), n_points=2 ** 10,
@@ -215,11 +229,9 @@ class TestStudySmoke:
         for v in report.verdicts:
             assert v.series == "decay_series.csv"
 
-    def test_decay_requires_dispersive(self, tmp_path):
-        cfg = replace(default_config("decay"), equation="modified_burgers",
-                      alpha=None)
-        with pytest.raises(ConfigurationError):
-            run_decay_study(cfg, str(tmp_path))
+    def test_decay_requires_dispersive(self):
+        with pytest.raises(ConfigurationError, match="requires a dispersive equation"):
+            replace(default_config("decay"), equation="modified_burgers", alpha=None)
 
     def test_scattering_guards(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -245,8 +257,7 @@ class TestStudySmoke:
         from fkdvlab.diagnostics import (PhaseAccumulator, accumulate_phase,
                                          compute_profile, corrected_profile,
                                          z_distance)
-        from fkdvlab.equations import make_equation
-        from fkdvlab.integrator import SolverConfig, run_simulation
+        from fkdvlab.integrator import SolverConfig
 
         cfg = replace(default_config("scattering"), n_points=2 ** 10,
                       box_length=64.0 * np.pi, width=8.0)
@@ -291,10 +302,9 @@ class TestStudySmoke:
             want = cols[0][1][f"e{j}"][1] / cols[1][1][f"e{j}"][1]
             assert report.measured[f"ratio_e{j}_eps0.2_over_eps0.1"] == want
 
-    def test_longwave_needs_two_epsilons(self, tmp_path):
-        cfg = replace(default_config("longwave"), eps_list=(0.1,))
+    def test_longwave_needs_two_epsilons(self):
         with pytest.raises(ConfigurationError, match="eps_list"):
-            run_longwave_study(cfg, str(tmp_path))
+            replace(default_config("longwave"), eps_list=(0.1,))
 
     def test_shock_fast_confirms(self, tmp_path):
         cfg = replace(default_config("shock"), blowup_factor=20.0,
@@ -328,11 +338,9 @@ class TestStudySmoke:
         assert report.measured["oracle_t_star"] is None
         assert report.all_passed
 
-    def test_shock_requires_dispersionless(self, tmp_path):
-        cfg = replace(default_config("shock"), equation="modified_fkdv",
-                      alpha=-0.5)
-        with pytest.raises(ConfigurationError):
-            run_shock_study(cfg, str(tmp_path))
+    def test_shock_requires_dispersionless(self):
+        with pytest.raises(ConfigurationError, match="requires a dispersionless equation"):
+            replace(default_config("shock"), equation="modified_fkdv", alpha=-0.5)
 
 
 class TestHaltPolicy:
@@ -381,11 +389,10 @@ class TestShockObserver:
     @pytest.mark.parametrize("box_length", [TWO_PI, 256.0 * np.pi])
     def test_matches_full_spectrum_expression(self, equation, alpha, n, box_length):
         # the shock study runs modified_fkdv only as its contrast, so the
-        # dispersive case bypasses the study's config rules
-        cfg = replace(default_config("shock", box_length=box_length, detect_dt=0.05,
-                                     blowup_factor=1.02),
-                      equation=equation, alpha=alpha)
-        eq = cfg.make_eq()
+        # equation is handed to the observer, not set in the shock config
+        cfg = default_config("shock", box_length=box_length, detect_dt=0.05,
+                             blowup_factor=1.02)
+        eq = make_equation(equation, alpha=alpha)
         grid = make_grid(n, box_length)
         dxs = 1j * asc.xi(grid)
         dxs[0] = 0.0

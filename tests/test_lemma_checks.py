@@ -204,7 +204,7 @@ class TestPhaseExpansion:
     # RuntimeWarning on 0/0 remainders (alpha = 0)
     @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, 0.5])
     def test_alpha_range_guard(self, alpha):
-        with pytest.raises(ConfigurationError, match=r"alpha must lie in \(-1, 0\)"):
+        with pytest.raises(ConfigurationError, match=r"alpha must lie in \(-1.0, 0.0\)"):
             check_phase_expansion(alpha, 1.0)
 
     @pytest.mark.parametrize("xi", [1.0, -2.0, 0.3])
@@ -744,7 +744,7 @@ class TestDispersiveEstimate:
     # alpha ran on into "packet reached the box boundary"
     @pytest.mark.parametrize("alpha", [1.5, 0.7, 0.0, float("nan")])
     def test_alpha_range_guard(self, alpha):
-        with pytest.raises(ConfigurationError, match=r"alpha must lie in \(-1, 0\)"):
+        with pytest.raises(ConfigurationError, match=r"alpha must lie in \(-1.0, 0.0\)"):
             check_dispersive_estimate(alpha)
 
     def test_ratio_time_stability_dispersed_regime(self):

@@ -69,6 +69,12 @@ class TestGrid:
         with pytest.raises(ConfigurationError, match="box_length must be positive and finite"):
             make_grid(16, length)
 
+    # make_grid once truncated a non-integral size: 16.7 gave 16 points
+    @pytest.mark.parametrize("n", [16.7, 16.5, 8.000001, float("nan"), float("inf")])
+    def test_non_integral_size_refused(self, n):
+        with pytest.raises(ConfigurationError, match="n_points must be a power of two"):
+            make_grid(n, 1.0)
+
     def test_grid_is_its_own_key(self):
         g = make_grid(16, TWO_PI)
         assert g == make_grid(16.0, TWO_PI) and hash(g) == hash(make_grid(16, TWO_PI))
