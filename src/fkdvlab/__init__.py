@@ -25,15 +25,10 @@ from .integrator import (  # noqa: F401
     geometric_snapshots,
 )
 from .diagnostics import (  # noqa: F401
-    ProfileSnapshot,
     PhaseAccumulator,
-    ScatteringSeries,
     DecaySeries,
     compute_profile,
-    accumulate_phase,
-    corrected_profile,
     z_distance,
-    extract_scattering_limit,
     difference_rate,
     fit_power_law,
 )

@@ -32,13 +32,10 @@ from . import io as lab_io
 from .diagnostics import (
     DecaySeries,
     PhaseAccumulator,
-    ScatteringSeries,
-    accumulate_phase,
     compute_profile,
-    corrected_profile,
     difference_rate,
-    extract_scattering_limit,
     fit_power_law,
+    z_distance,
 )
 from .equations import EquationSpec, make_equation
 from .errors import ConfigurationError
@@ -57,6 +54,7 @@ from .spectral import (
     norm_sobolev,
     norm_z,
     regrid,
+    z_weight,
 )
 
 STUDIES = ("decay", "scattering", "longwave", "shock", "norms")
@@ -187,6 +185,12 @@ class ExperimentConfig:
                 f"[initial] width: must be positive and finite, got {self.width}")
         if self.center is not None and not (-np.inf < self.center < np.inf):
             raise ConfigurationError(f"[initial] center: must be finite, got {self.center}")
+        # mode 0 is u0 = 0, and from n/2 on the sine is round-off or an alias
+        if not (isinstance(self.sine_mode, (int, np.integer))
+                and 1 <= self.sine_mode < self.n_points // 2):
+            raise ConfigurationError(
+                f"[initial] sine_mode: must be an integer in [1, n_points/2) = "
+                f"[1, {self.n_points // 2}), got {self.sine_mode}")
         if self.study in ("decay", "shock") and eq.is_dispersive != (self.study == "decay"):
             need = "dispersive" if self.study == "decay" else "dispersionless"
             raise ConfigurationError(f"[equation] kind: the {self.study} study requires "
@@ -472,25 +476,27 @@ def run_scattering_study(study: Study):
     n_dyadic = int(np.floor(np.log2(cfg.t_end) + 1e-9))
     dyadic = [2.0 ** m for m in range(1, n_dyadic + 1)]
     acc = PhaseAccumulator(study.grid, cfg.alpha)
-    series = ScatteringSeries()
+    checkpoints = []    # (t, g, f_hat) at each dyadic time
 
     def observer(state):
-        if state.t >= 1.0 - 1e-12:
-            snap = compute_profile(state.field, state.t, eq)
-            accumulate_phase(acc, snap)
-            if any(abs(state.t - d) <= 1e-8 * d for d in dyadic):
-                series.add(state.t, corrected_profile(snap, acc), snap.f_hat)
+        f_hat = compute_profile(state.field, state.t, eq)
+        g = acc.correct(state.t, f_hat)
+        if any(abs(state.t - d) <= 1e-8 * d for d in dyadic):
+            checkpoints.append((state.t, g, f_hat))
 
     halt = study.simulate(
         _merge_times(set(geometric_snapshots(cfg.t_end)) | set(dyadic)), observer)
 
     def verdicts():
-        w_inf = extract_scattering_limit(series)
-        t_m, d_g = series.dyadic_differences("corrected")
-        _, d_f = series.dyadic_differences("raw")
+        times, gs, fs = zip(*checkpoints)
+        # each Cauchy difference is dated at its left checkpoint
+        t_m = np.array(times[:-1])
+        d_g = np.array([z_distance(a, b) for a, b in zip(gs, gs[1:])])
+        d_f = np.array([z_distance(a, b) for a, b in zip(fs, fs[1:])])
 
         d_name = study.write_series("scattering_differences.csv", t_m,
                                     {"d_corrected": d_g, "d_raw": d_f})
+        w_inf = SpectralField(study.grid, z_weight(study.grid) * gs[-1].coeffs)
         study.write_series("scattering_limit.csv", w_inf, writer=lab_io.write_spectrum)
         report.measured["d_corrected"] = [float(v) for v in d_g]
         report.measured["d_raw"] = [float(v) for v in d_f]
@@ -655,7 +661,7 @@ def run_shock_study(study: Study):
     def u0_maker(grid):
         # one stored base field, moved across grids spectrally, so every
         # ladder rung and the contrast run share initial data exactly
-        return hermitize(regrid(base0, grid))
+        return regrid(base0, grid)
 
     ladder = []
     n = cfg.refine_start
@@ -742,7 +748,7 @@ def run_norm_growth_study(study: Study):
         if state.t <= 0:
             return
         series_n.add(state.t, norm_sobolev(state.field, SOBOLEV_ORDER))
-        f_hat = compute_profile(state.field, state.t, eq).f_hat
+        f_hat = compute_profile(state.field, state.t, eq)
         frac = boundary_mass_fraction(f_hat)
         if frac > BOUNDARY_MASS_THRESHOLD:
             warned[0] += 1

@@ -266,20 +266,29 @@ def norm_sobolev(fld: SpectralField, s: float) -> float:
     return float(np.sqrt(total * fld.grid.dxi))
 
 
-def norm_z(fld: SpectralField, weight: float = Z_WEIGHT) -> float:
-    """Weighted sup norm max (1+|xi|)^weight |coeff(xi)|; the weight is even,
-    so the max over the half spectrum is the max over the whole.
+def z_weight(grid: Grid) -> np.ndarray:
+    """The Z-norm weight (1+|xi|)^Z_WEIGHT on the half spectrum; it is even,
+    so a max over the half spectrum is the max over the whole."""
+    return (1.0 + np.abs(grid.wavenumbers)) ** Z_WEIGHT
 
-    Coefficients below ``NOISE_FLOOR`` times the spectral peak count as
-    zero: they are transform round-off, and the high-frequency weight would
-    otherwise amplify round-off into the reported norm.
+
+def z_sup(grid: Grid, magnitudes: np.ndarray, scale: float) -> float:
+    """max z_weight * magnitudes over the half spectrum.
+
+    Magnitudes below ``NOISE_FLOOR`` times ``scale`` (a spectral peak) count
+    as zero: they are transform round-off, and the high-frequency weight
+    would otherwise amplify round-off into the reported value.
     """
-    xi = fld.grid.wavenumbers
+    if scale > 0.0:
+        magnitudes = np.where(magnitudes >= NOISE_FLOOR * scale, magnitudes, 0.0)
+    return float(np.max(z_weight(grid) * magnitudes))
+
+
+def norm_z(fld: SpectralField) -> float:
+    """The Z norm max (1+|xi|)^Z_WEIGHT |coeff(xi)|, floored at the field's
+    own spectral peak."""
     mag = np.abs(fld.coeffs)
-    peak = float(np.max(mag))
-    if peak > 0.0:
-        mag = np.where(mag >= NOISE_FLOOR * peak, mag, 0.0)
-    return float(np.max((1.0 + np.abs(xi)) ** weight * mag))
+    return z_sup(fld.grid, mag, float(np.max(mag)))
 
 
 def boundary_mass_fraction(fld: SpectralField) -> float:

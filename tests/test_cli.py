@@ -167,6 +167,9 @@ class TestConfigParsing:
         ("[run]\nstudy = shock\n[study]\nblowup_factor = 0\n", r"\[study\] blowup_factor"),
         ("[run]\nstudy = shock\n[study]\nblowup_factor = 1\n", r"\[study\] blowup_factor"),
         ("[run]\nstudy = shock\n[study]\nblowup_factor = -2\n", r"\[study\] blowup_factor"),
+        # mode 0 started the shock study from u0 = 0 and gave a vacuous PASS
+        ("[run]\nstudy = shock\n[initial]\nsine_mode = 0\n", r"\[initial\] sine_mode"),
+        ("[run]\nstudy = shock\n[initial]\nsine_mode = 1.5\n", r"\[initial\] sine_mode"),
     ])
     def test_study_rules_and_odd_values_refused(self, tmp_path, capsys, text, key):
         config = write(tmp_path, text)
@@ -212,6 +215,20 @@ class TestConfigParsing:
         # verdicts one name
         assert_refused_on_path(tmp_path, capsys, path, "study", key, raw,
                                rf"\[study\] {key}")
+
+    @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
+    # on the 64-point grid: u0 = 0, a negative amplitude, round-off, an alias
+    @pytest.mark.parametrize("raw", ["0", "-1", "32", "300"])
+    def test_sine_mode_refused_on_every_path(self, tmp_path, capsys, path, raw):
+        assert_refused_on_path(tmp_path, capsys, path, "initial", "sine_mode", raw,
+                               r"\[initial\] sine_mode")
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(2.0)])
+    def test_non_integer_sine_mode_refused(self, value):
+        # the INI parser refuses 1.5 itself; a direct construction must too,
+        # and a float mode would give data that is not periodic on the box
+        with pytest.raises(ConfigurationError, match=r"\[initial\] sine_mode"):
+            default_config("shock", sine_mode=value)
 
     @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
     def test_custom_initial_data_refused_on_every_path(self, tmp_path, capsys, path):

@@ -5,13 +5,8 @@ from fkdvlab.diagnostics import (
     STATIONARY_RATE,
     DecaySeries,
     PhaseAccumulator,
-    ProfileSnapshot,
-    ScatteringSeries,
-    accumulate_phase,
     compute_profile,
-    corrected_profile,
     difference_rate,
-    extract_scattering_limit,
     fit_power_law,
     phase_prefactor,
     z_distance,
@@ -23,7 +18,14 @@ from fkdvlab.errors import (
     InsufficientDataError,
     SequencingError,
 )
-from fkdvlab.spectral import SpectralField, hermitian_defect, hermitize, make_grid
+from fkdvlab.spectral import (
+    SpectralField,
+    hermitian_defect,
+    hermitize,
+    make_grid,
+    norm_z,
+    z_weight,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,23 +45,22 @@ class TestProfile:
         g = make_grid(32, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
         f = single_mode(g)
-        snap = compute_profile(f, 0.0, eq)
-        assert np.allclose(snap.f_hat.coeffs, f.coeffs)
+        assert np.allclose(compute_profile(f, 0.0, eq).coeffs, f.coeffs)
 
     def test_single_mode_phase(self):
         g = make_grid(32, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.5)
-        snap = compute_profile(single_mode(g), 1.0, eq)
+        f_hat = compute_profile(single_mode(g), 1.0, eq)
         i = np.argmin(np.abs(g.wavenumbers - 1.0))
-        assert abs(snap.f_hat.coeffs[i] - np.exp(-1j)) < 1e-14
+        assert abs(f_hat.coeffs[i] - np.exp(-1j)) < 1e-14
 
     def test_modulus_invariance(self):
         rng = np.random.default_rng(3)
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_fkdv", alpha=-0.7)
         f = random_field(g, rng)
-        snap = compute_profile(f, 13.7, eq)
-        assert np.allclose(np.abs(snap.f_hat.coeffs), np.abs(f.coeffs))
+        f_hat = compute_profile(f, 13.7, eq)
+        assert np.allclose(np.abs(f_hat.coeffs), np.abs(f.coeffs))
 
     def test_requires_dispersive_equation(self):
         g = make_grid(32, TWO_PI)
@@ -76,7 +77,7 @@ class TestPhaseAccumulator:
         c_val = 0.3
         i = np.argmin(np.abs(g.wavenumbers - 1.0))
         for t in (1.0, np.sqrt(np.e), np.e):
-            acc = accumulate_phase(acc, ProfileSnapshot(t, single_mode(g, 1.0, np.sqrt(c_val))))
+            acc.correct(t, single_mode(g, 1.0, np.sqrt(c_val)))
         assert acc.H[i] == pytest.approx(4.0 * c_val, rel=1e-12)
         assert phase_prefactor(np.array([1.0]), -0.5)[0] == pytest.approx(4.0)
 
@@ -84,7 +85,7 @@ class TestPhaseAccumulator:
         g = make_grid(32, TWO_PI)
         acc = PhaseAccumulator(g, -0.5)
         for t in (1.0, 2.0, 4.0):
-            acc = accumulate_phase(acc, ProfileSnapshot(t, single_mode(g, 0.0, 1.0)))
+            acc.correct(t, single_mode(g, 0.0, 1.0))
         assert acc.H[0] == 0.0
 
     def test_oddness(self):
@@ -96,7 +97,7 @@ class TestPhaseAccumulator:
         u = random_field(g, rng)
         acc = PhaseAccumulator(g, -0.5)
         for t in (1.0, 2.0, 3.0):
-            acc = accumulate_phase(acc, compute_profile(u, t, eq))
+            acc.correct(t, compute_profile(u, t, eq))
         assert np.array_equal(phase_prefactor(-g.wavenumbers, -0.5) * acc.integral, -acc.H)
 
     def test_log_weight_quadrature_exact_for_linear(self):
@@ -108,8 +109,7 @@ class TestPhaseAccumulator:
         analytic = phase_prefactor(np.array([1.0]), -0.5)[0] * (np.log(t_final)) ** 2 / 2
         acc = PhaseAccumulator(g, -0.5)
         for t in np.exp(np.linspace(0.0, 2.0, 3)):
-            weight = np.sqrt(max(np.log(t), 0.0))
-            acc = accumulate_phase(acc, ProfileSnapshot(t, single_mode(g, 1.0, weight)))
+            acc.correct(t, single_mode(g, 1.0, np.sqrt(max(np.log(t), 0.0))))
         assert acc.H[i] == pytest.approx(analytic, rel=1e-12)
 
     def test_quadrature_second_order_for_curved_weight(self):
@@ -123,7 +123,7 @@ class TestPhaseAccumulator:
         def run(nodes):
             acc = PhaseAccumulator(g, -0.5)
             for t in np.exp(np.linspace(0.0, 1.0, nodes)):
-                acc = accumulate_phase(acc, ProfileSnapshot(t, single_mode(g, 1.0, np.sqrt(t))))
+                acc.correct(t, single_mode(g, 1.0, np.sqrt(t)))
             return acc.H[i]
 
         errs = [abs(run(nodes) - analytic) for nodes in (5, 9, 17)]
@@ -131,27 +131,35 @@ class TestPhaseAccumulator:
         assert min(orders) > 1.8
 
     def test_pre_unit_time_snapshots_ignored(self):
+        # the phase integral starts at t = 1: an earlier profile is its own
+        # corrected profile and leaves the accumulator as it was
+        rng = np.random.default_rng(6)
         g = make_grid(32, TWO_PI)
         acc = PhaseAccumulator(g, -0.5)
-        acc = accumulate_phase(acc, ProfileSnapshot(0.5, single_mode(g)))
+        f = random_field(g, rng)
+        assert np.array_equal(acc.correct(0.5, f).coeffs, f.coeffs)
         assert acc.last_t is None
         assert np.all(acc.H == 0.0)
 
     def test_out_of_order_rejected(self):
         g = make_grid(32, TWO_PI)
         acc = PhaseAccumulator(g, -0.5)
-        accumulate_phase(acc, ProfileSnapshot(2.0, single_mode(g)))
+        acc.correct(2.0, single_mode(g))
         with pytest.raises(SequencingError):
-            accumulate_phase(acc, ProfileSnapshot(1.5, single_mode(g)))
+            acc.correct(1.5, single_mode(g))
+
+    def test_grid_mismatch_rejected(self):
+        acc = PhaseAccumulator(make_grid(32, TWO_PI), -0.5)
+        with pytest.raises(GridMismatchError):
+            acc.correct(1.0, single_mode(make_grid(64, TWO_PI)))
 
 
 class TestCorrectedProfile:
     def test_zero_phase_identity(self):
         g = make_grid(32, TWO_PI)
         acc = PhaseAccumulator(g, -0.5)
-        snap = ProfileSnapshot(1.0, single_mode(g))
-        acc = accumulate_phase(acc, snap)
-        assert np.allclose(corrected_profile(snap, acc).coeffs, snap.f_hat.coeffs)
+        f = single_mode(g)
+        assert np.allclose(acc.correct(1.0, f).coeffs, f.coeffs)
 
     def test_modulus_preserved_and_hermitian(self):
         rng = np.random.default_rng(5)
@@ -159,38 +167,28 @@ class TestCorrectedProfile:
         eq = make_equation("modified_fkdv", alpha=-0.5)
         u = random_field(g, rng)
         acc = PhaseAccumulator(g, -0.5)
-        snap = None
         for t in (1.0, 2.0):
-            snap = compute_profile(u, t, eq)
-            acc = accumulate_phase(acc, snap)
-        gfld = corrected_profile(snap, acc)
-        assert np.allclose(np.abs(gfld.coeffs), np.abs(snap.f_hat.coeffs))
+            f_hat = compute_profile(u, t, eq)
+            gfld = acc.correct(t, f_hat)
+        assert np.allclose(np.abs(gfld.coeffs), np.abs(f_hat.coeffs))
         assert hermitian_defect(gfld) == 0.0
         # g at the negative modes, from exp(i H(-xi)) f_hat(-xi), is the
         # conjugate of g at the positive ones
         lin = linear_symbol(eq, -g.wavenumbers)
         lin[-1] = 0.0
-        f_neg = np.exp(-snap.t * lin) * np.conj(u.coeffs)
+        f_neg = np.exp(-2.0 * lin) * np.conj(u.coeffs)
         g_neg = np.exp(1j * phase_prefactor(-g.wavenumbers, -0.5) * acc.integral) * f_neg
         assert np.allclose(g_neg, np.conj(gfld.coeffs), rtol=0.0, atol=1e-15)
 
     def test_pi_phase_flips_sign(self):
+        # the first profile at t >= 1 adds no panel, so H is the one set here
         g = make_grid(32, TWO_PI)
         acc = PhaseAccumulator(g, -0.5)
-        snap = ProfileSnapshot(2.0, single_mode(g))
-        acc = accumulate_phase(acc, snap)
+        f = single_mode(g)
         i = np.argmin(np.abs(g.wavenumbers - 1.0))
-        acc.integral[:] = 0.0
         acc.integral[i] = np.pi / acc.prefactor[i]
-        out = corrected_profile(snap, acc)
-        assert abs(out.coeffs[i] + snap.f_hat.coeffs[i]) < 1e-14
-
-    def test_time_mismatch_rejected(self):
-        g = make_grid(32, TWO_PI)
-        acc = PhaseAccumulator(g, -0.5)
-        accumulate_phase(acc, ProfileSnapshot(2.0, single_mode(g)))
-        with pytest.raises(SequencingError):
-            corrected_profile(ProfileSnapshot(3.0, single_mode(g)), acc)
+        out = acc.correct(2.0, f)
+        assert abs(out.coeffs[i] + f.coeffs[i]) < 1e-14
 
 
 class TestZDistance:
@@ -203,13 +201,19 @@ class TestZDistance:
         g = make_grid(32, TWO_PI)
         f1 = single_mode(g, 1.0, 1.0)
         f2 = single_mode(g, 1.0, 1.01)
-        assert z_distance(f1, f2, 10.0) == pytest.approx(10.24, rel=1e-10)
+        assert z_distance(f1, f2) == pytest.approx(10.24, rel=1e-10)
 
-    def test_weight_zero_is_sup(self):
-        g = make_grid(32, TWO_PI)
-        f1 = single_mode(g, 3.0, 1.0)
-        f2 = single_mode(g, 3.0, 1.5)
-        assert z_distance(f1, f2, 0.0) == pytest.approx(0.5)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distance_from_zero_is_the_z_norm(self, seed):
+        # one weight and one noise floor: the distance from the zero field
+        # is the Z norm, bit for bit
+        rng = np.random.default_rng(seed)
+        g = make_grid(64, TWO_PI)
+        c = rng.normal(size=33) + 1j * rng.normal(size=33)
+        c[rng.random(33) < 0.3] *= 1e-15        # entries under the noise floor
+        f = SpectralField(g, c)
+        zero = SpectralField(g, np.zeros(33, complex))
+        assert z_distance(zero, f) == norm_z(f)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
@@ -218,54 +222,39 @@ class TestZDistance:
 
 
 class TestScatteringLimit:
-    def _series(self, deltas):
+    @staticmethod
+    def _differences(deltas):
+        """(t_m, d_m) of the Z distances between consecutive fields
+        e_1 + delta e_2, one per (t, delta), as the scattering study takes
+        them from its checkpoints."""
         g = make_grid(32, TWO_PI)
         base = single_mode(g, 1.0, 1.0)
         h = single_mode(g, 2.0, 1.0)
-        series = ScatteringSeries()
-        for t, d in deltas:
-            fld = SpectralField(g, base.coeffs + d * h.coeffs)
-            series.add(t, fld, fld)
-        return series
+        fields = [SpectralField(g, base.coeffs + d * h.coeffs) for _, d in deltas]
+        t = np.array([t for t, _ in deltas[:-1]])
+        return t, np.array([z_distance(a, b) for a, b in zip(fields, fields[1:])])
 
     def test_stationary_sentinel(self):
-        series = self._series([(2.0, 0.0), (4.0, 0.0), (8.0, 0.0), (16.0, 0.0)])
-        assert difference_rate(*series.dyadic_differences()) == STATIONARY_RATE
-
-    @pytest.mark.parametrize("which", ["corected", "", None])
-    def test_unknown_difference_kind_refused(self, which):
-        series = self._series([(2.0, 0.0), (4.0, 0.1)])
-        with pytest.raises(ValueError, match="'corrected' or 'raw'"):
-            series.dyadic_differences(which)
+        t, d = self._differences([(2.0, 0.0), (4.0, 0.0), (8.0, 0.0), (16.0, 0.0)])
+        assert d.tolist() == [0.0, 0.0, 0.0]
+        assert difference_rate(t, d) == STATIONARY_RATE
 
     def test_raw_and_corrected_differences(self):
+        # a checkpoint pair whose corrected profile stands still while the
+        # raw one moves
         g = make_grid(32, TWO_PI)
-        series = ScatteringSeries()
-        series.add(2.0, single_mode(g, 1.0, 1.0), single_mode(g, 1.0, 2.0))
-        series.add(4.0, single_mode(g, 1.0, 1.0), single_mode(g, 1.0, 3.0))
-        assert series.dyadic_differences("corrected")[1].tolist() == [0.0]
-        assert series.dyadic_differences("raw")[1][0] > 0.0
+        assert z_distance(single_mode(g, 1.0, 1.0), single_mode(g, 1.0, 1.0)) == 0.0
+        assert z_distance(single_mode(g, 1.0, 2.0), single_mode(g, 1.0, 3.0)) > 0.0
 
     def test_synthetic_power_rate(self):
         times = [2.0 ** m for m in range(1, 8)]
-        series = self._series([(t, t ** -0.3) for t in times])
-        w_inf = extract_scattering_limit(series)
-        rate = difference_rate(*series.dyadic_differences())
+        rate = difference_rate(*self._differences([(t, t ** -0.3) for t in times]))
         assert rate == pytest.approx(-0.3, abs=0.02)
-        xi = w_inf.grid.wavenumbers
-        i = np.argmin(np.abs(xi - 1.0))
-        assert abs(w_inf.coeffs[i]) == pytest.approx(2.0 ** 10, rel=1e-6)
-
-    def test_insufficient_checkpoints(self):
-        series = self._series([(2.0, 0.1), (4.0, 0.05), (8.0, 0.02)])
-        with pytest.raises(InsufficientDataError):
-            extract_scattering_limit(series)
-
-    def test_checkpoint_ordering_enforced(self):
-        series = self._series([(2.0, 0.1)])
-        with pytest.raises(SequencingError):
-            series.add(2.0, single_mode(make_grid(32, TWO_PI)),
-                       single_mode(make_grid(32, TWO_PI)))
+        # the scattering limit is z_weight * g: 2^10 at xi = 1
+        g = make_grid(32, TWO_PI)
+        w_inf = z_weight(g) * single_mode(g, 1.0, 1.0).coeffs
+        i = np.argmin(np.abs(g.wavenumbers - 1.0))
+        assert abs(w_inf[i]) == pytest.approx(2.0 ** 10, rel=1e-12)
 
 
 class TestPowerLawFit:

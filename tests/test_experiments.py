@@ -24,7 +24,7 @@ from fkdvlab.cli import cli_dispatch
 from fkdvlab.equations import make_equation
 from fkdvlab.integrator import HaltReason, run_simulation
 from fkdvlab.spectral import (CUTOFFS, SpectralField, hermitize, inverse_transform,
-                              make_grid, norm_sobolev, norm_z, Z_WEIGHT)
+                              make_grid, norm_sobolev, norm_z)
 
 import ascending as asc
 
@@ -184,7 +184,7 @@ class TestConfigAndData:
         assert sm["epsilon0"] == pytest.approx(
             sm["sobolev"] + sm["h11"] + sm["z"], rel=1e-12)
         assert sm["sobolev"] == pytest.approx(norm_sobolev(u0, experiments.SOBOLEV_ORDER))
-        assert sm["z"] == pytest.approx(norm_z(u0, Z_WEIGHT))
+        assert sm["z"] == pytest.approx(norm_z(u0))
         assert sm["h11_reliable"]
 
     @pytest.mark.parametrize("study", ["decay", "shock", "longwave"])
@@ -254,9 +254,7 @@ class TestStudySmoke:
         # with the nonlinearity off the raw profile is constant while the
         # correction still rotates it: the correction must only be applied
         # to the nonlinear flow
-        from fkdvlab.diagnostics import (PhaseAccumulator, accumulate_phase,
-                                         compute_profile, corrected_profile,
-                                         z_distance)
+        from fkdvlab.diagnostics import PhaseAccumulator, compute_profile, z_distance
         from fkdvlab.integrator import SolverConfig
 
         cfg = replace(default_config("scattering"), n_points=2 ** 10,
@@ -268,15 +266,13 @@ class TestStudySmoke:
         store = {}
 
         def obs(state):
-            if state.t >= 1.0:
-                snap = compute_profile(state.field, state.t, eq)
-                accumulate_phase(acc, snap)
-                store[state.t] = (snap, corrected_profile(snap, acc))
+            f_hat = compute_profile(state.field, state.t, eq)
+            store[state.t] = (f_hat, acc.correct(state.t, f_hat))
 
         sc = SolverConfig(dt_max=0.1, t_end=16.0, snapshot_times=(1.0, 4.0, 16.0))
         run_simulation(u0, eq, sc, obs)
-        (snap1, g1), (snap2, g2) = store[4.0], store[16.0]
-        assert z_distance(snap1.f_hat, snap2.f_hat) <= 1e-12
+        (f1, g1), (f2, g2) = store[4.0], store[16.0]
+        assert z_distance(f1, f2) <= 1e-12
         assert z_distance(g1, g2) > 1e-6
 
     def test_longwave_small(self, tmp_path):
