@@ -107,10 +107,15 @@ def band_length(grid: Grid) -> int:
 
 @dataclass
 class GridTables:
-    """An equation's tables on one grid's half spectrum."""
+    """An equation's tables on one grid's half spectrum, and the workspace
+    its nonlinearity overwrites on every call: one caller at a time per
+    (equation, grid)."""
 
     linear: np.ndarray          # L, 0 in the Nyquist slot
     multiplier: np.ndarray      # c*i*xi/3 on the kept band k < m
+    samples: np.ndarray         # n reals: the synthesis of the band
+    cube: np.ndarray            # n reals: its cube
+    spectrum: np.ndarray        # n/2 + 1 complex: the cube's unscaled FFT
     exponentials: tuple | None = None   # (dt, exp(dt*L), exp(dt*L/2)), latest dt
 
 
@@ -118,8 +123,10 @@ class GridTables:
 def grid_tables(eq: EquationSpec, grid: Grid) -> GridTables:
     """The tables of an equation on a grid, kept for the 16 most recent
     (equation, grid) pairs."""
+    n = grid.n_points
     return GridTables(half_table(grid, lambda xi: linear_symbol(eq, xi)),
-                      eq.coefficient / 3 * 1j * grid.wavenumbers[:band_length(grid)])
+                      eq.coefficient / 3 * 1j * grid.wavenumbers[:band_length(grid)],
+                      np.empty(n), np.empty(n), np.empty(n // 2 + 1, dtype=complex))
 
 
 def linear_exponentials(eq: EquationSpec, grid: Grid, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -137,20 +144,25 @@ def linear_exponentials(eq: EquationSpec, grid: Grid, dt: float) -> tuple[np.nda
     return entry[1], entry[2]
 
 
-def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray) -> np.ndarray:
+def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray,
+                 samples: np.ndarray | None = None) -> np.ndarray:
     """Spectral right-hand side c * d/dx(u^3/3), alias-free, of a field
     given by its half spectrum.
 
     Only the kept band k = 0 ... m - 1 (``band_length``, the cubic dealias
     rule) enters and leaves: the synthesis reads ``half[:m]``, zero-padded
-    to n by the inverse real FFT, and the result is the band of length m,
-    every mode above it being zero.  Retained modes carry the exact
-    truncated convolution.  The derivative, coefficient and 1/3 form one
-    cached band multiplier.
+    to n by the inverse real FFT, and the result is a new array, the band
+    of length m, every mode above it being zero.  Retained modes carry the
+    exact truncated convolution.  The derivative, coefficient and 1/3 form
+    one cached band multiplier.  ``samples``, when given, is that
+    synthesis already made and replaces it.  The synthesis, cube and FFT
+    run in the grid tables' workspace.
     """
-    multiplier = grid_tables(eq, grid).multiplier
-    m = len(multiplier)
+    tables = grid_tables(eq, grid)
+    m = len(tables.multiplier)
     if eq.coefficient == 0.0:
         return np.zeros(m, dtype=complex)
-    v = inverse_transform(grid, half[:m])
-    return multiplier * transform(grid, v * v * v, m)
+    v = inverse_transform(grid, half[:m], out=tables.samples) if samples is None else samples
+    cube = np.multiply(v, v, out=tables.cube)
+    np.multiply(cube, v, out=cube)
+    return tables.multiplier * transform(grid, cube, m, out=tables.spectrum)

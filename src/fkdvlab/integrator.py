@@ -81,11 +81,23 @@ class SolverState:
         return np.abs(self.half)
 
     @cached_property
+    def band_samples(self) -> np.ndarray:
+        """Grid samples of the kept band ``half[:m]`` (``band_length``): the
+        synthesis that the first RK4 stage reads."""
+        return inverse_transform(self.grid, self.half[:band_length(self.grid)])
+
+    @cached_property
     def max_abs_u(self) -> float:
-        """max|u| over the grid samples of the full (undealiased) field, from
-        one synthesis; ``cfl_dt`` reads it only when the l1 bound cannot
-        settle dt."""
-        return float(np.max(np.abs(inverse_transform(self.grid, self.half))))
+        """max|u| over the grid samples of the full (undealiased) field;
+        ``cfl_dt`` reads it only when the l1 bound cannot settle dt.  With
+        no nonzero mode above the band the field is ``band_samples``, the
+        same bits since the inverse FFT zero-pads a short spectrum;
+        otherwise it is one synthesis of the whole half spectrum."""
+        if np.any(self.half[band_length(self.grid):]):
+            samples = inverse_transform(self.grid, self.half)
+        else:
+            samples = self.band_samples
+        return float(np.max(np.abs(samples)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,9 @@ def cfl_dt(state: SolverState, config: SolverConfig) -> float:
     dt_max, the exact value is dt_max too and no synthesis is made.  A
     binding B, or one that is NaN or beyond ``BLOWUP_AMPLITUDE``, falls
     back to the exact max|u|, cached on the state, so planning a segment
-    and taking its first step share one transform.
+    and taking its first step share one transform; for a state with
+    nothing above the kept band, that transform is the band synthesis the
+    step's first stage reads.
     """
     reach = config.cfl_coefficient * state.grid.dx
     bound = half_sup_bound(state.grid, state.abs_half) * (1.0 + CFL_BOUND_SLACK)
@@ -142,7 +156,7 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
     (``equations.band_length``), so the four stages run on that band;
     above it every stage term is zero and the new state is exp(dt*L) v
     exactly.  The exponentials' zero Nyquist slot keeps the Nyquist mode
-    zero.
+    zero.  The first stage reads the state's cached ``band_samples``.
     """
     if dt == 0.0:
         return state
@@ -152,7 +166,7 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
 
     new_half = e_full * state.half
     v, ev, e_full, e_half = state.half[:m], new_half[:m], e_full[:m], e_half[:m]
-    k1 = nonlinearity(eq, grid, v)
+    k1 = nonlinearity(eq, grid, v, samples=state.band_samples)
     k2 = nonlinearity(eq, grid, e_half * (v + 0.5 * dt * k1))
     k3 = nonlinearity(eq, grid, e_half * v + 0.5 * dt * k2)
     k4 = nonlinearity(eq, grid, ev + dt * e_half * k3)

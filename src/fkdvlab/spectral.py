@@ -128,18 +128,22 @@ class SpectralField:
         return cls(grid, transform(grid, samples))
 
 
-def transform(grid: Grid, samples: np.ndarray, modes: int | None = None) -> np.ndarray:
+def transform(grid: Grid, samples: np.ndarray, modes: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Real samples -> half spectrum.  ``modes`` keeps only the first
-    ``modes`` coefficients, k = 0 ... modes - 1.  Unchecked: the step
-    kernel calls it; ``SpectralField.from_samples`` checks its samples."""
-    return np.fft.rfft(samples)[:modes] * (grid.dx / _SQRT_2PI)
+    ``modes`` coefficients, k = 0 ... modes - 1.  ``out``, of n/2 + 1
+    complex, receives the unscaled FFT; the result is always a new array.
+    Unchecked: the step kernel calls it; ``SpectralField.from_samples``
+    checks its samples."""
+    return np.fft.rfft(samples, out=out)[:modes] * (grid.dx / _SQRT_2PI)
 
 
-def inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Half spectrum -> real samples.  A shorter ``half`` is zero-padded to
-    n/2 + 1 modes; the imaginary parts of the zero and Nyquist modes are
-    ignored."""
-    return np.fft.irfft(half * (_SQRT_2PI / grid.dx), grid.n_points)
+def inverse_transform(grid: Grid, half: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum -> real samples, written to ``out`` (n floats) when it
+    is given.  A shorter ``half`` is zero-padded to n/2 + 1 modes; the
+    imaginary parts of the zero and Nyquist modes are ignored."""
+    return np.fft.irfft(half * (_SQRT_2PI / grid.dx), grid.n_points, out=out)
 
 
 def whole_wavenumbers(grid: Grid) -> np.ndarray:

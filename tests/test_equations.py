@@ -13,6 +13,7 @@ from fkdvlab.equations import (
     nonlinearity,
 )
 from fkdvlab.errors import ConfigurationError
+from fkdvlab.integrator import SolverState, step_ifrk4
 from fkdvlab.spectral import dealias_keep, inverse_transform, make_grid, transform
 
 import ascending as asc
@@ -294,3 +295,45 @@ class TestBandContract:
                              + 1j * rng.normal(size=len(half) - m))
         assert np.array_equal(nonlinearity(eq, g, half), nonlinearity(eq, g, changed))
         assert np.array_equal(nonlinearity(eq, g, half), nonlinearity(eq, g, half[:m]))
+
+
+class TestWorkspace:
+    """The nonlinearity runs in its grid tables' buffers, and what it
+    returns is its own."""
+
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
+    def test_given_samples_are_the_synthesis(self, kind):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(256, 16.0 * np.pi)
+        half = asc.half_of(random_band_limited(g, 100, np.random.default_rng(3)))
+        samples = inverse_transform(g, half[:band_length(g)])
+        assert np.array_equal(nonlinearity(eq, g, half, samples=samples),
+                              nonlinearity(eq, g, half))
+
+    def test_results_share_no_memory(self):
+        eq = make_equation("modified_fkdv", alpha=-0.5)
+        g = make_grid(64, TWO_PI)
+        tables = grid_tables(eq, g)
+        first = nonlinearity(eq, g, transform(g, 0.3 * np.sin(g.x)))
+        second = nonlinearity(eq, g, transform(g, 0.2 * np.cos(g.x)))
+        assert not np.shares_memory(first, second)
+        for out in (first, second):
+            for buffer in (tables.samples, tables.cube, tables.spectrum):
+                assert not np.shares_memory(out, buffer)
+
+    def test_two_equations_on_one_grid_interleave(self):
+        g = make_grid(256, 16.0 * np.pi)
+        half = asc.half_of(random_band_limited(g, 60, np.random.default_rng(4)))
+        eqs = (make_equation("modified_fkdv", alpha=-0.5), make_equation("modified_burgers"))
+        apart = {}
+        for eq in eqs:
+            state = SolverState(0.0, g, half)
+            for _ in range(5):
+                state = step_ifrk4(state, 0.01, eq)
+            apart[eq] = state.half
+        together = {eq: SolverState(0.0, g, half) for eq in eqs}
+        for _ in range(5):
+            for eq in eqs:
+                together[eq] = step_ifrk4(together[eq], 0.01, eq)
+        for eq in eqs:
+            assert np.array_equal(together[eq].half, apart[eq])

@@ -37,6 +37,7 @@ from fkdvlab.spectral import (
     make_grid,
     mean_integral,
     norm_l2,
+    regrid,
 )
 
 import ascending as asc
@@ -186,6 +187,45 @@ def cfl_cases(draw):
     where = draw(st.sampled_from(["exact", "certificate", "near"]))
     return grid, half, cfl, where, draw(st.sampled_from([0, 1])), \
         10.0 ** draw(st.floats(-2.0, 2.0))
+
+
+@st.composite
+def tailed_spectra(draw):
+    """A random half spectrum on the kept band and, above it, exact zeros,
+    zeros of either sign, nonzero entries of any size, or one NaN or
+    infinite entry."""
+    n = draw(st.sampled_from([2 ** j for j in range(3, 12)]))
+    grid = make_grid(n, draw(st.sampled_from([TWO_PI, 16.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = band_length(grid)
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[:m] = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) \
+        * 10.0 ** draw(st.floats(-8.0, 3.0))
+    tail = half[m:]
+    tail_kind = draw(st.sampled_from(["zero", "signed zero", "nonzero", "nan", "inf"]))
+    if tail_kind == "signed zero":
+        tail.real = np.where(rng.random(len(tail)) < 0.5, -0.0, 0.0)
+        tail.imag = np.where(rng.random(len(tail)) < 0.5, -0.0, 0.0)
+    elif tail_kind == "nonzero":
+        size = 10.0 ** draw(st.floats(-20.0, 0.0))
+        hit = rng.random(len(tail)) < 0.5
+        hit[rng.integers(len(tail))] = True
+        tail[hit] = size * (rng.standard_normal(hit.sum()) + 1j * rng.standard_normal(hit.sum()))
+    elif tail_kind != "zero":
+        tail[rng.integers(len(tail))] = complex(np.nan if tail_kind == "nan" else np.inf, 0.0)
+    return grid, half
+
+
+class TestMaxAbsU:
+    @settings(max_examples=300, deadline=None)
+    @given(tailed_spectra())
+    def test_equals_full_synthesis(self, case):
+        # a tail of zeros reads the band synthesis; the same bits either way
+        grid, half = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = SolverState(0.0, grid, half).max_abs_u
+            want = float(np.max(np.abs(inverse_transform(grid, half))))
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestCflCertificate:
@@ -481,20 +521,32 @@ class TestRunSimulation:
 
     @staticmethod
     def count_calls(monkeypatch):
-        # inverse_transform is called in integrator only by max_abs_u
+        # "transform" counts the syntheses made while cfl_dt runs, of the
+        # whole field or of the band that the next step's first stage reads
         from fkdvlab import integrator
         counts = {"transform": 0, "cfl": 0, "step": 0}
+        cfl, step, synth = integrator.cfl_dt, integrator.step_ifrk4, integrator.inverse_transform
+        in_cfl = [False]
 
-        def counted(name, func):
-            def wrapper(*args):
-                counts[name] += 1
-                return func(*args)
-            return wrapper
+        def counted_cfl(*args):
+            counts["cfl"] += 1
+            in_cfl[0] = True
+            try:
+                return cfl(*args)
+            finally:
+                in_cfl[0] = False
 
-        for name, attr in (("transform", "inverse_transform"),
-                           ("cfl", "cfl_dt"), ("step", "step_ifrk4")):
-            monkeypatch.setattr(integrator, attr,
-                                counted(name, getattr(integrator, attr)))
+        def counted_step(*args):
+            counts["step"] += 1
+            return step(*args)
+
+        def counted_synth(*args):
+            counts["transform"] += in_cfl[0]
+            return synth(*args)
+
+        monkeypatch.setattr(integrator, "cfl_dt", counted_cfl)
+        monkeypatch.setattr(integrator, "step_ifrk4", counted_step)
+        monkeypatch.setattr(integrator, "inverse_transform", counted_synth)
         return counts
 
     def test_certified_steps_make_no_cfl_transform(self, monkeypatch):
@@ -512,7 +564,8 @@ class TestRunSimulation:
 
     def test_binding_cfl_one_transform_per_step(self, monkeypatch):
         # on a fine grid the transport speed binds, the bound cannot settle
-        # dt, and planning a segment and its first step share one synthesis
+        # dt, and planning a segment and its first step share one synthesis:
+        # one per state the steps start from
         counts = self.count_calls(monkeypatch)
         g = make_grid(512, TWO_PI)
         cfg = SolverConfig(dt_max=0.1, t_end=0.2, snapshot_times=(0.05, 0.1, 0.15))
@@ -566,6 +619,30 @@ class TestFullSpectrumReference:
         assert (halt.kind, halt.t) == (kind_ref, t_ref) == ("completed", 0.2)
         assert np.array_equal(final.half, ref)
         assert defect_max == 0.0
+
+    def test_band_limited_run_reuses_band_synthesis(self, tracing):
+        # a sine regridded from 256 points has exact zeros above the band
+        # on 512, and the dispersionless step keeps them there, so each
+        # binding CFL speed is read from the band synthesis that the step's
+        # first stage then uses: 8 transforms a step, no more
+        coarse, g = make_grid(256, TWO_PI), make_grid(512, TWO_PI)
+        u0 = regrid(field_of(coarse, 0.5 * np.sin(coarse.x)), g)
+        eq = make_equation("modified_burgers")
+        cfg = SolverConfig(dt_max=0.1, t_end=0.2, snapshot_times=(0.05, 0.1, 0.15))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            final, halt = run_simulation(u0, eq, cfg)
+        finally:
+            tracer.remove()
+        summary = tracer.summary()
+        steps = summary["calls"]["integrator.step_ifrk4"]
+        assert steps >= 8 and summary["calls"]["integrator.cfl_dt"] == steps + 4
+        assert summary["step_transforms"] == 8 * steps
+        assert not np.any(final.half[band_length(g):])
+        ref, kind_ref, t_ref, _ = reference_run(u0, eq, cfg)
+        assert (halt.kind, halt.t) == (kind_ref, t_ref) == ("completed", 0.2)
+        assert np.array_equal(final.half, ref)
 
     def test_blowup_halt_matches(self):
         g = make_grid(64, TWO_PI)

@@ -1,33 +1,15 @@
 """The benchmark's tracer against the program: every name it traces
 resolves, and a traced study shows the step kernel's exact call counts.
 
-`perfbench/tracing.py` is loaded by its path, as the benchmark runner uses
-it, and left unchanged.
+The `tracing` fixture (conftest.py) is `perfbench/tracing.py`, loaded by
+its path as the benchmark runner uses it.
 """
 
 import importlib
-import importlib.util
 import inspect
-import os
 
-import pytest
-
-import fkdvlab.cli  # noqa: F401  (the tracer looks up loaded modules only)
-import fkdvlab.config  # noqa: F401
-import fkdvlab.lemma_checks  # noqa: F401
 from fkdvlab import integrator
 from fkdvlab.experiments import default_config, run_study
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_traced_name_resolves(tracing):
