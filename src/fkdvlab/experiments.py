@@ -51,6 +51,7 @@ from .spectral import (
     is_grid_size,
     make_grid,
     norm_h11,
+    norm_linf,
     norm_sobolev,
     norm_z,
     regrid,
@@ -431,7 +432,7 @@ def run_decay_study(study: Study):
 
     def observer(state):
         if state.t > 0:
-            series_u.add(state.t, state.max_abs_u)
+            series_u.add(state.t, norm_linf(state.field))
             series_ux.add(state.t, sup_ux(state.half))
 
     halt = study.simulate(tuple(np.arange(0.0, cfg.t_end + 1e-9, cfg.sample_dt)),

@@ -22,14 +22,10 @@ import numpy as np
 
 from .equations import EquationSpec, band_length, linear_exponentials, nonlinearity
 from .errors import ConfigurationError
-from .spectral import Grid, SpectralField, half_sup_bound, hermitize, inverse_transform
+from .spectral import _SQRT_2PI, Grid, SpectralField, hermitize, inverse_transform
 
 #: Guard against division by zero in the CFL rule for the zero field.
 CFL_FLOOR = 1e-12
-
-#: Relative margin on the l1 bound of max|u| in the CFL certificate; it
-#: covers the rounding of the bound's sum and of the synthesis it replaces.
-CFL_BOUND_SLACK = 1e-9
 
 #: Overflow guard: amplitudes beyond this are treated as blow-up even
 #: before they reach inf.
@@ -77,27 +73,14 @@ class SolverState:
     @cached_property
     def abs_half(self) -> np.ndarray:
         """|c| of the half spectrum, shared by the halt check and the CFL
-        certificate."""
+        speed."""
         return np.abs(self.half)
 
     @cached_property
     def band_samples(self) -> np.ndarray:
         """Grid samples of the kept band ``half[:m]`` (``band_length``): the
-        synthesis that the first RK4 stage reads."""
+        synthesis that the CFL speed and the first RK4 stage read."""
         return inverse_transform(self.grid, self.half[:band_length(self.grid)])
-
-    @cached_property
-    def max_abs_u(self) -> float:
-        """max|u| over the grid samples of the full (undealiased) field;
-        ``cfl_dt`` reads it only when the l1 bound cannot settle dt.  With
-        no nonzero mode above the band the field is ``band_samples``, the
-        same bits since the inverse FFT zero-pads a short spectrum;
-        otherwise it is one synthesis of the whole half spectrum."""
-        if np.any(self.half[band_length(self.grid):]):
-            samples = inverse_transform(self.grid, self.half)
-        else:
-            samples = self.band_samples
-        return float(np.max(np.abs(samples)))
 
 
 @dataclass(frozen=True)
@@ -122,29 +105,28 @@ def geometric_snapshots(t_end: float) -> tuple:
 
 
 def cfl_dt(state: SolverState, config: SolverConfig) -> float:
-    """dt = min(dt_max, cfl * dx / max(floor, max|u|^2)).
+    """dt = min(dt_max, cfl * dx / max(floor, U^2)).
 
     The exactly-propagated linear part contributes no restriction; only the
-    transport speed |u|^2 of the cubic term does.  When the same formula
-    with the l1 bound B >= max|u| (widened by ``CFL_BOUND_SLACK``) reaches
-    dt_max, the exact value is dt_max too and no synthesis is made.  A
-    binding B, or one that is NaN or beyond ``BLOWUP_AMPLITUDE``, falls
-    back to the exact max|u|, cached on the state, so planning a segment
-    and taking its first step share one transform; for a state with
-    nothing above the kept band, that transform is the band synthesis the
-    step's first stage reads.
+    transport speed |u|^2 of the cubic term does.  U bounds max|u|:
+
+        U = max|band_samples| + (sqrt(2 pi)/L) (2 sum_{k>=m} |c_k| - |c_(n/2)|),
+
+    the band's synthesis, which the step's first stage reads too, plus the
+    l1 norm of the modes above the band.  With nothing above the band U is
+    max|u| bit for bit, the inverse FFT zero-padding a short spectrum.  An
+    overflowing U^2 gives dt = 0, which run_simulation halts as blowup; a
+    NaN U gives dt_max.
     """
-    reach = config.cfl_coefficient * state.grid.dx
-    bound = half_sup_bound(state.grid, state.abs_half) * (1.0 + CFL_BOUND_SLACK)
-    # NaN fails the first test, and a bound past the blow-up guard (inf
-    # included) is never certified, so bound**2 cannot overflow
-    if bound <= BLOWUP_AMPLITUDE and reach / max(CFL_FLOOR, bound ** 2) >= config.dt_max:
-        return config.dt_max
+    grid = state.grid
+    tail = state.abs_half[band_length(grid):]
+    above = 2.0 * float(np.sum(tail)) - float(tail[-1])
+    bound = float(np.max(np.abs(state.band_samples))) + _SQRT_2PI / grid.box_length * above
     try:
-        speed = state.max_abs_u ** 2
+        speed = bound ** 2
     except OverflowError:
         speed = np.inf                  # dt = 0: run_simulation halts as blowup
-    return min(config.dt_max, reach / max(CFL_FLOOR, speed))
+    return min(config.dt_max, config.cfl_coefficient * grid.dx / max(CFL_FLOOR, speed))
 
 
 def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:

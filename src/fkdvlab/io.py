@@ -40,17 +40,6 @@ def write_series_columns(path: str, abscissa, columns: dict,
                               + [_fmt(columns[name][i]) for name in names]) + "\n")
 
 
-def read_series(path: str) -> tuple[list, dict]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        cols: dict = {name: [] for name in header}
-        for line in fh:
-            for name, value in zip(header, line.strip().split(",")):
-                cols[name].append(float(value))
-    abscissa = cols.pop(header[0])
-    return abscissa, cols
-
-
 def write_spectrum(path: str, fld: SpectralField) -> None:
     """Spectrum CSV: wavenumber, real and imaginary coefficient parts, n
     rows in the ascending order of ``spectral.whole_spectrum``, the
@@ -82,11 +71,6 @@ def write_report(report, path: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def read_report(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def write_manifest(path: str, config: dict, smallness: dict, halt,

@@ -160,14 +160,6 @@ def whole_spectrum(half: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conjugate(half[..., :0:-1]), half[..., :-1]], axis=-1)
 
 
-def half_sup_bound(grid: Grid, magnitudes: np.ndarray) -> float:
-    """Upper bound on max|inverse_transform(grid, half)| from the magnitudes
-    |half| alone: (sqrt(2 pi)/L) (|c_0| + 2 sum |c_k| + |c_(n/2)|), the
-    triangle inequality on the synthesis, with no transform."""
-    l1 = 2.0 * float(np.sum(magnitudes)) - float(magnitudes[0]) - float(magnitudes[-1])
-    return _SQRT_2PI / grid.box_length * l1
-
-
 def hermitian_defect(fld: SpectralField) -> float:
     """Max deviation from coeff(-xi) == conj(coeff(xi)), Nyquist ignored:
     the negative modes are the mirror by construction, so only the zero

@@ -21,6 +21,8 @@ from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import STUDIES, ExperimentConfig, ExperimentReport, default_config
 from fkdvlab.spectral import SpectralField, make_grid
 
+import outputs
+
 
 def write(tmp_path, text, name="c.cfg"):
     path = tmp_path / name
@@ -389,7 +391,7 @@ class TestSeriesIO:
             lines = fh.read().strip().split("\n")
         assert lines[0] == "t,linf"
         assert len(lines) == 4
-        t_back, cols = lab_io.read_series(path)
+        t_back, cols = outputs.read_series(path)
         assert t_back == [1.0, 2.0, 3.0]
         assert cols["linf"] == [0.5, 0.25, 1e-17]
 
@@ -398,7 +400,7 @@ class TestSeriesIO:
         series.add(1.0, 1.0 / 3.0)
         path = str(tmp_path / "s.csv")
         lab_io.write_series_columns(path, series.times, {series.name: series.values})
-        _, cols = lab_io.read_series(path)
+        _, cols = outputs.read_series(path)
         assert cols["v"][0] == 1.0 / 3.0          # bit-exact roundtrip
 
     def test_report_roundtrip(self, tmp_path):
@@ -407,7 +409,7 @@ class TestSeriesIO:
         report.add_verdict("exp", True, -0.47, "[-0.6,-0.4]", "s.csv")
         path = str(tmp_path / "r.json")
         lab_io.write_report(report, path)
-        back = lab_io.read_report(path)
+        back = outputs.read_report(path)
         assert back["study"] == "decay"
         assert back["verdicts"][0]["passed"] is True
         assert back["measured"]["exponent_u"] == -0.47
@@ -447,7 +449,7 @@ class TestSeriesIO:
         c[-1] = 0.5
         path = str(tmp_path / "w.csv")
         lab_io.write_spectrum(path, SpectralField(g, c))
-        xi, cols = lab_io.read_series(path)
+        xi, cols = outputs.read_series(path)
         assert xi == list(np.arange(-8.0, 8.0))
         assert (cols["re"][8 + 2], cols["im"][8 + 2]) == (1.0, 2.0)
         assert (cols["re"][8 - 2], cols["im"][8 - 2]) == (1.0, -2.0)

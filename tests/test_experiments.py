@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fkdvlab import experiments
-from fkdvlab import io as lab_io
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import (
     ExperimentConfig,
@@ -27,6 +26,7 @@ from fkdvlab.spectral import (CUTOFFS, SpectralField, hermitize, inverse_transfo
                               make_grid, norm_sobolev, norm_z)
 
 import ascending as asc
+import outputs
 
 TWO_PI = 2.0 * np.pi
 
@@ -292,7 +292,7 @@ class TestStudySmoke:
         assert [v.name for v in report.verdicts][:2] == [
             "e0_ratio_eps0.2_to_0.1", "e1_ratio_eps0.2_to_0.1"]
         for j in cfg.j_list:
-            cols = [lab_io.read_series(str(tmp_path / f"longwave_eps{eps:g}.csv"))
+            cols = [outputs.read_series(str(tmp_path / f"longwave_eps{eps:g}.csv"))
                     for eps in cfg.eps_list]
             assert all(times[1] == 0.25 for times, _ in cols)
             want = cols[0][1][f"e{j}"][1] / cols[1][1][f"e{j}"][1]

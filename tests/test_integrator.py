@@ -16,7 +16,6 @@ from fkdvlab.equations import (
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.integrator import (
     BLOWUP_AMPLITUDE,
-    CFL_BOUND_SLACK,
     CFL_FLOOR,
     SNAPSHOT_RATIO,
     HaltReason,
@@ -30,7 +29,6 @@ from fkdvlab.integrator import (
 )
 from fkdvlab.spectral import (
     SpectralField,
-    half_sup_bound,
     hermitian_defect,
     hermitize,
     inverse_transform,
@@ -94,13 +92,17 @@ def reference_step(grid, c, dt, eq):
 
 def reference_run(u0, eq, config):
     """run_simulation's segment loop over reference_step on the ascending
-    spectrum, with CFL read from the synthesis and a three-pass halt check.
-    Returns (half spectrum, halt kind, halt time, largest Hermitian
-    defect)."""
+    spectrum, with CFL read from the synthesis of the band plus the l1 norm
+    of the modes above it, and a three-pass halt check.  Returns (half
+    spectrum, halt kind, halt time, largest Hermitian defect)."""
     grid = u0.grid
+    mask = asc.dealias_mask(grid)
 
     def dt_allowed(c):
-        speed = float(np.max(np.abs(asc.inverse_transform(grid, c)))) ** 2
+        tail = np.abs(asc.half_of(c)[band_length(grid):])
+        speed = (float(np.max(np.abs(asc.inverse_transform(grid, c * mask))))
+                 + asc.SQRT_2PI / grid.box_length
+                 * (2.0 * float(np.sum(tail)) - float(tail[-1]))) ** 2
         return min(config.dt_max,
                    config.cfl_coefficient * grid.dx / max(CFL_FLOOR, speed))
 
@@ -163,11 +165,9 @@ class TestCfl:
 
 
 @st.composite
-def cfl_cases(draw):
-    """A random half spectrum (broadband or a few modes, decaying at a
-    random rate, complex or real, any scale), the CFL coefficient, and
-    dt_max placed at the exact CFL edge, at the certificate's edge, one ulp
-    past either, or anywhere near them."""
+def broadband_spectra(draw):
+    """A random half spectrum: broadband or a few modes, decaying at a
+    random rate, complex or real, any scale."""
     n = draw(st.sampled_from([2 ** j for j in range(3, 13)]))
     grid = make_grid(n, draw(st.sampled_from([TWO_PI, 16.0, 256.0 * np.pi])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -180,11 +180,20 @@ def cfl_cases(draw):
         keep[rng.choice(m, size=min(modes, m), replace=False)] = True
         half[~keep] = 0.0
     if draw(st.booleans()):
-        # real coefficients peak together at x = 0: B is tight for one mode
+        # real coefficients peak together at x = 0: U is tight for one mode
         half = half.real.astype(complex)
     half *= 10.0 ** draw(st.floats(-8.0, 3.0))
+    return grid, half
+
+
+@st.composite
+def cfl_cases(draw):
+    """A half spectrum of ``broadband_spectra`` or ``tailed_spectra``, the
+    CFL coefficient, and dt_max placed at the exact CFL edge, at the edge
+    of U, one ulp past either, or anywhere near them."""
+    grid, half = draw(st.one_of(broadband_spectra(), tailed_spectra()))
     cfl = draw(st.floats(0.01, 1.0))
-    where = draw(st.sampled_from(["exact", "certificate", "near"]))
+    where = draw(st.sampled_from(["exact", "bound", "near"]))
     return grid, half, cfl, where, draw(st.sampled_from([0, 1])), \
         10.0 ** draw(st.floats(-2.0, 2.0))
 
@@ -216,35 +225,47 @@ def tailed_spectra(draw):
     return grid, half
 
 
-class TestMaxAbsU:
-    @settings(max_examples=300, deadline=None)
-    @given(tailed_spectra())
-    def test_equals_full_synthesis(self, case):
-        # a tail of zeros reads the band synthesis; the same bits either way
-        grid, half = case
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = SolverState(0.0, grid, half).max_abs_u
-            want = float(np.max(np.abs(inverse_transform(grid, half))))
-        assert got == want or (np.isnan(got) and np.isnan(want))
+def speed_bound(grid, half):
+    """U = max|u_band| + (sqrt(2 pi)/L)(2 sum_{k>=m} |c_k| - |c_(n/2)|), the
+    band synthesised from a full-length spectrum with zeros above it."""
+    m = band_length(grid)
+    band = np.where(np.arange(len(half)) < m, half, 0.0)
+    tail = np.abs(half[m:])
+    return (float(np.max(np.abs(inverse_transform(grid, band))))
+            + asc.SQRT_2PI / grid.box_length * (2.0 * float(np.sum(tail)) - float(tail[-1])))
 
 
-class TestCflCertificate:
-    @settings(max_examples=300, deadline=None)
+class TestCflSpeed:
+    @settings(max_examples=600, deadline=None)
     @given(cfl_cases())
-    def test_certificate_matches_exact_formula(self, case):
+    def test_speed_is_band_max_plus_tail_l1(self, case):
+        # cfl_dt reads U; U is max|u| bit for bit with nothing above the
+        # band, and at least max|u|, to the synthesis's round-off, otherwise
         grid, half, cfl, where, ulps, factor = case
         reach = cfl * grid.dx
-        max_u = float(np.max(np.abs(inverse_transform(grid, half))))
-        bound = half_sup_bound(grid, np.abs(half)) * (1.0 + CFL_BOUND_SLACK)
-        assert bound >= max_u
-        exact_edge = reach / max(CFL_FLOOR, max_u ** 2)
-        dt_max = {"exact": exact_edge, "near": exact_edge * factor,
-                  "certificate": reach / max(CFL_FLOOR, bound ** 2)}[where]
+        with np.errstate(over="ignore", invalid="ignore"):
+            max_u = float(np.max(np.abs(inverse_transform(grid, half))))
+            bound = speed_bound(grid, half)
+        edges = {"exact": reach / max(CFL_FLOOR, max_u ** 2),
+                 "bound": reach / max(CFL_FLOOR, bound ** 2)}
+        dt_max = edges["exact"] * factor if where == "near" else edges[where]
+        if not 0.0 < dt_max < np.inf:
+            # a NaN or infinite entry leaves no edge
+            dt_max = factor
         for _ in range(ulps):
             dt_max = np.nextafter(dt_max, np.inf)
         config = SolverConfig(dt_max=float(dt_max), cfl_coefficient=cfl)
-        got = cfl_dt(SolverState(0.0, grid, half), config)
-        assert got == min(config.dt_max, reach / max(CFL_FLOOR, max_u ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cfl_dt(SolverState(0.0, grid, half), config)
+        assert got == min(config.dt_max, reach / max(CFL_FLOOR, bound ** 2))
+        tail = half[band_length(grid):]
+        if not np.any(tail):
+            assert bound == max_u
+        elif np.all(np.isfinite(tail)):
+            mag = np.abs(half)
+            l1 = asc.SQRT_2PI / grid.box_length * (
+                2.0 * np.sum(mag) - mag[0] - mag[-1])
+            assert bound >= max_u - 1e-12 * l1
 
 
 class TestStep:
@@ -549,9 +570,11 @@ class TestRunSimulation:
         monkeypatch.setattr(integrator, "inverse_transform", counted_synth)
         return counts
 
-    def test_certified_steps_make_no_cfl_transform(self, monkeypatch):
-        # small dispersive data: the l1 bound settles dt = dt_max on every
-        # call, so CFL control never synthesises the field
+    def test_capped_steps_one_transform_per_step(self, monkeypatch):
+        # small dispersive data: dt = dt_max on every call, read from the
+        # band synthesis that the step's first stage then reuses, and
+        # planning a segment and its first step share it: one per state the
+        # steps start from
         counts = self.count_calls(monkeypatch)
         g = make_grid(256, 32.0 * np.pi)
         cfg = SolverConfig(dt_max=0.1, t_end=2.0, snapshot_times=(0.5, 1.0, 1.5))
@@ -560,12 +583,12 @@ class TestRunSimulation:
         assert halt.completed
         assert counts["step"] == 20
         assert counts["cfl"] == counts["step"] + 4
-        assert counts["transform"] == 0
+        assert counts["transform"] == counts["step"]
 
     def test_binding_cfl_one_transform_per_step(self, monkeypatch):
-        # on a fine grid the transport speed binds, the bound cannot settle
-        # dt, and planning a segment and its first step share one synthesis:
-        # one per state the steps start from
+        # on a fine grid the transport speed binds, and planning a segment
+        # and its first step share one synthesis: one per state the steps
+        # start from
         counts = self.count_calls(monkeypatch)
         g = make_grid(512, TWO_PI)
         cfg = SolverConfig(dt_max=0.1, t_end=0.2, snapshot_times=(0.05, 0.1, 0.15))
@@ -620,12 +643,15 @@ class TestFullSpectrumReference:
         assert np.array_equal(final.half, ref)
         assert defect_max == 0.0
 
-    def test_band_limited_run_reuses_band_synthesis(self, tracing):
+    @pytest.mark.parametrize("sampled_on", [256, 512])
+    def test_band_limited_run_reuses_band_synthesis(self, tracing, sampled_on):
         # a sine regridded from 256 points has exact zeros above the band
-        # on 512, and the dispersionless step keeps them there, so each
-        # binding CFL speed is read from the band synthesis that the step's
-        # first stage then uses: 8 transforms a step, no more
-        coarse, g = make_grid(256, TWO_PI), make_grid(512, TWO_PI)
+        # on 512, and the dispersionless step keeps them there; sampled on
+        # 512 it keeps round-off there, as rung 512 of the shock ladder
+        # does.  Either way each binding CFL speed is read from the band
+        # synthesis that the step's first stage then uses: 8 transforms a
+        # step, no more
+        coarse, g = make_grid(sampled_on, TWO_PI), make_grid(512, TWO_PI)
         u0 = regrid(field_of(coarse, 0.5 * np.sin(coarse.x)), g)
         eq = make_equation("modified_burgers")
         cfg = SolverConfig(dt_max=0.1, t_end=0.2, snapshot_times=(0.05, 0.1, 0.15))
@@ -639,7 +665,7 @@ class TestFullSpectrumReference:
         steps = summary["calls"]["integrator.step_ifrk4"]
         assert steps >= 8 and summary["calls"]["integrator.cfl_dt"] == steps + 4
         assert summary["step_transforms"] == 8 * steps
-        assert not np.any(final.half[band_length(g):])
+        assert np.any(final.half[band_length(g):]) == (sampled_on == 512)
         ref, kind_ref, t_ref, _ = reference_run(u0, eq, cfg)
         assert (halt.kind, halt.t) == (kind_ref, t_ref) == ("completed", 0.2)
         assert np.array_equal(final.half, ref)
