@@ -108,61 +108,76 @@ def band_length(grid: Grid) -> int:
 @dataclass
 class GridTables:
     """An equation's tables on one grid's half spectrum, and the workspace
-    its nonlinearity overwrites on every call: one caller at a time per
-    (equation, grid)."""
+    that its nonlinearity and the IF-RK4 step overwrite on every call: one
+    caller at a time per (equation, grid)."""
 
     linear: np.ndarray          # L, 0 in the Nyquist slot
     multiplier: np.ndarray      # c*i*xi/3 on the kept band k < m
+    dispersive: bool            # whether exp(dt*L) moves with dt
     samples: np.ndarray         # n reals: the synthesis of the band
     cube: np.ndarray            # n reals: its cube
     spectrum: np.ndarray        # n/2 + 1 complex: the cube's unscaled FFT
-    exponentials: tuple | None = None   # (dt, exp(dt*L), exp(dt*L/2)), latest dt
+    stages: tuple               # five m complex: a step's k1 ... k4 and stage input
+    factors: tuple | None = None    # (dt, step_factors(dt)), latest dt
+
+    def step_factors(self, dt: float) -> tuple:
+        """exp(dt*L) and exp(dt*L/2) on the half spectrum, 0 in the Nyquist
+        slot so that a step keeps the Nyquist mode zero, then dt*exp(dt*L/2)
+        and 2*exp(dt*L/2) on the kept band.  Kept for the most recent dt
+        only: dt is constant inside a solver segment but varies freely
+        across segments.  Without dispersion the exponentials are 1 for
+        every dt, so the first pair is kept and only dt*exp(dt*L/2) follows
+        dt."""
+        entry = self.factors
+        if entry is None or entry[0] != dt:
+            m = len(self.multiplier)
+            if entry is None or self.dispersive:
+                e_full, e_half = np.exp(dt * self.linear), np.exp(0.5 * dt * self.linear)
+                e_full[-1] = e_half[-1] = 0.0
+                two_e_half = 2.0 * e_half[:m]
+            else:
+                e_full, e_half, _, two_e_half = entry[1]
+            entry = self.factors = (dt, (e_full, e_half, dt * e_half[:m], two_e_half))
+        return entry[1]
 
 
 @lru_cache(maxsize=16)
 def grid_tables(eq: EquationSpec, grid: Grid) -> GridTables:
     """The tables of an equation on a grid, kept for the 16 most recent
     (equation, grid) pairs."""
-    n = grid.n_points
+    n, m = grid.n_points, band_length(grid)
     return GridTables(half_table(grid, lambda xi: linear_symbol(eq, xi)),
-                      eq.coefficient / 3 * 1j * grid.wavenumbers[:band_length(grid)],
-                      np.empty(n), np.empty(n), np.empty(n // 2 + 1, dtype=complex))
-
-
-def linear_exponentials(eq: EquationSpec, grid: Grid, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(dt*L) and exp(dt*L/2) on the half spectrum, 0 in the Nyquist
-    slot so that a step keeps the Nyquist mode zero.  Kept for the most
-    recent dt only: dt is constant inside a solver segment but varies
-    freely across segments.  Without dispersion they are 1 for every dt,
-    so the first pair is kept."""
-    tables = grid_tables(eq, grid)
-    entry = tables.exponentials
-    if entry is None or (entry[0] != dt and eq.is_dispersive):
-        entry = (dt, np.exp(dt * tables.linear), np.exp(0.5 * dt * tables.linear))
-        entry[1][-1] = entry[2][-1] = 0.0
-        tables.exponentials = entry
-    return entry[1], entry[2]
+                      eq.coefficient / 3 * 1j * grid.wavenumbers[:m], eq.is_dispersive,
+                      np.empty(n), np.empty(n), np.empty(n // 2 + 1, dtype=complex),
+                      tuple(np.empty(m, dtype=complex) for _ in range(5)))
 
 
 def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray,
-                 samples: np.ndarray | None = None) -> np.ndarray:
+                 samples: np.ndarray | None = None, out: np.ndarray | None = None,
+                 tables: GridTables | None = None) -> np.ndarray:
     """Spectral right-hand side c * d/dx(u^3/3), alias-free, of a field
     given by its half spectrum.
 
     Only the kept band k = 0 ... m - 1 (``band_length``, the cubic dealias
     rule) enters and leaves: the synthesis reads ``half[:m]``, zero-padded
-    to n by the inverse real FFT, and the result is a new array, the band
-    of length m, every mode above it being zero.  Retained modes carry the
+    to n by the inverse real FFT, and the result is the band of length m,
+    every mode above it being zero.  It is written to ``out`` (m complex)
+    when given, and is a new array otherwise.  Retained modes carry the
     exact truncated convolution.  The derivative, coefficient and 1/3 form
     one cached band multiplier.  ``samples``, when given, is that
-    synthesis already made and replaces it.  The synthesis, cube and FFT
+    synthesis already made and replaces it; ``tables``, when given, is
+    ``grid_tables(eq, grid)`` already fetched.  The synthesis, cube and FFT
     run in the grid tables' workspace.
     """
-    tables = grid_tables(eq, grid)
+    if tables is None:
+        tables = grid_tables(eq, grid)
     m = len(tables.multiplier)
     if eq.coefficient == 0.0:
-        return np.zeros(m, dtype=complex)
+        if out is None:
+            return np.zeros(m, dtype=complex)
+        out.fill(0.0)
+        return out
     v = inverse_transform(grid, half[:m], out=tables.samples) if samples is None else samples
     cube = np.multiply(v, v, out=tables.cube)
     np.multiply(cube, v, out=cube)
-    return tables.multiplier * transform(grid, cube, m, out=tables.spectrum)
+    return np.multiply(tables.multiplier, transform(grid, cube, m, out=tables.spectrum), out=out)

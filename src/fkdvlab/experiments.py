@@ -50,6 +50,7 @@ from .spectral import (
     inverse_transform,
     is_grid_size,
     make_grid,
+    max_abs,
     norm_h11,
     norm_linf,
     norm_sobolev,
@@ -411,7 +412,7 @@ def _study(body) -> Callable[[ExperimentConfig, str], ExperimentReport]:
 def _sup_gradient(grid: Grid) -> Callable[[np.ndarray], float]:
     """sup|u_x| of a half spectrum on grid, by the d/dx table."""
     table = half_table(grid, lambda xi: 1j * xi)
-    return lambda half: float(np.max(np.abs(inverse_transform(grid, half * table))))
+    return lambda half: max_abs(inverse_transform(grid, half * table))
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,15 @@ preserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .equations import EquationSpec, band_length, linear_exponentials, nonlinearity
+from .equations import EquationSpec, band_length, grid_tables, nonlinearity
 from .errors import ConfigurationError
-from .spectral import _SQRT_2PI, Grid, SpectralField, hermitize, inverse_transform
+from .spectral import _SQRT_2PI, Grid, SpectralField, hermitize, inverse_transform, max_abs
 
 #: Guard against division by zero in the CFL rule for the zero field.
 CFL_FLOOR = 1e-12
@@ -61,26 +61,40 @@ class SolverConfig:
 
 
 class SolverState:
-    """Time and field of the solver, the field held as its half spectrum."""
+    """Time and field of the solver, the field held as its half spectrum.
+    What the solver reads of a state more than once is filled in on first
+    use and kept: the field record, |c|, the band synthesis and the CFL
+    speed."""
+
+    __slots__ = ("t", "grid", "half", "_field", "_abs_half", "_band_samples", "cfl_speed")
 
     def __init__(self, t: float, grid: Grid, half: np.ndarray):
         self.t, self.grid, self.half = t, grid, half
+        self._field = self._abs_half = self._band_samples = None
+        #: U^2 of ``cfl_dt``, None until it first reads this state
+        self.cfl_speed: float | None = None
 
-    @cached_property
+    @property
     def field(self) -> SpectralField:
-        return SpectralField(self.grid, self.half)
+        if self._field is None:
+            self._field = SpectralField(self.grid, self.half)
+        return self._field
 
-    @cached_property
+    @property
     def abs_half(self) -> np.ndarray:
         """|c| of the half spectrum, shared by the halt check and the CFL
         speed."""
-        return np.abs(self.half)
+        if self._abs_half is None:
+            self._abs_half = np.abs(self.half)
+        return self._abs_half
 
-    @cached_property
+    @property
     def band_samples(self) -> np.ndarray:
         """Grid samples of the kept band ``half[:m]`` (``band_length``): the
         synthesis that the CFL speed and the first RK4 stage read."""
-        return inverse_transform(self.grid, self.half[:band_length(self.grid)])
+        if self._band_samples is None:
+            self._band_samples = inverse_transform(self.grid, self.half[:band_length(self.grid)])
+        return self._band_samples
 
 
 @dataclass(frozen=True)
@@ -116,16 +130,20 @@ def cfl_dt(state: SolverState, config: SolverConfig) -> float:
     l1 norm of the modes above the band.  With nothing above the band U is
     max|u| bit for bit, the inverse FFT zero-padding a short spectrum.  An
     overflowing U^2 gives dt = 0, which run_simulation halts as blowup; a
-    NaN U gives dt_max.
+    NaN U gives dt_max.  U^2 is kept on the state as its ``cfl_speed``:
+    planning a segment and its first step read one state.
     """
     grid = state.grid
-    tail = state.abs_half[band_length(grid):]
-    above = 2.0 * float(np.sum(tail)) - float(tail[-1])
-    bound = float(np.max(np.abs(state.band_samples))) + _SQRT_2PI / grid.box_length * above
-    try:
-        speed = bound ** 2
-    except OverflowError:
-        speed = np.inf                  # dt = 0: run_simulation halts as blowup
+    speed = state.cfl_speed
+    if speed is None:
+        tail = state.abs_half[band_length(grid):]
+        above = 2.0 * float(tail.sum()) - float(tail[-1])
+        bound = max_abs(state.band_samples) + float(_SQRT_2PI) / grid.box_length * above
+        try:
+            speed = bound ** 2
+        except OverflowError:
+            speed = math.inf            # dt = 0: run_simulation halts as blowup
+        state.cfl_speed = speed
     return min(config.dt_max, config.cfl_coefficient * grid.dx / max(CFL_FLOOR, speed))
 
 
@@ -139,40 +157,65 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
     above it every stage term is zero and the new state is exp(dt*L) v
     exactly.  The exponentials' zero Nyquist slot keeps the Nyquist mode
     zero.  The first stage reads the state's cached ``band_samples``.
+
+    The stages run in the grid tables' band buffers, in the association
+    order of
+
+        k2 = N(e_half (v + (dt/2) k1)),  k3 = N(e_half v + (dt/2) k2),
+        k4 = N(e v + (dt e_half) k3),
+        e v + (dt/6) ((e k1 + (2 e_half)(k2 + k3)) + k4),
+
+    with dt*e_half and 2*e_half kept per dt (``GridTables.step_factors``).
+    Only the new state's half spectrum is a new array.
     """
     if dt == 0.0:
         return state
     grid = state.grid
-    e_full, e_half = linear_exponentials(eq, grid, dt)
-    m = band_length(grid)
+    tables = grid_tables(eq, grid)
+    e_full, e_half, dt_e_half, two_e_half = tables.step_factors(dt)
+    k1, k2, k3, k4, s = tables.stages
+    m = len(s)
+    h = 0.5 * dt
 
     new_half = e_full * state.half
     v, ev, e_full, e_half = state.half[:m], new_half[:m], e_full[:m], e_half[:m]
-    k1 = nonlinearity(eq, grid, v, samples=state.band_samples)
-    k2 = nonlinearity(eq, grid, e_half * (v + 0.5 * dt * k1))
-    k3 = nonlinearity(eq, grid, e_half * v + 0.5 * dt * k2)
-    k4 = nonlinearity(eq, grid, ev + dt * e_half * k3)
+    nonlinearity(eq, grid, v, samples=state.band_samples, out=k1, tables=tables)
+    np.multiply(h, k1, out=s)
+    np.add(v, s, out=s)
+    np.multiply(e_half, s, out=s)
+    nonlinearity(eq, grid, s, out=k2, tables=tables)
+    np.multiply(e_half, v, out=s)
+    np.multiply(h, k2, out=k3)
+    np.add(s, k3, out=s)
+    nonlinearity(eq, grid, s, out=k3, tables=tables)
+    np.multiply(dt_e_half, k3, out=s)
+    np.add(ev, s, out=s)
+    nonlinearity(eq, grid, s, out=k4, tables=tables)
 
-    new_half[:m] = ev + (dt / 6.0) * (
-        e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    np.multiply(e_full, k1, out=k1)
+    np.add(k2, k3, out=k2)
+    np.multiply(two_e_half, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6.0, k1, out=k1)
+    np.add(ev, k1, out=ev)
     return SolverState(state.t + dt, grid, new_half)
 
 
 def _state_bad(state: SolverState) -> str | None:
     """Halt reason of a state: "nan", "blowup" or None when it is usable."""
-    c = state.half
-    m = np.max(state.abs_half)
-    if np.isfinite(m) and m <= BLOWUP_AMPLITUDE:
+    # a NaN or infinite maximum fails the comparison
+    if state.abs_half.max() <= BLOWUP_AMPLITUDE:
         return None
     # |inf + nan*j| is inf, so a non-finite maximum alone cannot tell the
     # two reasons apart
-    return "nan" if np.any(np.isnan(c)) else "blowup"
+    return "nan" if np.isnan(state.half).any() else "blowup"
 
 
 def _substeps(length: float, allowed: float) -> int | None:
     """Equal substeps of at most ``allowed`` covering ``length``; None if infinite."""
-    count = length / allowed if allowed > 0.0 else np.inf
-    return max(1, int(np.ceil(count - 1e-12))) if np.isfinite(count) else None
+    count = length / allowed if allowed > 0.0 else math.inf
+    return max(1, math.ceil(count - 1e-12)) if math.isfinite(count) else None
 
 
 def run_simulation(u0: SpectralField, eq: EquationSpec, config: SolverConfig,

@@ -13,7 +13,7 @@ from fkdvlab.equations import (
     nonlinearity,
 )
 from fkdvlab.errors import ConfigurationError
-from fkdvlab.integrator import SolverState, step_ifrk4
+from fkdvlab.integrator import SolverConfig, SolverState, cfl_dt, step_ifrk4
 from fkdvlab.spectral import dealias_keep, inverse_transform, make_grid, transform
 
 import ascending as asc
@@ -297,9 +297,16 @@ class TestBandContract:
         assert np.array_equal(nonlinearity(eq, g, half), nonlinearity(eq, g, half[:m]))
 
 
+def table_buffers(tables):
+    """Every array the grid tables hold: the nonlinearity's workspace, the
+    step's stage buffers and its per-dt factors."""
+    factors = tables.factors[1] if tables.factors is not None else ()
+    return (tables.samples, tables.cube, tables.spectrum, *tables.stages, *factors)
+
+
 class TestWorkspace:
-    """The nonlinearity runs in its grid tables' buffers, and what it
-    returns is its own."""
+    """The nonlinearity and the step run in their grid tables' buffers,
+    and what they return is their own."""
 
     @pytest.mark.parametrize("kind", EQUATION_KINDS)
     def test_given_samples_are_the_synthesis(self, kind):
@@ -310,30 +317,65 @@ class TestWorkspace:
         assert np.array_equal(nonlinearity(eq, g, half, samples=samples),
                               nonlinearity(eq, g, half))
 
+    @pytest.mark.parametrize("kind", EQUATION_KINDS)
+    def test_out_receives_the_result(self, kind):
+        eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
+        g = make_grid(256, 16.0 * np.pi)
+        half = asc.half_of(random_band_limited(g, 100, np.random.default_rng(5)))
+        out = np.full(band_length(g), np.nan, dtype=complex)
+        assert nonlinearity(eq, g, half, out=out) is out
+        assert np.array_equal(out, nonlinearity(eq, g, half))
+
     def test_results_share_no_memory(self):
         eq = make_equation("modified_fkdv", alpha=-0.5)
         g = make_grid(64, TWO_PI)
         tables = grid_tables(eq, g)
         first = nonlinearity(eq, g, transform(g, 0.3 * np.sin(g.x)))
         second = nonlinearity(eq, g, transform(g, 0.2 * np.cos(g.x)))
+        stepped = step_ifrk4(SolverState(0.0, g, transform(g, 0.3 * np.sin(g.x))), 0.01, eq)
         assert not np.shares_memory(first, second)
-        for out in (first, second):
-            for buffer in (tables.samples, tables.cube, tables.spectrum):
+        assert len(table_buffers(tables)) == 3 + 5 + 4
+        for out in (first, second, stepped.half):
+            for buffer in table_buffers(tables):
                 assert not np.shares_memory(out, buffer)
 
-    def test_two_equations_on_one_grid_interleave(self):
+    @pytest.mark.parametrize("runs", [
+        (("modified_fkdv", 0.01), ("modified_burgers", 0.01)),
+        (("modified_fkdv", 0.01), ("modified_fkdv", 0.013)),
+        (("modified_burgers", 0.01), ("modified_burgers", 0.013)),
+    ], ids=["two-equations", "fkdv-two-dt", "burgers-two-dt"])
+    def test_two_runs_on_one_grid_interleave(self, runs):
+        # equal equations share their tables, so two step sizes on one
+        # grid swap the per-dt factors on every step
         g = make_grid(256, 16.0 * np.pi)
         half = asc.half_of(random_band_limited(g, 60, np.random.default_rng(4)))
-        eqs = (make_equation("modified_fkdv", alpha=-0.5), make_equation("modified_burgers"))
-        apart = {}
-        for eq in eqs:
+        runs = [(make_equation(kind, **REGISTRY_PARAMS.get(kind, {})), dt)
+                for kind, dt in runs]
+        apart = []
+        for eq, dt in runs:
             state = SolverState(0.0, g, half)
             for _ in range(5):
-                state = step_ifrk4(state, 0.01, eq)
-            apart[eq] = state.half
-        together = {eq: SolverState(0.0, g, half) for eq in eqs}
+                state = step_ifrk4(state, dt, eq)
+            apart.append(state.half)
+        together = [SolverState(0.0, g, half) for _ in runs]
         for _ in range(5):
-            for eq in eqs:
-                together[eq] = step_ifrk4(together[eq], 0.01, eq)
-        for eq in eqs:
-            assert np.array_equal(together[eq].half, apart[eq])
+            together = [step_ifrk4(state, dt, eq)
+                        for state, (eq, dt) in zip(together, runs)]
+        for state, half_apart in zip(together, apart):
+            assert np.array_equal(state.half, half_apart)
+
+    def test_cached_cfl_speed_serves_every_config(self):
+        # the state keeps the speed, not the step: each config reads it anew
+        eq = make_equation("modified_burgers")
+        g = make_grid(256, 16.0 * np.pi)
+        half = asc.half_of(random_band_limited(g, 60, np.random.default_rng(6)))
+        state = step_ifrk4(SolverState(0.0, g, half), 0.01, eq)
+        configs = (SolverConfig(dt_max=10.0, cfl_coefficient=0.5),
+                   SolverConfig(dt_max=10.0, cfl_coefficient=0.9),
+                   SolverConfig(dt_max=1e-4, cfl_coefficient=0.9))
+        assert state.cfl_speed is None
+        cached = [cfl_dt(state, cfg) for cfg in configs + configs]
+        assert state.cfl_speed is not None
+        fresh = [cfl_dt(SolverState(state.t, g, state.half), cfg) for cfg in configs]
+        assert cached == fresh + fresh
+        assert cached[0] < 10.0 and cached[0] != cached[1] and cached[2] == 1e-4

@@ -9,7 +9,6 @@ from fkdvlab.equations import (
     EQUATION_KINDS,
     band_length,
     grid_tables,
-    linear_exponentials,
     linear_symbol,
     make_equation,
 )
@@ -58,6 +57,11 @@ def gaussian_field(grid, amplitude=0.1, width=1.0):
 
 def state_of(fld, t=0.0):
     return SolverState(t, fld.grid, fld.coeffs)
+
+
+def linear_exponentials(eq, grid, dt):
+    """exp(dt*L) and exp(dt*L/2), the first two step factors."""
+    return grid_tables(eq, grid).step_factors(dt)[:2]
 
 
 def reference_nonlinearity(eq, grid, c):
@@ -403,15 +407,19 @@ class TestExponentialCache:
         assert not np.any(grid_tables(linear, g).multiplier)
 
     def test_dispersionless_pair_kept_across_dt(self):
-        # exp(dt*0) is 1 for every dt: the first pair serves every later step
+        # exp(dt*0) is 1 for every dt: the first pair serves every later
+        # step, and only the band factor dt*exp(dt*L/2) follows dt
         eq = make_equation("modified_burgers")
         g = make_grid(32, TWO_PI)
         first = linear_exponentials(eq, g, 0.05)
         ones = np.append(np.ones(16), 0.0)
+        m = band_length(g)
         for dt in (0.02, 1e-3, 0.05):
-            pair = linear_exponentials(eq, g, dt)
-            assert pair[0] is first[0] and pair[1] is first[1]
-            assert np.array_equal(pair[0], ones) and np.array_equal(pair[1], ones)
+            e_full, e_half, dt_e_half, two_e_half = grid_tables(eq, g).step_factors(dt)
+            assert e_full is first[0] and e_half is first[1]
+            assert np.array_equal(e_full, ones) and np.array_equal(e_half, ones)
+            assert np.array_equal(dt_e_half, np.full(m, dt, dtype=complex))
+            assert np.array_equal(two_e_half, np.full(m, 2.0, dtype=complex))
 
     def test_dispersive_pair_follows_dt(self):
         eq = make_equation("modified_fkdv", alpha=-0.5)
@@ -628,20 +636,34 @@ class TestFullSpectrumReference:
     whole spectrum: equal bits, equal halt reasons, and a reference that
     never finds a Hermitian defect to repair."""
 
+    @pytest.mark.parametrize("snapshots, dt_changes", [
+        ((0.05, 0.1, 0.15, 0.2), 0),
+        # irregular segments: dt changes at each segment's start, so every
+        # kind rebuilds its per-dt stage factors along the run
+        ((0.03, 0.1, 0.13, 0.17, 0.2), 4),
+    ], ids=["even", "irregular"])
     @pytest.mark.parametrize("n", [16, 512, 8192])
     @pytest.mark.parametrize("kind", EQUATION_KINDS)
-    def test_runs_bit_identical(self, kind, n):
+    def test_runs_bit_identical(self, kind, n, snapshots, dt_changes, monkeypatch):
+        from fkdvlab import integrator
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(n, 16.0 * np.pi)
         u0 = field_of(g, 0.8 * np.exp(-((g.x - g.x_center) / 2.0) ** 2)
                       + 0.1 * np.sin(6.0 * TWO_PI * g.x / g.box_length))
-        cfg = SolverConfig(dt_max=0.05, t_end=0.2,
-                           snapshot_times=(0.05, 0.1, 0.15, 0.2))
+        cfg = SolverConfig(dt_max=0.05, t_end=0.2, snapshot_times=snapshots)
+        dts = []
+
+        def recorded_step(state, dt, eq):
+            dts.append(dt)
+            return step_ifrk4(state, dt, eq)
+
+        monkeypatch.setattr(integrator, "step_ifrk4", recorded_step)
         final, halt = run_simulation(u0, eq, cfg)
         ref, kind_ref, t_ref, defect_max = reference_run(u0, eq, cfg)
         assert (halt.kind, halt.t) == (kind_ref, t_ref) == ("completed", 0.2)
         assert np.array_equal(final.half, ref)
         assert defect_max == 0.0
+        assert sum(a != b for a, b in zip(dts, dts[1:])) >= dt_changes
 
     @pytest.mark.parametrize("sampled_on", [256, 512])
     def test_band_limited_run_reuses_band_synthesis(self, tracing, sampled_on):
