@@ -26,6 +26,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+# The real-FFT kernels behind numpy.fft, called with the arguments
+# numpy.fft.rfft/irfft give them, so each result has the same bits.  The
+# public wrappers' argument checks and norm dispatch take about 3 us a call,
+# half the kernel's own time at the solver's smallest grid (512 points), and
+# the step makes 8 transforms.  Grid sizes are powers of two, hence the
+# even-length kernel.
+# These are numpy 2.x's private names; pyproject.toml pins numpy < 3.
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .errors import ConfigurationError, GridMismatchError, ShapeError
 
@@ -130,20 +138,29 @@ class SpectralField:
 
 def transform(grid: Grid, samples: np.ndarray, modes: int | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples -> half spectrum.  ``modes`` keeps only the first
-    ``modes`` coefficients, k = 0 ... modes - 1.  ``out``, of n/2 + 1
-    complex, receives the unscaled FFT; the result is always a new array.
+    """Real samples -> half spectrum, on the last axis, so rows of samples
+    give rows of half spectra.  ``modes`` keeps only the first ``modes``
+    coefficients, k = 0 ... modes - 1.  ``out``, of n/2 + 1 complex on the
+    last axis, receives the unscaled FFT and is allocated when absent; the
+    result is always a new array, bit for bit ``numpy.fft.rfft`` scaled on
+    float64 samples (narrower floats are transformed in double precision).
     Unchecked: the step kernel calls it; ``SpectralField.from_samples``
     checks its samples."""
-    return np.fft.rfft(samples, out=out)[:modes] * (grid.dx / _SQRT_2PI)
+    if out is None:
+        out = np.empty(np.shape(samples)[:-1] + (grid.n_points // 2 + 1,), dtype=complex)
+    return _rfft(samples, 1.0, out=out)[:modes] * (grid.dx / _SQRT_2PI)
 
 
 def inverse_transform(grid: Grid, half: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum -> real samples, written to ``out`` (n floats) when it
-    is given.  A shorter ``half`` is zero-padded to n/2 + 1 modes; the
-    imaginary parts of the zero and Nyquist modes are ignored."""
-    return np.fft.irfft(half * (_SQRT_2PI / grid.dx), grid.n_points, out=out)
+    """Half spectrum -> real samples, on the last axis, written to ``out``
+    (n floats on the last axis), which is allocated when absent; bit for
+    bit ``numpy.fft.irfft``.  A shorter ``half`` is zero-padded to n/2 + 1
+    modes; the imaginary parts of the zero and Nyquist modes are ignored."""
+    n = grid.n_points
+    if out is None:
+        out = np.empty(np.shape(half)[:-1] + (n,))
+    return _irfft(half * (_SQRT_2PI / grid.dx), 1.0 / n, out=out)
 
 
 def whole_wavenumbers(grid: Grid) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fkdvlab import spectral
 from fkdvlab.equations import (
     EQUATION_KINDS,
     band_length,
@@ -354,19 +355,20 @@ class TestBandLimitedStep:
         eq = make_equation(kind, **REGISTRY_PARAMS.get(kind, {}))
         g = make_grid(512, 16.0 * np.pi)
         state = state_of(gaussian_field(g, amplitude=0.5))
-        lengths = {"rfft": [], "irfft": []}
+        lengths = {"_rfft": [], "_irfft": []}
 
-        def counted(name, func):
-            def wrapper(a, n=None, *args, **kwargs):
-                result = func(a, n, *args, **kwargs)
-                lengths[name].append(len(result) if name == "irfft" else len(a))
+        # the transform pair calls the FFT kernels it binds in spectral
+        def counted(name, kernel):
+            def wrapper(a, fct, out):
+                result = kernel(a, fct, out=out)
+                lengths[name].append(len(result) if name == "_irfft" else len(a))
                 return result
             return wrapper
 
         for name in lengths:
-            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+            monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
         step_ifrk4(state, 0.05, eq)
-        assert lengths == {"rfft": [512] * 4, "irfft": [512] * 4}
+        assert lengths == {"_rfft": [512] * 4, "_irfft": [512] * 4}
 
 
 class TestExponentialCache:

@@ -149,6 +149,46 @@ class TestTransform:
         assert np.max(np.abs(back - synth.real)) <= 1e-13 * np.max(np.abs(synth.real))
         assert np.max(np.abs(synth.imag)) <= 1e-13 * np.max(np.abs(synth.real))
 
+    @pytest.mark.parametrize("n", [8, 16, 512, 8192])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_kernels_match_numpy_fft(self, n, with_out):
+        # the pair calls numpy's FFT kernels itself: each output is
+        # numpy.fft's, bit for bit, on rows as on one field, NaN, infinities
+        # and signed zeros included
+        rng = np.random.default_rng(n)
+        g = make_grid(n, 7.3)
+        scale = g.dx / np.sqrt(TWO_PI)
+
+        def same_bits(got, want):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(got), part(want), equal_nan=True)
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+        u = rng.normal(size=(3, n))
+        u[0, 1] = -0.0
+        u[1, :4] = [np.nan, np.inf, -np.inf, -0.0]
+        u[2] = -0.0
+        c = rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1))
+        c[0, 1] = complex(-0.0, -0.0)
+        c[1, :4] = [np.nan, complex(np.inf, 1.0), complex(0.0, -np.inf), -0.0]
+        c[2] = complex(-0.0, -0.0)
+        m = n // 4 + 1
+        cases = [(u[i], modes) for i in range(3) for modes in (None, m)] + [(u, None)]
+        # both sides warn alike on the NaN and infinite entries
+        with np.errstate(invalid="ignore"):
+            for x, modes in cases:
+                out = np.empty(x.shape[:-1] + (n // 2 + 1,), dtype=complex) if with_out else None
+                same_bits(transform(g, x, modes, out=out), np.fft.rfft(x)[:modes] * scale)
+                if with_out:
+                    same_bits(out, np.fft.rfft(x))
+            for h in [*c, c, *c[:, :m], c[:, :m]]:
+                out = np.empty(h.shape[:-1] + (n,)) if with_out else None
+                back = inverse_transform(g, h, out=out)
+                same_bits(back, np.fft.irfft(h * (np.sqrt(TWO_PI) / g.dx), n))
+                if with_out:
+                    assert back is out
+
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_complex_samples_refused(self, imag):
         # a complex array is refused even with a zero imaginary part, which
