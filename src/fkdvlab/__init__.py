@@ -26,7 +26,6 @@ from .integrator import (  # noqa: F401
 )
 from .diagnostics import (  # noqa: F401
     PhaseAccumulator,
-    DecaySeries,
     compute_profile,
     z_distance,
     difference_rate,

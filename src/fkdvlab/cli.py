@@ -70,20 +70,12 @@ def _load_config(args, study: str | None = None):
 
 def _simulate(study):
     """Raw run of the configured data with snapshot norm series."""
-    cfg = study.cfg
-    times, l2s, linfs, means, sobs = [], [], [], [], []
-
-    def observer(state):
-        times.append(state.t)
-        l2s.append(norm_l2(state.field))
-        linfs.append(norm_linf(state.field))
-        means.append(mean_integral(state.field))
-        sobs.append(norm_sobolev(state.field, SOBOLEV_ORDER))
-
-    halt = study.simulate(geometric_snapshots(cfg.t_end), observer)
-    study.write_series("simulate_series.csv", times, {
-        "l2": l2s, "linf": linfs, "mean": means,
-        f"sobolev_{SOBOLEV_ORDER:g}": sobs})
+    halt, times, series = study.simulate(geometric_snapshots(study.cfg.t_end), {
+        "l2": lambda state: norm_l2(state.field),
+        "linf": lambda state: norm_linf(state.field),
+        "mean": lambda state: mean_integral(state.field),
+        f"sobolev_{SOBOLEV_ORDER:g}": lambda state: norm_sobolev(state.field, SOBOLEV_ORDER)})
+    study.write_series("simulate_series.csv", times, series)
     return [halt], lambda: None
 
 

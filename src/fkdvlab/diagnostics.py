@@ -21,8 +21,6 @@ Their distances are measured in the Z norm, whose weight and noise floor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .equations import EquationSpec, grid_tables
@@ -121,33 +119,20 @@ def difference_rate(t: np.ndarray, d: np.ndarray) -> float:
     return rate
 
 
-@dataclass
-class DecaySeries:
-    """(t, value) samples of one named norm along a run."""
-
-    name: str
-    times: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-
-    def add(self, t: float, value: float) -> None:
-        if self.times and t <= self.times[-1]:
-            raise SequencingError("decay-series times must be strictly increasing")
-        if not np.isfinite(value) or value < 0:
-            raise ValueError(f"decay-series values must be finite nonnegative, got {value}")
-        self.times.append(float(t))
-        self.values.append(float(value))
-
-
-def fit_power_law(series: DecaySeries, t_min: float, t_max: float) -> tuple[float, float]:
-    """Fitted exponent and r^2 of value ~ t^p over the window [t_min, t_max]."""
-    t = np.asarray(series.times)
-    v = np.asarray(series.values)
+def fit_power_law(times, values, t_min: float, t_max: float) -> tuple[float, float]:
+    """Fitted exponent and r^2 of value ~ t^p over the window [t_min, t_max]
+    of a sampled series; every value in the window must be positive and
+    finite."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
     window = (t >= t_min) & (t <= t_max)
     if np.count_nonzero(window) < 5:
         raise InsufficientDataError(
             f"need >= 5 points in [{t_min}, {t_max}], got {np.count_nonzero(window)}")
-    if np.any(v[window] <= 0.0):
+    # written so that a NaN fails the test too
+    bad = ~((v[window] > 0.0) & (v[window] < np.inf))
+    if bad.any():
         raise InsufficientDataError(
-            f"power-law fit of {series.name} needs positive values in [{t_min}, {t_max}], "
-            f"got {np.count_nonzero(v[window] <= 0.0)} nonpositive")
+            f"power-law fit of value ~ t^p needs positive finite values in "
+            f"[{t_min}, {t_max}], got {np.count_nonzero(bad)} nonpositive or nonfinite")
     return _fit_loglog(t[window], v[window])

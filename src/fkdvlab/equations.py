@@ -172,11 +172,6 @@ def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray,
     if tables is None:
         tables = grid_tables(eq, grid)
     m = len(tables.multiplier)
-    if eq.coefficient == 0.0:
-        if out is None:
-            return np.zeros(m, dtype=complex)
-        out.fill(0.0)
-        return out
     v = inverse_transform(grid, half[:m], out=tables.samples) if samples is None else samples
     cube = np.multiply(v, v, out=tables.cube)
     np.multiply(cube, v, out=cube)

@@ -6,8 +6,9 @@ Sobolev/weighted norm growth.  Each study is a body run inside one
 skeleton, ``study_skeleton``: it consumes one ExperimentConfig, runs
 deterministically, writes its series and manifest through the io layer,
 and returns an ExperimentReport whose verdicts cite the emitted series
-files.  A study body keeps only its snapshot schedule, its observer and
-its verdicts.
+files.  Every run samples through one function, ``sample_run``: a study
+body keeps only its snapshot schedule, its columns (functions of the
+solver state, each sampled once at every snapshot) and its verdicts.
 
 Default data shapes were chosen so each phenomenon sits inside its
 asymptotic window at desk scale: a narrow gaussian for sup-norm decay
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import io as lab_io
 from .diagnostics import (
-    DecaySeries,
     PhaseAccumulator,
     compute_profile,
     difference_rate,
@@ -39,7 +39,8 @@ from .diagnostics import (
 )
 from .equations import EquationSpec, make_equation
 from .errors import ConfigurationError
-from .integrator import HaltReason, SolverConfig, geometric_snapshots, run_simulation
+from .integrator import (HaltReason, SolverConfig, SolverState, geometric_snapshots,
+                         run_simulation, uniform_snapshots)
 from .spectral import (
     BOUNDARY_MASS_THRESHOLD,
     Grid,
@@ -326,6 +327,26 @@ def measure_smallness(u0: SpectralField) -> dict:
 # The study skeleton
 # ---------------------------------------------------------------------------
 
+def sample_run(u0: SpectralField, eq: EquationSpec, config: SolverConfig,
+               columns: dict[str, Callable[[SolverState], object]],
+               ) -> tuple[HaltReason, list, dict[str, list]]:
+    """Run u0 under eq and evaluate each named column, a function of the
+    solver state, once at every scheduled snapshot in time order (t = 0
+    only when it is scheduled).  Returns the halt, the snapshot times and
+    each column's values; a run that halts stops them at its last finite
+    snapshot."""
+    times: list = []
+    values = {name: [] for name in columns}
+    stores = [(column, values[name]) for name, column in columns.items()]
+
+    def observer(state):
+        times.append(state.t)
+        for column, store in stores:
+            store.append(column(state))
+
+    return run_simulation(u0, eq, config, observer)[1], times, values
+
+
 @dataclass
 class Study:
     """What the skeleton hands a study body: the validated configuration,
@@ -342,11 +363,11 @@ class Study:
     def eq(self) -> EquationSpec:
         return self.cfg.make_eq()
 
-    def simulate(self, snapshots: tuple, observer) -> HaltReason:
-        """Run the initial data under the configured equation to t_end."""
+    def simulate(self, snapshots: tuple, columns: dict):
+        """``sample_run`` of the initial data under the configured equation
+        to t_end."""
         cfg = self.cfg
-        return run_simulation(self.u0, self.eq, cfg.solver(cfg.t_end, snapshots),
-                              observer)[1]
+        return sample_run(self.u0, self.eq, cfg.solver(cfg.t_end, snapshots), columns)
 
     def write_series(self, name: str, *data, writer=None, **options) -> str:
         """Write one series CSV into out_dir, by ``writer(path, *data,
@@ -397,7 +418,7 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
         report.add_verdict("run_completed", False, halt.t, "halt before t_end", manifest)
     lab_io.write_manifest(os.path.join(out_dir, manifest), asdict(cfg), smallness,
                           halt, started)
-    lab_io.write_report(report, os.path.join(out_dir, f"{name}_report.json"))
+    lab_io.write_report(report.to_dict(), os.path.join(out_dir, f"{name}_report.json"))
     return report
 
 
@@ -428,24 +449,17 @@ def run_decay_study(study: Study):
     """Sup-norm decay of the solution and its gradient, fitted over a window."""
     cfg, report = study.cfg, study.report
     sup_ux = _sup_gradient(study.grid)
-    series_u = DecaySeries("linf_u")
-    series_ux = DecaySeries("linf_ux")
-
-    def observer(state):
-        if state.t > 0:
-            series_u.add(state.t, norm_linf(state.field))
-            series_ux.add(state.t, sup_ux(state.half))
-
-    halt = study.simulate(tuple(np.arange(0.0, cfg.t_end + 1e-9, cfg.sample_dt)),
-                          observer)
-    series_name = study.write_series(
-        "decay_series.csv", series_u.times,
-        {"linf_u": series_u.values, "linf_ux": series_ux.values})
+    halt, times, series = study.simulate(
+        uniform_snapshots(cfg.t_end, cfg.sample_dt)[1:],
+        {"linf_u": lambda state: norm_linf(state.field),
+         "linf_ux": lambda state: sup_ux(state.half)})
+    series_name = study.write_series("decay_series.csv", times, series)
 
     def verdicts():
         lo, hi = EXPONENT_BAND
-        for name, series in (("u", series_u), ("ux", series_ux)):
-            exponent, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
+        for name in ("u", "ux"):
+            exponent, r2 = fit_power_law(times, series[f"linf_{name}"],
+                                         cfg.fit_t_min, cfg.fit_t_max)
             report.measured[f"exponent_{name}"] = exponent
             report.measured[f"r2_{name}"] = r2
             report.add_verdict(f"exponent_{name}_in_band", lo <= exponent <= hi,
@@ -478,16 +492,20 @@ def run_scattering_study(study: Study):
     n_dyadic = int(np.floor(np.log2(cfg.t_end) + 1e-9))
     dyadic = [2.0 ** m for m in range(1, n_dyadic + 1)]
     acc = PhaseAccumulator(study.grid, cfg.alpha)
-    checkpoints = []    # (t, g, f_hat) at each dyadic time
 
-    def observer(state):
+    def checkpoint(state):
+        # the phase advances at every snapshot; (g, f_hat) is kept at the
+        # dyadic times only
         f_hat = compute_profile(state.field, state.t, eq)
         g = acc.correct(state.t, f_hat)
         if any(abs(state.t - d) <= 1e-8 * d for d in dyadic):
-            checkpoints.append((state.t, g, f_hat))
+            return g, f_hat
+        return None
 
-    halt = study.simulate(
-        _merge_times(set(geometric_snapshots(cfg.t_end)) | set(dyadic)), observer)
+    halt, times, sampled = study.simulate(
+        _merge_times(set(geometric_snapshots(cfg.t_end)) | set(dyadic)),
+        {"checkpoint": checkpoint})
+    checkpoints = [(t, *c) for t, c in zip(times, sampled["checkpoint"]) if c is not None]
 
     def verdicts():
         times, gs, fs = zip(*checkpoints)
@@ -534,22 +552,15 @@ def run_longwave_study(study: Study):
 
     def one_epsilon(eps: float) -> tuple:
         t_end = max(cfg.t_eval, 1.0 / (2.0 * eps))
-        snaps = tuple(np.arange(0.0, t_end + 1e-9, 0.25))
-        states_u, states_v = {}, {}
-
-        def collector(store):
-            def observer(state):
-                store[round(state.t, 9)] = state.half
-            return observer
-
-        eq_u = make_equation("rescaled_modified_whitham", epsilon=eps)
-        eq_v = make_equation("mkdv", epsilon=eps)
-        _, halt_u = run_simulation(phi, eq_u, cfg.solver(t_end, snaps), collector(states_u))
-        _, halt_v = run_simulation(phi, eq_v, cfg.solver(t_end, snaps), collector(states_v))
-        # a run that halted early stops its store short of the other's
-        times = sorted(states_u.keys() & states_v.keys())
-        e_j = {j: [norm_sobolev(SpectralField(grid, states_u[t] - states_v[t]), j)
-                   for t in times] for j in cfg.j_list}
+        solver = cfg.solver(t_end, uniform_snapshots(t_end, 0.25))
+        half = {"half": lambda state: state.half}
+        halt_u, times_u, u = sample_run(
+            phi, make_equation("rescaled_modified_whitham", epsilon=eps), solver, half)
+        halt_v, times_v, v = sample_run(phi, make_equation("mkdv", epsilon=eps), solver, half)
+        # a run that halted early stops its samples short of the other's
+        times = times_u[:len(times_v)]
+        e_j = {j: [norm_sobolev(SpectralField(grid, a - b), j)
+                   for a, b in zip(u["half"], v["half"])] for j in cfg.j_list}
         return {"times": times, "e": e_j}, [halt_u, halt_v]
 
     members = [one_epsilon(eps) for eps in cfg.eps_list]
@@ -628,27 +639,21 @@ def _confirms(prev: float | None, cur: float | None) -> bool:
     return prev is not None and cur is not None and abs(cur - prev) / prev < REFINE_TOLERANCE
 
 
-def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, n_points: int,
-                        u0_maker: Callable[[Grid], SpectralField],
+def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, u0: SpectralField,
                         t_end: float) -> tuple[float | None, dict]:
-    grid = make_grid(n_points, cfg.box_length)
-    u0 = u0_maker(grid)
-    sup_ux = _sup_gradient(grid)
+    """First snapshot time (every detect_dt) at which sup|u_x| reaches
+    blowup_factor times its value g0 at t = 0, None when it never does or
+    g0 = 0; and the run's halt, g0 and peak sup|u_x|."""
+    sup_ux = _sup_gradient(u0.grid)
     g0 = sup_ux(u0.coeffs)
-    snaps = tuple(np.arange(0.0, t_end + 1e-9, cfg.detect_dt))
-    hit: list[float] = []
-    peak = [0.0]
-
-    def observer(state):
-        gx = sup_ux(state.half)
-        peak[0] = max(peak[0], gx)
-        if not hit and g0 > 0.0 and gx >= cfg.blowup_factor * g0:
-            hit.append(state.t)
-
-    final, halt = run_simulation(u0, eq, cfg.solver(t_end, snaps), observer)
+    halt, times, sampled = sample_run(
+        u0, eq, cfg.solver(t_end, uniform_snapshots(t_end, cfg.detect_dt)),
+        {"sup_ux": lambda state: sup_ux(state.half)})
+    gradients = sampled["sup_ux"]
+    hits = (t for t, gx in zip(times, gradients) if gx >= cfg.blowup_factor * g0)
     info = {"halt": halt.kind, "initial_gradient": g0,
-            "peak_gradient": peak[0], "n_points": n_points}
-    return (hit[0] if hit else None), info
+            "peak_gradient": max(gradients, default=0.0)}
+    return (next(hits, None) if g0 > 0.0 else None), info
 
 
 @_study
@@ -660,16 +665,14 @@ def run_shock_study(study: Study):
     t_star = predict_shock_time(inverse_transform(base0.grid, base0.coeffs), study.grid)
     report.measured["oracle_t_star"] = t_star
 
-    def u0_maker(grid):
-        # one stored base field, moved across grids spectrally, so every
-        # ladder rung and the contrast run share initial data exactly
-        return regrid(base0, grid)
-
     ladder = []
     n = cfg.refine_start
     while n <= cfg.refine_max:
         t_end = cfg.t_end if t_star is None else min(cfg.t_end, 2.0 * t_star)
-        t_detect, info = _detect_blowup_time(cfg, eq, n, u0_maker, t_end)
+        # one stored base field, moved across grids spectrally, so every
+        # ladder rung and the contrast run share initial data exactly
+        u0 = regrid(base0, make_grid(n, cfg.box_length))
+        t_detect, info = _detect_blowup_time(cfg, eq, u0, t_end)
         ladder.append({"n_points": n, "t_detect": t_detect, **info})
         if len(ladder) >= 2:
             prev, cur = ladder[-2]["t_detect"], ladder[-1]["t_detect"]
@@ -690,13 +693,10 @@ def run_shock_study(study: Study):
         contrast_alpha = cfg.alpha if cfg.alpha is not None else -0.5
         scale = CONTRAST_EPSILON0 / study.smallness["epsilon0"]
         horizon = CONTRAST_HORIZON_FACTOR * t_star
-
-        def contrast_maker(grid):
-            return SpectralField(grid, scale * u0_maker(grid).coeffs)
-
+        grid = make_grid(ladder[-1]["n_points"], cfg.box_length)
         t_detect_c, info_c = _detect_blowup_time(
             cfg, make_equation("modified_fkdv", alpha=contrast_alpha),
-            ladder[-1]["n_points"], contrast_maker, horizon)
+            SpectralField(grid, scale * regrid(base0, grid).coeffs), horizon)
         growth = info_c["peak_gradient"] / info_c["initial_gradient"]
         report.measured["contrast"] = {
             "alpha": contrast_alpha, "scale": scale, "horizon": horizon,
@@ -742,29 +742,25 @@ def run_norm_growth_study(study: Study):
     """Sobolev norm of the solution and weighted-localization norm of the
     profile: log-log slopes over the window must stay near zero."""
     cfg, eq, report = study.cfg, study.eq, study.report
-    series_n = DecaySeries(f"sobolev_{SOBOLEV_ORDER:g}")
-    series_11 = DecaySeries("h11_profile")
-    warned = [0]
+    sobolev = f"sobolev_{SOBOLEV_ORDER:g}"
 
-    def observer(state):
-        if state.t <= 0:
-            return
-        series_n.add(state.t, norm_sobolev(state.field, SOBOLEV_ORDER))
+    def profile(state):
+        # H^{1,1} norm of the profile, and whether the box edge spoils it
         f_hat = compute_profile(state.field, state.t, eq)
-        frac = boundary_mass_fraction(f_hat)
-        if frac > BOUNDARY_MASS_THRESHOLD:
-            warned[0] += 1
-        series_11.add(state.t, norm_h11(f_hat))
+        return norm_h11(f_hat), boundary_mass_fraction(f_hat) > BOUNDARY_MASS_THRESHOLD
 
-    halt = study.simulate(geometric_snapshots(cfg.t_end), observer)
+    halt, times, sampled = study.simulate(
+        geometric_snapshots(cfg.t_end)[1:],
+        {sobolev: lambda state: norm_sobolev(state.field, SOBOLEV_ORDER),
+         "profile": profile})
+    h11 = [value for value, _ in sampled["profile"]]
     series_name = study.write_series(
-        "norm_growth_series.csv", series_n.times,
-        {series_n.name: series_n.values, series_11.name: series_11.values})
-    report.measured["h11_boundary_warnings"] = warned[0]
+        "norm_growth_series.csv", times, {sobolev: sampled[sobolev], "h11_profile": h11})
+    report.measured["h11_boundary_warnings"] = sum(warn for _, warn in sampled["profile"])
 
     def verdicts():
-        for name, series in ((f"h{SOBOLEV_ORDER:g}", series_n), ("h11", series_11)):
-            slope, r2 = fit_power_law(series, cfg.fit_t_min, cfg.fit_t_max)
+        for name, values in ((f"h{SOBOLEV_ORDER:g}", sampled[sobolev]), ("h11", h11)):
+            slope, r2 = fit_power_law(times, values, cfg.fit_t_min, cfg.fit_t_max)
             report.measured[f"slope_{name}"] = slope
             report.add_verdict(f"slope_{name}", slope <= SLOPE_MAX, slope,
                                f"<= {SLOPE_MAX}", series_name)

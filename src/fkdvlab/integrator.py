@@ -107,6 +107,11 @@ class HaltReason:
         return self.kind == "completed"
 
 
+def uniform_snapshots(t_end: float, dt: float) -> tuple:
+    """0, dt, 2 dt, ... up to t_end (a round-off of t_end included)."""
+    return tuple(np.arange(0.0, t_end + 1e-9, dt).tolist())
+
+
 def geometric_snapshots(t_end: float) -> tuple:
     """SNAPSHOT_RATIO^j (j >= 0) up to t_end, plus the endpoints 0 and t_end."""
     times = [0.0] if t_end > 0 else []

@@ -64,8 +64,9 @@ def _to_jsonable(obj):
     return obj
 
 
-def write_report(report, path: str) -> None:
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
+def write_report(payload: dict, path: str) -> None:
+    """JSON of a payload of dicts, lists, numbers and numpy values, NaN
+    written as null."""
     # encoded whole and written once: json.dump writes chunk by chunk
     text = json.dumps(_to_jsonable(payload), indent=2, sort_keys=True) + "\n"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

@@ -16,7 +16,6 @@ from fkdvlab import cli, config, experiments
 from fkdvlab import io as lab_io
 from fkdvlab.cli import cli_dispatch
 from fkdvlab.config import _SECTIONS, parse_config
-from fkdvlab.diagnostics import DecaySeries
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import STUDIES, ExperimentConfig, ExperimentReport, default_config
 from fkdvlab.spectral import SpectralField, make_grid
@@ -382,11 +381,8 @@ class TestConfigParsing:
 
 class TestSeriesIO:
     def test_series_roundtrip(self, tmp_path):
-        series = DecaySeries("linf")
-        for t, v in ((1.0, 0.5), (2.0, 0.25), (3.0, 1e-17)):
-            series.add(t, v)
         path = str(tmp_path / "s.csv")
-        lab_io.write_series_columns(path, series.times, {series.name: series.values})
+        lab_io.write_series_columns(path, [1.0, 2.0, 3.0], {"linf": [0.5, 0.25, 1e-17]})
         with open(path) as fh:
             lines = fh.read().strip().split("\n")
         assert lines[0] == "t,linf"
@@ -396,10 +392,8 @@ class TestSeriesIO:
         assert cols["linf"] == [0.5, 0.25, 1e-17]
 
     def test_seventeen_significant_digits(self, tmp_path):
-        series = DecaySeries("v")
-        series.add(1.0, 1.0 / 3.0)
         path = str(tmp_path / "s.csv")
-        lab_io.write_series_columns(path, series.times, {series.name: series.values})
+        lab_io.write_series_columns(path, [1.0], {"v": [1.0 / 3.0]})
         _, cols = outputs.read_series(path)
         assert cols["v"][0] == 1.0 / 3.0          # bit-exact roundtrip
 
@@ -408,7 +402,7 @@ class TestSeriesIO:
         report.measured["exponent_u"] = -0.47
         report.add_verdict("exp", True, -0.47, "[-0.6,-0.4]", "s.csv")
         path = str(tmp_path / "r.json")
-        lab_io.write_report(report, path)
+        lab_io.write_report(report.to_dict(), path)
         back = outputs.read_report(path)
         assert back["study"] == "decay"
         assert back["verdicts"][0]["passed"] is True
@@ -457,13 +451,10 @@ class TestSeriesIO:
         assert sum(map(abs, cols["re"])) == 2.5
 
     def test_byte_identical_rewrite(self, tmp_path):
-        series = DecaySeries("v")
-        rng = np.random.default_rng(0)
-        for i, val in enumerate(rng.random(20)):
-            series.add(float(i + 1), float(val))
+        values = list(np.random.default_rng(0).random(20))
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         for path in (p1, p2):
-            lab_io.write_series_columns(path, series.times, {series.name: series.values})
+            lab_io.write_series_columns(path, [float(i + 1) for i in range(20)], {"v": values})
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 

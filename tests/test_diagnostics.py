@@ -3,7 +3,6 @@ import pytest
 
 from fkdvlab.diagnostics import (
     STATIONARY_RATE,
-    DecaySeries,
     PhaseAccumulator,
     compute_profile,
     difference_rate,
@@ -259,37 +258,33 @@ class TestScatteringLimit:
 
 class TestPowerLawFit:
     def test_exact_half_power(self):
-        t = np.linspace(1.0, 50.0, 60)
-        series = DecaySeries("v")
-        for ti in t:
-            series.add(ti, ti ** -0.5)
-        exponent, r2 = fit_power_law(series, 2.0, 50.0)
+        t = list(np.linspace(1.0, 50.0, 60))
+        exponent, r2 = fit_power_law(t, [ti ** -0.5 for ti in t], 2.0, 50.0)
         assert exponent == pytest.approx(-0.5, abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series(self):
-        series = DecaySeries("v")
-        for ti in np.linspace(1.0, 30.0, 40):
-            series.add(ti, 2.5)
-        exponent, r2 = fit_power_law(series, 1.0, 30.0)
+        t = list(np.linspace(1.0, 30.0, 40))
+        exponent, r2 = fit_power_law(t, [2.5] * len(t), 1.0, 30.0)
         assert exponent == pytest.approx(0.0, abs=1e-14)
         assert r2 == 1.0
 
     def test_perturbed_power(self):
-        series = DecaySeries("v")
-        for ti in np.geomspace(1.0, 200.0, 120):
-            series.add(ti, ti ** -0.5 * (1.0 + 0.05 * np.sin(np.log(ti))))
-        exponent, _ = fit_power_law(series, 1.0, 200.0)
+        t = list(np.geomspace(1.0, 200.0, 120))
+        values = [ti ** -0.5 * (1.0 + 0.05 * np.sin(np.log(ti))) for ti in t]
+        exponent, _ = fit_power_law(t, values, 1.0, 200.0)
         assert exponent == pytest.approx(-0.5, abs=0.05)
 
     def test_window_too_small(self):
-        series = DecaySeries("v")
-        for ti in (1.0, 2.0, 3.0):
-            series.add(ti, 1.0)
-        with pytest.raises(InsufficientDataError):
-            fit_power_law(series, 0.5, 4.0)
+        with pytest.raises(InsufficientDataError, match="need >= 5 points"):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4.0)
 
-    def test_nonpositive_rejected(self):
-        series = DecaySeries("v")
-        with pytest.raises(ValueError):
-            series.add(1.0, -2.0)
+    @pytest.mark.parametrize("bad", [-2.0, 0.0, np.inf, np.nan])
+    def test_nonpositive_or_nonfinite_in_window_refused(self, bad):
+        t = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        values = [1.0, 0.5, 0.3, 0.25, 0.2, 0.15]
+        with pytest.raises(InsufficientDataError, match="got 1 nonpositive or nonfinite"):
+            fit_power_law(t, values[:2] + [bad] + values[3:], 1.0, 6.0)
+        # a value outside the window is not read
+        assert (fit_power_law(t + [7.0], values + [bad], 1.0, 6.0)
+                == fit_power_law(t, values, 1.0, 6.0))

@@ -261,7 +261,8 @@ class TestNonlinearity:
         scale = np.sum(np.abs(masked) ** 2) * g.dxi
         assert abs(pairing) <= 1e-10 * max(scale, 1.0)
 
-    def test_zero_coefficient_shortcut(self):
+    def test_zero_coefficient_gives_a_zero_band(self):
+        # the band multiplier c/3 * i*xi is zero, and so is every mode of the band
         g = make_grid(32, TWO_PI)
         eq = replace(make_equation("modified_fkdv", alpha=-0.5), coefficient=0.0)
         out = nonlinearity(eq, g, transform(g, np.sin(g.x)))

@@ -21,9 +21,9 @@ from fkdvlab.experiments import (
 )
 from fkdvlab.cli import cli_dispatch
 from fkdvlab.equations import make_equation
-from fkdvlab.integrator import HaltReason, run_simulation
+from fkdvlab.integrator import HaltReason, SolverConfig, run_simulation
 from fkdvlab.spectral import (CUTOFFS, SpectralField, hermitize, inverse_transform,
-                              make_grid, norm_sobolev, norm_z)
+                              make_grid, norm_l2, norm_sobolev, norm_z)
 
 import ascending as asc
 import outputs
@@ -374,6 +374,66 @@ class TestHaltPolicy:
         assert len(report.series_paths) == 2
 
 
+class TestSampleRun:
+    """sample_run evaluates each column once at every scheduled snapshot."""
+
+    @staticmethod
+    def sine(n, amplitude):
+        g = make_grid(n, TWO_PI)
+        return hermitize(SpectralField.from_samples(g, amplitude * np.sin(g.x)))
+
+    def test_each_column_once_per_snapshot_in_time_order(self):
+        u0 = self.sine(64, 0.01)
+        eq = make_equation("modified_burgers")
+        schedule = (0.3, 1.0, 1.7)
+        # t_end = 2 is stepped to but not scheduled, so not sampled
+        config = SolverConfig(dt_max=0.13, t_end=2.0, snapshot_times=schedule)
+        calls = []
+
+        def column(name, value):
+            def evaluate(state):
+                calls.append((name, state.t))
+                return value(state)
+            return evaluate
+
+        halt, times, values = experiments.sample_run(u0, eq, config, {
+            "t": column("t", lambda state: state.t),
+            "l2": column("l2", lambda state: norm_l2(state.field))})
+        assert halt.completed
+        assert times == values["t"] == list(schedule)
+        assert calls == [(name, t) for t in schedule for name in ("t", "l2")]
+        seen = []
+        run_simulation(u0, eq, config, lambda state: seen.append(norm_l2(state.field)))
+        assert values["l2"] == seen
+
+    @pytest.mark.parametrize("schedule", [(0.0, 0.5, 1.0), (0.5, 1.0)])
+    def test_t0_sampled_only_when_scheduled(self, schedule):
+        u0 = self.sine(64, 0.01)
+        eq = make_equation("modified_fkdv", alpha=-0.5)
+        config = SolverConfig(dt_max=0.1, t_end=1.0, snapshot_times=schedule)
+        halt, times, values = experiments.sample_run(u0, eq, config,
+                                                     {"half": lambda state: state.half})
+        assert halt.completed and times == list(schedule)
+        if schedule[0] == 0.0:
+            assert np.array_equal(values["half"][0], u0.coeffs)
+        # a scheduled t = 0 changes no step: the last sample is the same
+        final, _ = run_simulation(u0, eq, replace(config, snapshot_times=()))
+        assert np.array_equal(values["half"][-1], final.half)
+
+    def test_halted_run_stops_at_its_last_finite_snapshot(self):
+        # data above the blow-up amplitude halt the first step, before t = 1
+        u0 = self.sine(64, 3e12)
+        config = SolverConfig(dt_max=0.05, cfl_coefficient=1.0, t_end=5.0,
+                              snapshot_times=(0.0, 1.0, 5.0))
+        halt, times, values = experiments.sample_run(
+            u0, make_equation("modified_burgers"), config,
+            {"t": lambda state: state.t,
+             "finite": lambda state: bool(np.all(np.isfinite(state.half)))})
+        assert halt.kind in ("blowup", "nan") and 0.0 < halt.t < 1.0
+        assert times == [0.0]
+        assert values == {"t": [0.0], "finite": [True]}
+
+
 class TestShockObserver:
     """The ladder observer reads sup|u_x| from the solver's half spectrum;
     it must equal the same expression on the ascending spectrum bit for
@@ -412,8 +472,7 @@ class TestShockObserver:
                        observer)
         assert len(old_values) == 11 and mismatches == []
 
-        t_detect, info = experiments._detect_blowup_time(
-            cfg, eq, n, lambda g: initial_field(cfg, g), t_end)
+        t_detect, info = experiments._detect_blowup_time(cfg, eq, u0, t_end)
         g0 = sup_ux_ascending(u0.coeffs)
         hits = [t for t, v in old_values if v >= cfg.blowup_factor * g0]
         assert info["peak_gradient"] == max(v for _, v in old_values)
