@@ -3,8 +3,9 @@
 A config names one study and overrides any subset of its defaults.
 Unknown sections or keys are rejected with the offending key path, as are
 out-of-range values.  The studies' pass gates, the smallness norms and
-bound, and the Z-norm weight are constants in ``experiments`` and
-``spectral``, not keys.  Example:
+bound, the long-wave Sobolev orders, the shock detector's snapshot
+spacing, the Z-norm weight and the CFL coefficient are constants in
+``experiments``, ``spectral`` and ``integrator``, not keys.  Example:
 
     [run]
     study = decay
@@ -62,13 +63,6 @@ def _numbers(section: str, key: str, raw: str) -> tuple:
         raise ConfigurationError(f"[{section}] {key}: not a number list: {raw!r}") from None
 
 
-def _integers(section: str, key: str, raw: str) -> tuple:
-    values = _numbers(section, key, raw)
-    if not all(v.is_integer() for v in values):
-        raise ConfigurationError(f"[{section}] {key}: expected integers, got {raw!r}")
-    return tuple(int(v) for v in values)
-
-
 def _name(section: str, key: str, raw: str) -> str:
     return raw.strip().lower()
 
@@ -91,11 +85,11 @@ _SECTIONS = {
     "grid": {**_same(_integer, "n_points"), **_same(_number, "box_length")},
     "initial": {"kind": ("initial_kind", _name), **_same(_integer, "sine_mode"),
                 **_same(_number, "amplitude", "width", "center")},
-    "solver": _same(_number, "dt_max", "cfl_coefficient", "t_end"),
+    "solver": _same(_number, "dt_max", "t_end"),
     "study": {**_same(_number, "fit_t_min", "fit_t_max", "sample_dt", "t_eval",
-                      "blowup_factor", "detect_dt"),
+                      "blowup_factor"),
               **_same(_integer, "refine_start", "refine_max"),
-              **_same(_numbers, "eps_list"), **_same(_integers, "j_list")},
+              **_same(_numbers, "eps_list")},
 }
 
 

@@ -96,7 +96,6 @@ class ExperimentConfig:
     n_points: int = 2 ** 13
     box_length: float = 256.0 * np.pi
     dt_max: float = 0.1
-    cfl_coefficient: float = 0.5
     t_end: float = 100.0
     seed: int = 0
     # decay / norms studies
@@ -105,11 +104,9 @@ class ExperimentConfig:
     fit_t_max: float = 100.0
     # long-wave study
     eps_list: tuple = (0.1, 0.05)
-    j_list: tuple = (0, 1)
     t_eval: float = 5.0
     # shock study
     blowup_factor: float = 50.0
-    detect_dt: float = 0.01
     refine_start: int = 2 ** 9
     refine_max: int = 2 ** 13
 
@@ -120,8 +117,7 @@ class ExperimentConfig:
         return make_equation(self.equation, alpha=self.alpha, epsilon=self.epsilon)
 
     def solver(self, t_end: float, snapshots: tuple) -> SolverConfig:
-        return SolverConfig(dt_max=self.dt_max, cfl_coefficient=self.cfl_coefficient,
-                            t_end=t_end, snapshot_times=snapshots)
+        return SolverConfig(dt_max=self.dt_max, t_end=t_end, snapshot_times=snapshots)
 
     def __post_init__(self):
         if self.study not in STUDIES:
@@ -171,7 +167,7 @@ class ExperimentConfig:
         if not (-np.inf < self.fit_t_min < self.fit_t_max < np.inf):
             raise ConfigurationError(f"[study] fit window: t_min {self.fit_t_min} must "
                                      f"precede t_max {self.fit_t_max}, both finite")
-        for key in ("sample_dt", "detect_dt", "t_eval"):
+        for key in ("sample_dt", "t_eval"):
             value = getattr(self, key)
             if not (0 < value < np.inf):
                 raise ConfigurationError(f"[study] {key}: must be positive and finite, "
@@ -204,15 +200,6 @@ class ExperimentConfig:
         if self.study == "scattering" and self.t_end < 64.0:
             raise ConfigurationError(
                 f"[solver] t_end: the scattering study requires t_end >= 64, got {self.t_end}")
-        if not all(isinstance(j, (int, np.integer)) for j in self.j_list):
-            raise ConfigurationError(
-                f"[study] j_list: Sobolev orders must be integers, got {self.j_list}")
-        if len(set(self.j_list)) < len(self.j_list):
-            raise ConfigurationError(
-                f"[study] j_list: Sobolev orders must not repeat, got {self.j_list}")
-        if self.study == "longwave" and not self.j_list:
-            raise ConfigurationError("[study] j_list: the longwave study needs at least "
-                                     "one Sobolev order")
 
 
 #: Study-specific default overrides, applied by default_config().
@@ -541,6 +528,7 @@ def run_scattering_study(study: Study):
 # Long-wave comparison study
 # ---------------------------------------------------------------------------
 
+LONGWAVE_ORDERS = (0, 1)    #: Sobolev orders j of the errors e_j the gates read
 RATIO_BAND = (2.5, 6.0)     #: band of each error ratio of consecutive epsilons
 SHAPE_FACTOR_MAX = 2.0      #: largest max/min of e0/t over 2 <= t <= 1/(2 eps)
 
@@ -560,7 +548,7 @@ def run_longwave_study(study: Study):
         # a run that halted early stops its samples short of the other's
         times = times_u[:len(times_v)]
         e_j = {j: [norm_sobolev(SpectralField(grid, a - b), j)
-                   for a, b in zip(u["half"], v["half"])] for j in cfg.j_list}
+                   for a, b in zip(u["half"], v["half"])] for j in LONGWAVE_ORDERS}
         return {"times": times, "e": e_j}, [halt_u, halt_v]
 
     members = [one_epsilon(eps) for eps in cfg.eps_list]
@@ -569,7 +557,7 @@ def run_longwave_study(study: Study):
     for eps, (data, _) in zip(cfg.eps_list, members):
         errors[eps] = data
         study.write_series(f"longwave_eps{eps:g}.csv", data["times"],
-                           {f"e{j}": data["e"][j] for j in cfg.j_list})
+                           {f"e{j}": data["e"][j] for j in LONGWAVE_ORDERS})
 
     def verdicts():
         lo, hi = RATIO_BAND
@@ -583,7 +571,7 @@ def run_longwave_study(study: Study):
         nearest = {eps: index_near_t_eval(data["times"]) for eps, data in errors.items()}
         eps_sorted = sorted(cfg.eps_list, reverse=True)
         for big, small in zip(eps_sorted, eps_sorted[1:]):
-            for j in cfg.j_list:
+            for j in LONGWAVE_ORDERS:
                 ratio = (errors[big]["e"][j][nearest[big]]
                          / errors[small]["e"][j][nearest[small]])
                 report.measured[f"ratio_e{j}_eps{big:g}_over_eps{small:g}"] = float(ratio)
@@ -591,16 +579,15 @@ def run_longwave_study(study: Study):
                     f"e{j}_ratio_eps{big:g}_to_{small:g}", lo <= ratio <= hi,
                     ratio, f"[{lo}, {hi}]", f"longwave_eps{big:g}.csv")
 
-        j0 = cfg.j_list[0]
         for eps in cfg.eps_list:
             times = np.asarray(errors[eps]["times"])
-            e0 = np.asarray(errors[eps]["e"][j0])
+            e0 = np.asarray(errors[eps]["e"][0])
             window = (times >= 2.0) & (times <= 1.0 / (2.0 * eps) + 1e-9)
             vals = e0[window] / times[window]
             factor = float(np.max(vals) / np.min(vals))
-            report.measured[f"e{j0}_over_t_variation_eps{eps:g}"] = factor
+            report.measured[f"e0_over_t_variation_eps{eps:g}"] = factor
             report.add_verdict(
-                f"e{j0}_over_t_flat_eps{eps:g}", factor < SHAPE_FACTOR_MAX,
+                f"e0_over_t_flat_eps{eps:g}", factor < SHAPE_FACTOR_MAX,
                 factor, f"< {SHAPE_FACTOR_MAX}", f"longwave_eps{eps:g}.csv")
     return [halt for _, halts in members for halt in halts], verdicts
 
@@ -609,6 +596,7 @@ def run_longwave_study(study: Study):
 # Shock study and its characteristics oracle
 # ---------------------------------------------------------------------------
 
+DETECT_DT = 0.01                #: snapshot spacing at which t_detect is read
 REFINE_TOLERANCE = 0.05         #: largest relative move of t_detect under doubling
 ORACLE_TOLERANCE = 0.10         #: largest relative error of t_detect against t*
 CONTRAST_EPSILON0 = 0.1         #: measured size the contrast data are scaled to
@@ -641,13 +629,13 @@ def _confirms(prev: float | None, cur: float | None) -> bool:
 
 def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, u0: SpectralField,
                         t_end: float) -> tuple[float | None, dict]:
-    """First snapshot time (every detect_dt) at which sup|u_x| reaches
+    """First snapshot time (every DETECT_DT) at which sup|u_x| reaches
     blowup_factor times its value g0 at t = 0, None when it never does or
     g0 = 0; and the run's halt, g0 and peak sup|u_x|."""
     sup_ux = _sup_gradient(u0.grid)
     g0 = sup_ux(u0.coeffs)
     halt, times, sampled = sample_run(
-        u0, eq, cfg.solver(t_end, uniform_snapshots(t_end, cfg.detect_dt)),
+        u0, eq, cfg.solver(t_end, uniform_snapshots(t_end, DETECT_DT)),
         {"sup_ux": lambda state: sup_ux(state.half)})
     gradients = sampled["sup_ux"]
     hits = (t for t, gx in zip(times, gradients) if gx >= cfg.blowup_factor * g0)

@@ -27,6 +27,9 @@ from .spectral import _SQRT_2PI, Grid, SpectralField, hermitize, inverse_transfo
 #: Guard against division by zero in the CFL rule for the zero field.
 CFL_FLOOR = 1e-12
 
+#: Fraction of the transport-speed step dx / U^2 that ``cfl_dt`` allows.
+CFL_COEFFICIENT = 0.5
+
 #: Overflow guard: amplitudes beyond this are treated as blow-up even
 #: before they reach inf.
 BLOWUP_AMPLITUDE = 1e12
@@ -39,16 +42,12 @@ SNAPSHOT_RATIO = 2.0 ** 0.125
 @dataclass(frozen=True)
 class SolverConfig:
     dt_max: float = 0.1
-    cfl_coefficient: float = 0.5
     t_end: float = 1.0
     snapshot_times: tuple = ()
 
     def __post_init__(self):
         if not (0 < self.dt_max < np.inf):
             raise ConfigurationError(f"dt_max must be positive and finite, got {self.dt_max}")
-        if not (0.0 < self.cfl_coefficient <= 1.0):
-            raise ConfigurationError(
-                f"cfl_coefficient must lie in (0, 1], got {self.cfl_coefficient}")
         if not (0 <= self.t_end < np.inf):
             raise ConfigurationError(
                 f"t_end must be nonnegative and finite, got {self.t_end}")
@@ -124,7 +123,7 @@ def geometric_snapshots(t_end: float) -> tuple:
 
 
 def cfl_dt(state: SolverState, config: SolverConfig) -> float:
-    """dt = min(dt_max, cfl * dx / max(floor, U^2)).
+    """dt = min(dt_max, CFL_COEFFICIENT * dx / max(CFL_FLOOR, U^2)).
 
     The exactly-propagated linear part contributes no restriction; only the
     transport speed |u|^2 of the cubic term does.  U bounds max|u|:
@@ -149,7 +148,7 @@ def cfl_dt(state: SolverState, config: SolverConfig) -> float:
         except OverflowError:
             speed = math.inf            # dt = 0: run_simulation halts as blowup
         state.cfl_speed = speed
-    return min(config.dt_max, config.cfl_coefficient * grid.dx / max(CFL_FLOOR, speed))
+    return min(config.dt_max, CFL_COEFFICIENT * grid.dx / max(CFL_FLOOR, speed))
 
 
 def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:

@@ -109,17 +109,15 @@ class TestConfigParsing:
 
     def test_list_values(self, tmp_path):
         path = write(tmp_path, "[run]\nstudy = longwave\n\n[study]\n"
-                               "eps_list = 0.2, 0.1\nj_list = 0, 1\n")
+                               "eps_list = 0.2, 0.1\n")
         cfg, _ = parse_config(path)
         assert cfg.eps_list == (0.2, 0.1)
-        assert cfg.j_list == (0, 1)
-        assert all(type(j) is int for j in cfg.j_list)
 
-    def test_integer_j_list_names_series_like_the_default(self, tmp_path):
-        # j_list entries are Sobolev orders; read as floats they named the
-        # columns and verdicts e0.0, e1.0 instead of the default run's e0, e1
+    def test_longwave_series_name_integer_orders(self, tmp_path):
+        # the Sobolev orders name the columns and verdicts e0, e1; read as
+        # floats they would name them e0.0, e1.0
         path = write(tmp_path, "[run]\nstudy = longwave\n[grid]\nn_points = 256\n"
-                               "[study]\neps_list = 0.2, 0.1\nj_list = 0, 1\nt_eval = 2\n")
+                               "[study]\neps_list = 0.2, 0.1\nt_eval = 2\n")
         out = tmp_path / "out"
         cli_dispatch(["longwave", "--config", path, "--out", str(out)])
         header = (out / "longwave" / "longwave_eps0.2.csv").read_text().splitlines()[0]
@@ -142,20 +140,25 @@ class TestConfigParsing:
         ("[run]\nstudy = decay\n[equation]\nkind = modified_burgers\n", "kind"),
         ("[run]\nstudy = shock\n[equation]\nkind = modified_fkdv\nalpha = -0.5\n", "kind"),
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1\n", "eps_list"),
-        ("[run]\nstudy = longwave\n[study]\nj_list = 0, 1.5\n", r"\[study\] j_list"),
-        ("[run]\nstudy = longwave\n[study]\nj_list = one\n", r"\[study\] j_list"),
-        ("[run]\nstudy = longwave\n[study]\nj_list =\n", r"\[study\] j_list"),
         ("[grid]\nn_points = inf\n", "n_points"),
         ("[run]\nstudy = 100%\n", "study"),
         ("[run]\nthreads = 2\n", r"unknown key \[run\] threads"),
         ("[run]\nstudy = decay\n[study]\nsample_dt = 0\n", r"\[study\] sample_dt"),
         ("[run]\nstudy = decay\n[study]\nsample_dt = -1\n", r"\[study\] sample_dt"),
-        ("[run]\nstudy = shock\n[study]\ndetect_dt = 0\n", r"\[study\] detect_dt"),
         ("[run]\nstudy = longwave\n[study]\nt_eval = 0\n", r"\[study\] t_eval"),
         ("[run]\nstudy = longwave\n[study]\nt_eval = -1\n", r"\[study\] t_eval"),
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1, 0\n", r"\[study\] eps_list"),
         ("[run]\nstudy = longwave\n[study]\neps_list = 0.1, -0.05\n",
          r"\[study\] eps_list"),
+        ("[run]\nstudy = longwave\n[study]\neps_list = 0.2, one\n", r"\[study\] eps_list"),
+        ("[run]\nstudy = longwave\n[study]\neps_list =\n", r"\[study\] eps_list"),
+        # 1e400 parses as inf
+        ("[run]\nstudy = longwave\n[study]\neps_list = 0.2, 1e400\n",
+         r"\[study\] eps_list"),
+        ("[run]\nstudy = shock\n[study]\nblowup_factor = 1e400\n",
+         r"\[study\] blowup_factor"),
+        ("[run]\nstudy = shock\n[study]\nrefine_start = 1024.5\n", r"\[study\] refine_start"),
+        ("[run]\nstudy = shock\n[study]\nrefine_max = one\n", r"\[study\] refine_max"),
         ("[run]\nseed = -1\n", r"\[run\] seed"),
         ("[initial]\nkind = bogus\n", r"\[initial\] kind"),
         ("[equation]\nkind = bogus\n", r"\[equation\] kind"),
@@ -192,7 +195,6 @@ class TestConfigParsing:
         ("study", "fit_t_min", "nan", r"\[study\] fit window"),
         ("study", "fit_t_max", "nan", r"\[study\] fit window"),
         ("study", "sample_dt", "nan", r"\[study\] sample_dt"),
-        ("study", "detect_dt", "nan", r"\[study\] detect_dt"),
         ("study", "t_eval", "nan", r"\[study\] t_eval"),
         ("study", "eps_list", "0.1, nan", r"\[study\] eps_list"),
         ("study", "blowup_factor", "nan", r"\[study\] blowup_factor"),
@@ -207,8 +209,7 @@ class TestConfigParsing:
         ("eps_list", "0.2, 0.2"),
         # 0.1 and 0.1000001 both name longwave_eps0.1.csv
         ("eps_list", "0.1, 0.05, 0.1000001"),
-        ("j_list", "0, 0"),
-        ("j_list", "0, 1, 0"),
+        ("eps_list", "0.2, 0.1, 0.2"),
     ])
     def test_repeated_list_entries_refused_on_every_path(self, tmp_path, capsys, path,
                                                          key, raw):
@@ -251,7 +252,6 @@ class TestConfigParsing:
         ("study", "fit_t_min", r"\[study\] fit window"),
         ("study", "fit_t_max", r"\[study\] fit window"),
         ("study", "sample_dt", r"\[study\] sample_dt"),
-        ("study", "detect_dt", r"\[study\] detect_dt"),
         ("study", "t_eval", r"\[study\] t_eval"),
         ("study", "eps_list", r"\[study\] eps_list"),
         ("study", "blowup_factor", r"\[study\] blowup_factor"),
@@ -313,6 +313,53 @@ class TestConfigParsing:
                              "--out", str(tmp_path / "o")]) == 2
         assert f"unknown key [study] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
+    @pytest.mark.parametrize("study,section,key,raw", [
+        ("longwave", "study", "j_list", "0"),
+        ("shock", "study", "detect_dt", "0.2"),
+        ("decay", "solver", "cfl_coefficient", "0.9"),
+    ])
+    def test_constant_keys_refused(self, tmp_path, capsys, monkeypatch, path, study,
+                                   section, key, raw):
+        # the long-wave Sobolev orders, the shock detection spacing and the
+        # CFL coefficient are constants beside the code that reads them: no
+        # field holds them and no key sets them
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(experiments, "run_simulation", no_simulation)
+        if path in ("direct", "replace"):
+            with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
+                if path == "direct":
+                    default_config(study, **{key: float(raw)})
+                else:
+                    replace(default_config(study), **{key: float(raw)})
+            return
+        config = write(tmp_path, f"[run]\nstudy = {study}\n[{section}]\n{key} = {raw}\n")
+        if path == "ini":
+            with pytest.raises(ConfigurationError,
+                               match=rf"unknown key \[{section}\] {key}$"):
+                parse_config(config)
+        else:
+            assert cli_dispatch([study, "--config", config,
+                                 "--out", str(tmp_path / "o")]) == 2
+            assert f"unknown key [{section}] {key}" in capsys.readouterr().err
+
+    def test_detect_dt_that_passed_the_refinement_gate_refused(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the spacing at which the 1024/2048 ladder's t_detect moved
+        # 4.4 -> 4.2 and passed the refinement gate that it fails at 0.01
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(experiments, "run_simulation", no_simulation)
+        config = write(tmp_path, "[run]\nstudy = shock\n[study]\nrefine_start = 1024\n"
+                                 "refine_max = 2048\ndetect_dt = 0.2\n")
+        with pytest.raises(ConfigurationError, match=r"unknown key \[study\] detect_dt$"):
+            parse_config(config)
+        assert cli_dispatch(["shock", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key [study] detect_dt" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["readme", "docstring"])
     def test_documented_example_is_the_default_decay_run(self, tmp_path, source):
         # the docstring's box_length once parsed one ulp above 256*pi
@@ -342,7 +389,7 @@ class TestConfigParsing:
                   if f not in ("study", "custom_samples")}
         values.update(seed=3, alpha=-0.25, center=1.5, sine_mode=2,
                       amplitude=0.05, sample_dt=0.25, refine_start=256,
-                      j_list=(0, 1, 2), epsilon=values["epsilon"] or 0.2)
+                      epsilon=values["epsilon"] or 0.2)
         lines = []
         for section, keys in _SECTIONS.items():
             lines.append(f"[{section}]")

@@ -371,12 +371,10 @@ class TestWorkspace:
         g = make_grid(256, 16.0 * np.pi)
         half = asc.half_of(random_band_limited(g, 60, np.random.default_rng(6)))
         state = step_ifrk4(SolverState(0.0, g, half), 0.01, eq)
-        configs = (SolverConfig(dt_max=10.0, cfl_coefficient=0.5),
-                   SolverConfig(dt_max=10.0, cfl_coefficient=0.9),
-                   SolverConfig(dt_max=1e-4, cfl_coefficient=0.9))
+        configs = (SolverConfig(dt_max=10.0), SolverConfig(dt_max=1e-4))
         assert state.cfl_speed is None
         cached = [cfl_dt(state, cfg) for cfg in configs + configs]
         assert state.cfl_speed is not None
         fresh = [cfl_dt(SolverState(state.t, g, state.half), cfg) for cfg in configs]
         assert cached == fresh + fresh
-        assert cached[0] < 10.0 and cached[0] != cached[1] and cached[2] == 1e-4
+        assert 1e-4 < cached[0] < 10.0 and cached[1] == 1e-4

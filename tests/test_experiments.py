@@ -8,6 +8,8 @@ import pytest
 from fkdvlab import experiments
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.experiments import (
+    DETECT_DT,
+    LONGWAVE_ORDERS,
     ExperimentConfig,
     default_config,
     initial_field,
@@ -93,23 +95,23 @@ class TestConfigAndData:
         ("longwave", {"equation": "bogus"}, r"\[equation\] kind"),
         ("decay", {"sample_dt": 0.0}, r"\[study\] sample_dt"),
         ("decay", {"sample_dt": float("nan")}, r"\[study\] sample_dt"),
-        ("shock", {"detect_dt": 0.0}, r"\[study\] detect_dt"),
-        ("shock", {"detect_dt": -0.01}, r"\[study\] detect_dt"),
         ("longwave", {"eps_list": (0.1, 0.0)}, r"\[study\] eps_list"),
         ("longwave", {"eps_list": (0.1, float("nan"))}, r"\[study\] eps_list"),
         ("decay", {"sample_dt": float("inf")}, r"\[study\] sample_dt"),
-        ("shock", {"detect_dt": float("inf")}, r"\[study\] detect_dt"),
         ("longwave", {"eps_list": (0.1, float("inf"))}, r"\[study\] eps_list"),
         ("norms", {"t_end": float("inf")}, r"\[solver\] t_end"),
         ("decay", {"seed": -1}, r"\[run\] seed"),
-        ("longwave", {"j_list": (0.0, 1.0)}, r"\[study\] j_list"),
-        ("decay", {"j_list": (0, 0.5)}, r"\[study\] j_list"),
-        ("longwave", {"j_list": ()}, r"\[study\] j_list"),
         ("decay", {"initial_kind": "custom", "n_points": 64,
                    "custom_samples": np.zeros(10)}, r"\[initial\] kind"),
         ("shock", {"blowup_factor": 1.0}, r"\[study\] blowup_factor"),
         ("shock", {"blowup_factor": float("nan")}, r"\[study\] blowup_factor"),
         ("decay", {"n_points": 64.0}, r"\[grid\] n_points"),
+        ("longwave", {"eps_list": ()}, r"\[study\] eps_list"),
+        ("longwave", {"t_eval": float("inf")}, r"\[study\] t_eval"),
+        ("shock", {"blowup_factor": float("inf")}, r"\[study\] blowup_factor"),
+        ("shock", {"refine_start": 512.0}, r"\[study\] refine_start"),
+        ("shock", {"refine_max": float("inf")}, r"\[study\] refine_max"),
+        ("norms", {"fit_t_max": float("inf")}, r"\[study\] fit window"),
     ])
     def test_direct_construction_validated(self, study, override, key):
         with pytest.raises(ConfigurationError, match=key):
@@ -291,12 +293,25 @@ class TestStudySmoke:
         report = run_longwave_study(cfg, str(tmp_path))
         assert [v.name for v in report.verdicts][:2] == [
             "e0_ratio_eps0.2_to_0.1", "e1_ratio_eps0.2_to_0.1"]
-        for j in cfg.j_list:
+        for j in LONGWAVE_ORDERS:
             cols = [outputs.read_series(str(tmp_path / f"longwave_eps{eps:g}.csv"))
                     for eps in cfg.eps_list]
             assert all(times[1] == 0.25 for times, _ in cols)
             want = cols[0][1][f"e{j}"][1] / cols[1][1][f"e{j}"][1]
             assert report.measured[f"ratio_e{j}_eps0.2_over_eps0.1"] == want
+
+    @pytest.mark.parametrize("orders", [(0,), (0, 1, 2)])
+    def test_longwave_reads_the_module_orders(self, tmp_path, monkeypatch, orders):
+        # the series columns and ratio verdicts follow LONGWAVE_ORDERS,
+        # which no config can set
+        monkeypatch.setattr(experiments, "LONGWAVE_ORDERS", orders)
+        cfg = replace(default_config("longwave"), n_points=2 ** 8,
+                      eps_list=(0.2, 0.1), t_eval=2.0)
+        report = run_longwave_study(cfg, str(tmp_path))
+        header = (tmp_path / "longwave_eps0.2.csv").read_text().splitlines()[0]
+        assert header == "t," + ",".join(f"e{j}" for j in orders)
+        assert [v.name for v in report.verdicts if "_ratio_" in v.name] == [
+            f"e{j}_ratio_eps0.2_to_0.1" for j in orders]
 
     def test_longwave_needs_two_epsilons(self):
         with pytest.raises(ConfigurationError, match="eps_list"):
@@ -423,8 +438,7 @@ class TestSampleRun:
     def test_halted_run_stops_at_its_last_finite_snapshot(self):
         # data above the blow-up amplitude halt the first step, before t = 1
         u0 = self.sine(64, 3e12)
-        config = SolverConfig(dt_max=0.05, cfl_coefficient=1.0, t_end=5.0,
-                              snapshot_times=(0.0, 1.0, 5.0))
+        config = SolverConfig(dt_max=0.05, t_end=5.0, snapshot_times=(0.0, 1.0, 5.0))
         halt, times, values = experiments.sample_run(
             u0, make_equation("modified_burgers"), config,
             {"t": lambda state: state.t,
@@ -446,8 +460,7 @@ class TestShockObserver:
     def test_matches_full_spectrum_expression(self, equation, alpha, n, box_length):
         # the shock study runs modified_fkdv only as its contrast, so the
         # equation is handed to the observer, not set in the shock config
-        cfg = default_config("shock", box_length=box_length, detect_dt=0.05,
-                             blowup_factor=1.02)
+        cfg = default_config("shock", box_length=box_length, blowup_factor=1.02)
         eq = make_equation(equation, alpha=alpha)
         grid = make_grid(n, box_length)
         dxs = 1j * asc.xi(grid)
@@ -468,15 +481,33 @@ class TestShockObserver:
 
         u0 = initial_field(cfg, grid)
         run_simulation(u0, eq, cfg.solver(t_end, tuple(np.arange(0.0, t_end + 1e-9,
-                                                                cfg.detect_dt))),
+                                                                DETECT_DT))),
                        observer)
-        assert len(old_values) == 11 and mismatches == []
+        assert len(old_values) == 51 and mismatches == []
 
         t_detect, info = experiments._detect_blowup_time(cfg, eq, u0, t_end)
         g0 = sup_ux_ascending(u0.coeffs)
         hits = [t for t, v in old_values if v >= cfg.blowup_factor * g0]
         assert info["peak_gradient"] == max(v for _, v in old_values)
         assert t_detect == (hits[0] if hits else None)
+
+
+    @pytest.mark.parametrize("spacing", [DETECT_DT, 0.05])
+    def test_detection_snapshots_every_detect_dt(self, monkeypatch, spacing):
+        # the detector reads the module constant, which no config can set
+        seen = []
+        sample_run = experiments.sample_run
+
+        def recording(u0, eq, config, observables):
+            seen.append(config.snapshot_times)
+            return sample_run(u0, eq, config, observables)
+
+        monkeypatch.setattr(experiments, "DETECT_DT", spacing)
+        monkeypatch.setattr(experiments, "sample_run", recording)
+        cfg = default_config("shock", n_points=64)
+        experiments._detect_blowup_time(cfg, cfg.make_eq(), initial_field(cfg, cfg.grid()),
+                                        0.5)
+        assert seen == [experiments.uniform_snapshots(0.5, spacing)]
 
 
 class TestDeterminism:

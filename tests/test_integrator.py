@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkdvlab import spectral
+from fkdvlab import integrator, spectral
 from fkdvlab.equations import (
     EQUATION_KINDS,
     band_length,
@@ -16,6 +16,7 @@ from fkdvlab.equations import (
 from fkdvlab.errors import ConfigurationError
 from fkdvlab.integrator import (
     BLOWUP_AMPLITUDE,
+    CFL_COEFFICIENT,
     CFL_FLOOR,
     SNAPSHOT_RATIO,
     HaltReason,
@@ -108,8 +109,7 @@ def reference_run(u0, eq, config):
         speed = (float(np.max(np.abs(asc.inverse_transform(grid, c * mask))))
                  + asc.SQRT_2PI / grid.box_length
                  * (2.0 * float(np.sum(tail)) - float(tail[-1]))) ** 2
-        return min(config.dt_max,
-                   config.cfl_coefficient * grid.dx / max(CFL_FLOOR, speed))
+        return min(config.dt_max, CFL_COEFFICIENT * grid.dx / max(CFL_FLOOR, speed))
 
     def bad(c):
         if np.any(np.isnan(c)):
@@ -156,15 +156,27 @@ class TestCfl:
         u = np.zeros(32)
         u[5] = 2.0
         state = state_of(field_of(g, u))
-        cfg = SolverConfig(dt_max=1.0, cfl_coefficient=0.5, t_end=1.0)
+        cfg = SolverConfig(dt_max=1.0, t_end=1.0)
         assert cfl_dt(state, cfg) == pytest.approx(0.0125, rel=1e-10)
+
+    @pytest.mark.parametrize("coefficient", [0.25, 1.0])
+    def test_reads_the_module_coefficient(self, monkeypatch, coefficient):
+        # max|u| = 2, dx = 0.1: dt = c*0.1/2^2 for the constant c, which no
+        # config can set
+        monkeypatch.setattr(integrator, "CFL_COEFFICIENT", coefficient)
+        g = make_grid(32, 3.2)
+        u = np.zeros(32)
+        u[5] = 2.0
+        cfg = SolverConfig(dt_max=1.0, t_end=1.0)
+        assert cfl_dt(state_of(field_of(g, u)), cfg) == pytest.approx(
+            coefficient * 0.025, rel=1e-10)
 
     def test_dt_max_cap(self):
         g = make_grid(32, 3.2)
         u = np.zeros(32)
         u[5] = 1.0
         state = state_of(field_of(g, u))
-        cfg = SolverConfig(dt_max=0.01, cfl_coefficient=0.5, t_end=1.0)
+        cfg = SolverConfig(dt_max=0.01, t_end=1.0)
         # max|u| = 1 gives 0.5*0.1/1^2 = 0.05 > dt_max
         assert cfl_dt(state, cfg) == 0.01
 
@@ -193,13 +205,12 @@ def broadband_spectra(draw):
 
 @st.composite
 def cfl_cases(draw):
-    """A half spectrum of ``broadband_spectra`` or ``tailed_spectra``, the
-    CFL coefficient, and dt_max placed at the exact CFL edge, at the edge
-    of U, one ulp past either, or anywhere near them."""
+    """A half spectrum of ``broadband_spectra`` or ``tailed_spectra`` and
+    dt_max placed at the exact CFL edge, at the edge of U, one ulp past
+    either, or anywhere near them."""
     grid, half = draw(st.one_of(broadband_spectra(), tailed_spectra()))
-    cfl = draw(st.floats(0.01, 1.0))
     where = draw(st.sampled_from(["exact", "bound", "near"]))
-    return grid, half, cfl, where, draw(st.sampled_from([0, 1])), \
+    return grid, half, where, draw(st.sampled_from([0, 1])), \
         10.0 ** draw(st.floats(-2.0, 2.0))
 
 
@@ -246,8 +257,8 @@ class TestCflSpeed:
     def test_speed_is_band_max_plus_tail_l1(self, case):
         # cfl_dt reads U; U is max|u| bit for bit with nothing above the
         # band, and at least max|u|, to the synthesis's round-off, otherwise
-        grid, half, cfl, where, ulps, factor = case
-        reach = cfl * grid.dx
+        grid, half, where, ulps, factor = case
+        reach = CFL_COEFFICIENT * grid.dx
         with np.errstate(over="ignore", invalid="ignore"):
             max_u = float(np.max(np.abs(inverse_transform(grid, half))))
             bound = speed_bound(grid, half)
@@ -259,7 +270,7 @@ class TestCflSpeed:
             dt_max = factor
         for _ in range(ulps):
             dt_max = np.nextafter(dt_max, np.inf)
-        config = SolverConfig(dt_max=float(dt_max), cfl_coefficient=cfl)
+        config = SolverConfig(dt_max=float(dt_max))
         with np.errstate(over="ignore", invalid="ignore"):
             got = cfl_dt(SolverState(0.0, grid, half), config)
         assert got == min(config.dt_max, reach / max(CFL_FLOOR, bound ** 2))
@@ -506,8 +517,7 @@ class TestRunSimulation:
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_burgers")
         u0 = field_of(g, 3e12 * np.sin(g.x))
-        cfg = SolverConfig(dt_max=0.05, cfl_coefficient=1.0, t_end=5.0,
-                           snapshot_times=(5.0,))
+        cfg = SolverConfig(dt_max=0.05, t_end=5.0, snapshot_times=(5.0,))
         final, halt = run_simulation(u0, eq, cfg)
         assert halt.kind in ("blowup", "nan")
         assert np.all(np.isfinite(final.half))
@@ -614,10 +624,8 @@ class TestRunSimulation:
             SolverConfig(dt_max=-1.0, t_end=1.0)
         with pytest.raises(Exception):
             SolverConfig(t_end=1.0, snapshot_times=(2.0,))
-        with pytest.raises(Exception):
-            SolverConfig(t_end=1.0, cfl_coefficient=1.5)
 
-    @pytest.mark.parametrize("field", ["dt_max", "t_end", "cfl_coefficient"])
+    @pytest.mark.parametrize("field", ["dt_max", "t_end"])
     def test_nan_config_refused(self, field):
         with pytest.raises(ConfigurationError, match=field):
             SolverConfig(**{field: float("nan")})
@@ -698,8 +706,7 @@ class TestFullSpectrumReference:
         g = make_grid(64, TWO_PI)
         eq = make_equation("modified_burgers")
         u0 = field_of(g, 3e12 * np.sin(g.x))
-        cfg = SolverConfig(dt_max=0.05, cfl_coefficient=1.0, t_end=5.0,
-                           snapshot_times=(5.0,))
+        cfg = SolverConfig(dt_max=0.05, t_end=5.0, snapshot_times=(5.0,))
         final, halt = run_simulation(u0, eq, cfg)
         ref, kind_ref, t_ref, _ = reference_run(u0, eq, cfg)
         assert (halt.kind, halt.t) == (kind_ref, t_ref)
