@@ -60,8 +60,7 @@ from .spectral import (
     z_weight,
 )
 
-STUDIES = ("decay", "scattering", "longwave", "shock", "norms")
-INITIAL_KINDS = ("gaussian", "sech2", "sine", "custom")
+INITIAL_KINDS = ("gaussian", "sech2", "sine")
 
 
 def _in_section(section: str, build, *args):
@@ -91,7 +90,6 @@ class ExperimentConfig:
     width: float = 1.0
     center: float | None = None              # None -> box center
     sine_mode: int = 1
-    custom_samples: np.ndarray | None = None
     # grid / solver
     n_points: int = 2 ** 13
     box_length: float = 256.0 * np.pi
@@ -131,19 +129,13 @@ class ExperimentConfig:
         if self.refine_start > self.refine_max:
             raise ConfigurationError(f"[study] refine_start/refine_max: refine_start "
                                      f"{self.refine_start} exceeds refine_max {self.refine_max}")
-        if self.seed < 0:
-            raise ConfigurationError(f"[run] seed: must be nonnegative, got {self.seed}")
+        # numpy's generators take integer seeds only
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigurationError(
+                f"[run] seed: must be a nonnegative integer, got {self.seed}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ConfigurationError(f"[initial] kind: unknown kind {self.initial_kind!r}; "
                                      f"expected one of {INITIAL_KINDS}")
-        # no config key supplies samples: custom data is set in code only
-        if self.initial_kind == "custom":
-            if self.custom_samples is None:
-                raise ConfigurationError("[initial] kind: custom initial data requires samples")
-            if np.shape(self.custom_samples) != (self.n_points,):
-                raise ConfigurationError(
-                    f"[initial] kind: custom samples of shape {np.shape(self.custom_samples)} "
-                    f"do not match grid with {self.n_points} points")
         if not all(0 < eps < np.inf for eps in self.eps_list):
             raise ConfigurationError(
                 f"[study] eps_list: values must be positive and finite, got {self.eps_list}")
@@ -286,10 +278,8 @@ def initial_field(cfg: ExperimentConfig, grid: Grid | None = None) -> SpectralFi
         finite = c < 2.0 ** 512                 # exactly where c ** 2 does not overflow
         u0 = np.zeros_like(c)
         u0[finite] = cfg.amplitude / c[finite] ** 2
-    elif cfg.initial_kind == "sine":
-        u0 = cfg.amplitude * np.sin(2.0 * np.pi * cfg.sine_mode * x / grid.box_length)
     else:
-        u0 = np.asarray(cfg.custom_samples, dtype=float)
+        u0 = cfg.amplitude * np.sin(2.0 * np.pi * cfg.sine_mode * x / grid.box_length)
     return hermitize(SpectralField.from_samples(grid, u0))
 
 
@@ -386,7 +376,7 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
     grid = cfg.grid()
     u0 = initial_field(cfg, grid)
     smallness = measure_smallness(u0)
-    # written so that a NaN size (from NaN custom samples) is refused too
+    # written so that a NaN size is refused too
     if not smallness["epsilon0"] <= EPSILON_BAR:
         raise ConfigurationError(
             f"initial data size {smallness['epsilon0']:.3e} is not within the "
@@ -409,14 +399,6 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
     return report
 
 
-def _study(body) -> Callable[[ExperimentConfig, str], ExperimentReport]:
-    """The runner ``(cfg, out_dir) -> ExperimentReport`` of a study body."""
-    def run(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
-        return study_skeleton(cfg, out_dir, body)
-    run.__name__, run.__doc__ = body.__name__, body.__doc__
-    return run
-
-
 def _sup_gradient(grid: Grid) -> Callable[[np.ndarray], float]:
     """sup|u_x| of a half spectrum on grid, by the d/dx table."""
     table = half_table(grid, lambda xi: 1j * xi)
@@ -431,8 +413,7 @@ EXPONENT_BAND = (-0.6, -0.4)    #: band of the fitted exponents of sup|u|, sup|u
 R2_MIN = 0.95                   #: least r^2 of each decay fit
 
 
-@_study
-def run_decay_study(study: Study):
+def _decay(study: Study):
     """Sup-norm decay of the solution and its gradient, fitted over a window."""
     cfg, report = study.cfg, study.report
     sup_ux = _sup_gradient(study.grid)
@@ -472,8 +453,7 @@ MONO_FROM = 3           #: first dyadic pair m from which d_m(g) must not increa
 FINAL_RATIO_MAX = 0.5   #: largest final corrected-to-raw Cauchy-difference ratio
 
 
-@_study
-def run_scattering_study(study: Study):
+def _scattering(study: Study):
     """Profile Cauchy differences with and without the log-phase correction."""
     cfg, eq, report = study.cfg, study.eq, study.report
     n_dyadic = int(np.floor(np.log2(cfg.t_end) + 1e-9))
@@ -533,8 +513,7 @@ RATIO_BAND = (2.5, 6.0)     #: band of each error ratio of consecutive epsilons
 SHAPE_FACTOR_MAX = 2.0      #: largest max/min of e0/t over 2 <= t <= 1/(2 eps)
 
 
-@_study
-def run_longwave_study(study: Study):
+def _longwave(study: Study):
     """Scaled nonlocal equation vs its third-order local model from shared data."""
     cfg, grid, phi, report = study.cfg, study.grid, study.u0, study.report
 
@@ -644,8 +623,7 @@ def _detect_blowup_time(cfg: ExperimentConfig, eq: EquationSpec, u0: SpectralFie
     return (next(hits, None) if g0 > 0.0 else None), info
 
 
-@_study
-def run_shock_study(study: Study):
+def _shock(study: Study):
     """Gradient blow-up detection vs the characteristics oracle, with a
     dispersive contrast run from the same data scaled small.  Each ladder
     row records the halt of its own run; the study itself reports none."""
@@ -725,8 +703,7 @@ def run_shock_study(study: Study):
 SLOPE_MAX = 0.05    #: largest log-log slope of the H^s and H^{1,1} norms
 
 
-@_study
-def run_norm_growth_study(study: Study):
+def _norm_growth(study: Study):
     """Sobolev norm of the solution and weighted-localization norm of the
     profile: log-log slopes over the window must stay near zero."""
     cfg, eq, report = study.cfg, study.eq, study.report
@@ -755,14 +732,11 @@ def run_norm_growth_study(study: Study):
     return [halt], verdicts
 
 
-STUDY_RUNNERS = {
-    "decay": run_decay_study,
-    "scattering": run_scattering_study,
-    "longwave": run_longwave_study,
-    "shock": run_shock_study,
-    "norms": run_norm_growth_study,
-}
+#: The body of each study, by name, in the order ``fkdvlab all`` runs them.
+STUDY_BODIES = {"decay": _decay, "scattering": _scattering, "longwave": _longwave,
+                "shock": _shock, "norms": _norm_growth}
+STUDIES = tuple(STUDY_BODIES)
 
 
 def run_study(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    return STUDY_RUNNERS[cfg.study](cfg, out_dir)
+    return study_skeleton(cfg, out_dir, STUDY_BODIES[cfg.study])

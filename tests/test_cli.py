@@ -234,10 +234,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
     def test_custom_initial_data_refused_on_every_path(self, tmp_path, capsys, path):
-        # no key supplies samples; the kind used to pass validation and fail
-        # only inside initial_field
+        # the initial kinds are the three shapes an INI file can name
         assert_refused_on_path(tmp_path, capsys, path, "initial", "kind", "custom",
-                               r"\[initial\] kind: custom initial data requires samples")
+                               r"\[initial\] kind: unknown kind 'custom'")
 
     @pytest.mark.parametrize("path", ["direct", "replace", "ini", "cli"])
     @pytest.mark.parametrize("sign", ["", "-"])
@@ -374,8 +373,7 @@ class TestConfigParsing:
 
     def test_table_covers_every_field_once(self):
         fields = [attr for keys in _SECTIONS.values() for attr, _ in keys.values()]
-        assert sorted(fields) == sorted(
-            ["out_dir"] + [f for f in vars(ExperimentConfig()) if f != "custom_samples"])
+        assert sorted(fields) == sorted(["out_dir", *vars(ExperimentConfig())])
         renamed = {(section, key): attr for section, keys in _SECTIONS.items()
                    for key, (attr, _) in keys.items() if attr != key}
         assert renamed == {("equation", "kind"): "equation",
@@ -386,7 +384,7 @@ class TestConfigParsing:
         # one valid value for every key; the config file and the keyword
         # call must resolve to the same configuration
         values = {f: v for f, v in vars(default_config(study)).items()
-                  if f not in ("study", "custom_samples")}
+                  if f != "study"}
         values.update(seed=3, alpha=-0.25, center=1.5, sine_mode=2,
                       amplitude=0.05, sample_dt=0.25, refine_start=256,
                       epsilon=values["epsilon"] or 0.2)

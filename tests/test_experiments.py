@@ -15,10 +15,6 @@ from fkdvlab.experiments import (
     initial_field,
     measure_smallness,
     predict_shock_time,
-    run_decay_study,
-    run_longwave_study,
-    run_scattering_study,
-    run_shock_study,
     run_study,
 )
 from fkdvlab.cli import cli_dispatch
@@ -101,8 +97,9 @@ class TestConfigAndData:
         ("longwave", {"eps_list": (0.1, float("inf"))}, r"\[study\] eps_list"),
         ("norms", {"t_end": float("inf")}, r"\[solver\] t_end"),
         ("decay", {"seed": -1}, r"\[run\] seed"),
-        ("decay", {"initial_kind": "custom", "n_points": 64,
-                   "custom_samples": np.zeros(10)}, r"\[initial\] kind"),
+        # the INI file refuses seed = 1.5, and numpy's generators refuse it
+        ("decay", {"seed": 1.5}, r"\[run\] seed"),
+        ("shock", {"seed": np.float64(1.5)}, r"\[run\] seed"),
         ("shock", {"blowup_factor": 1.0}, r"\[study\] blowup_factor"),
         ("shock", {"blowup_factor": float("nan")}, r"\[study\] blowup_factor"),
         ("decay", {"n_points": 64.0}, r"\[grid\] n_points"),
@@ -166,17 +163,6 @@ class TestConfigAndData:
         want = hermitize(SpectralField.from_samples(g, plain))
         assert np.array_equal(got.coeffs, want.coeffs)
 
-    def test_custom_samples(self):
-        cfg = default_config("decay", n_points=64, box_length=TWO_PI)
-        g = cfg.grid()
-        custom = 0.1 * np.cos(g.x)
-        fld = initial_field(replace(cfg, initial_kind="custom",
-                                    custom_samples=custom), g)
-        assert np.max(np.abs(samples(fld) - custom)) < 1e-12
-        # samples that do not fit the grid are refused when the config is built
-        with pytest.raises(ConfigurationError, match=r"\[initial\] kind"):
-            replace(cfg, initial_kind="custom", custom_samples=custom[:10])
-
     def test_smallness_decomposition(self):
         cfg = replace(default_config("decay"), n_points=2 ** 10,
                       box_length=64.0 * np.pi)
@@ -202,14 +188,16 @@ class TestConfigAndData:
             run_study(default_config(study), str(tmp_path))
         assert cli_dispatch([study, "--out", str(tmp_path)]) == 2
 
-    def test_nan_custom_samples_refused(self, tmp_path, monkeypatch):
+    def test_nan_size_refused(self, tmp_path, monkeypatch):
         # a NaN size fails the smallness gate, not the first step
         def no_simulation(*args, **kwargs):
             raise AssertionError("the simulation started")
 
+        measure = experiments.measure_smallness
         monkeypatch.setattr(experiments, "run_simulation", no_simulation)
-        cfg = replace(default_config("decay"), n_points=64, initial_kind="custom",
-                      custom_samples=np.full(64, np.nan))
+        monkeypatch.setattr(experiments, "measure_smallness",
+                            lambda u0: {**measure(u0), "epsilon0": np.nan})
+        cfg = replace(default_config("decay"), n_points=64)
         with pytest.raises(ConfigurationError, match="smallness bound"):
             run_study(cfg, str(tmp_path))
 
@@ -221,7 +209,7 @@ SMALL_DECAY = dict(n_points=2 ** 11, box_length=64.0 * np.pi, t_end=30.0,
 class TestStudySmoke:
     def test_decay_small(self, tmp_path):
         cfg = replace(default_config("decay"), **SMALL_DECAY)
-        report = run_decay_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         assert report.measured["halt"]["kind"] == "completed"
         assert -0.8 < report.measured["exponent_u"] < -0.2
         assert os.path.exists(os.path.join(str(tmp_path), report.series_paths[0]))
@@ -237,16 +225,15 @@ class TestStudySmoke:
 
     def test_scattering_guards(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            run_scattering_study(replace(default_config("scattering"), t_end=32.0),
-                                 str(tmp_path))
+            run_study(replace(default_config("scattering"), t_end=32.0), str(tmp_path))
         with pytest.raises(ConfigurationError, match="requires modified_fkdv"):
-            run_scattering_study(replace(default_config("scattering"),
-                                         equation="mkdv", epsilon=0.1), str(tmp_path))
+            run_study(replace(default_config("scattering"), equation="mkdv", epsilon=0.1),
+                      str(tmp_path))
 
     def test_scattering_small(self, tmp_path):
         cfg = replace(default_config("scattering"), n_points=2 ** 11,
                       box_length=128.0 * np.pi, t_end=64.0)
-        report = run_scattering_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         assert len(report.measured["d_corrected"]) == 5
         assert np.isfinite(report.measured["rate_corrected"])
         assert np.isfinite(report.measured["final_ratio"])
@@ -280,7 +267,7 @@ class TestStudySmoke:
     def test_longwave_small(self, tmp_path):
         cfg = replace(default_config("longwave"), n_points=2 ** 9,
                       eps_list=(0.2, 0.1), t_eval=2.0)
-        report = run_longwave_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         ratio = report.measured["ratio_e0_eps0.2_over_eps0.1"]
         assert 1.5 < ratio < 8.0
         assert len(report.series_paths) == 2
@@ -290,7 +277,7 @@ class TestStudySmoke:
         # there: the ratio reads t = 0.25 instead
         cfg = replace(default_config("longwave"), n_points=2 ** 8,
                       eps_list=(0.2, 0.1), t_eval=0.1)
-        report = run_longwave_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         assert [v.name for v in report.verdicts][:2] == [
             "e0_ratio_eps0.2_to_0.1", "e1_ratio_eps0.2_to_0.1"]
         for j in LONGWAVE_ORDERS:
@@ -307,7 +294,7 @@ class TestStudySmoke:
         monkeypatch.setattr(experiments, "LONGWAVE_ORDERS", orders)
         cfg = replace(default_config("longwave"), n_points=2 ** 8,
                       eps_list=(0.2, 0.1), t_eval=2.0)
-        report = run_longwave_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         header = (tmp_path / "longwave_eps0.2.csv").read_text().splitlines()[0]
         assert header == "t," + ",".join(f"e{j}" for j in orders)
         assert [v.name for v in report.verdicts if "_ratio_" in v.name] == [
@@ -320,7 +307,7 @@ class TestStudySmoke:
     def test_shock_fast_confirms(self, tmp_path):
         cfg = replace(default_config("shock"), blowup_factor=20.0,
                       refine_start=2 ** 9, refine_max=2 ** 11)
-        report = run_shock_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         assert report.measured["oracle_t_star"] == pytest.approx(4.0, rel=1e-6)
         assert report.measured["t_detect"] is not None
         assert abs(report.measured["t_detect"] - 4.0) / 4.0 < 0.15
@@ -332,7 +319,7 @@ class TestStudySmoke:
         monkeypatch.setattr(experiments, "CONTRAST_HORIZON_FACTOR", factor)
         cfg = default_config("shock", blowup_factor=20.0, refine_start=2 ** 6,
                              refine_max=2 ** 8)
-        report = run_shock_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         m = report.measured
         assert m["contrast"]["horizon"] == factor * m["oracle_t_star"]
         threshold = next(v.threshold for v in report.verdicts
@@ -342,10 +329,9 @@ class TestStudySmoke:
         assert threshold == f"gradient growth < 20.0x over {text}*t*"
 
     def test_shock_no_compression(self, tmp_path):
-        cfg = replace(default_config("shock"), initial_kind="custom",
-                      custom_samples=np.full(2 ** 9, 0.25), t_end=2.0,
+        cfg = replace(default_config("shock"), amplitude=0.0, t_end=2.0,
                       refine_start=2 ** 9, refine_max=2 ** 10)
-        report = run_shock_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         assert report.measured["oracle_t_star"] is None
         assert report.all_passed
 
@@ -382,7 +368,7 @@ class TestHaltPolicy:
         monkeypatch.setattr(experiments, "run_simulation", first_member_blows_up)
         cfg = replace(default_config("longwave"), n_points=2 ** 8,
                       eps_list=(0.2, 0.1), t_eval=2.0)
-        report = run_longwave_study(cfg, str(tmp_path))
+        report = run_study(cfg, str(tmp_path))
         manifest = json.load(open(tmp_path / "longwave_manifest.json"))
         assert manifest["halt"] == {"kind": "blowup", "t": 1.0}
         assert [(v.name, v.passed) for v in report.verdicts] == [("run_completed", False)]
@@ -530,8 +516,8 @@ class TestResolutionStability:
         base = replace(default_config("longwave"), eps_list=(0.2, 0.1),
                        t_eval=2.0, n_points=2 ** 9)
         fine = replace(base, n_points=2 ** 10)
-        rep_a = run_longwave_study(base, str(tmp_path / "a"))
-        rep_b = run_longwave_study(fine, str(tmp_path / "b"))
+        rep_a = run_study(base, str(tmp_path / "a"))
+        rep_b = run_study(fine, str(tmp_path / "b"))
         verdicts_a = {v.name: v.passed for v in rep_a.verdicts}
         verdicts_b = {v.name: v.passed for v in rep_b.verdicts}
         assert verdicts_a == verdicts_b
@@ -543,8 +529,8 @@ class TestResolutionStability:
         base = default_config("scattering")
         doubled = replace(base, box_length=2.0 * base.box_length,
                           n_points=2 * base.n_points)
-        rep_a = run_scattering_study(base, str(tmp_path / "a"))
-        rep_b = run_scattering_study(doubled, str(tmp_path / "b"))
+        rep_a = run_study(base, str(tmp_path / "a"))
+        rep_b = run_study(doubled, str(tmp_path / "b"))
         va = {v.name: v.passed for v in rep_a.verdicts}
         vb = {v.name: v.passed for v in rep_b.verdicts}
         assert va == vb
