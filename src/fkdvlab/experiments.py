@@ -38,7 +38,7 @@ from .diagnostics import (
     z_distance,
 )
 from .equations import EquationSpec, make_equation
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InsufficientDataError
 from .integrator import (HaltReason, SolverConfig, SolverState, geometric_snapshots,
                          run_simulation, uniform_snapshots)
 from .spectral import (
@@ -139,6 +139,8 @@ class ExperimentConfig:
         if not all(0 < eps < np.inf for eps in self.eps_list):
             raise ConfigurationError(
                 f"[study] eps_list: values must be positive and finite, got {self.eps_list}")
+        # a tuple of floats, as the INI parser gives, so that the config hashes
+        object.__setattr__(self, "eps_list", tuple(float(eps) for eps in self.eps_list))
         # each value names its series file longwave_eps{eps:g}.csv and its verdicts
         if len({f"{eps:g}" for eps in self.eps_list}) < len(self.eps_list):
             raise ConfigurationError(
@@ -491,12 +493,17 @@ def _scattering(study: Study):
         report.measured["rate_raw"] = difference_rate(t_m, d_f)
 
         m0 = MONO_FROM
+        # zero data leave every difference 0, so each ratio below 0/0
+        if not (np.all(d_g[m0 - 1:-1] > 0.0) and d_f[-1] > 0.0):
+            raise InsufficientDataError(
+                f"the step and final ratios need positive Cauchy differences, got "
+                f"d_corrected {d_g.tolist()} and d_raw {d_f.tolist()}")
         mono = all(d_g[i + 1] <= d_g[i] for i in range(m0 - 1, len(d_g) - 1))
         worst = max((d_g[i + 1] / d_g[i] for i in range(m0 - 1, len(d_g) - 1)),
                     default=0.0)
         report.add_verdict(f"d_corrected_nonincreasing_from_m{m0}", mono, worst,
                            "max step ratio <= 1", d_name)
-        final_ratio = d_g[-1] / d_f[-1] if d_f[-1] > 0 else float("inf")
+        final_ratio = d_g[-1] / d_f[-1]
         report.measured["final_ratio"] = float(final_ratio)
         report.add_verdict("final_corrected_to_raw_ratio",
                            final_ratio <= FINAL_RATIO_MAX, final_ratio,
@@ -551,8 +558,12 @@ def _longwave(study: Study):
         eps_sorted = sorted(cfg.eps_list, reverse=True)
         for big, small in zip(eps_sorted, eps_sorted[1:]):
             for j in LONGWAVE_ORDERS:
-                ratio = (errors[big]["e"][j][nearest[big]]
-                         / errors[small]["e"][j][nearest[small]])
+                denominator = errors[small]["e"][j][nearest[small]]
+                if denominator == 0.0:
+                    raise InsufficientDataError(
+                        f"the e{j} ratio of eps = {big:g} to {small:g} needs a nonzero "
+                        f"error at eps = {small:g} near t_eval = {cfg.t_eval:g}, got 0")
+                ratio = errors[big]["e"][j][nearest[big]] / denominator
                 report.measured[f"ratio_e{j}_eps{big:g}_over_eps{small:g}"] = float(ratio)
                 report.add_verdict(
                     f"e{j}_ratio_eps{big:g}_to_{small:g}", lo <= ratio <= hi,

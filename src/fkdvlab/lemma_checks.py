@@ -6,7 +6,10 @@ pass thresholds are named constants beside it, and its ``*_verdicts``
 function turns those results into Verdicts that name the value and the
 threshold, as the study verdicts do.
 
-All checks are deterministic given their seed and pure per parameter tuple.
+Each check computes exactly the case ``fkdvlab lemmas`` runs: what it
+evaluates is a named constant beside its pass thresholds, and it takes only
+alpha (the dispersive and phase checks) or the seed.  All checks are
+deterministic given their seed.
 
 Fields are drawn and synthesised as half spectra, as everywhere else; the
 sums over every wavenumber, whose pinned results depend on their ascending
@@ -14,8 +17,6 @@ order, read ``spectral.whole_spectrum``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,34 +72,17 @@ def _uniform_cosine_sums(a, h: float, z_lo: float, dz: float, count: int) -> np.
     return (np.exp(0.5j * theta * k * k) * conv).real
 
 
-@dataclass
-class EstimateSweepResult:
-    """Parameter tuples with both sides of an estimate and ratio statistics."""
-
-    name: str
-    tuples: list = field(default_factory=list)   # dicts of parameters
-    lhs: list = field(default_factory=list)
-    rhs: list = field(default_factory=list)
-
-    def add(self, params: dict, lhs: float, rhs: float) -> None:
-        if not (np.isfinite(lhs) and np.isfinite(rhs) and rhs > 0):
-            raise ValueError(f"non-finite or non-positive estimate sides: {lhs}, {rhs}")
-        self.tuples.append(dict(params))
-        self.lhs.append(float(lhs))
-        self.rhs.append(float(rhs))
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return np.asarray(self.lhs) / np.asarray(self.rhs)
-
-    def ratio_stats(self) -> dict:
-        r = self.ratios
-        return {"max": float(np.max(r)), "median": float(np.median(r)),
-                "min": float(np.min(r)), "count": len(r)}
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "tuples": self.tuples, "lhs": self.lhs,
-                "rhs": self.rhs, "ratio_stats": self.ratio_stats()}
+def _sweep(name: str, tuples: list, lhs, rhs) -> dict:
+    """Both sides of an estimate at each parameter tuple (a dict), with the
+    statistics of their ratios; every side must be finite, every right side
+    positive."""
+    lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs)) and np.all(rhs > 0)):
+        raise ValueError(f"non-finite or non-positive estimate sides: {lhs}, {rhs}")
+    r = lhs / rhs
+    return {"name": name, "tuples": tuples, "lhs": lhs.tolist(), "rhs": rhs.tolist(),
+            "ratio_stats": {"max": float(np.max(r)), "median": float(np.median(r)),
+                            "min": float(np.min(r)), "count": len(r)}}
 
 
 # ---------------------------------------------------------------------------
@@ -265,45 +249,40 @@ def dispersive_rhs(alpha: float, k: int, t: float) -> dict:
             "phys": lead * _FIELD_L1}
 
 
+DISPERSIVE_BANDS = tuple(range(-3, 4))      #: the bands k of the sweep
+DISPERSIVE_TIMES = (1.0, 4.0, 16.0, 64.0)   #: the times t of the sweep, in every band
+
 #: Pass threshold of ``check_dispersive_estimate``: largest relative
 #: dilation-identity defect (the sweep maxima are recorded, not gated).
 DISPERSIVE_DILATION_DEFECT_MAX = 1e-6
 
 
-def check_dispersive_estimate(alpha: float, k_range=range(-3, 4),
-                              t_range=(1.0, 4.0, 16.0, 64.0)) -> dict:
-    """Sweep LHS/RHS ratios of the dispersive sup-norm estimates.
+def check_dispersive_estimate(alpha: float) -> dict:
+    """Sweep LHS/RHS ratios of the dispersive sup-norm estimates over
+    DISPERSIVE_BANDS x DISPERSIVE_TIMES.
 
-    Returns one EstimateSweepResult per estimate form plus the dilation
-    identity defect: the ratio at (band k+1, time t) must equal the ratio at
-    (band k, time 2^(1+alpha) t), because packet, band and both sides of the
-    estimate carry the same dyadic factors.
+    Returns one sweep per estimate form plus the dilation identity defect:
+    the ratio at (band k+1, time t) must equal the ratio at (band k, time
+    2^(1+alpha) t), because packet, band and both sides of the estimate
+    carry the same dyadic factors.
     """
     check_alpha(alpha)
-    if len(k_range) == 0:
-        raise ConfigurationError("k_range must hold at least one band")
-    if len(t_range) == 0 or not all(0.0 < t < np.inf for t in t_range):
-        raise ConfigurationError(f"t_range needs positive, finite times, got {tuple(t_range)}")
     # the sweep, then the dilation pair (band k0 + 1, t0) and (k0, 2^(1+alpha) t0)
-    points = [(int(k), float(t)) for k in k_range for t in t_range]
+    points = [(k, t) for k in DISPERSIVE_BANDS for t in DISPERSIVE_TIMES]
     k0, t0 = 0, 4.0
     pair = [(k0 + 1, t0), (k0, 2.0 ** (1.0 + alpha) * t0)]
     sups = _evolved_band_sups(alpha, *zip(*points, *pair))
-    res_freq = EstimateSweepResult("dispersive_freq_side")
-    res_phys = EstimateSweepResult("dispersive_phys_side")
-    for (k, t), lhs in zip(points, sups):
-        rhs = dispersive_rhs(alpha, k, t)
-        params = {"alpha": alpha, "k": k, "t": t}
-        res_freq.add(params, lhs, rhs["freq"])
-        res_phys.add(params, lhs, rhs["phys"])
-    r_dilated, r_rescaled = (lhs / dispersive_rhs(alpha, k, t)["phys"]
-                             for (k, t), lhs in zip(pair, sups[-2:]))
+    tuples = [{"alpha": alpha, "k": k, "t": t} for k, t in points]
+    rhs = [dispersive_rhs(alpha, k, t) for k, t in points]
+    lhs = sups[:len(points)]
+    r_dilated, r_rescaled = (sup / dispersive_rhs(alpha, k, t)["phys"]
+                             for (k, t), sup in zip(pair, sups[-2:]))
     dilation_defect = abs(r_dilated - r_rescaled) / r_rescaled
 
     return {
         "alpha": alpha,
-        "freq_side": res_freq.to_dict(),
-        "phys_side": res_phys.to_dict(),
+        "freq_side": _sweep("dispersive_freq_side", tuples, lhs, [r["freq"] for r in rhs]),
+        "phys_side": _sweep("dispersive_phys_side", tuples, lhs, [r["phys"] for r in rhs]),
         "dilation_defect": float(dilation_defect),
     }
 
@@ -361,6 +340,8 @@ def _chain_members(phat: np.ndarray, L: np.ndarray, k: np.ndarray) -> list[tuple
             for sup, l1, l2, dl2, k in zip(*(row.ravel() for row in rows))]
 
 
+INTERPOLATION_TRIALS = 20   #: random band fields drawn
+
 #: Pass thresholds of ``check_interpolation_inequality``: both chain
 #: maxima may exceed their sharp constants by the relative round-off slack
 #: INTERPOLATION_CONSTANT_SLACK; the dilation defect is at most
@@ -369,23 +350,20 @@ INTERPOLATION_CONSTANT_SLACK = 1e-9
 INTERPOLATION_DILATION_DEFECT_MAX = 1e-6
 
 
-def check_interpolation_inequality(num_trials: int = 20, seed: int = 0) -> dict:
-    """Randomized check of band-sup^2 <= C1 L1^2 <= C2 * weighted-L2 product.
+def check_interpolation_inequality(seed: int = 0) -> dict:
+    """Randomized check of band-sup^2 <= C1 L1^2 <= C2 * weighted-L2 product
+    on INTERPOLATION_TRIALS fields.
 
     The sharp constants for this transform normalization are 1/(2*pi) for
     the first step and 2*pi for the second.  Each trial also verifies exact
     dilation covariance: ratios at (g, k) equal ratios at (g(2.), k+1);
     a trial's members at k and k+1 are the two rows of one array.
     """
-    if num_trials < 1:
-        raise ConfigurationError(f"num_trials must be at least 1, got {num_trials}")
     rng = np.random.default_rng(seed)
     # on every band grid xi / 2^k is exactly mode / 32: one psi_k row serves all
     psi = CUTOFFS.psi(np.arange(_BAND_POINTS // 2 + 1) / 32.0)
-    res1 = EstimateSweepResult("bandsup_vs_l1")
-    res2 = EstimateSweepResult("l1_vs_weighted_l2")
-    dilation_defects = []
-    for trial in range(num_trials):
+    tuples, members, dilation_defects = [], [], []
+    for trial in range(INTERPOLATION_TRIALS):
         k = int(rng.integers(-3, 4))
         # each draw is split evenly between the modes +-m of the real field
         c = np.zeros(_BAND_POINTS // 2 + 1, dtype=complex)
@@ -393,15 +371,15 @@ def check_interpolation_inequality(num_trials: int = 20, seed: int = 0) -> dict:
         pair = np.array([k, k + 1])
         (sup2, l1sq, right), (sup2_d, l1sq_d, right_d) = _chain_members(
             psi * c, np.ldexp(64.0 * np.pi, -pair), pair)
-        params = {"trial": trial, "k": k}
-        res1.add(params, sup2, l1sq)
-        res2.add(params, l1sq, right)
+        tuples.append({"trial": trial, "k": k})
+        members.append((sup2, l1sq, right))
         defect = max(abs(sup2_d / l1sq_d - sup2 / l1sq) / (sup2 / l1sq),
                      abs(l1sq_d / right_d - l1sq / right) / (l1sq / right))
         dilation_defects.append(float(defect))
+    sups2, l1sqs, rights = zip(*members)
     return {
-        "bandsup_vs_l1": res1.to_dict(),
-        "l1_vs_weighted_l2": res2.to_dict(),
+        "bandsup_vs_l1": _sweep("bandsup_vs_l1", tuples, sups2, l1sqs),
+        "l1_vs_weighted_l2": _sweep("l1_vs_weighted_l2", tuples, l1sqs, rights),
         "max_dilation_defect": float(np.max(dilation_defects)),
         "sharp_constants": {"bandsup_vs_l1": 1.0 / (2.0 * np.pi),
                             "l1_vs_weighted_l2": 2.0 * np.pi},
@@ -428,28 +406,30 @@ def resonance_function(alpha: float, xi, eta, sigma):
     return a(xi) - a(xi - eta - sigma) - a(eta) - a(sigma)
 
 
+PHASE_XI = 1.0                                          #: the frequency xi
+PHASE_OFFSETS = tuple(2.0 ** -j for j in range(6, 13))  #: offsets d, halving from xi/64
+
 #: Pass band of ``check_phase_expansion``: every halving ratio of the
 #: remainder must lie in [lo, hi] around 8, the cubic rate.
 HALVING_RATIO_BAND = (6.5, 9.5)
 
 
-def check_phase_expansion(alpha: float, xi: float,
-                          delta_range=tuple(2.0 ** -j for j in range(6, 13))) -> dict:
+def check_phase_expansion(alpha: float) -> dict:
     """Remainder of Phi minus its quadratic near-diagonal model is cubic.
 
-    With eta = xi - d, sigma = xi - d the model is a''(xi) d^2, where
-    a''(xi) = sign(xi) alpha (alpha+1) |xi|^(alpha-1) as a is odd; halving d
-    must divide the remainder by about 8.  Offsets are at most |xi|/32, so
-    |xi - eta - sigma| = |2d - xi| >= 15|xi|/16 keeps off the singular locus.
+    With eta = sigma = xi - d the model is a''(xi) d^2, a''(xi) =
+    alpha (alpha+1) xi^(alpha-1) at xi = PHASE_XI = 1; halving d must divide
+    the remainder by about 8.  a is odd and homogeneous of degree 1 + alpha,
+    so scaling xi, eta, sigma and d by any lambda != 0 scales Phi and the
+    model by sign(lambda) |lambda|^(1+alpha): xi = 1 stands for every xi != 0.
+    Offsets d <= xi/64 keep |xi - eta - sigma| >= 31 xi/32 off the singular
+    locus.
     """
     check_alpha(alpha)
-    if not 0.0 < abs(xi) < np.inf:
-        raise DomainError(f"xi must be finite and nonzero, got {xi}")
-    deltas = np.asarray(sorted(delta_range, reverse=True), dtype=float) * abs(xi)
-    if np.max(deltas) > abs(xi) / 32.0:
-        raise DomainError("offsets exceed |xi|/32; expansion domain violated")
+    xi = PHASE_XI
+    deltas = np.array(PHASE_OFFSETS)
     remainders = []
-    quad_coeff = float(np.sign(xi)) * alpha * (alpha + 1.0) * abs(xi) ** (alpha - 1.0)
+    quad_coeff = alpha * (alpha + 1.0) * xi ** (alpha - 1.0)
     for d in deltas:
         eta = xi - d
         sigma = xi - d
@@ -524,14 +504,17 @@ def profile_rhs_double_sum(grid: Grid, F: np.ndarray, t: float, alpha: float) ->
                      for o in range(n)], dtype=complex)
 
 
+TRILINEAR_POINTS = 16       #: grid points of the random profile, on the box 2 pi
+TRILINEAR_T = 0.7           #: time of the free flow that conjugates the profile
+TRILINEAR_ALPHA = -0.5      #: order alpha of the dispersion
+TRILINEAR_AMPLITUDE = 0.1   #: scale of the profile's normal draws
+
 #: Pass threshold of ``check_trilinear_identity``: largest relative sup
 #: difference between the oracle and the pseudospectral derivative.
 TRILINEAR_RTOL = 1e-10
 
 
-def check_trilinear_identity(n_points: int = 16, seed: int = 0,
-                             t: float = 0.7, alpha: float = -0.5,
-                             amplitude: float = 0.1) -> dict:
+def check_trilinear_identity(seed: int = 0) -> dict:
     """Double-sum oracle vs pseudospectral profile derivative.
 
     The oracle carries the one-third coefficient of the divergence-form
@@ -539,24 +522,24 @@ def check_trilinear_identity(n_points: int = 16, seed: int = 0,
     ``profile_rhs_pseudospectral``, a separate path zero-padded to 2n; the
     solver's ``equations.nonlinearity`` is not called, so agreement to
     round-off checks the Fourier-side formulation, not the solver kernel.
-    The oracle refuses n_points > 64.
     """
     rng = np.random.default_rng(seed)
-    grid = make_grid(n_points, 2.0 * np.pi)
-    keep = n_points // 4 - 1
+    grid = make_grid(TRILINEAR_POINTS, 2.0 * np.pi)
+    keep = TRILINEAR_POINTS // 4 - 1
     # Re, Im of the modes 1 ... keep in turn, then the zero mode; each
     # draw is split evenly between the modes +-m of the real field
     draws = rng.normal(size=2 * keep + 1)
-    fhat = np.zeros(n_points // 2 + 1, dtype=complex)
-    fhat[1:keep + 1] = 0.5 * (amplitude * (draws[0:-1:2] + 1j * draws[1::2]))
-    fhat[0] = amplitude * draws[-1]
+    fhat = np.zeros(TRILINEAR_POINTS // 2 + 1, dtype=complex)
+    fhat[1:keep + 1] = 0.5 * (TRILINEAR_AMPLITUDE * (draws[0:-1:2] + 1j * draws[1::2]))
+    fhat[0] = TRILINEAR_AMPLITUDE * draws[-1]
 
-    oracle = profile_rhs_double_sum(grid, whole_spectrum(fhat), t, alpha)
-    target = whole_spectrum(profile_rhs_pseudospectral(grid, fhat, t, alpha))
+    oracle = profile_rhs_double_sum(grid, whole_spectrum(fhat), TRILINEAR_T, TRILINEAR_ALPHA)
+    target = whole_spectrum(profile_rhs_pseudospectral(grid, fhat, TRILINEAR_T, TRILINEAR_ALPHA))
     scale = float(np.max(np.abs(target)))
     diff = float(np.max(np.abs(oracle - target)))
     return {
-        "n_points": n_points, "seed": seed, "t": t, "alpha": alpha,
+        "n_points": TRILINEAR_POINTS, "seed": seed, "t": TRILINEAR_T,
+        "alpha": TRILINEAR_ALPHA,
         "max_abs_target": scale,
         "relative_sup_difference": diff / scale if scale > 0 else 0.0,
     }
@@ -596,6 +579,8 @@ def _kernel_l1_by_quadrature() -> float:
     return float(w_x @ np.abs(kernel)) ** 2
 
 
+PSEUDO_PRODUCT_TRIALS = 20  #: random field triples drawn
+
 #: Pass thresholds of ``check_pseudo_product``: the factored route must
 #: match the direct double sum to FACTORED_DEFECT_MAX (relative), and every
 #: form/bound ratio must stay strictly below PSEUDO_PRODUCT_RATIO_MAX.
@@ -603,16 +588,15 @@ FACTORED_DEFECT_MAX = 1e-10
 PSEUDO_PRODUCT_RATIO_MAX = 1.0
 
 
-def check_pseudo_product(seed: int = 0, num_trials: int = 20) -> dict:
+def check_pseudo_product(seed: int = 0) -> dict:
     """Trilinear pseudo-product form against the kernel-L1 * mixed-norm bound,
-    for the gaussian kernel m(eta, sigma) = exp(-eta^2 - sigma^2).
+    for the gaussian kernel m(eta, sigma) = exp(-eta^2 - sigma^2), on
+    PSEUDO_PRODUCT_TRIALS random field triples.
 
     For the separable kernel-splitting oracle the direct double sum must
     factor through a one-variable correlation to round-off.  The trials'
     fields f, g, h are the rows of one array.
     """
-    if num_trials < 1:
-        raise ConfigurationError(f"num_trials must be at least 1, got {num_trials}")
     rng = np.random.default_rng(seed)
     grid = make_grid(128, 16.0 * np.pi)        # dxi = 1/8, |xi| <= 8
     xi = whole_wavenumbers(grid)
@@ -625,8 +609,8 @@ def check_pseudo_product(seed: int = 0, num_trials: int = 20) -> dict:
     # each field draws Re, Im of the modes 1 ... 16 (|xi| <= 2) in turn,
     # then the zero mode; each draw is split evenly between the modes +-m
     # of the real field
-    draws = rng.normal(size=(num_trials, 3, 33))
-    half = np.zeros((num_trials, 3, n // 2 + 1), dtype=complex)
+    draws = rng.normal(size=(PSEUDO_PRODUCT_TRIALS, 3, 33))
+    half = np.zeros((PSEUDO_PRODUCT_TRIALS, 3, n // 2 + 1), dtype=complex)
     half[..., 1:17] = 0.5 * (0.3 * (draws[..., 0:32:2] + 1j * draws[..., 1:32:2]))
     half[..., 0] = 0.3 * draws[..., 32]
     # the synthesis first: with the whole-spectrum rows built before it, the
@@ -638,7 +622,7 @@ def check_pseudo_product(seed: int = 0, num_trials: int = 20) -> dict:
     del draws, half, u                         # the trial loop below sets the peak
 
     mf, mg = m1 * fields[:, 0], m1 * fields[:, 1]
-    forms = np.empty(num_trials)
+    forms = np.empty(PSEUDO_PRODUCT_TRIALS)
     padded = np.zeros(2 * n - 1, dtype=complex)
     for trial, hh in enumerate(fields[:, 2]):
         # hh(-eta-sigma) for every (eta, sigma) pair, 0 off the grid: row
@@ -682,11 +666,15 @@ def pseudo_product_verdicts(result: dict) -> list[Verdict]:
 # Oscillatory gaussian and cutoff double integrals
 # ---------------------------------------------------------------------------
 
+GAUSSIAN_N_LIST = (1.0, 10.0)     #: N of the gaussian quadrature against its closed form
+CUTOFF_N_LIST = (3.0, 4.0, 6.0)   #: N over which the cutoff integral's error rate is fitted
+CUTOFF_N_CHECK = 8.0              #: N at which the error is checked against the fit
+
 #: Pass thresholds of ``check_oscillatory_gaussian``: the gaussian
 #: quadrature must match its closed form to GAUSSIAN_CLOSED_FORM_ATOL; the
 #: fitted decay rate of the cutoff integral's error must be at most
 #: CUTOFF_RATE_MAX (the inverse square root upper bound); the error at
-#: ``cutoff_N_check`` must stay within ``cutoff_check_bound`` of the fit.
+#: CUTOFF_N_CHECK must stay within ``cutoff_check_bound`` of the fit.
 GAUSSIAN_CLOSED_FORM_ATOL = 1e-8
 CUTOFF_RATE_MAX = -0.5
 CUTOFF_CHECK_FACTOR = 2.0
@@ -694,7 +682,7 @@ CUTOFF_CHECK_FLOOR = 1e-9
 
 
 def cutoff_check_bound(fit_prediction: float) -> float:
-    """Largest passing cutoff error at ``cutoff_N_check``: the fitted
+    """Largest passing cutoff error at CUTOFF_N_CHECK: the fitted
     prediction times CUTOFF_CHECK_FACTOR, floored at CUTOFF_CHECK_FLOOR."""
     return CUTOFF_CHECK_FACTOR * max(fit_prediction, CUTOFF_CHECK_FLOOR)
 
@@ -759,37 +747,30 @@ def _cutoff_deviation(N: float) -> float:
     return 2.0 * np.trapezoid(tail, z)
 
 
-def check_oscillatory_gaussian(N_list=(1.0, 10.0), cutoff_N_list=(3.0, 4.0, 6.0),
-                               cutoff_N_check: float = 8.0) -> dict:
+def check_oscillatory_gaussian() -> dict:
     """Quadrature vs closed form for the oscillatory gaussian integral, and
     decay-rate fit for its smooth-cutoff variant approaching 2*pi."""
-    for name, Ns in (("N_list", N_list), ("cutoff_N_list", cutoff_N_list),
-                     ("cutoff_N_check", (cutoff_N_check,))):
-        if len(Ns) == 0 or not all(0.0 < N < np.inf for N in Ns):
-            raise ConfigurationError(f"{name} needs positive, finite N, got {Ns}")
-    if len(set(cutoff_N_list)) < 2:
-        raise ConfigurationError(f"cutoff_N_list needs two distinct N, got {cutoff_N_list}")
     gaussian = []
-    for N in N_list:
+    for N in GAUSSIAN_N_LIST:
         value = _gaussian_double_integral(N)
         closed = oscillatory_gaussian_closed_form(N)
         gaussian.append({"N": N, "quadrature": value, "closed_form": closed,
                          "abs_error": abs(value - closed)})
 
     cutoff = []
-    for N in cutoff_N_list:
+    for N in CUTOFF_N_LIST:
         deviation = _cutoff_deviation(N)
         cutoff.append({"N": N, "value": 2.0 * np.pi - deviation, "error": abs(deviation)})
     Ns = np.array([c["N"] for c in cutoff])
     errs = np.array([max(c["error"], 1e-14) for c in cutoff])
     slope, intercept = np.polyfit(np.log(Ns), np.log(errs), 1)
-    check_err = abs(_cutoff_deviation(cutoff_N_check))
-    predicted = float(np.exp(intercept + slope * np.log(cutoff_N_check)))
+    check_err = abs(_cutoff_deviation(CUTOFF_N_CHECK))
+    predicted = float(np.exp(intercept + slope * np.log(CUTOFF_N_CHECK)))
     return {
         "gaussian": gaussian,
         "cutoff": cutoff,
         "cutoff_rate": float(slope),
-        "cutoff_check": {"N": cutoff_N_check, "error": check_err,
+        "cutoff_check": {"N": CUTOFF_N_CHECK, "error": check_err,
                          "fit_prediction": predicted},
     }
 
@@ -805,18 +786,18 @@ def oscillatory_verdicts(result: dict) -> list[Verdict]:
                      cutoff_check_bound(check["fit_prediction"]))]
 
 
+#: The orders alpha at which the dispersive and phase checks run.
+LEMMA_ALPHAS = (-0.8, -0.5, -0.2)
+
 #: Every check as ``fkdvlab lemmas`` runs it: name -> (run(seed), verdicts).
 LEMMA_CHECKS = {
     "dispersive": (lambda seed: {f"alpha={a}": check_dispersive_estimate(a)
-                                 for a in (-0.8, -0.5, -0.2)}, dispersive_verdicts),
-    "interpolation": (lambda seed: check_interpolation_inequality(seed=seed),
-                      interpolation_verdicts),
-    "phase_expansion": (lambda seed: {f"alpha={a}": check_phase_expansion(a, 1.0)
-                                      for a in (-0.8, -0.5, -0.2)},
-                        phase_expansion_verdicts),
-    "trilinear": (lambda seed: [check_trilinear_identity(16, s) for s in range(5)],
+                                 for a in LEMMA_ALPHAS}, dispersive_verdicts),
+    "interpolation": (check_interpolation_inequality, interpolation_verdicts),
+    "phase_expansion": (lambda seed: {f"alpha={a}": check_phase_expansion(a)
+                                      for a in LEMMA_ALPHAS}, phase_expansion_verdicts),
+    "trilinear": (lambda seed: [check_trilinear_identity(s) for s in range(5)],
                   trilinear_verdicts),
-    "pseudo_product": (lambda seed: check_pseudo_product(seed=seed),
-                       pseudo_product_verdicts),
+    "pseudo_product": (check_pseudo_product, pseudo_product_verdicts),
     "oscillatory": (lambda seed: check_oscillatory_gaussian(), oscillatory_verdicts),
 }

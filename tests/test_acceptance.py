@@ -130,7 +130,7 @@ class TestCriterion3TrilinearOracle:
     def test_twenty_seeds(self):
         worst = 0.0
         for seed in range(20):
-            result = check_trilinear_identity(16, seed)
+            result = check_trilinear_identity(seed)
             worst = max(worst, result["relative_sup_difference"])
         passed = worst <= TRILINEAR_RTOL
         report_line(3, "trilinear oracle", passed,
@@ -246,7 +246,7 @@ class TestCriterion9LemmaSweeps:
         assert ok
 
     def test_interpolation_chain(self):
-        result = check_interpolation_inequality(num_trials=20, seed=0)
+        result = check_interpolation_inequality(seed=0)
         slack = 1 + INTERPOLATION_CONSTANT_SLACK
         ok = (result["bandsup_vs_l1"]["ratio_stats"]["max"]
               <= result["sharp_constants"]["bandsup_vs_l1"] * slack
@@ -264,7 +264,7 @@ class TestCriterion9LemmaSweeps:
     def test_phase_expansion_remainder(self):
         ratios = []
         for alpha in (-0.8, -0.5, -0.2):
-            result = check_phase_expansion(alpha, 1.0)
+            result = check_phase_expansion(alpha)
             ratios.extend(result["halving_ratios"])
         lo, hi = HALVING_RATIO_BAND
         ok = all(lo <= r <= hi for r in ratios)

@@ -535,15 +535,21 @@ class TestCliDispatch:
                              "--out", str(tmp_path / "o")]) == 2
         assert "need >= 5 points in [0.5, 2.0], got 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("study", ["decay", "norms"])
+    @pytest.mark.parametrize("study", ["decay", "norms", "longwave", "scattering"])
     def test_zero_initial_data_is_status_2(self, tmp_path, capsys, study):
         # zero data is valid (the shock study's no-compression case runs
-        # on it), but leaves the power-law fits no positive value
+        # on it), but leaves the power-law fits no positive value and the
+        # error and Cauchy-difference ratios a zero denominator: the longwave
+        # ratio raised ZeroDivisionError, the scattering ratios wrote Infinity
+        t_end = 64 if study == "scattering" else 20     # the scattering study's least
         path = write(tmp_path, f"[run]\nstudy = {study}\n[grid]\nn_points = 64\n"
-                               "[initial]\namplitude = 0\n[solver]\nt_end = 20\n"
+                               f"[initial]\namplitude = 0\n[solver]\nt_end = {t_end}\n"
                                "[study]\nfit_t_min = 2\nfit_t_max = 20\n")
         assert cli_dispatch([study, "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert "insufficient data: power-law fit of" in capsys.readouterr().err
+        message = {"longwave": "the e0 ratio of eps = 0.1 to 0.05 needs a nonzero error",
+                   "scattering": "the step and final ratios need positive Cauchy differences"}
+        assert (f"insufficient data: {message.get(study, 'power-law fit of')}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("kind", ["gaussian", "sech2"])
     @pytest.mark.parametrize("center, width", [("1e300", "0.7"), ("-1e300", "1e-10")])

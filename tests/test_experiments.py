@@ -124,6 +124,13 @@ class TestConfigAndData:
         with pytest.raises(FrozenInstanceError):
             cfg.refine_start = 12
 
+    def test_list_eps_list_hashes_as_the_tuple(self):
+        # a list eps_list made the config unhashable
+        listed = default_config("longwave", eps_list=[0.2, 0.1])
+        tupled = default_config("longwave", eps_list=(0.2, 0.1))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.eps_list == (0.2, 0.1)
+
     def test_bad_override_rejected_before_any_step(self, tmp_path, monkeypatch):
         # a fit window that starts after it ends is a cross-field error
         with pytest.raises(ConfigurationError):

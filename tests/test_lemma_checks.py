@@ -7,14 +7,21 @@ from fkdvlab import lemma_checks
 from fkdvlab.errors import ConfigurationError, DomainError
 from fkdvlab.lemma_checks import (
     CUTOFF_RATE_MAX,
+    DISPERSIVE_BANDS,
     DISPERSIVE_DILATION_DEFECT_MAX,
+    DISPERSIVE_TIMES,
     FACTORED_DEFECT_MAX,
     GAUSSIAN_CLOSED_FORM_ATOL,
     HALVING_RATIO_BAND,
     INTERPOLATION_CONSTANT_SLACK,
     INTERPOLATION_DILATION_DEFECT_MAX,
+    INTERPOLATION_TRIALS,
     LEMMA_CHECKS,
+    PHASE_OFFSETS,
+    PHASE_XI,
     PSEUDO_PRODUCT_RATIO_MAX,
+    PSEUDO_PRODUCT_TRIALS,
+    TRILINEAR_POINTS,
     TRILINEAR_RTOL,
     _GAUSSIAN_X_NODES,
     _GAUSSIAN_Y_NODES,
@@ -96,6 +103,18 @@ def per_scalar_profile(n_points, seed, amplitude=0.1):
     return make_grid(n_points, TWO_PI), asc.hermitize(amplitude * c)
 
 
+def estimate_sweep(name, rows):
+    """One estimate's sweep record as it was accumulated row by row: rows of
+    (params, lhs, rhs), each side a float, and the statistics of the ratios."""
+    tuples = [dict(params) for params, _, _ in rows]
+    lhs = [float(left) for _, left, _ in rows]
+    rhs = [float(right) for _, _, right in rows]
+    r = np.asarray(lhs) / np.asarray(rhs)
+    return {"name": name, "tuples": tuples, "lhs": lhs, "rhs": rhs,
+            "ratio_stats": {"max": float(np.max(r)), "median": float(np.median(r)),
+                            "min": float(np.min(r)), "count": len(r)}}
+
+
 def zero_profile():
     return make_grid(16, TWO_PI), np.zeros(16, complex)
 
@@ -110,12 +129,14 @@ def single_pair_profile():
 class TestTrilinearIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_band_limited(self, seed):
-        result = check_trilinear_identity(16, seed)
+        result = check_trilinear_identity(seed)
         assert result["relative_sup_difference"] <= TRILINEAR_RTOL
 
     def test_larger_grid(self):
-        result = check_trilinear_identity(32, 0, t=1.3)
-        assert result["relative_sup_difference"] <= TRILINEAR_RTOL
+        grid, F = per_scalar_profile(32, 0)
+        oracle = profile_rhs_double_sum(grid, F, 1.3, -0.5)
+        target = whole_spectrum(profile_rhs_pseudospectral(grid, asc.half_of(F), 1.3, -0.5))
+        assert np.max(np.abs(oracle - target)) <= TRILINEAR_RTOL * np.max(np.abs(target))
 
     def test_zero_profile(self):
         fhat = zero_profile()
@@ -132,8 +153,8 @@ class TestTrilinearIdentity:
         assert np.max(np.abs(oracle - target)) <= 1e-12 * np.max(np.abs(target))
 
     def test_size_guard(self):
-        with pytest.raises(ConfigurationError):
-            check_trilinear_identity(128, 0)
+        with pytest.raises(ConfigurationError, match="use n_points <= 64"):
+            profile_rhs_double_sum(make_grid(128, TWO_PI), np.zeros(128, complex), 0.7, -0.5)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n_points", [8, 16, 32])
@@ -151,14 +172,16 @@ class TestTrilinearIdentity:
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n_points", [8, 16, 32])
-    def test_check_is_the_per_scalar_draw_bit_for_bit(self, n_points, seed):
-        # the profile's numbers drawn in one call are the one-at-a-time draws
+    def test_check_is_the_per_scalar_draw_bit_for_bit(self, monkeypatch, n_points, seed):
+        # the profile's numbers drawn in one call are the one-at-a-time draws,
+        # on the grid TRILINEAR_POINTS names
+        monkeypatch.setattr(lemma_checks, "TRILINEAR_POINTS", n_points)
         fhat = per_scalar_profile(n_points, seed)
         grid, F = fhat
         target = whole_spectrum(profile_rhs_pseudospectral(grid, asc.half_of(F), 0.7, -0.5))
         scale = float(np.max(np.abs(target)))
         diff = float(np.max(np.abs(per_mode_double_sum(*fhat, 0.7, -0.5) - target)))
-        result = check_trilinear_identity(n_points, seed)
+        result = check_trilinear_identity(seed)
         assert result["max_abs_target"] == scale
         assert result["relative_sup_difference"] == diff / scale
 
@@ -173,45 +196,41 @@ class TestPhaseExpansion:
         assert resonance_function(-0.5, 1.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_quadratic_limit(self):
-        result = check_phase_expansion(-0.5, 1.0)
+        result = check_phase_expansion(-0.5)
         d = result["deltas"][-1]
         phi = resonance_function(-0.5, 1.0, 1.0 - d, 1.0 - d)
         assert phi / d ** 2 == pytest.approx(-0.25, rel=1e-3)
         assert result["quadratic_coefficient"] == pytest.approx(-0.25)
 
-    # a is odd, so a''(xi) changes sign with xi: without it the negative xi
-    # left a quadratic remainder (halving ratios about 4)
-    @pytest.mark.parametrize("alpha,xi", [(-0.5, 1.0), (-0.8, 2.0), (-0.2, 0.5),
-                                          (-0.5, -1.0), (-0.8, -3.0)])
-    def test_cubic_remainder_ratios(self, alpha, xi):
-        result = check_phase_expansion(alpha, xi)
+    @pytest.mark.parametrize("alpha", [-0.5, -0.8, -0.2])
+    def test_cubic_remainder_ratios(self, alpha):
+        result = check_phase_expansion(alpha)
         lo, hi = HALVING_RATIO_BAND
         assert all(lo <= r <= hi for r in result["halving_ratios"])
 
-    def test_domain_guards(self):
-        with pytest.raises(DomainError):
-            check_phase_expansion(-0.5, 0.0)
-        with pytest.raises(DomainError):
-            check_phase_expansion(-0.5, 1.0, delta_range=(0.25,))
-
-    @pytest.mark.parametrize("xi", [float("nan"), float("inf"), float("-inf")])
-    def test_refuses_non_finite_xi(self, xi):
-        # a NaN gave NaN ratios silently, an infinity a RuntimeWarning first
-        with pytest.raises(DomainError, match="xi must be finite and nonzero"):
-            check_phase_expansion(-0.5, xi)
+    # a is odd and homogeneous of degree 1 + alpha, so the remainder at xi
+    # with offsets xi d is sign(xi) |xi|^(1+alpha) times the checked one at
+    # xi = 1, to the round-off of the four a values (at most 1.75 ulps of
+    # |xi|^(1+alpha) here, exact at xi = -1): the one frequency stands for all
+    @pytest.mark.parametrize("xi", [2.0, 0.5, 0.3, -1.0, -2.0, -3.0])
+    @pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
+    def test_every_frequency_scales_to_the_checked_one(self, alpha, xi):
+        result = check_phase_expansion(alpha)
+        scale = np.sign(xi) * abs(xi) ** (1.0 + alpha)
+        second = alpha * (alpha + 1.0) * np.sign(xi) * abs(xi) ** (alpha - 1.0)
+        remainders = np.array([resonance_function(alpha, xi, xi - xi * d, xi - xi * d)
+                               - second * (xi * d) ** 2 for d in PHASE_OFFSETS])
+        np.testing.assert_allclose(remainders, scale * np.array(result["remainders"]),
+                                   rtol=0.0, atol=8.0 * np.finfo(float).eps * abs(scale))
+        lo, hi = HALVING_RATIO_BAND
+        assert all(lo <= r <= hi for r in remainders[:-1] / remainders[1:])
 
     # alpha outside (-1, 0) gave NaN ratios silently (NaN) or a
     # RuntimeWarning on 0/0 remainders (alpha = 0)
     @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, 0.5])
     def test_alpha_range_guard(self, alpha):
         with pytest.raises(ConfigurationError, match=r"alpha must lie in \(-1.0, 0.0\)"):
-            check_phase_expansion(alpha, 1.0)
-
-    @pytest.mark.parametrize("xi", [1.0, -2.0, 0.3])
-    def test_offsets_at_domain_edge_accepted(self, xi):
-        # the largest offset may equal |xi|/32 exactly
-        result = check_phase_expansion(-0.5, xi, delta_range=(1.0 / 32.0, 1.0 / 64.0))
-        assert max(result["deltas"]) == abs(xi) / 32.0
+            check_phase_expansion(alpha)
 
 
 def per_case_band_field(rng, k, n=1024):
@@ -243,12 +262,11 @@ def per_case_members(grid, c, k):
     return sup2, l1sq, right
 
 
-def per_case_interpolation(num_trials, seed):
+def per_case_interpolation(seed, num_trials=INTERPOLATION_TRIALS):
     """``check_interpolation_inequality`` as it was: one Python iteration,
     two fields and two member evaluations per trial."""
     rng = np.random.default_rng(seed)
-    res1 = lemma_checks.EstimateSweepResult("bandsup_vs_l1")
-    res2 = lemma_checks.EstimateSweepResult("l1_vs_weighted_l2")
+    rows1, rows2 = [], []
     dilation_defects = []
     for trial in range(num_trials):
         k = int(rng.integers(-3, 4))
@@ -256,8 +274,8 @@ def per_case_interpolation(num_trials, seed):
         grid, fld = per_case_band_field(rng, k)
         sup2, l1sq, right = per_case_members(grid, fld, k)
         params = {"trial": trial, "k": k}
-        res1.add(params, sup2, l1sq)
-        res2.add(params, l1sq, right)
+        rows1.append((params, sup2, l1sq))
+        rows2.append((params, l1sq, right))
 
         rng2 = np.random.default_rng()
         rng2.bit_generator.state = state
@@ -267,8 +285,8 @@ def per_case_interpolation(num_trials, seed):
                      abs(l1sq_d / right_d - l1sq / right) / (l1sq / right))
         dilation_defects.append(float(defect))
     return {
-        "bandsup_vs_l1": res1.to_dict(),
-        "l1_vs_weighted_l2": res2.to_dict(),
+        "bandsup_vs_l1": estimate_sweep("bandsup_vs_l1", rows1),
+        "l1_vs_weighted_l2": estimate_sweep("l1_vs_weighted_l2", rows2),
         "max_dilation_defect": float(np.max(dilation_defects)),
         "sharp_constants": {"bandsup_vs_l1": 1.0 / (2.0 * np.pi),
                             "l1_vs_weighted_l2": 2.0 * np.pi},
@@ -288,7 +306,7 @@ def traced_peak(run):
 
 class TestInterpolation:
     def test_chain_constants_and_dilation(self):
-        result = check_interpolation_inequality(num_trials=12, seed=0)
+        result = check_interpolation_inequality(seed=0)
         sharp1 = result["sharp_constants"]["bandsup_vs_l1"]
         sharp2 = result["sharp_constants"]["l1_vs_weighted_l2"]
         slack = 1 + INTERPOLATION_CONSTANT_SLACK
@@ -314,23 +332,20 @@ class TestInterpolation:
         assert (_chain_members(asc.half_of(phat), np.array(grid.box_length), np.array(k))
                 == [per_case_members(grid, fld, k)])
 
+    # the batch size is INTERPOLATION_TRIALS; one trial is its edge
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("num_trials", [1, 3, 20])
-    def test_batched_check_is_the_per_case_loop_bit_for_bit(self, seed, num_trials):
-        assert (check_interpolation_inequality(num_trials=num_trials, seed=seed)
-                == per_case_interpolation(num_trials, seed))
+    def test_batched_check_is_the_per_case_loop_bit_for_bit(self, monkeypatch, seed, num_trials):
+        monkeypatch.setattr(lemma_checks, "INTERPOLATION_TRIALS", num_trials)
+        assert (check_interpolation_inequality(seed=seed)
+                == per_case_interpolation(seed, num_trials))
 
     def test_peak_traced_allocation_at_most_the_per_case_loops(self):
         assert (traced_peak(check_interpolation_inequality)
-                <= traced_peak(lambda: per_case_interpolation(20, 0)))
-
-    @pytest.mark.parametrize("num_trials", [0, -1])
-    def test_refuses_no_trials(self, num_trials):
-        with pytest.raises(ConfigurationError, match="num_trials must be at least 1"):
-            check_interpolation_inequality(num_trials=num_trials)
+                <= traced_peak(lambda: per_case_interpolation(0)))
 
 
-def per_case_pseudo_product(seed, num_trials):
+def per_case_pseudo_product(seed, num_trials=PSEUDO_PRODUCT_TRIALS):
     """``check_pseudo_product`` as it was: one Python iteration and three
     drawn fields per trial, the factored oracle one mode at a time."""
     rng = np.random.default_rng(seed)
@@ -401,32 +416,28 @@ def per_case_pseudo_product(seed, num_trials):
 
 class TestPseudoProduct:
     def test_kernel_l1_matches_closed_form(self):
-        result = check_pseudo_product(seed=0, num_trials=3)
+        result = check_pseudo_product(seed=0)
         assert result["kernel_l1"] == pytest.approx(4.0 * np.pi ** 2, rel=1e-12)
 
     def test_factorization_oracle(self):
-        result = check_pseudo_product(seed=0, num_trials=1)
+        result = check_pseudo_product(seed=0)
         assert result["factored_defect"] <= FACTORED_DEFECT_MAX
 
     def test_bound_holds_and_is_seed_stable(self):
-        r0 = check_pseudo_product(seed=0, num_trials=20)
-        r1 = check_pseudo_product(seed=1, num_trials=20)
+        r0 = check_pseudo_product(seed=0)
+        r1 = check_pseudo_product(seed=1)
         assert r0["max_ratio"] < PSEUDO_PRODUCT_RATIO_MAX   # far below the analytic bound
         assert abs(r1["max_ratio"] - r0["max_ratio"]) <= 0.2 * r0["max_ratio"]
 
+    # the batch size is PSEUDO_PRODUCT_TRIALS; one trial is its edge
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("num_trials", [1, 3, 20])
-    def test_batched_check_is_the_per_case_loop_bit_for_bit(self, seed, num_trials):
-        assert (check_pseudo_product(seed=seed, num_trials=num_trials)
-                == per_case_pseudo_product(seed, num_trials))
+    def test_batched_check_is_the_per_case_loop_bit_for_bit(self, monkeypatch, seed, num_trials):
+        monkeypatch.setattr(lemma_checks, "PSEUDO_PRODUCT_TRIALS", num_trials)
+        assert check_pseudo_product(seed=seed) == per_case_pseudo_product(seed, num_trials)
 
     def test_peak_traced_allocation_at_most_the_per_case_loops(self):
-        assert traced_peak(check_pseudo_product) <= traced_peak(lambda: per_case_pseudo_product(0, 20))
-
-    @pytest.mark.parametrize("num_trials", [0, -1])
-    def test_refuses_no_trials(self, num_trials):
-        with pytest.raises(ConfigurationError, match="num_trials must be at least 1"):
-            check_pseudo_product(num_trials=num_trials)
+        assert traced_peak(check_pseudo_product) <= traced_peak(lambda: per_case_pseudo_product(0))
 
 
 class TestOscillatoryGaussian:
@@ -436,9 +447,7 @@ class TestOscillatoryGaussian:
             TWO_PI * 10.0 / np.sqrt(0.04 + 100.0))
 
     def test_quadrature_matches_closed_form(self):
-        result = check_oscillatory_gaussian(N_list=(1.0, 10.0),
-                                            cutoff_N_list=(3.0, 4.0),
-                                            cutoff_N_check=6.0)
+        result = check_oscillatory_gaussian()
         for entry in result["gaussian"]:
             assert entry["abs_error"] <= GAUSSIAN_CLOSED_FORM_ATOL
 
@@ -460,7 +469,7 @@ class TestOscillatoryGaussian:
     def test_cutoff_error_is_the_deviation(self):
         # the error is the deviation itself, not |value - 2 pi| quantised to
         # the ulps of 2 pi (8.9e-16, 1.2e-8 of the error at N = 8)
-        result = check_oscillatory_gaussian(cutoff_N_list=(3.0, 4.0), cutoff_N_check=8.0)
+        result = check_oscillatory_gaussian()
         for entry in result["cutoff"]:
             deviation = _cutoff_deviation(entry["N"])
             assert entry["error"] == abs(deviation)
@@ -470,22 +479,6 @@ class TestOscillatoryGaussian:
         # deviation of about 2.3e-9 of it at N = 8
         assert result["cutoff_check"]["error"] == pytest.approx(3.850038289021687e-08,
                                                                 rel=5e-9)
-
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"cutoff_N_list": (3.0,)}, "cutoff_N_list needs two distinct N"),
-        ({"cutoff_N_list": (4.0, 4.0)}, "cutoff_N_list needs two distinct N"),
-        ({"cutoff_N_list": (-3.0, 4.0)}, "cutoff_N_list needs positive, finite N"),
-        ({"cutoff_N_check": 0.0}, "cutoff_N_check needs positive, finite N"),
-        ({"cutoff_N_check": float("inf")}, "cutoff_N_check needs positive, finite N"),
-        ({"N_list": (1.0, 0.0)}, "N_list needs positive, finite N"),
-        ({"N_list": (float("nan"),)}, "N_list needs positive, finite N"),
-        ({"N_list": ()}, "N_list needs positive, finite N"),
-    ])
-    def test_refuses_bad_N(self, kwargs, name):
-        # one point fitted no rate (a RankWarning); N <= 0 failed in log or
-        # divide, and a NaN N gave NaN quadratures
-        with pytest.raises(ConfigurationError, match=name):
-            check_oscillatory_gaussian(**kwargs)
 
     def test_peak_traced_allocation(self):
         # no dense cosine tables: the chirp-z sums allocate O(nodes + points)
@@ -609,21 +602,22 @@ def per_point_band_sup(alpha, k, t):
     return float(np.max(np.abs(u)))
 
 
-def per_point_sweep(alpha, k_range=range(-3, 4), t_range=(1.0, 4.0, 16.0, 64.0)):
+def per_point_sweep(alpha):
     """``check_dispersive_estimate`` as it was: one Python iteration per point."""
-    res_freq = lemma_checks.EstimateSweepResult("dispersive_freq_side")
-    res_phys = lemma_checks.EstimateSweepResult("dispersive_phys_side")
-    for k in k_range:
-        for t in t_range:
+    rows_freq, rows_phys = [], []
+    for k in DISPERSIVE_BANDS:
+        for t in DISPERSIVE_TIMES:
             lhs = per_point_band_sup(alpha, k, t)
             rhs = per_band_rhs(alpha, k, t)
             params = {"alpha": alpha, "k": int(k), "t": float(t)}
-            res_freq.add(params, lhs, rhs["freq"])
-            res_phys.add(params, lhs, rhs["phys"])
+            rows_freq.append((params, lhs, rhs["freq"]))
+            rows_phys.append((params, lhs, rhs["phys"]))
     t1 = 2.0 ** (1.0 + alpha) * 4.0
     r_dilated = per_point_band_sup(alpha, 1, 4.0) / per_band_rhs(alpha, 1, 4.0)["phys"]
     r_rescaled = per_point_band_sup(alpha, 0, t1) / per_band_rhs(alpha, 0, t1)["phys"]
-    return {"alpha": alpha, "freq_side": res_freq.to_dict(), "phys_side": res_phys.to_dict(),
+    return {"alpha": alpha,
+            "freq_side": estimate_sweep("dispersive_freq_side", rows_freq),
+            "phys_side": estimate_sweep("dispersive_phys_side", rows_phys),
             "dilation_defect": float(abs(r_dilated - r_rescaled) / r_rescaled)}
 
 
@@ -659,16 +653,6 @@ class TestDispersiveEstimate:
         # _band_sup_rows evaluates the profile's squares only below this bound
         cut = lemma_checks._BUMP_CENTER + 20.0 / lemma_checks._BUMP_INVWIDTH
         assert np.all(_bump(np.linspace(cut, 64.0 * cut, 100001)) ** 2 == 0.0)
-
-    @pytest.mark.parametrize("t_range", [(0.0,), (1.0, -1.0), (float("nan"),),
-                                         (float("inf"),), ()])
-    def test_refuses_bad_times(self, t_range):
-        with pytest.raises(ConfigurationError, match="t_range needs positive, finite times"):
-            check_dispersive_estimate(-0.5, k_range=(0,), t_range=t_range)
-
-    def test_refuses_no_bands(self):
-        with pytest.raises(ConfigurationError, match="k_range must hold at least one band"):
-            check_dispersive_estimate(-0.5, k_range=())
 
     def test_sweep_never_uses_the_ascending_layout(self, monkeypatch):
         def ascending(*args, **kwargs):
@@ -717,24 +701,26 @@ class TestDispersiveEstimate:
     # profile for leaking out of its band
     @pytest.mark.parametrize("alpha, t, nyquist", [(-0.2, 8192.0, "50.3"),
                                                    (-0.5, 65536.0, "25.1")])
-    def test_grid_cap_guard(self, alpha, t, nyquist):
+    def test_grid_cap_guard(self, monkeypatch, alpha, t, nyquist):
         message = (f"2\\^18-point grid cap puts the Nyquist frequency {nyquist} "
                    "below the top 128 of the dyadic band 2\\^6")
         with pytest.raises(DomainError, match=message):
             _packet_grid(alpha, 6, t)
+        # a sweep extended past the cap refuses the same way
+        monkeypatch.setattr(lemma_checks, "DISPERSIVE_BANDS", (0, 6))
+        monkeypatch.setattr(lemma_checks, "DISPERSIVE_TIMES", (t,))
         with pytest.raises(DomainError, match=message):
-            check_dispersive_estimate(alpha, k_range=(0, 6), t_range=(t,))
+            check_dispersive_estimate(alpha)
 
     def test_sweep_bounded_and_dilation_invariant(self):
-        result = check_dispersive_estimate(-0.5, k_range=(-1, 0, 1),
-                                           t_range=(1.0, 4.0))
+        result = check_dispersive_estimate(-0.5)
         assert result["freq_side"]["ratio_stats"]["max"] < 10.0
         assert result["phys_side"]["ratio_stats"]["max"] < 10.0
         assert result["dilation_defect"] <= DISPERSIVE_DILATION_DEFECT_MAX
 
     def test_sweep_sides_equal_dispersive_rhs(self):
         # the sweep computes each band's norms once; the sides stay bit for bit
-        result = check_dispersive_estimate(-0.5, k_range=(0, 1), t_range=(1.0, 4.0))
+        result = check_dispersive_estimate(-0.5)
         for side in ("freq", "phys"):
             sweep = result[f"{side}_side"]
             assert sweep["rhs"] == [dispersive_rhs(-0.5, p["k"], p["t"])[side]
@@ -791,3 +777,34 @@ class TestLemmaVerdicts:
         for verdicts, passed in cases:
             assert [v.passed for v in verdicts] == passed
             assert {v.series for v in verdicts} == {"lemma_checks.json"}
+
+
+def positive_finite(values):
+    return len(values) >= 1 and all(np.isfinite(v) and v > 0 for v in values)
+
+
+class TestCaseConstants:
+    """Each case constant lies in the domain its check needs: these are the
+    rules that refusals enforced while the values were parameters, so an edit
+    that breaks one fails here, not as a NaN ratio or a fit warning."""
+
+    @pytest.mark.parametrize("name, holds", [
+        ("DISPERSIVE_BANDS", lambda v: len(v) >= 1 and all(isinstance(k, int) for k in v)),
+        ("DISPERSIVE_TIMES", positive_finite),
+        ("INTERPOLATION_TRIALS", lambda v: isinstance(v, int) and v >= 1),
+        ("PSEUDO_PRODUCT_TRIALS", lambda v: isinstance(v, int) and v >= 1),
+        # the quadratic coefficient alpha (alpha+1) xi^(alpha-1) is a''(xi) for
+        # xi > 0; xi = 1 stands for every other frequency by homogeneity
+        ("PHASE_XI", lambda v: v == 1.0),
+        # halving offsets, the largest xi/64: |xi - eta - sigma| stays >= 31 xi/32
+        ("PHASE_OFFSETS", lambda v: v[0] <= PHASE_XI / 64.0 and positive_finite(v)
+         and all(b == a / 2.0 for a, b in zip(v, v[1:]))),
+        # the double-sum oracle refuses more than 64 points; 8 keep one mode
+        ("TRILINEAR_POINTS", lambda v: isinstance(v, int) and 8 <= v <= 64),
+        ("GAUSSIAN_N_LIST", positive_finite),
+        # a rate is fitted through at least two distinct N
+        ("CUTOFF_N_LIST", lambda v: positive_finite(v) and len(set(v)) >= 2),
+        ("CUTOFF_N_CHECK", lambda v: positive_finite([v])),
+    ])
+    def test_case_constant_in_its_domain(self, name, holds):
+        assert holds(getattr(lemma_checks, name))
