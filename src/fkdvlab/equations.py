@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (Grid, check_alpha, dealias_keep, dispersion, half_table,
-                       inverse_transform, transform)
+from .spectral import (Grid, analysis_weights, band_analysis, band_synthesis, check_alpha,
+                       dealias_keep, dispersion, half_table)
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,17 @@ def band_length(grid: Grid) -> int:
 class GridTables:
     """An equation's tables on one grid's half spectrum, and the workspace
     that its nonlinearity and the IF-RK4 step overwrite on every call: one
-    caller at a time per (equation, grid)."""
+    caller at a time per (equation, grid).  The nonlinearity's multiplier
+    and workspace are in the two-phase layout of ``spectral``'s band pair:
+    one row for the even samples, one for the odd."""
 
     linear: np.ndarray          # L, 0 in the Nyquist slot
-    multiplier: np.ndarray      # c*i*xi/3 on the kept band k < m
+    multiplier: np.ndarray      # (2, m): c*i*xi/3 on the kept band k < m
+                                # times spectral.analysis_weights
     dispersive: bool            # whether exp(dt*L) moves with dt
-    samples: np.ndarray         # n reals: the synthesis of the band
-    cube: np.ndarray            # n reals: its cube
-    spectrum: np.ndarray        # n/2 + 1 complex: the cube's unscaled FFT
+    samples: np.ndarray         # (2, n/2) reals: the two-phase synthesis of the band
+    cube: np.ndarray            # (2, n/2) reals: its cube
+    spectrum: np.ndarray        # (2, m) complex: the cube's band_analysis rows
     stages: tuple               # five m complex: a step's k1 ... k4 and stage input
     factors: tuple | None = None    # (dt, step_factors(dt)), latest dt
 
@@ -130,7 +133,7 @@ class GridTables:
         dt."""
         entry = self.factors
         if entry is None or entry[0] != dt:
-            m = len(self.multiplier)
+            m = self.multiplier.shape[1]
             if entry is None or self.dispersive:
                 e_full, e_half = np.exp(dt * self.linear), np.exp(0.5 * dt * self.linear)
                 e_full[-1] = e_half[-1] = 0.0
@@ -147,8 +150,9 @@ def grid_tables(eq: EquationSpec, grid: Grid) -> GridTables:
     (equation, grid) pairs."""
     n, m = grid.n_points, band_length(grid)
     return GridTables(half_table(grid, lambda xi: linear_symbol(eq, xi)),
-                      eq.coefficient / 3 * 1j * grid.wavenumbers[:m], eq.is_dispersive,
-                      np.empty(n), np.empty(n), np.empty(n // 2 + 1, dtype=complex),
+                      eq.coefficient / 3 * 1j * grid.wavenumbers[:m] * analysis_weights(grid),
+                      eq.is_dispersive, np.empty((2, n // 2)), np.empty((2, n // 2)),
+                      np.empty((2, m), dtype=complex),
                       tuple(np.empty(m, dtype=complex) for _ in range(5)))
 
 
@@ -159,20 +163,25 @@ def nonlinearity(eq: EquationSpec, grid: Grid, half: np.ndarray,
     given by its half spectrum.
 
     Only the kept band k = 0 ... m - 1 (``band_length``, the cubic dealias
-    rule) enters and leaves: the synthesis reads ``half[:m]``, zero-padded
-    to n by the inverse real FFT, and the result is the band of length m,
-    every mode above it being zero.  It is written to ``out`` (m complex)
-    when given, and is a new array otherwise.  Retained modes carry the
-    exact truncated convolution.  The derivative, coefficient and 1/3 form
-    one cached band multiplier.  ``samples``, when given, is that
+    rule) enters and leaves: the synthesis reads ``half[:m]``, and the
+    result is the band of length m, every mode above it being zero.  It is
+    written to ``out`` (m complex) when given, and is a new array
+    otherwise.  Retained modes carry the exact truncated convolution, to
+    round-off.  The synthesis and the transform of the cube are the band
+    pair of ``spectral`` in the two-phase layout, each one two-row real FFT
+    of length n/2; the derivative, coefficient, 1/3, the transform's scale
+    and its odd-row twiddle form one cached (2, m) table, by which the two
+    rows are weighted and summed.  ``samples``, when given, is that
     synthesis already made and replaces it; ``tables``, when given, is
     ``grid_tables(eq, grid)`` already fetched.  The synthesis, cube and FFT
     run in the grid tables' workspace.
     """
     if tables is None:
         tables = grid_tables(eq, grid)
-    m = len(tables.multiplier)
-    v = inverse_transform(grid, half[:m], out=tables.samples) if samples is None else samples
+    m = tables.multiplier.shape[1]
+    v = band_synthesis(grid, half[:m], out=tables.samples) if samples is None else samples
     cube = np.multiply(v, v, out=tables.cube)
     np.multiply(cube, v, out=cube)
-    return np.multiply(tables.multiplier, transform(grid, cube, m, out=tables.spectrum), out=out)
+    rows = band_analysis(grid, cube, out=tables.spectrum)
+    np.multiply(tables.multiplier, rows, out=rows)
+    return np.add(rows[0], rows[1], out=out)

@@ -369,9 +369,10 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
     its verdicts rest on, in run order, and the function that adds those
     verdicts.  Then the halt policy: the study's halt is its first run that
     stopped early, else its last run; an early stop replaces the verdicts
-    with a failed ``run_completed``.  The report and the manifest go to out_dir as
-    ``<name>_report.json`` and ``<name>_manifest.json``; name defaults to
-    the study.
+    with a failed ``run_completed``.  The manifest goes to out_dir as
+    ``<name>_manifest.json`` before the verdicts are added, so that series
+    whose verdicts refuse the data still have theirs, and the report after,
+    as ``<name>_report.json``; name defaults to the study.
     """
     started = time.time()
     name = name or cfg.study
@@ -391,12 +392,12 @@ def study_skeleton(cfg: ExperimentConfig, out_dir: str,
     manifest = f"{name}_manifest.json"
     if halt is not None:
         report.measured["halt"] = {"kind": halt.kind, "t": halt.t}
+    lab_io.write_manifest(os.path.join(out_dir, manifest), asdict(cfg), smallness,
+                          halt, started)
     if halt is None or halt.completed:
         add_verdicts()
     else:
         report.add_verdict("run_completed", False, halt.t, "halt before t_end", manifest)
-    lab_io.write_manifest(os.path.join(out_dir, manifest), asdict(cfg), smallness,
-                          halt, started)
     lab_io.write_report(report.to_dict(), os.path.join(out_dir, f"{name}_report.json"))
     return report
 

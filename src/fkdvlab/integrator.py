@@ -22,7 +22,7 @@ import numpy as np
 
 from .equations import EquationSpec, band_length, grid_tables, nonlinearity
 from .errors import ConfigurationError
-from .spectral import _SQRT_2PI, Grid, SpectralField, hermitize, inverse_transform, max_abs
+from .spectral import _SQRT_2PI, Grid, SpectralField, band_synthesis, hermitize, max_abs
 
 #: Guard against division by zero in the CFL rule for the zero field.
 CFL_FLOOR = 1e-12
@@ -89,10 +89,11 @@ class SolverState:
 
     @property
     def band_samples(self) -> np.ndarray:
-        """Grid samples of the kept band ``half[:m]`` (``band_length``): the
-        synthesis that the CFL speed and the first RK4 stage read."""
+        """Grid samples of the kept band ``half[:m]`` (``band_length``) in
+        the two-phase layout (``spectral.band_synthesis``), even samples then
+        odd: the synthesis that the CFL speed and the first RK4 stage read."""
         if self._band_samples is None:
-            self._band_samples = inverse_transform(self.grid, self.half[:band_length(self.grid)])
+            self._band_samples = band_synthesis(self.grid, self.half[:band_length(self.grid)])
         return self._band_samples
 
 
@@ -130,9 +131,10 @@ def cfl_dt(state: SolverState, config: SolverConfig) -> float:
 
         U = max|band_samples| + (sqrt(2 pi)/L) (2 sum_{k>=m} |c_k| - |c_(n/2)|),
 
-    the band's synthesis, which the step's first stage reads too, plus the
-    l1 norm of the modes above the band.  With nothing above the band U is
-    max|u| bit for bit, the inverse FFT zero-padding a short spectrum.  An
+    the band's two-phase synthesis, which the step's first stage reads too,
+    plus the l1 norm of the modes above the band.  With nothing above the
+    band U is max|u| to the synthesis's round-off: the two half-length
+    inverse FFTs give the samples of the length-n one, not its bits.  An
     overflowing U^2 gives dt = 0, which run_simulation halts as blowup; a
     NaN U gives dt_max.  U^2 is kept on the state as its ``cfl_speed``:
     planning a segment and its first step read one state.
@@ -160,7 +162,9 @@ def step_ifrk4(state: SolverState, dt: float, eq: EquationSpec) -> SolverState:
     (``equations.band_length``), so the four stages run on that band;
     above it every stage term is zero and the new state is exp(dt*L) v
     exactly.  The exponentials' zero Nyquist slot keeps the Nyquist mode
-    zero.  The first stage reads the state's cached ``band_samples``.
+    zero.  The first stage reads the state's cached ``band_samples``, and
+    each stage is one two-row inverse and one two-row forward real FFT of
+    length n/2 (``equations.nonlinearity``).
 
     The stages run in the grid tables' band buffers, in the association
     order of

@@ -23,6 +23,7 @@ All functions here are pure; grids and fields are immutable value objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -30,8 +31,8 @@ import numpy as np
 # numpy.fft.rfft/irfft give them, so each result has the same bits.  The
 # public wrappers' argument checks and norm dispatch take about 3 us a call,
 # half the kernel's own time at the solver's smallest grid (512 points), and
-# the step makes 8 transforms.  Grid sizes are powers of two, hence the
-# even-length kernel.
+# the step makes 8 transforms, each a call of the band pair on two rows.
+# Grid sizes are powers of two, hence the even-length kernel.
 # These are numpy 2.x's private names; pyproject.toml pins numpy < 3.
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
@@ -136,31 +137,84 @@ class SpectralField:
         return cls(grid, transform(grid, samples))
 
 
-def transform(grid: Grid, samples: np.ndarray, modes: int | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+def transform(grid: Grid, samples: np.ndarray, modes: int | None = None) -> np.ndarray:
     """Real samples -> half spectrum, on the last axis, so rows of samples
     give rows of half spectra.  ``modes`` keeps only the first ``modes``
-    coefficients, k = 0 ... modes - 1.  ``out``, of n/2 + 1 complex on the
-    last axis, receives the unscaled FFT and is allocated when absent; the
-    result is always a new array, bit for bit ``numpy.fft.rfft`` scaled on
-    float64 samples (narrower floats are transformed in double precision).
-    Unchecked: the step kernel calls it; ``SpectralField.from_samples``
-    checks its samples."""
-    if out is None:
-        out = np.empty(np.shape(samples)[:-1] + (grid.n_points // 2 + 1,), dtype=complex)
-    return _rfft(samples, 1.0, out=out)[:modes] * (grid.dx / _SQRT_2PI)
+    coefficients of each, k = 0 ... modes - 1.  Bit for bit
+    ``numpy.fft.rfft`` scaled on float64 samples (narrower floats are
+    transformed in double precision).  Unchecked:
+    ``SpectralField.from_samples`` checks its samples."""
+    out = np.empty(np.shape(samples)[:-1] + (grid.n_points // 2 + 1,), dtype=complex)
+    return _rfft(samples, 1.0, out=out)[..., :modes] * (grid.dx / _SQRT_2PI)
 
 
-def inverse_transform(grid: Grid, half: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum -> real samples, on the last axis, written to ``out``
-    (n floats on the last axis), which is allocated when absent; bit for
-    bit ``numpy.fft.irfft``.  A shorter ``half`` is zero-padded to n/2 + 1
+def inverse_transform(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Half spectrum -> real samples, on the last axis; bit for bit
+    ``numpy.fft.irfft``.  A shorter ``half`` is zero-padded to n/2 + 1
     modes; the imaginary parts of the zero and Nyquist modes are ignored."""
     n = grid.n_points
+    return _irfft(half * (_SQRT_2PI / grid.dx), 1.0 / n,
+                  out=np.empty(np.shape(half)[:-1] + (n,)))
+
+
+# ---------------------------------------------------------------------------
+# The kept band in the two-phase sample layout
+# ---------------------------------------------------------------------------
+#
+# The cubic dealias rule keeps k = 0 ... n/4 (``dealias_keep``), m = n/4 + 1
+# modes: exactly a half spectrum of the half-length grid.  So the band's
+# length-n DFT splits into two of length n/2 (decimation in time), on the
+# even samples u_(2j) and the odd ones u_(2j+1), the rows of a (2, n/2)
+# array: the "two-phase" layout, which pocketfft transforms in one call
+# faster than one row of n.  A max or a power reads it as it reads the
+# natural order.
+
+@lru_cache(maxsize=16)
+def _synthesis_weights(grid: Grid) -> np.ndarray:
+    """The (2, m) weights that take the band to the inputs of two inverse
+    real FFTs of length n/2: sqrt(2 pi)/dx, the factor 1/2 of the half-length
+    normalization and, on the odd row, the twiddle exp(2 pi i k/n).  The
+    boundary mode n/4 is the half-length grid's Nyquist slot, where it
+    stands for the pair +-n/4 and the inverse real FFT reads only the real
+    part: 2 Re(c) on the even row, 2 Re(i c) on the odd one."""
+    n, m = grid.n_points, dealias_keep(grid.n_points) + 1
+    scale = _SQRT_2PI / grid.dx
+    weights = np.empty((2, m), dtype=complex)
+    weights[0] = 0.5 * scale
+    weights[1] = 0.5 * scale * np.exp(2j * np.pi * np.arange(m) / n)
+    weights[:, -1] = scale, 1j * scale
+    weights.flags.writeable = False
+    return weights
+
+
+def band_synthesis(grid: Grid, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The kept band's m = n/4 + 1 modes -> its n real samples in the
+    two-phase layout, written to ``out`` ((2, n/2) floats), which is
+    allocated when absent.  The same synthesis as ``inverse_transform`` of
+    the band, to round-off; the imaginary part of the zero mode is ignored."""
+    n = grid.n_points
     if out is None:
-        out = np.empty(np.shape(half)[:-1] + (n,))
-    return _irfft(half * (_SQRT_2PI / grid.dx), 1.0 / n, out=out)
+        out = np.empty((2, n // 2))
+    return _irfft(band * _synthesis_weights(grid), 2.0 / n, out=out)
+
+
+def band_analysis(grid: Grid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples in the two-phase layout -> the rows E and O of their two
+    unscaled half-length FFTs on the band, m = n/4 + 1 modes each, written to
+    ``out`` ((2, m) complex), which is allocated when absent.  The band of
+    ``transform`` is the sum of the rows weighted by ``analysis_weights``:
+    the same n-point DFT, the boundary mode n/4 included, to round-off."""
+    if out is None:
+        out = np.empty((2, dealias_keep(grid.n_points) + 1), dtype=complex)
+    return _rfft(samples, 1.0, out=out)
+
+
+def analysis_weights(grid: Grid) -> np.ndarray:
+    """The (2, m) weights dx/sqrt(2 pi) and, on the odd row, the twiddle
+    exp(-2 pi i k/n) times it, that sum the rows of ``band_analysis`` to the
+    band's half spectrum X_k = (dx/sqrt(2 pi)) (E_k + exp(-2 pi i k/n) O_k)."""
+    n, m = grid.n_points, dealias_keep(grid.n_points) + 1
+    return grid.dx / _SQRT_2PI * np.stack([np.ones(m), np.exp(-2j * np.pi * np.arange(m) / n)])
 
 
 def whole_wavenumbers(grid: Grid) -> np.ndarray:

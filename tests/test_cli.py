@@ -550,6 +550,12 @@ class TestCliDispatch:
                    "scattering": "the step and final ratios need positive Cauchy differences"}
         assert (f"insufficient data: {message.get(study, 'power-law fit of')}"
                 in capsys.readouterr().err)
+        # the refused study's series have their manifest beside them, and
+        # it writes no report
+        out = tmp_path / "o" / study
+        assert any(out.glob("*.csv"))
+        assert (out / f"{study}_manifest.json").is_file()
+        assert not (out / f"{study}_report.json").exists()
 
     @pytest.mark.parametrize("kind", ["gaussian", "sech2"])
     @pytest.mark.parametrize("center, width", [("1e300", "0.7"), ("-1e300", "1e-10")])

@@ -12,9 +12,10 @@ report may gain quantities without touching the goldens.
 
 The goldens record this platform's floating-point results (numpy build and
 CPU), some of them round-off-level quantities.  Regenerate them, and say
-why, only when an output change is intended:
+why, only when an output change is intended, and only those it moves
+(every golden when none is named):
 
-    PYTHONPATH=src python tests/test_goldens.py
+    PYTHONPATH=src python tests/test_goldens.py [shock decay ...]
 """
 
 import contextlib
@@ -145,13 +146,15 @@ def test_comparator(got, want, bad):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     captured = {"lemma_checks": capture_lemmas}
     captured.update({study: (lambda d, s=study: capture_study(s, d))
                      for study in STUDIES})
-    for name, capture in captured.items():
+    for name in sys.argv[1:] or captured:
+        capture = captured[name]
         with tempfile.TemporaryDirectory() as scratch:
             value = capture(scratch)
         with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "w") as fh:

@@ -9,6 +9,9 @@ from fkdvlab.spectral import (
     BOUNDARY_MASS_THRESHOLD,
     CUTOFFS,
     SpectralField,
+    analysis_weights,
+    band_analysis,
+    band_synthesis,
     boundary_mass_fraction,
     dealias,
     dealias_keep,
@@ -150,11 +153,10 @@ class TestTransform:
         assert np.max(np.abs(synth.imag)) <= 1e-13 * np.max(np.abs(synth.real))
 
     @pytest.mark.parametrize("n", [8, 16, 512, 8192])
-    @pytest.mark.parametrize("with_out", [False, True])
-    def test_kernels_match_numpy_fft(self, n, with_out):
+    def test_kernels_match_numpy_fft(self, n):
         # the pair calls numpy's FFT kernels itself: each output is
         # numpy.fft's, bit for bit, on rows as on one field, NaN, infinities
-        # and signed zeros included
+        # and signed zeros included; modes cut each row, not the rows
         rng = np.random.default_rng(n)
         g = make_grid(n, 7.3)
         scale = g.dx / np.sqrt(TWO_PI)
@@ -174,20 +176,13 @@ class TestTransform:
         c[1, :4] = [np.nan, complex(np.inf, 1.0), complex(0.0, -np.inf), -0.0]
         c[2] = complex(-0.0, -0.0)
         m = n // 4 + 1
-        cases = [(u[i], modes) for i in range(3) for modes in (None, m)] + [(u, None)]
+        cases = [(u[i], modes) for i in range(3) for modes in (None, m)] + [(u, None), (u, m)]
         # both sides warn alike on the NaN and infinite entries
         with np.errstate(invalid="ignore"):
             for x, modes in cases:
-                out = np.empty(x.shape[:-1] + (n // 2 + 1,), dtype=complex) if with_out else None
-                same_bits(transform(g, x, modes, out=out), np.fft.rfft(x)[:modes] * scale)
-                if with_out:
-                    same_bits(out, np.fft.rfft(x))
+                same_bits(transform(g, x, modes), np.fft.rfft(x)[..., :modes] * scale)
             for h in [*c, c, *c[:, :m], c[:, :m]]:
-                out = np.empty(h.shape[:-1] + (n,)) if with_out else None
-                back = inverse_transform(g, h, out=out)
-                same_bits(back, np.fft.irfft(h * (np.sqrt(TWO_PI) / g.dx), n))
-                if with_out:
-                    assert back is out
+                same_bits(inverse_transform(g, h), np.fft.irfft(h * (np.sqrt(TWO_PI) / g.dx), n))
 
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_complex_samples_refused(self, imag):
@@ -196,6 +191,37 @@ class TestTransform:
         g = make_grid(16, TWO_PI)
         with pytest.raises(TypeError, match="real samples"):
             SpectralField.from_samples(g, np.cos(g.x) + 1j * imag * np.sin(g.x))
+
+
+class TestBandPair:
+    """The kept band's transform pair, in the two-phase layout (even
+    samples, then odd), against numpy.fft's natural-order transforms."""
+
+    @pytest.mark.parametrize("n", [8, 16, 512, 8192])
+    def test_band_kernels_match_numpy_fft(self, n):
+        # random bands fill the boundary mode n/4, the half-length grid's
+        # Nyquist slot, and a complex zero mode; each side of the pair is
+        # the natural-order transform to round-off
+        rng = np.random.default_rng(n)
+        g = make_grid(n, 7.3)
+        m = dealias_keep(n) + 1
+        scale = g.dx / np.sqrt(TWO_PI)
+        band = rng.normal(size=m) + 1j * rng.normal(size=m)
+        padded = np.zeros(n // 2 + 1, dtype=complex)
+        padded[:m] = band
+        want = np.fft.irfft(padded / scale, n).reshape(-1, 2).T
+        out = np.empty((2, n // 2))
+        assert band_synthesis(g, band, out=out) is out
+        assert np.array_equal(band_synthesis(g, band), out)
+        assert np.max(np.abs(out - want)) <= 1e-15 * np.max(np.abs(want))
+
+        u = rng.normal(size=n)
+        want = np.fft.rfft(u)[:m] * scale
+        out = np.empty((2, m), dtype=complex)
+        assert band_analysis(g, u.reshape(-1, 2).T, out=out) is out
+        assert np.array_equal(band_analysis(g, u.reshape(-1, 2).T), out)
+        got = (analysis_weights(g) * out).sum(axis=0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestWholeSpectrum:
